@@ -21,9 +21,11 @@ import time
 from pathlib import Path
 
 from .engine import (
+    CheckOutcome,
     NotPolynomial,
     check_duality,
     check_nonnegativity,
+    check_symmetry,
     compute,
     decompose_coefficients,
     is_polynomial,
@@ -134,12 +136,26 @@ def _cmd_compute(path: Path, args, out: list[str]) -> tuple[int, dict]:
     return code, payload
 
 
+def _record_outcome(name: str, outcome: CheckOutcome, checks: dict, out: list[str]) -> bool:
+    checks[name] = {
+        "passed": outcome.passed,
+        "witness": list(outcome.witness) if outcome.witness else None,
+    }
+    if outcome.passed:
+        out.append(f"{name}: PASS")
+    else:
+        out.append(f"{name}: FAIL at ({outcome.witness[0]},{outcome.witness[1]}) "
+                   f"({outcome.detail})")
+    return outcome.passed
+
+
 def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
     mode = "strict" if args.strict else "lenient"
     cfg, _ = _load_and_validate(path, mode)
     d = cfg.dimension
     wanted = [name for name, on in
-              (("duality", args.duality), ("polynomial", args.polynomial), ("nonneg", args.nonneg))
+              (("duality", args.duality), ("symmetry", args.symmetry),
+               ("polynomial", args.polynomial), ("nonneg", args.nonneg))
               if on]
     if not wanted:
         wanted = ["duality", "polynomial", "nonneg"]
@@ -156,17 +172,9 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
     all_passed = True
 
     if "duality" in wanted:
-        outcome = check_duality(result.e_open, d)
-        checks["duality"] = {
-            "passed": outcome.passed,
-            "witness": list(outcome.witness) if outcome.witness else None,
-        }
-        if outcome.passed:
-            out.append("duality: PASS")
-        else:
-            all_passed = False
-            out.append(f"duality: FAIL at ({outcome.witness[0]},{outcome.witness[1]}) "
-                       f"({outcome.detail})")
+        all_passed &= _record_outcome("duality", check_duality(result.e_open, d), checks, out)
+    if "symmetry" in wanted:
+        all_passed &= _record_outcome("symmetry", check_symmetry(result.e_open), checks, out)
 
     if "polynomial" in wanted:
         verdict = is_polynomial(result.e_open, d)
@@ -361,8 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="also report the singular locus' additive share")
 
     p_check = sub.add_parser("check", parents=[shared],
-                             help="duality / polynomiality / nonnegativity verdicts")
+                             help="duality / symmetry / polynomiality / nonnegativity verdicts")
     p_check.add_argument("--duality", action="store_true")
+    p_check.add_argument("--symmetry", action="store_true",
+                         help="u<->v symmetry; not among the checks a bare 'check' runs")
     p_check.add_argument("--polynomial", action="store_true")
     p_check.add_argument("--nonneg", action="store_true")
 

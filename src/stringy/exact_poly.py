@@ -673,7 +673,8 @@ def series_of_inverse_cyclo(m: int, horizon: int) -> UnivariateTSeries:
 
         1 / (t^m - 1) = -(1 + t^m + t^{2m} + ...)
 
-    truncated at the given t-power horizon.
+    truncated at the given t-power horizon.  Kept as public API; the
+    engine's expansion (``expand_rational``) no longer goes through it.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"cyclotomic-product exponent must be a positive int, got {m!r}")
@@ -683,30 +684,44 @@ def series_of_inverse_cyclo(m: int, horizon: int) -> UnivariateTSeries:
 def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     """Exact power-series coefficients of x for all i + j <= horizon.
 
-    Each denominator factor is expanded through ``series_of_inverse_cyclo``
-    and multiplied in; the result is independent of factor order.
+    The numerator's terms within the horizon are grouped by the diagonal
+    offset s = i - j; each group is a dense series in t = uv indexed by
+    k = min(i, j), up to top = (horizon - |s|) // 2.  Dividing a series x by
+    t^m - 1 is the stride recurrence
+
+        y_k = -x_k + y_{k-m}    (y_k = -x_k for k < m),
+
+    that is, minus a running sum along each residue class mod m, swept
+    upward in place.  A factor costs O(horizon) per group, so the whole
+    expansion is O(groups * factors * horizon); a convolution with the
+    inverse series would cost O(terms * horizon / m) per factor, with the
+    number of terms itself growing with the horizon.  The result is
+    independent of factor order.
     """
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
         raise ValueError(f"horizon must be a nonnegative int, got {horizon!r}")
-    cur: dict[ExponentPair, int] = {
-        pair: c for pair, c in x.numerator.items() if pair[0] + pair[1] <= horizon
-    }
-    for m in x.denominator:
-        inv = series_of_inverse_cyclo(m, horizon // 2)
-        nxt: dict[ExponentPair, int] = {}
-        for k, s in inv.items():
-            for (i, j), c in cur.items():
-                pair = (i + k, j + k)
-                if pair[0] + pair[1] > horizon:
-                    continue
-                acc = nxt.get(pair, 0) + s * c
-                if acc:
-                    nxt[pair] = acc
-                else:
-                    nxt.pop(pair, None)
-        cur = nxt
+    classes: dict[int, list[int]] = {}
+    for (i, j), c in x.numerator.items():
+        if i + j > horizon:
+            continue
+        s = i - j
+        row = classes.get(s)
+        if row is None:
+            row = classes[s] = [0] * ((horizon - abs(s)) // 2 + 1)
+        row[min(i, j)] = c
+    factors = x.denominator.factors
+    sign = -1 if len(factors) % 2 else 1
+    coeffs: dict[ExponentPair, int] = {}
+    for s, row in classes.items():
+        for m in factors:
+            # the running sums; the -1 of every factor is applied once below
+            for k in range(m, len(row)):
+                row[k] += row[k - m]
+        for k, c in enumerate(row):
+            if c:
+                coeffs[(k + s, k) if s >= 0 else (k, k - s)] = sign * c
     out = TruncatedBiseries(horizon)
-    out._coeffs = cur
+    out._coeffs = coeffs
     return out
 
 

@@ -321,12 +321,17 @@ def load_config(source: Union[str, Path, Mapping]) -> ResolutionConfig:
     """Build a ResolutionConfig from the interchange format: a JSON file path
     or an already-decoded mapping.  Parsing is strict; unknown fields and
     malformed shapes raise ConfigFormatError so typos cannot pass silently.
+    So does a file that cannot be decoded at all: bytes that are not UTF-8,
+    invalid JSON, or JSON nested too deeply for the parser.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = json.loads(Path(source).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigFormatError(f"config is not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise ConfigFormatError("invalid JSON: nested too deeply") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
             raise ConfigFormatError(f"invalid JSON: {exc}") from None
     else:
         data = source

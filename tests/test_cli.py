@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -6,7 +7,9 @@ import sys
 
 import pytest
 
+from stringy import cli
 from stringy.cli import main
+from stringy.exact_poly import BivariatePolynomial, StringyRational
 
 from conftest import FIXTURES
 
@@ -217,6 +220,40 @@ class TestCheck:
         assert doc["exit_code"] == 1
         assert doc["checks"]["duality"] == {"passed": False, "witness": [0, 0]}
 
+    def test_symmetry_pass(self, run):
+        code, out, _ = run("check", E6, "--symmetry")
+        assert code == 0
+        assert out == "symmetry: PASS\n"
+        code, out, _ = run("check", E6, "--symmetry", "--format", "json")
+        assert code == 0
+        assert_canonical_json(out)
+        doc = json.loads(out)
+        assert doc["checks"] == {"symmetry": {"passed": True, "witness": None}}
+
+    def test_symmetry_failure(self, run, monkeypatch):
+        # Lenient validation rejects every u<->v asymmetric table, so no
+        # config file reaches a failing verdict: skew the computed E_st instead.
+        real_compute = cli.compute
+
+        def skewed_compute(cfg, horizon):
+            result = real_compute(cfg, horizon)
+            skew = StringyRational(BivariatePolynomial({(2, 1): 5}))
+            return dataclasses.replace(result, e_open=result.e_open + skew)
+
+        monkeypatch.setattr(cli, "compute", skewed_compute)
+        code, out, _ = run("check", SMOOTH, "--symmetry")
+        assert code == 1
+        assert out == "symmetry: FAIL at (2,1) (coefficient 5 at (2,1) vs 0 at (1,2))\n"
+        code, out, _ = run("check", SMOOTH, "--symmetry", "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["checks"] == {"symmetry": {"passed": False, "witness": [2, 1]}}
+
+    def test_bare_check_runs_the_three_default_checks(self, run):
+        _, out, _ = run("check", E6, "--format", "json")
+        assert sorted(json.loads(out)["checks"]) == ["duality", "nonneg", "polynomial"]
+
     def test_format_never_changes_exit_code(self, run):
         for argv in (
             ["check", E6, "--duality", "--nonneg"],
@@ -364,6 +401,19 @@ class TestErrors:
         code, out, _ = run("compute", str(path))
         assert code == 2
         assert out.startswith("error: ")
+
+    @pytest.mark.parametrize("name, blob", [
+        ("latin1.json", b'{"dimension": 3, "label": "\xe9"}'),
+        ("deep.json", b"[" * 100000),
+    ])
+    def test_undecodable_file_does_not_abort_batch(self, run, tmp_path, name, blob):
+        (tmp_path / name).write_bytes(blob)
+        shutil.copy(NODE, tmp_path)
+        code, out, _ = run("compute", str(tmp_path))
+        assert code == 2
+        bad, good = out.split(f"== {tmp_path / 'node_a1.json'} ==\n")
+        assert bad.startswith(f"== {tmp_path / name} ==\nerror: ")
+        assert good.startswith("E_st = 1 + 2uv + 2(uv)^2 + (uv)^3 (polynomial)\n")
 
     def test_negative_horizon(self, run):
         code, _, err = run("compute", NODE, "--horizon", "-3")

@@ -1,5 +1,8 @@
+import random
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stringy.exact_poly import (
@@ -330,6 +333,79 @@ class TestSeries:
         }
         with pytest.raises(ValueError):
             s.truncated(9)
+
+
+def _pair(k, s):
+    """The exponent pair at index k = min(i, j) of diagonal offset s = i - j."""
+    return (k + s, k) if s >= 0 else (k, k - s)
+
+
+# Terms on both sides of the diagonal, often beyond the horizon (k up to 90
+# alone reaches total degree 180).
+deep_terms = st.dictionaries(
+    st.builds(_pair, st.integers(min_value=0, max_value=90), st.integers(min_value=-20, max_value=20)),
+    coeffs, max_size=8,
+)
+deep_dens = st.lists(st.integers(min_value=1, max_value=12), max_size=5)
+
+
+class TestDeepExpansion:
+    @given(deep_terms, deep_dens, st.integers(min_value=0, max_value=150))
+    @example({(0, 0): 1, (3, 1): -2, (0, 9): 4}, [1, 2, 12, 12, 7], 150)
+    @example({(0, 0): 1, (3, 1): -2, (0, 9): 4}, [1, 2, 12, 12, 7], 149)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_oracle(self, num, dens, horizon):
+        x = StringyRational(BivariatePolynomial(num), dens)
+        got = expand_rational(x, horizon)
+        assert got.horizon == horizon
+        want = series_expand(dict(x.numerator.items()), list(x.denominator.factors), horizon)
+        assert dict(got.items()) == want
+
+    @given(deep_terms, deep_dens, st.integers(min_value=0, max_value=150))
+    @settings(max_examples=60, deadline=None)
+    def test_times_denominator_is_numerator(self, num, dens, horizon):
+        x = StringyRational(BivariatePolynomial(num), dens)
+        series = expand_rational(x, horizon)
+        assert binomial_series_check(
+            dict(series.items()), list(x.denominator.factors),
+            dict(x.numerator.items()), horizon,
+        )
+
+    def test_horizon_zero(self):
+        x = StringyRational(P({(0, 0): 5, (1, 0): 2, (1, 1): 3}), (1, 2))
+        assert dict(expand_rational(x, 0).items()) == {(0, 0): 5}
+
+    def test_zero_numerator(self):
+        x = StringyRational(BivariatePolynomial.zero(), (3, 4))
+        assert dict(expand_rational(x, 40).items()) == {}
+
+    def test_class_with_top_zero(self):
+        # offsets 5 and -6 at horizons 5 and 7 leave one slot, k = 0, in their class
+        x = StringyRational(P({(5, 0): 2, (0, 6): -3, (0, 0): 1}), (1,))
+        assert dict(expand_rational(x, 5).items()) == {
+            (0, 0): -1, (1, 1): -1, (2, 2): -1, (5, 0): -2,
+        }
+        assert dict(expand_rational(x, 7).items()) == {
+            (0, 0): -1, (1, 1): -1, (2, 2): -1, (3, 3): -1, (5, 0): -2, (6, 1): -2, (0, 6): 3,
+        }
+
+    def test_deep_expansion_budget(self):
+        # Guards against a quadratic expansion: convolving with the inverse
+        # series takes seconds here, the stride recurrence milliseconds.
+        rng = random.Random(3200)
+        num = {}
+        while len(num) < 180:
+            num[_pair(rng.randrange(40), rng.randrange(-6, 7))] = rng.choice([-3, -2, -1, 1, 2, 3])
+        x = StringyRational(BivariatePolynomial(num), [3, 3, 4, 4, 5])
+        assert x.denominator.factors == (3, 3, 4, 4, 5)
+        horizon = 3200
+        started = time.perf_counter()
+        series = expand_rational(x, horizon)
+        elapsed = time.perf_counter() - started
+        assert binomial_series_check(
+            dict(series.items()), list(x.denominator.factors), dict(x.numerator.items()), horizon,
+        )
+        assert elapsed < 1.0, f"expansion to horizon {horizon} took {elapsed:.3f}s"
 
 
 class TestJsonInts:

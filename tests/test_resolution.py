@@ -365,6 +365,24 @@ class TestInterchange:
         with pytest.raises(ConfigFormatError, match="invalid JSON"):
             load_config(path)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dimension": 3, "label": "\xe9"}')
+        with pytest.raises(ConfigFormatError, match="not UTF-8"):
+            load_config(path)
+
+    def test_deeply_nested_json_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(ConfigFormatError, match="nested too deeply"):
+            load_config(path)
+
+    def test_integer_over_digit_limit(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"dimension": ' + "9" * 5000 + "}")
+        with pytest.raises(ConfigFormatError, match="invalid JSON"):
+            load_config(path)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))
     def test_random_config_round_trip(self, seed):
