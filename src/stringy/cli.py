@@ -31,7 +31,7 @@ from .engine import (
     is_polynomial,
     local_contribution,
 )
-from .exact_poly import StringyRational, encode_json_int
+from .exact_poly import StringyRational, decimal_str, encode_json_int
 from .render import (
     polynomial_latex,
     polynomial_text,
@@ -206,9 +206,9 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
             all_passed = False
             out.append(f"nonneg: FAIL ({len(report.violations)} violation(s))")
             for i, j, b in report.violations:
-                out.append(f"violation: b_{{{i},{j}}} = {b}")
+                out.append(f"violation: b_{{{i},{j}}} = {decimal_str(b)}")
         for i, j, b in report.beyond_notes:
-            out.append(f"note: b_{{{i},{j}}} = {b} beyond range")
+            out.append(f"note: b_{{{i},{j}}} = {decimal_str(b)} beyond range")
 
     payload = {"dimension": d, "agree": True, "checks": checks, "passed": all_passed}
     return (EXIT_OK if all_passed else EXIT_FAILED), payload
@@ -250,9 +250,9 @@ def _cmd_decompose(path: Path, args, out: list[str]) -> tuple[int, dict]:
             "implied_hodge_dim": encode_json_int(row.implied_hodge_dim),
             "flagged": row.flagged,
         })
-        line = (f"b_{{{row.i},{row.j}}} = {row.direct} | c = {row.c_term}, "
-                f"alt = {row.alternating_sum}, R = {row.r_term}, S = {row.s_term}, "
-                f"implied dim = {row.implied_hodge_dim}")
+        line = (f"b_{{{row.i},{row.j}}} = {decimal_str(row.direct)} | c = {decimal_str(row.c_term)}, "
+                f"alt = {decimal_str(row.alternating_sum)}, R = {decimal_str(row.r_term)}, "
+                f"S = {decimal_str(row.s_term)}, implied dim = {decimal_str(row.implied_hodge_dim)}")
         if row.flagged:
             line += " [FLAGGED: negative implied dimension]"
         out.append(line)

@@ -16,6 +16,7 @@ ConfigValidationError otherwise instead of producing garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 from .exact_poly import (
@@ -23,7 +24,9 @@ from .exact_poly import (
     StringyRational,
     TruncatedBiseries,
     UnivariateTSeries,
+    decimal_str,
     expand_rational,
+    sum_over_common_denominator,
 )
 from .hodge import DiamondViolation, HodgeDiamond, diamond_from_polynomial
 from .resolution import (
@@ -57,23 +60,21 @@ def stringy_e_open(cfg: ResolutionConfig) -> StringyRational:
 
     The empty-set stratum is the ambient space minus all stored open strata;
     a component with a = 0 contributes the factor (uv-1)/(uv-1), normalized
-    to 1 before any division can see 0/0.
+    to 1 before any division can see 0/0.  The terms are summed over one
+    common denominator and cancelled once
+    (:func:`~stringy.exact_poly.sum_over_common_denominator`).
     """
     _require_lenient(cfg)
     open_cfg = convert_strata(cfg, "open")
+    discrepancy = {comp.label: comp.discrepancy for comp in open_cfg.components}
     complement = open_cfg.ambient.poly
-    for value in open_cfg.strata.values():
+    terms = []
+    for key, value in open_cfg.strata.items():
         complement = complement - value.poly
-    total = StringyRational(complement)
-    for key, value in sorted(open_cfg.strata.items()):
-        term = StringyRational(value.poly)
-        for label in key:
-            a = open_cfg.discrepancy(label)
-            if a == 0:
-                continue
-            term = term * StringyRational(_UV - _ONE, (a + 1,))
-        total = total + term
-    return total
+        factors = [discrepancy[label] + 1 for label in key if discrepancy[label]]
+        terms.append((value.poly * (_UV - _ONE) ** len(factors), factors))
+    terms.append((complement, ()))
+    return sum_over_common_denominator(terms)
 
 
 def stringy_e_closed(cfg: ResolutionConfig) -> StringyRational:
@@ -83,19 +84,20 @@ def stringy_e_closed(cfg: ResolutionConfig) -> StringyRational:
 
     A component with a = 0 makes its factor exactly zero, so every stratum
     containing one drops out; the sums effectively run over a != 0 only.
+    The terms are summed over one common denominator and cancelled once
+    (:func:`~stringy.exact_poly.sum_over_common_denominator`).
     """
     _require_lenient(cfg)
     closed_cfg = convert_strata(cfg, "closed")
-    total = StringyRational(closed_cfg.ambient.poly)
-    for key, value in sorted(closed_cfg.strata.items()):
-        if any(closed_cfg.discrepancy(label) == 0 for label in key):
-            continue
-        term = StringyRational(value.poly)
-        for label in key:
-            a = closed_cfg.discrepancy(label)
-            term = term * StringyRational(_UV - BivariatePolynomial.uv_power(a + 1), (a + 1,))
-        total = total + term
-    return total
+    discrepancy = {comp.label: comp.discrepancy for comp in closed_cfg.components}
+    terms = [(closed_cfg.ambient.poly, ())]
+    for key, value in closed_cfg.strata.items():
+        if all(discrepancy[label] for label in key):
+            num = value.poly
+            for label in key:
+                num = num * (_UV - BivariatePolynomial.uv_power(discrepancy[label] + 1))
+            terms.append((num, [discrepancy[label] + 1 for label in key]))
+    return sum_over_common_denominator(terms)
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,19 @@ class StringyResult:
     e_open: StringyRational
     e_closed: StringyRational
     agree: bool
-    series: TruncatedBiseries
+    horizon: int
     dimension: int
+
+    @cached_property
+    def series(self) -> TruncatedBiseries:
+        """E_st expanded to the horizon, on first access only: a caller that
+        reads nothing but the formulas pays for no expansion."""
+        return expand_rational(self.e_open, self.horizon)
 
 
 def compute(cfg: ResolutionConfig, horizon: Union[int, None] = None) -> StringyResult:
-    """Both formulas plus the series expansion.
+    """Both formulas plus the series expansion to the horizon (expanded
+    when ``series`` is first read).
 
     The two formulas are algebraically equal for any config passing lenient
     validation, so agree=False is an internal-error signal (a broken lattice
@@ -118,9 +127,7 @@ def compute(cfg: ResolutionConfig, horizon: Union[int, None] = None) -> StringyR
         horizon = 2 * cfg.dimension
     e_open = stringy_e_open(cfg)
     e_closed = stringy_e_closed(cfg)
-    agree = e_open == e_closed
-    series = expand_rational(e_open, horizon)
-    return StringyResult(e_open, e_closed, agree, series, cfg.dimension)
+    return StringyResult(e_open, e_closed, e_open == e_closed, horizon, cfg.dimension)
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,8 @@ def check_duality(x: StringyRational, d: int) -> CheckOutcome:
         there = num.coefficient(mi, mj) if mi >= 0 and mj >= 0 else 0
         if here != sign * there:
             return CheckOutcome(False, (i, j),
-                                f"coefficient {here} at ({i},{j}) vs {sign}*{there} from ({mi},{mj})")
+                                f"coefficient {decimal_str(here)} at ({i},{j}) vs "
+                                f"{sign}*{decimal_str(there)} from ({mi},{mj})")
     return CheckOutcome(True)
 
 
@@ -173,8 +181,8 @@ def check_symmetry(x: StringyRational) -> CheckOutcome:
         seen.add((a, b))
         if num.coefficient(a, b) != num.coefficient(b, a):
             return CheckOutcome(False, (a, b),
-                                f"coefficient {num.coefficient(a, b)} at ({a},{b}) vs "
-                                f"{num.coefficient(b, a)} at ({b},{a})")
+                                f"coefficient {decimal_str(num.coefficient(a, b))} at ({a},{b}) vs "
+                                f"{decimal_str(num.coefficient(b, a))} at ({b},{a})")
     return CheckOutcome(True)
 
 
@@ -209,13 +217,14 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
     series = expand_rational(x, horizon)
     for (i, j), c in series.sorted_items():
         if c and (i > d or j > d):
-            return NotPolynomial((i, j), f"series coefficient {c} at ({i},{j}) exceeds degree ({d},{d})")
+            return NotPolynomial((i, j), f"series coefficient {decimal_str(c)} at ({i},{j}) "
+                                         f"exceeds degree ({d},{d})")
     candidate = BivariatePolynomial({(i, j): c for (i, j), c in series.items() if i <= d and j <= d})
     residual = candidate * x.denominator.polynomial() - x.numerator
     if residual.is_zero:
         return Polynomial(candidate)
     (i, j), c = residual.sorted_items()[0]
-    return NotPolynomial((i, j), f"division residual {c} at ({i},{j})")
+    return NotPolynomial((i, j), f"division residual {decimal_str(c)} at ({i},{j})")
 
 
 def stringy_hodge_numbers(p: BivariatePolynomial, d: int) -> Union[HodgeDiamond, DiamondViolation]:

@@ -12,12 +12,13 @@ The central representation choices:
 * ``BivariatePolynomial`` is a sparse map from exponent pairs (i, j) to
   nonzero integer coefficients.  The zero polynomial is the empty map.
 * ``CycloProduct`` is a multiset of positive integers m, each denoting one
-  factor (uv)^m - 1.  Factors are not pairwise coprime, so equality of the
-  rational functions they define is decided by cross-multiplication, never by
-  comparing normal forms.
-* ``StringyRational`` is a numerator over a CycloProduct, normalized on
-  construction by cancelling denominator factors that divide the numerator
-  exactly (greedily, in increasing m, until none divides).
+  factor (uv)^m - 1.
+* ``StringyRational`` is a numerator over a CycloProduct in canonical form:
+  by ``t^m - 1 = prod_{k | m} Phi_k(t)`` the denominator is a product of
+  cyclotomic polynomials Phi_k(uv), each irreducible in Q[u, v], and every
+  Phi_k that divides the numerator is cancelled.  The reduced denominator is
+  then written back as (uv)^m - 1 factors by a fixed rule, so each value has
+  exactly one representation and equality compares representations.
 * ``TruncatedBiseries`` holds exact coefficients for all total degrees
   i + j <= horizon and claims nothing beyond it.  ``UnivariateTSeries`` is the
   analogous truncation for series in t alone, indexed by the power of t.
@@ -264,7 +265,8 @@ class BivariatePolynomial:
         to residue-class sums: the remainder coefficient at t^r is the sum of
         coefficients over exponents congruent to r mod m, and the quotient
         coefficient at t^b is the tail sum over exponents >= b + m in the same
-        class.
+        class.  Runs of zero tail sums are skipped, so the cost follows the
+        number of terms of the dividend and the quotient, not the degree.
         """
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"cyclotomic-product exponent must be a positive int, got {m!r}")
@@ -301,9 +303,11 @@ class BivariatePolynomial:
                         base = pos - m
                         pair = (base + shift, base) if shift >= 0 else (base, base - shift)
                         qterms[pair] = acc
+                        pos -= m
                     elif ki == len(ks):
                         break  # tail sums are all zero from here down
-                    pos -= m
+                    else:
+                        pos = ks[ki]  # zero tail sums down to the next term
         out = BivariatePolynomial()
         out._terms = qterms
         return out
@@ -400,13 +404,12 @@ def _coerce_cyclo(value) -> CycloProduct:
 
 
 class StringyRational:
-    """numerator / product of ((uv)^m - 1) factors, kept in canonical form:
-    no denominator factor divides the numerator exactly.
+    """numerator / product of ((uv)^m - 1) factors, kept in canonical form.
 
-    Canonical form is a property of the representation, not of the value;
-    because the factors share roots, distinct canonical pairs can denote the
-    same rational function.  ``__eq__`` therefore cross-multiplies.  The class
-    is deliberately unhashable.
+    Construction reduces the pair over the cyclotomic factors Phi_k(uv) of
+    the denominator (see :func:`_reduce`), so equal values have identical
+    numerators and denominators: ``__eq__`` compares them term by term and
+    equal values hash equal.
     """
 
     __slots__ = ("_num", "_den")
@@ -416,7 +419,13 @@ class StringyRational:
         if num is None:
             raise TypeError(f"numerator must be a BivariatePolynomial or int, got {type(numerator).__name__}")
         den = _coerce_cyclo(denominator)
-        self._num, self._den = _cancel(num, den)
+        self._num, self._den = _reduce(num, den)
+
+    @classmethod
+    def _from_canonical(cls, num: BivariatePolynomial, den: CycloProduct) -> "StringyRational":
+        out = cls.__new__(cls)
+        out._num, out._den = num, den
+        return out
 
     @property
     def numerator(self) -> BivariatePolynomial:
@@ -440,18 +449,22 @@ class StringyRational:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        return self._num * other._den.polynomial() == other._num * self._den.polynomial()
+        return self._den == other._den and self._num == other._num
 
-    __hash__ = None  # equal values admit distinct canonical representations
+    def __hash__(self) -> int:
+        return hash((self._den, self._num))
 
     def __add__(self, other) -> "StringyRational":
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        common = self._den.union(other._den)
-        num = (self._num * common.minus(self._den).polynomial()
-               + other._num * common.minus(other._den).polynomial())
-        return StringyRational(num, common)
+        if not other._den:
+            # N/D + P = (N + P D)/D keeps the reduced denominator, so the
+            # canonical D stays canonical and needs no reduction
+            return StringyRational._from_canonical(self._num + other._num * self._den.polynomial(), self._den)
+        if not self._den:
+            return other + self
+        return sum_over_common_denominator([(self._num, self._den), (other._num, other._den)])
 
     __radd__ = __add__
 
@@ -459,16 +472,17 @@ class StringyRational:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        return self + StringyRational(-other._num, other._den)
+        return self + -other
 
     def __rsub__(self, other) -> "StringyRational":
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        return other + StringyRational(-self._num, self._den)
+        return other + -self
 
     def __neg__(self) -> "StringyRational":
-        return StringyRational(-self._num, self._den)
+        # Phi_k divides -N exactly when it divides N: still canonical
+        return StringyRational._from_canonical(-self._num, self._den)
 
     def __mul__(self, other) -> "StringyRational":
         other = _coerce_rational(other)
@@ -487,21 +501,212 @@ class StringyRational:
         return expand_rational(self, horizon)
 
 
-def _cancel(num: BivariatePolynomial, den: CycloProduct) -> tuple[BivariatePolynomial, CycloProduct]:
-    # Greedy cancellation in increasing m; a successful division can make a
-    # previously stuck factor divide, so loop to a fixed point.
-    factors = list(den.factors)
-    changed = True
-    while changed and factors:
-        changed = False
-        for idx, m in enumerate(factors):
-            q = num.exact_cyclo_quotient(m)
-            if q is not None:
-                num = q
-                del factors[idx]
-                changed = True
-                break
+def _divisors(n: int) -> list[int]:
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+# Rows: a polynomial split by diagonal offset s = i - j, each part a
+# polynomial in t = uv given as {power of t: coefficient}.
+Rows = dict[int, dict[int, int]]
+
+
+def _rows_of(poly: BivariatePolynomial) -> Rows:
+    rows: Rows = {}
+    for (i, j), c in poly.items():
+        rows.setdefault(i - j, {})[min(i, j)] = c
+    return rows
+
+
+def _poly_of(rows: Rows) -> BivariatePolynomial:
+    terms = {}
+    for s, row in rows.items():
+        for k, c in row.items():
+            terms[(k + s, k) if s >= 0 else (k, k - s)] = c
+    out = BivariatePolynomial()
+    out._terms = terms
+    return out
+
+
+def _times_cyclo(rows: Rows, m: int) -> Rows:
+    """rows * ((uv)^m - 1)."""
+    out: Rows = {}
+    for s, row in rows.items():
+        product = {k: -c for k, c in row.items()}
+        for k, c in row.items():
+            acc = product.get(k + m, 0) + c
+            if acc:
+                product[k + m] = acc
+            else:
+                del product[k + m]
+        out[s] = product
+    return out
+
+
+def _add_into(acc: Rows, rows: Rows) -> None:
+    for s, row in rows.items():
+        into = acc.get(s)
+        if into is None:
+            acc[s] = dict(row)
+            continue
+        for k, c in row.items():
+            total = into.get(k, 0) + c
+            if total:
+                into[k] = total
+            else:
+                del into[k]
+
+
+def _cyclotomic_root(powers: list[int], coeffs: list[int], k: int, primes: list[int]) -> bool:
+    """Whether Phi_k(t) divides sum_n c_n t^n, given the powers n and the
+    coefficients c_n.
+
+    Folded modulo t^k - 1 the polynomial keeps at most one term per residue.
+    In Q[t]/(t^k - 1) the product x = prod_{p | k prime} (1 - t^{k/p})
+    vanishes at every d-th root of unity with d < k (d divides some k/p) and
+    at no primitive k-th one, so the fold times x is zero exactly when the
+    polynomial vanishes at the primitive k-th roots: the cost is
+    O(terms * 2^omega(k)) whatever the degree.
+    """
+    fold: dict[int, int] = {}
+    for n, c in zip(powers, coeffs):
+        r = n % k
+        fold[r] = fold.get(r, 0) + c
+    for p in primes:
+        step = k // p
+        shifted = dict(fold)
+        for r, c in fold.items():
+            r = (r + step) % k
+            shifted[r] = shifted.get(r, 0) - c
+        fold = {r: c for r, c in shifted.items() if c}
+    return not any(fold.values())
+
+
+def _reduce(num: BivariatePolynomial, den: CycloProduct) -> tuple[BivariatePolynomial, CycloProduct]:
+    """The unique representation of num / den.
+
+    With t = uv, den = prod_k Phi_k(t)^{e_k}, where e_k counts the factors m
+    that k divides.  The numerator splits by diagonal offset s = i - j into
+    polynomials in t, and Phi_k^r divides the numerator exactly when it
+    divides every one of them, that is when theta^j of each vanishes at the
+    primitive k-th roots of unity for j < r, with theta = t d/dt.  Level by
+    level in j, every k still in play is tested (:func:`_cyclotomic_root`)
+    and e_k drops by one per level passed.  Since every Phi_k(uv) is
+    irreducible in Q[u, v], what is left is the reduced fraction of the
+    value.  Its denominator is written back as (uv)^m - 1 factors: take the
+    largest k with e_k > 0 as m, use up one Phi_d for every d | m (a missing
+    one goes into the numerator), and repeat until every e_k is zero.  The
+    numerator is then num times the new factors over the old ones,
+    binomials that the two multisets do not share; the divisions are exact
+    (:meth:`BivariatePolynomial.exact_cyclo_quotient`).  No step costs per
+    degree of the denominator, only per term.
+    """
+    if not num:
+        return BivariatePolynomial(), CycloProduct()
+    exponents: dict[int, int] = {}
+    for m in den:
+        for k in _divisors(m):
+            exponents[k] = exponents.get(k, 0) + 1
+    rows = sorted(_rows_of(num).values(), key=len)  # short rows refute soonest
+    powers = [list(row) for row in rows]
+    coeffs = [list(row.values()) for row in rows]
+    in_play = {k: _prime_factors(k) for k in exponents}
+    while True:
+        for k, primes in list(in_play.items()):
+            if all(_cyclotomic_root(ns, cs, k, primes) for ns, cs in zip(powers, coeffs)):
+                exponents[k] -= 1
+                if exponents[k]:
+                    continue
+            del in_play[k]
+        if not in_play:
+            break
+        coeffs = [[c * n for n, c in zip(ns, cs)] for ns, cs in zip(powers, coeffs)]  # theta
+
+    factors: list[int] = []
+    while True:
+        m = max((k for k, e in exponents.items() if e), default=0)
+        if not m:
+            break
+        for d in _divisors(m):
+            if exponents.get(d):
+                exponents[d] -= 1
+        factors.append(m)
+    unshared = den._counts()
+    gained = []
+    for m in factors:
+        if unshared.get(m):
+            unshared[m] -= 1
+        else:
+            gained.append(m)
+    if gained:
+        rows = _rows_of(num)
+        for m in gained:
+            rows = _times_cyclo(rows, m)
+        num = _poly_of(rows)
+    for m, n in unshared.items():
+        for _ in range(n):
+            num = num.exact_cyclo_quotient(m)
     return num, CycloProduct(factors)
+
+
+def sum_over_common_denominator(terms: Iterable[tuple[BivariatePolynomial, Iterable[int]]]
+                                ) -> "StringyRational":
+    """The sum of num / prod_{m in factors} ((uv)^m - 1) over (num, factors)
+    pairs, brought over one common denominator and cancelled once; adding
+    term by term would cancel after every addition.
+
+    The common denominator takes every m with its largest multiplicity in
+    any term, and each numerator is multiplied by the factors of the common
+    denominator that its own lacks.  Those products are formed one distinct
+    m at a time: the partial sums that lack the same factors among the m
+    still to come are merged first, so a factor shared by many cofactors is
+    multiplied once into their sum.  Only the total is reduced
+    (:func:`_reduce`).
+    """
+    groups: dict[CycloProduct, Rows] = {}
+    for num, factors in terms:
+        _add_into(groups.setdefault(_coerce_cyclo(factors), {}), _rows_of(num))
+    common = CycloProduct()
+    for key in groups:
+        common = common.union(key)
+    distinct = sorted(set(common))
+    pending: dict[tuple[int, ...], Rows] = {}
+    for key, part in groups.items():
+        counts = common.minus(key)._counts()
+        _add_into(pending.setdefault(tuple(counts.get(m, 0) for m in distinct), {}), part)
+    for m in distinct:
+        merged: dict[tuple[int, ...], Rows] = {}
+        for lacking, part in pending.items():
+            for _ in range(lacking[0]):
+                part = _times_cyclo(part, m)
+            into = merged.get(lacking[1:])
+            if into is None:
+                merged[lacking[1:]] = part  # every pending map is owned here
+            else:
+                _add_into(into, part)
+        pending = merged
+    return StringyRational._from_canonical(*_reduce(_poly_of(pending.get((), {})), common))
 
 
 def _coerce_rational(value) -> Union[StringyRational, None]:
@@ -725,24 +930,61 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     return out
 
 
+# Python refuses int <-> decimal str conversions past a digit limit (4300 by
+# default, never below 640 when set).  Values are split into pieces of at most
+# this many digits, so conversion works under any setting of the limit
+# without changing it.
+_DECIMAL_PIECE = 600
+_DECIMAL_PIECE_BOUND = 10 ** _DECIMAL_PIECE
+
+
+def decimal_str(value: int) -> str:
+    """The decimal digits of an int of any size, as ``str`` would give them."""
+    if value < 0:
+        return "-" + decimal_str(-value)
+    if value < _DECIMAL_PIECE_BOUND:
+        return str(value)
+    half = int(value.bit_length() * 0.30102999566398) // 2  # about half the digits
+    high, low = divmod(value, 10 ** half)
+    return decimal_str(high) + decimal_str(low).rjust(half, "0")
+
+
+def _int_from_digits(digits: str) -> int:
+    if len(digits) <= _DECIMAL_PIECE:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_from_digits(digits[:-half]) * 10 ** half + _int_from_digits(digits[-half:])
+
+
+def _excerpt(value: str) -> str:
+    if len(value) <= 40:
+        return repr(value)
+    return f"{value[:20]!r}... ({len(value)} characters)"
+
+
 def encode_json_int(value: int) -> Union[int, str]:
     """Integers within signed 64-bit range stay JSON numbers; anything larger
     becomes a decimal string so no consumer ever rounds it."""
     if _I64_MIN <= value <= _I64_MAX:
         return value
-    return str(value)
+    return decimal_str(value)
 
 
 def decode_json_int(value) -> int:
-    """Accept either encoding produced by :func:`encode_json_int`."""
+    """Accept either encoding produced by :func:`encode_json_int`; a decimal
+    string may have any number of digits."""
     if isinstance(value, bool):
         raise ValueError(f"expected an integer, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         stripped = value.strip()
+        digits = stripped[1:] if stripped[:1] in ("-", "+") else stripped
+        if digits.isascii() and digits.isdigit():
+            n = _int_from_digits(digits)
+            return -n if stripped[0] == "-" else n
         try:
             return int(stripped, 10)
         except ValueError:
-            raise ValueError(f"not a decimal integer: {value!r}") from None
+            raise ValueError(f"not a decimal integer: {_excerpt(value)}") from None
     raise ValueError(f"expected an integer or decimal string, got {value!r}")

@@ -7,7 +7,7 @@ produces is concentrated on or near the diagonal and reads best that way.
 
 from __future__ import annotations
 
-from .exact_poly import BivariatePolynomial, CycloProduct, StringyRational, TruncatedBiseries
+from .exact_poly import BivariatePolynomial, CycloProduct, StringyRational, TruncatedBiseries, decimal_str
 
 
 def _ordered_terms(items):
@@ -58,11 +58,11 @@ def _join_terms(items, monomial) -> str:
         mono = monomial(i, j)
         mag = abs(c)
         if not mono:
-            body = str(mag)
+            body = decimal_str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}{mono}"
+            body = f"{decimal_str(mag)}{mono}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

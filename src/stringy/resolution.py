@@ -22,6 +22,13 @@ StratumKey = tuple[str, ...]
 
 DEFAULT_COMPONENT_CAP = 24
 
+# Converting between conventions walks every subset of every stored key, and
+# the formulas then carry a term per subset, so the cost grows as the sum of
+# 2^|key| over stored keys.  Tables past this budget are refused up front
+# with a ``subset-walk-cost`` finding; a single 12-label key is the largest
+# that fits.
+SUBSET_WALK_BUDGET = 2 ** 12
+
 
 @dataclass(frozen=True)
 class Component:
@@ -221,6 +228,12 @@ def validate(cfg: ResolutionConfig, mode: str = "lenient", *,
         findings.append(Finding("error", "too-many-components",
                                 f"{len(cfg.components)} components exceed the cap of {max_components} "
                                 f"(subset enumeration cost)", ""))
+
+    walk = sum(2 ** len(key) for key in cfg.strata)
+    if walk > SUBSET_WALK_BUDGET:
+        findings.append(Finding("error", "subset-walk-cost",
+                                f"the stored strata keys span {walk} label subsets, over the budget "
+                                f"of {SUBSET_WALK_BUDGET}", ""))
 
     used_labels: set[str] = set()
     for key in cfg.strata:

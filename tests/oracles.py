@@ -78,6 +78,51 @@ def long_divide_by_cyclo(terms, m):
     return quo, rem
 
 
+def dense_long_divide(num, den):
+    """Classical long division of dense coefficient lists (lowest power
+    first) by a monic divisor.  Returns (quotient, remainder) as lists."""
+    rem = list(num)
+    quo = [0] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(den) - 1]
+        if c:
+            quo[k] = c
+            for i, dc in enumerate(den):
+                rem[k + i] -= c * dc
+    return quo, rem[:len(den) - 1]
+
+
+def cyclotomic(k):
+    """Phi_k(t) as a dense coefficient list: t^k - 1 divided by Phi_d for
+    every proper divisor d of k."""
+    poly = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            poly, rem = dense_long_divide(poly, cyclotomic(d))
+            assert not any(rem)
+    return poly
+
+
+def divide_by_t_poly(terms, tpoly):
+    """Divide a bivariate dict by a monic polynomial in t = uv, given as a
+    dense coefficient list.  Slices of constant shift i - j are divided
+    separately.  Returns the quotient dict, or None if the division leaves
+    a remainder."""
+    slices = {}
+    for (i, j), c in terms.items():
+        slices.setdefault(i - j, {})[min(i, j)] = c
+    quo = {}
+    for shift, sl in slices.items():
+        dense = [sl.get(k, 0) for k in range(max(sl) + 1)]
+        q, r = dense_long_divide(dense, tpoly)
+        if any(r):
+            return None
+        for k, c in enumerate(q):
+            if c:
+                quo[(k + shift, k) if shift >= 0 else (k, k - shift)] = c
+    return quo
+
+
 def full_lattice_closed_from_open(labels, open_table):
     """closed(I) = sum of open(J) over all J containing I, J over the full lattice."""
     out = {}

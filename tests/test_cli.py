@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from stringy import cli
+from stringy import cli, engine
 from stringy.cli import main
 from stringy.exact_poly import BivariatePolynomial, StringyRational
 
@@ -172,6 +173,29 @@ class TestComputeJson:
         assert doc["e_st"]["num"] == [[0, 0, 1], [1, 1, str(big)]]
         assert str(big) in out
 
+    def test_coefficients_past_the_digit_limit(self, run, tmp_path):
+        # 4300-digit literals load (the JSON parser's limit is just above),
+        # and the products computed from them run past Python's int/str limit
+        c = "9" * 4300
+        labels = [f"E{k}" for k in range(1, 5)]
+        components = json.dumps([{"label": lbl, "discrepancy": k} for k, lbl in enumerate(labels, 1)])
+        strata = ", ".join(f'"{lbl}": [[0, 0, {c}]]' for lbl in labels)
+        (tmp_path / "big.json").write_text(
+            f'{{"dimension": 1, "ambient": [[0, 0, {c}], [1, 1, {c}]], "components": {components}, '
+            f'"strata_convention": "closed", "strata": {{{strata}}}}}')
+        shutil.copy(NODE, tmp_path)
+        code, out, _ = run("compute", str(tmp_path), "--format", "json", "--horizon", "20")
+        assert code == 0
+        big, node = parse_json_documents(out)
+        assert big["exit_code"] == node["exit_code"] == 0
+        assert max(len(str(term[2])) for term in big["series"]["coefficients"]) > 4300
+        assert node["e_st"] == {"num": [[0, 0, 1], [1, 1, 2], [2, 2, 2], [3, 3, 1]], "den": []}
+        for fmt in ("text", "latex"):
+            code, out, _ = run("compute", str(tmp_path), "--format", fmt, "--horizon", "20")
+            assert code == 0
+            assert max(len(digits) for digits in re.findall(r"\d+", out)) > 4300
+            assert f"== {tmp_path / 'node_a1.json'} ==\n" in out
+
 
 class TestCheck:
     def test_duality_and_nonneg_pass(self, run):
@@ -249,6 +273,22 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["passed"] is False
         assert doc["checks"] == {"symmetry": {"passed": False, "witness": [2, 1]}}
+
+    def test_series_expanded_only_for_nonneg(self, run, monkeypatch):
+        calls = []
+        real_expand = engine.expand_rational
+
+        def counting_expand(x, horizon):
+            calls.append(horizon)
+            return real_expand(x, horizon)
+
+        monkeypatch.setattr(engine, "expand_rational", counting_expand)
+        code, out, _ = run("check", SMOOTH, "--duality", "--symmetry", "--polynomial")
+        assert code == 0
+        assert "polynomial: POLYNOMIAL = 1 + uv + (uv)^2 + (uv)^3" in out
+        assert calls == []
+        run("check", SMOOTH, "--nonneg", "--horizon", "9")
+        assert calls == [9]
 
     def test_bare_check_runs_the_three_default_checks(self, run):
         _, out, _ = run("check", E6, "--format", "json")

@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +41,33 @@ from conftest import (
     random_lenient_config,
     random_strict_config,
 )
-from oracles import stringy_series_oracle
+from oracles import exact_fraction_eval, stringy_series_oracle
+
+
+_POINT = (Fraction(2, 3), Fraction(5, 7))
+
+
+def _closed_formula_at(cfg):
+    """The closed-strata formula evaluated at _POINT, term by term."""
+    u, v = _POINT
+    t = u * v
+
+    def at_point(poly):
+        return sum(c * u ** i * v ** j for (i, j), c in poly.items())
+
+    a = {c.label: c.discrepancy for c in cfg.components}
+    total = at_point(cfg.ambient.poly)
+    for key, value in cfg.strata.items():
+        term = at_point(value.poly)
+        for label in key:
+            term *= (t - t ** (a[label] + 1)) / (t ** (a[label] + 1) - 1)
+        total += term
+    return total
+
+
+def _e_open_at(result):
+    return exact_fraction_eval(dict(result.e_open.numerator.items()),
+                               list(result.e_open.denominator.factors), *_POINT)
 
 
 def P(terms):
@@ -308,6 +337,57 @@ class TestFormulaEquivalence:
             12,
         )
         assert series_dict(result.series) == want
+
+    def test_sixteen_component_ladder_budget(self):
+        # Guards the one-pass evaluation: adding term by term with a
+        # cancellation after every addition takes seconds here.
+        rng = random.Random(16)
+        d = 6
+        labels = [f"E{k:02d}" for k in range(1, 17)]
+
+        def symmetric(max_exp, count):
+            terms = {}
+            for _ in range(count):
+                i, j = rng.randint(0, max_exp), rng.randint(0, max_exp)
+                c = rng.choice([-3, -2, -1, 1, 2, 3])
+                for pair in {(i, j), (j, i)}:
+                    terms[pair] = terms.get(pair, 0) + c
+            return terms
+
+        components = [Component(label, rng.randint(1, 30)) for label in labels]
+        strata = {(label,): symmetric(d - 1, 4) for label in labels}
+        for size, p in ((2, 0.3), (3, 0.05)):
+            for key in itertools.combinations(labels, size):
+                if rng.random() < p:
+                    strata[key] = symmetric(d - size, 3)
+        strata = {key: hd(terms) for key, terms in strata.items() if terms}
+        cfg = ResolutionConfig(d, hd(symmetric(d, 5), d), components, "closed", strata)
+
+        started = time.perf_counter()
+        result = compute(cfg)
+        elapsed = time.perf_counter() - started
+        assert result.agree
+        assert _e_open_at(result) == _closed_formula_at(cfg)
+        assert elapsed < 1.0, f"compute on 16 components took {elapsed:.3f}s"
+
+    def test_large_discrepancies_stay_sparse(self):
+        # Denominators of degree 10^5: the reduction works per term, never
+        # per degree, so this takes milliseconds.
+        components = [Component("A", 10 ** 5), Component("B", 3), Component("C", 5)]
+        strata = {("A",): hd({(0, 0): 1, (1, 1): 1}, 2),
+                  ("B",): hd({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}, 2),
+                  ("C",): hd({(0, 0): 1}, 2),
+                  ("A", "B"): hd({(0, 0): 2}, 1),
+                  ("B", "C"): hd({(0, 0): 1}, 1)}
+        cfg = ResolutionConfig(3, projective_space(3), components, "closed", strata)
+        assert validate(cfg).accepted
+        started = time.perf_counter()
+        result = compute(cfg)
+        elapsed = time.perf_counter() - started
+        assert result.agree
+        assert result.e_open.denominator.factors == (4, 6, 100001)
+        assert _e_open_at(result) == _closed_formula_at(cfg)
+        assert elapsed < 0.5, f"compute with a = 10^5 took {elapsed:.3f}s"
 
     def test_default_horizon_is_twice_dimension(self):
         result = compute(node_config())

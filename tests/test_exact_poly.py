@@ -10,15 +10,19 @@ from stringy.exact_poly import (
     CycloProduct,
     StringyRational,
     TruncatedBiseries,
+    decimal_str,
     decode_json_int,
     encode_json_int,
     expand_rational,
     series_of_inverse_cyclo,
+    sum_over_common_denominator,
 )
 
 from oracles import (
     binomial_series_check,
+    cyclotomic,
     dict_mul,
+    divide_by_t_poly,
     long_divide_by_cyclo,
     rational_equal,
     series_expand,
@@ -183,24 +187,27 @@ class TestStringyRational:
         assert x.is_polynomial
         assert x.as_polynomial() == P({(1, 1): 1, (0, 0): 1})
 
-    def test_cancellation_is_greedy_not_full_factorization(self):
-        # (1+t)^2 (t-1) = (t^2-1)(t+1): one m=2 factor cancels exactly and the
-        # leftover (t+1)/((uv)^2-1) is stuck, though the value is 1/(uv-1).
+    def test_cancellation_is_full_cyclotomic_factorization(self):
+        # (1+t)^2 (t-1) / (t^2-1)^2 = 1/(t-1): the factors t^2 - 1 = Phi_1 Phi_2
+        # cancel one cyclotomic factor at a time, not only as whole binomials.
         num = P({(1, 1): 1, (0, 0): 1}) ** 2 * P({(1, 1): 1, (0, 0): -1})
         x = StringyRational(num, (2, 2))
-        assert x.denominator.factors == (2,)
-        assert x.numerator == P({(1, 1): 1, (0, 0): 1})
+        assert x.denominator.factors == (1,)
+        assert x.numerator == BivariatePolynomial.one()
         assert x == StringyRational(BivariatePolynomial.one(), (1,))
 
-    def test_canonical_form_not_unique_but_equality_sees_through(self):
+    def test_canonical_form_is_unique(self):
         a = StringyRational(BivariatePolynomial.one(), (1,))
         b = StringyRational(P({(1, 1): 1, (0, 0): 1}), (2,))
+        assert a.numerator == b.numerator
+        assert a.denominator.factors == b.denominator.factors == (1,)
         assert a == b
-        assert a.denominator.factors != b.denominator.factors
 
-    def test_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(StringyRational(BivariatePolynomial.one(), (1,)))
+    def test_equal_values_hash_equal(self):
+        a = StringyRational(BivariatePolynomial.one(), (1,))
+        b = StringyRational(P({(1, 1): 1, (0, 0): 1}), (2,))
+        assert hash(a) == hash(b)
+        assert len({a, b, StringyRational(BivariatePolynomial.one(), (2,))}) == 2
 
     def test_non_divisible_stays(self):
         x = StringyRational(P({(1, 1): 1, (2, 2): -1}), (2,))
@@ -254,6 +261,115 @@ def _den_dict(ms):
     for m in ms:
         out = dict_mul(out, {(m, m): 1, (0, 0): -1})
     return out
+
+
+def _phi_multiplicity(num, k, cap):
+    """How many times, up to cap, the oracle Phi_k divides num."""
+    phi = cyclotomic(k)
+    count = 0
+    while count < cap:
+        num = divide_by_t_poly(num, phi)
+        if num is None:
+            break
+        count += 1
+    return count
+
+
+rationals = st.tuples(term_dicts, st.lists(cyclo_m, max_size=3))
+
+
+class TestCanonicalForm:
+    @given(term_dicts, st.lists(cyclo_m, max_size=3), st.lists(cyclo_m, max_size=3), term_dicts)
+    @settings(max_examples=80, deadline=None)
+    def test_value_built_two_ways_is_identical(self, num, dens, extra, other):
+        # N / D against N * prod(extra) / (D * prod(extra)), and against the
+        # same value reached through a sum that cancels
+        x = StringyRational(BivariatePolynomial(num), dens)
+        thick = BivariatePolynomial(num) * CycloProduct(extra).polynomial()
+        y = StringyRational(thick, list(dens) + list(extra))
+        z = (x + StringyRational(BivariatePolynomial(other), extra)) - StringyRational(
+            BivariatePolynomial(other), extra)
+        for w in (y, z):
+            assert w.numerator == x.numerator
+            assert w.denominator.factors == x.denominator.factors
+
+    @given(rationals, rationals, rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_sums_in_any_order_are_identical(self, a, b, c):
+        a, b, c = (StringyRational(BivariatePolynomial(n), d) for n, d in (a, b, c))
+        left = (a + b) + c
+        for other in (c + (b + a), (a + c) + b,
+                      sum_over_common_denominator([(x.numerator, x.denominator) for x in (b, c, a)])):
+            assert other.numerator == left.numerator
+            assert other.denominator.factors == left.denominator.factors
+            assert hash(other) == hash(left)
+
+    @given(term_dicts, st.lists(st.integers(min_value=1, max_value=12), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_value_equals_input(self, num, dens):
+        x = StringyRational(BivariatePolynomial(num), dens)
+        assert rational_equal(dict(x.numerator.items()), list(x.denominator.factors), num, dens)
+
+    @given(term_dicts, st.lists(st.integers(min_value=1, max_value=12), max_size=4),
+           st.lists(st.integers(min_value=1, max_value=12), max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_no_cyclotomic_factor_left(self, num, dens, cancelling):
+        # Multiplying in factors of the denominator makes cancellation happen.
+        # Afterwards, for every factor (uv)^m - 1 of the result, Phi_m divides
+        # the numerator fewer times than the denominator.
+        numerator = BivariatePolynomial(num) * CycloProduct(cancelling).polynomial()
+        x = StringyRational(numerator, list(dens) + list(cancelling))
+        factors = x.denominator.factors
+        terms = dict(x.numerator.items())
+        for m in set(factors):
+            e_m = sum(1 for f in factors if f % m == 0)
+            assert _phi_multiplicity(terms, m, e_m) < e_m
+
+    def test_zero_has_empty_denominator(self):
+        x = StringyRational(BivariatePolynomial.zero(), (2, 3))
+        assert x.numerator.is_zero and not x.denominator
+
+    def test_denominator_written_back_largest_order_first(self):
+        # 1 / (Phi_2 Phi_3) needs Phi_1 for both t^2 - 1 and t^3 - 1
+        value = StringyRational(P({(1, 1): 1, (0, 0): -1}) ** 2, (2, 3))
+        assert value.denominator.factors == (2, 3)
+        assert value.numerator == P({(1, 1): 1, (0, 0): -1}) ** 2
+        # Phi_1 Phi_2 Phi_3 Phi_6 is t^6 - 1 alone
+        assert StringyRational(1, (6,)).denominator.factors == (6,)
+        assert StringyRational(P({(1, 1): 1, (0, 0): 1}), (6, 2)).denominator.factors == (1, 6)
+
+    def test_repeated_factors_cancel_to_their_multiplicity(self):
+        # u (t - 1)^5 (t + 1)^3 / (t^2 - 1)^4 = u (t - 1) / (t + 1): Phi_1 cancels
+        # four times and Phi_2 three, then Phi_1 returns for t^2 - 1
+        t_minus, t_plus = P({(1, 1): 1, (0, 0): -1}), P({(1, 1): 1, (0, 0): 1})
+        u = P({(1, 0): 1})
+        value = StringyRational(u * t_minus ** 5 * t_plus ** 3, (2, 2, 2, 2))
+        assert value.denominator.factors == (2,)
+        assert value.numerator == u * t_minus ** 2
+
+    @given(st.dictionaries(st.integers(min_value=0, max_value=10), coeffs, min_size=1, max_size=6),
+           st.lists(st.integers(min_value=1, max_value=8), max_size=4),
+           st.lists(st.integers(min_value=1, max_value=8), max_size=2))
+    @settings(max_examples=30, deadline=None)
+    def test_diagonal_cases_match_sympy_cancel(self, num, dens, cancelling):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+
+        def expr(coeffs, factors):
+            n = sum(c * t ** k for k, c in coeffs.items())
+            d = sympy.prod([t ** m - 1 for m in factors])
+            return n, d
+
+        numerator = BivariatePolynomial.from_diagonal(num) * CycloProduct(cancelling).polynomial()
+        x = StringyRational(numerator, list(dens) + list(cancelling))
+        n_in, d_in = expr(numerator.diagonal_coefficients(), list(dens) + list(cancelling))
+        p, q = sympy.fraction(sympy.cancel(n_in / d_in))
+        n_out, d_out = expr(x.numerator.diagonal_coefficients(), x.denominator.factors)
+        # the same value, and the reduced denominator is sympy's once the
+        # cyclotomic factors added by the write-back are cancelled again
+        assert sympy.expand(n_out * q - p * d_out) == 0
+        reduced = sympy.quo(d_out, sympy.gcd(n_out, d_out), t)
+        assert sympy.Poly(reduced, t).monic() == sympy.Poly(q, t).monic()
 
 
 class TestSeries:
@@ -429,3 +545,23 @@ class TestJsonInts:
             decode_json_int(True)
         with pytest.raises(ValueError):
             decode_json_int(1.5)
+
+    def test_decimal_strings_past_the_digit_limit_round_trip(self):
+        digits = "9" * 10000
+        n = decode_json_int(digits)
+        assert n == 10 ** 10000 - 1
+        assert encode_json_int(n) == digits
+        assert encode_json_int(-n) == "-" + digits
+        assert decode_json_int("-" + digits) == -n
+
+    @given(st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=30, deadline=None)
+    def test_decimal_str_matches_str(self, exponent):
+        n = 7 ** exponent + exponent
+        assert decimal_str(n) == str(n)  # 7^3000 has 2536 digits, within str's default limit
+        assert decimal_str(-n) == "-" + decimal_str(n)
+
+    def test_decode_error_truncates_the_value(self):
+        with pytest.raises(ValueError) as info:
+            decode_json_int("x" * 5000)
+        assert len(str(info.value)) < 100

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +215,19 @@ class TestValidateLenient:
         cfg = ResolutionConfig(3, projective_space(3), comps, "closed", {})
         assert "too-many-components" in {f.code for f in validate(cfg).errors}
         assert validate(cfg, max_components=31).accepted
+
+    def test_subset_walk_cost(self):
+        # one 16-label key: 65536 subsets to convert, refused before any work
+        labels = [f"E{k:02d}" for k in range(16)]
+        comps = [Component(label, 1) for label in labels]
+        cfg = ResolutionConfig(3, projective_space(3), comps, "closed", {tuple(labels): hd({(0, 0): 1})})
+        started = time.perf_counter()
+        report = validate(cfg)
+        assert time.perf_counter() - started < 1.0
+        assert "subset-walk-cost" in {f.code for f in report.errors}
+        assert "subset-walk-cost" in {f.code for f in validate(cfg, "strict").errors}
+        within = cfg.replace(strata={tuple(labels[:12]): hd({(0, 0): 1})})
+        assert "subset-walk-cost" not in {f.code for f in validate(within).findings}
 
     def test_unused_component_is_warning(self):
         cfg = ResolutionConfig(3, projective_space(3), [Component("A", 1)], "closed", {})
