@@ -72,6 +72,10 @@ def _series_json(series, truncated: bool) -> dict:
     }
 
 
+def _render_polynomial(p, fmt: str) -> str:
+    return polynomial_latex(p) if fmt == "latex" else polynomial_text(p)
+
+
 def _render_rational(x: StringyRational, fmt: str) -> str:
     return rational_latex(x) if fmt == "latex" else rational_text(x)
 
@@ -112,11 +116,12 @@ def _cmd_compute(path: Path, args, out: list[str]) -> tuple[int, dict]:
         "series": _series_json(result.series, truncated),
         "warnings": [f.describe() for f in report.warnings],
     }
-    suffix = " (polynomial)" if polynomial else ""
-    out.append(f"E_st = {_render_rational(result.e_open, args.format)}{suffix}")
-    out.append(f"series = {_render_series(result.series, truncated, args.format)}")
-    for f in report.warnings:
-        out.append(f.describe())
+    lines = args.format != "json"
+    if lines:
+        suffix = " (polynomial)" if polynomial else ""
+        out.append(f"E_st = {_render_rational(result.e_open, args.format)}{suffix}")
+        out.append(f"series = {_render_series(result.series, truncated, args.format)}")
+        out.extend(f.describe() for f in report.warnings)
 
     code = EXIT_OK
     if not result.agree:
@@ -129,23 +134,20 @@ def _cmd_compute(path: Path, args, out: list[str]) -> tuple[int, dict]:
         local = local_contribution(cfg)
         payload["local_contribution"] = _rational_json(local)
         payload["singular_locus"] = _triples(cfg.singular_locus.poly)
-        out.append(f"local contribution = {_render_rational(local, args.format)}")
-        locus = cfg.singular_locus.poly
-        out.append(f"singular locus = "
-                   f"{polynomial_latex(locus) if args.format == 'latex' else polynomial_text(locus)}")
+        if lines:
+            out.append(f"local contribution = {_render_rational(local, args.format)}")
+            out.append(f"singular locus = {_render_polynomial(cfg.singular_locus.poly, args.format)}")
     return code, payload
 
 
-def _record_outcome(name: str, outcome: CheckOutcome, checks: dict, out: list[str]) -> bool:
+def _record_outcome(name: str, outcome: CheckOutcome, checks: dict, out: list[str], lines: bool) -> bool:
     checks[name] = {
         "passed": outcome.passed,
         "witness": list(outcome.witness) if outcome.witness else None,
     }
-    if outcome.passed:
-        out.append(f"{name}: PASS")
-    else:
-        out.append(f"{name}: FAIL at ({outcome.witness[0]},{outcome.witness[1]}) "
-                   f"({outcome.detail})")
+    if lines:
+        out.append(f"{name}: PASS" if outcome.passed else
+                   f"{name}: FAIL at ({outcome.witness[0]},{outcome.witness[1]}) ({outcome.detail})")
     return outcome.passed
 
 
@@ -170,11 +172,12 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
 
     checks: dict = {}
     all_passed = True
+    lines = args.format != "json"
 
     if "duality" in wanted:
-        all_passed &= _record_outcome("duality", check_duality(result.e_open, d), checks, out)
+        all_passed &= _record_outcome("duality", check_duality(result.e_open, d), checks, out, lines)
     if "symmetry" in wanted:
-        all_passed &= _record_outcome("symmetry", check_symmetry(result.e_open), checks, out)
+        all_passed &= _record_outcome("symmetry", check_symmetry(result.e_open), checks, out, lines)
 
     if "polynomial" in wanted:
         verdict = is_polynomial(result.e_open, d)
@@ -185,13 +188,13 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
                 "witness": list(verdict.witness),
                 "reason": verdict.reason,
             }
-            out.append(f"polynomial: NOT POLYNOMIAL at ({verdict.witness[0]},{verdict.witness[1]}) "
-                       f"({verdict.reason})")
+            if lines:
+                out.append(f"polynomial: NOT POLYNOMIAL at ({verdict.witness[0]},{verdict.witness[1]}) "
+                           f"({verdict.reason})")
         else:
             checks["polynomial"] = {"polynomial": True, "value": _triples(verdict.value)}
-            rendered = (polynomial_latex(verdict.value) if args.format == "latex"
-                        else polynomial_text(verdict.value))
-            out.append(f"polynomial: POLYNOMIAL = {rendered}")
+            if lines:
+                out.append(f"polynomial: POLYNOMIAL = {_render_polynomial(verdict.value, args.format)}")
 
     if "nonneg" in wanted:
         report = check_nonnegativity(result.series, d)
@@ -200,15 +203,14 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
             "violations": [[i, j, encode_json_int(b)] for i, j, b in report.violations],
             "notes": [[i, j, encode_json_int(b)] for i, j, b in report.beyond_notes],
         }
-        if report.passed:
-            out.append(f"nonneg: PASS (i+j <= {d})")
-        else:
-            all_passed = False
-            out.append(f"nonneg: FAIL ({len(report.violations)} violation(s))")
-            for i, j, b in report.violations:
-                out.append(f"violation: b_{{{i},{j}}} = {decimal_str(b)}")
-        for i, j, b in report.beyond_notes:
-            out.append(f"note: b_{{{i},{j}}} = {decimal_str(b)} beyond range")
+        all_passed &= report.passed
+        if lines:
+            if report.passed:
+                out.append(f"nonneg: PASS (i+j <= {d})")
+            else:
+                out.append(f"nonneg: FAIL ({len(report.violations)} violation(s))")
+                out.extend(f"violation: b_{{{i},{j}}} = {decimal_str(b)}" for i, j, b in report.violations)
+            out.extend(f"note: b_{{{i},{j}}} = {decimal_str(b)} beyond range" for i, j, b in report.beyond_notes)
 
     payload = {"dimension": d, "agree": True, "checks": checks, "passed": all_passed}
     return (EXIT_OK if all_passed else EXIT_FAILED), payload

@@ -10,13 +10,16 @@ numbers, nonnegativity verdicts, and the coefficient decomposition
 with its boundary terms R and S and the implied Hodge-component dimensions.
 
 Everything takes a config that passes lenient validation; computations raise
-ConfigValidationError otherwise instead of producing garbage.
+ConfigValidationError otherwise instead of producing garbage.  Validation,
+the strata conventions and both E-functions are computed once per config
+object and kept on it, so compute, the local contribution and the
+decomposition of one config share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Union
 
 from .exact_poly import (
@@ -41,18 +44,22 @@ _UV = BivariatePolynomial.monomial(1, 1)
 _ONE = BivariatePolynomial.one()
 
 
-def _require_lenient(cfg: ResolutionConfig) -> None:
-    report = validate(cfg, "lenient")
+def _require(cfg: ResolutionConfig, mode: str) -> None:
+    report = validate(cfg, mode)
     if not report.accepted:
         raise ConfigValidationError(list(report.errors))
 
 
-def _require_strict(cfg: ResolutionConfig) -> None:
-    report = validate(cfg, "strict")
-    if not report.accepted:
-        raise ConfigValidationError(list(report.errors))
+def _once_per_config(formula):
+    """Evaluate ``formula`` once per config object; later calls return the
+    value kept on the config."""
+    @wraps(formula)
+    def kept(cfg: ResolutionConfig) -> StringyRational:
+        return cfg._derive(formula.__name__, lambda: formula(cfg))
+    return kept
 
 
+@_once_per_config
 def stringy_e_open(cfg: ResolutionConfig) -> StringyRational:
     """E_st by the open-strata formula:
 
@@ -64,7 +71,7 @@ def stringy_e_open(cfg: ResolutionConfig) -> StringyRational:
     common denominator and cancelled once
     (:func:`~stringy.exact_poly.sum_over_common_denominator`).
     """
-    _require_lenient(cfg)
+    _require(cfg, "lenient")
     open_cfg = convert_strata(cfg, "open")
     discrepancy = {comp.label: comp.discrepancy for comp in open_cfg.components}
     complement = open_cfg.ambient.poly
@@ -77,6 +84,7 @@ def stringy_e_open(cfg: ResolutionConfig) -> StringyRational:
     return sum_over_common_denominator(terms)
 
 
+@_once_per_config
 def stringy_e_closed(cfg: ResolutionConfig) -> StringyRational:
     """E_st by the closed-strata formula:
 
@@ -87,7 +95,7 @@ def stringy_e_closed(cfg: ResolutionConfig) -> StringyRational:
     The terms are summed over one common denominator and cancelled once
     (:func:`~stringy.exact_poly.sum_over_common_denominator`).
     """
-    _require_lenient(cfg)
+    _require(cfg, "lenient")
     closed_cfg = convert_strata(cfg, "closed")
     discrepancy = {comp.label: comp.discrepancy for comp in closed_cfg.components}
     terms = [(closed_cfg.ambient.poly, ())]
@@ -262,7 +270,7 @@ def generalized_stringy_hodge_numbers(series: TruncatedBiseries, d: int
     for (i, j) in sorted(entries, key=lambda ij: (ij[0] + ij[1], ij[0], ij[1])):
         if i + j == d and entries[(i, j)] != entries[(j, i)]:
             return DiamondViolation((i, j), entries[(i, j)],
-                                    f"h^{{{j},{i}}} = {entries[(j, i)]} differs on the middle line")
+                                    f"h^{{{j},{i}}} = {decimal_str(entries[(j, i)])} differs on the middle line")
     full = dict(entries)
     for (i, j), val in entries.items():
         full[(d - i, d - j)] = val
@@ -359,7 +367,7 @@ def decompose_coefficients(cfg: ResolutionConfig, pairs) -> DecompositionResult:
     the geometric hypotheses the config format cannot express, so a negative
     value flags the row rather than raising.
     """
-    _require_strict(cfg)
+    _require(cfg, "strict")
     d = cfg.dimension
     closed_cfg = convert_strata(cfg, "closed")
     series = expand_rational(stringy_e_closed(cfg), d)

@@ -251,7 +251,7 @@ class BivariatePolynomial:
     def __repr__(self) -> str:
         if not self._terms:
             return "BivariatePolynomial(0)"
-        body = ", ".join(f"({i},{j}): {c}" for (i, j), c in self.sorted_items())
+        body = ", ".join(f"({i},{j}): {decimal_str(c)}" for (i, j), c in self.sorted_items())
         return f"BivariatePolynomial({{{body}}})"
 
     # -- division by (uv)^m - 1 --------------------------------------------
@@ -800,7 +800,7 @@ class TruncatedBiseries:
         return hash((self._horizon, frozenset(self._coeffs.items())))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({i},{j}): {c}" for (i, j), c in self.sorted_items())
+        body = ", ".join(f"({i},{j}): {decimal_str(c)}" for (i, j), c in self.sorted_items())
         return f"TruncatedBiseries(horizon={self._horizon}, {{{body}}})"
 
 
@@ -869,7 +869,7 @@ class UnivariateTSeries:
         return hash((self._horizon, frozenset(self._coeffs.items())))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {c}" for k, c in self.sorted_items())
+        body = ", ".join(f"{k}: {decimal_str(c)}" for k, c in self.sorted_items())
         return f"UnivariateTSeries(horizon={self._horizon}, {{{body}}})"
 
 

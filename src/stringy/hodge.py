@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .exact_poly import BivariatePolynomial
+from .exact_poly import BivariatePolynomial, decimal_str
 from .validation import Finding, ValidationReport
 
 
@@ -135,7 +135,8 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
         if p.coefficient(a, b) != p.coefficient(b, a):
             findings.append(Finding(
                 "error", "uv-asymmetry",
-                f"coefficient {p.coefficient(a, b)} at ({a},{b}) vs {p.coefficient(b, a)} at ({b},{a})",
+                f"coefficient {decimal_str(p.coefficient(a, b))} at ({a},{b}) vs "
+                f"{decimal_str(p.coefficient(b, a))} at ({b},{a})",
                 f"({a},{b}) vs ({b},{a})",
             ))
 
@@ -154,7 +155,8 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
         if here != there:
             findings.append(Finding(
                 "error", "serre-reflection",
-                f"coefficient {here} at ({i},{j}) vs {there} at ({mi},{mj}) for dimension {d}",
+                f"coefficient {decimal_str(here)} at ({i},{j}) vs {decimal_str(there)} at ({mi},{mj}) "
+                f"for dimension {d}",
                 f"({i},{j}) vs ({mi},{mj})",
             ))
     return ValidationReport(mode="smooth-projective", findings=tuple(findings))
@@ -169,7 +171,7 @@ class DiamondViolation:
     reason: str
 
     def describe(self) -> str:
-        return f"violation at {self.location}: value {self.value} ({self.reason})"
+        return f"violation at {self.location}: value {decimal_str(self.value)} ({self.reason})"
 
 
 class HodgeDiamond:
@@ -186,15 +188,18 @@ class HodgeDiamond:
             if p < 0 or q < 0 or p > d or q > d:
                 raise ValueError(f"entry ({p},{q}) outside the {d}-diamond")
             if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-                raise ValueError(f"entry at ({p},{q}) must be a nonnegative int, got {val!r}")
+                shown = decimal_str(val) if isinstance(val, int) else repr(val)
+                raise ValueError(f"entry at ({p},{q}) must be a nonnegative int, got {shown}")
             if val:
                 clean[(p, q)] = val
         for (p, q), val in clean.items():
             if clean.get((q, p), 0) != val:
-                raise ValueError(f"h^{{{p},{q}}} = {val} but h^{{{q},{p}}} = {clean.get((q, p), 0)}")
+                raise ValueError(f"h^{{{p},{q}}} = {decimal_str(val)} but "
+                                 f"h^{{{q},{p}}} = {decimal_str(clean.get((q, p), 0))}")
             if clean.get((d - p, d - q), 0) != val:
                 raise ValueError(
-                    f"h^{{{p},{q}}} = {val} but h^{{{d - p},{d - q}}} = {clean.get((d - p, d - q), 0)}"
+                    f"h^{{{p},{q}}} = {decimal_str(val)} but "
+                    f"h^{{{d - p},{d - q}}} = {decimal_str(clean.get((d - p, d - q), 0))}"
                 )
         self._d = d
         self._entries = clean
@@ -224,12 +229,13 @@ class HodgeDiamond:
         for k in range(2 * d + 1):
             lo = max(0, k - d)
             hi = min(k, d)
-            rows.append(" ".join(str(self.entry(p, k - p)) for p in range(hi, lo - 1, -1)))
+            rows.append(" ".join(decimal_str(self.entry(p, k - p)) for p in range(hi, lo - 1, -1)))
         width = max(len(r) for r in rows)
         return "\n".join(r.center(width).rstrip() for r in rows)
 
     def __repr__(self) -> str:
-        return f"HodgeDiamond(d={self._d}, {self._entries!r})"
+        body = ", ".join(f"{pq!r}: {decimal_str(val)}" for pq, val in self._entries.items())
+        return f"HodgeDiamond(d={self._d}, {{{body}}})"
 
 
 def diamond_from_polynomial(p: BivariatePolynomial, d: int) -> Union[HodgeDiamond, DiamondViolation]:
@@ -255,9 +261,9 @@ def diamond_from_polynomial(p: BivariatePolynomial, d: int) -> Union[HodgeDiamon
         if val < 0:
             return DiamondViolation((i, j), val, "negative entry")
         if entries.get((j, i), 0) != val:
-            return DiamondViolation((i, j), val, f"h^{{{j},{i}}} = {entries.get((j, i), 0)} differs")
+            return DiamondViolation((i, j), val, f"h^{{{j},{i}}} = {decimal_str(entries.get((j, i), 0))} differs")
         if entries.get((d - i, d - j), 0) != val:
             return DiamondViolation(
-                (i, j), val, f"h^{{{d - i},{d - j}}} = {entries.get((d - i, d - j), 0)} differs"
+                (i, j), val, f"h^{{{d - i},{d - j}}} = {decimal_str(entries.get((d - i, d - j), 0))} differs"
             )
     return HodgeDiamond(d, entries)

@@ -10,8 +10,10 @@ lattice walk enumerates only stored keys and their subsets.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .exact_poly import BivariatePolynomial, decode_json_int, encode_json_int
@@ -43,9 +45,15 @@ class ResolutionConfig:
     semantic requirements (label uniqueness, discrepancy range, symmetry) are
     findings from :func:`validate`, so that deliberately broken inputs can be
     represented and reported on.
+
+    What is derived from a config (its validation reports, its twin in the
+    other strata convention, its E-functions) is computed on first request
+    and kept on the object, so every caller handed the same config shares
+    one copy.  Nothing can go stale: the config never changes.
     """
 
-    __slots__ = ("_dimension", "_ambient", "_components", "_convention", "_strata", "_singular_locus")
+    __slots__ = ("_dimension", "_ambient", "_components", "_convention", "_strata", "_singular_locus",
+                 "_derived", "_source", "__weakref__")
 
     def __init__(self, dimension: int, ambient: HodgeDelignePolynomial,
                  components: list[Component], convention: str,
@@ -75,8 +83,10 @@ class ResolutionConfig:
         self._ambient = ambient
         self._components = comps
         self._convention = convention
-        self._strata = table
+        self._strata = MappingProxyType(table)
         self._singular_locus = singular_locus
+        self._derived: dict = {}
+        self._source = None  # weak reference to the config this one was converted from
 
     @property
     def dimension(self) -> int:
@@ -95,8 +105,9 @@ class ResolutionConfig:
         return self._convention
 
     @property
-    def strata(self) -> dict[StratumKey, HodgeDelignePolynomial]:
-        return dict(self._strata)
+    def strata(self) -> Mapping[StratumKey, HodgeDelignePolynomial]:
+        """The stored strata, as a read-only view."""
+        return self._strata
 
     @property
     def singular_locus(self) -> Union[HodgeDelignePolynomial, None]:
@@ -112,6 +123,16 @@ class ResolutionConfig:
             if comp.label == label:
                 return comp.discrepancy
         raise KeyError(f"unknown component label {label!r}")
+
+    def _derive(self, key, produce):
+        """``produce()``, computed on the first request for ``key`` and kept
+        for the object's lifetime.  Package-internal: the producers are
+        :func:`validate`, :func:`convert_strata` and the engine's E-function
+        formulas."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = produce()
+        return value
 
     def replace(self, **changes) -> "ResolutionConfig":
         fields = {
@@ -153,12 +174,21 @@ def convert_strata(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
         open H(D_I)   = sum over stored J >= I of (-1)^{|J|-|I|} closed H(D_J)
 
     Only subsets of stored keys can acquire nonzero values, so the walk
-    enumerates exactly those; round-tripping is the identity.
+    enumerates exactly those.  The converted config is made once per config
+    object and links back: converting it back returns ``cfg`` itself for as
+    long as ``cfg`` exists (the link is weak).
     """
     if target not in ("open", "closed"):
         raise ValueError(f"strata convention must be 'open' or 'closed', got {target!r}")
     if cfg.convention == target:
         return cfg
+    source = cfg._source() if cfg._source is not None else None
+    if source is not None:
+        return source
+    return cfg._derive(("convention", target), lambda: _converted(cfg, target))
+
+
+def _converted(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
     acc: dict[StratumKey, HodgeDelignePolynomial] = {}
     for stored_key, value in cfg.strata.items():
         for sub in _nonempty_subsets(stored_key):
@@ -168,7 +198,11 @@ def convert_strata(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
                 term = value
             acc[sub] = (acc[sub] + term) if sub in acc else term
     table = {key: val for key, val in acc.items() if not val.is_zero}
-    return cfg.replace(convention=target, strata=table)
+    twin = cfg.replace(convention=target, strata=table)
+    # weak: a strong link back would make a reference cycle, which only the
+    # cycle collector frees, so a batch would hold several files' tables
+    twin._source = weakref.ref(cfg)
+    return twin
 
 
 def component_closed_hd(cfg: ResolutionConfig, label: str) -> HodgeDelignePolynomial:
@@ -200,12 +234,22 @@ def validate(cfg: ResolutionConfig, mode: str = "lenient", *,
     discrepancy > floor((d-4)/2), and the Serre reflection on the ambient
     polynomial and every closed stratum (a necessary condition for genuinely
     geometric smooth projective input, not a sufficient one).
+
+    A strict report starts with the lenient report's findings.  Each report
+    is made once per config object, mode and cap.
     """
     if mode not in ("lenient", "strict"):
         raise ValueError(f"validation mode must be 'lenient' or 'strict', got {mode!r}")
-    findings: list[Finding] = []
-    d = cfg.dimension
+    lenient = cfg._derive(("validate", "lenient", max_components),
+                          lambda: ValidationReport("lenient", _lenient_findings(cfg, max_components)))
+    if mode == "lenient":
+        return lenient
+    return cfg._derive(("validate", "strict", max_components),
+                       lambda: ValidationReport("strict", lenient.findings + _strict_findings(cfg, lenient)))
 
+
+def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Finding, ...]:
+    findings: list[Finding] = []
     seen_labels: set[str] = set()
     for comp in cfg.components:
         label = comp.label
@@ -264,35 +308,39 @@ def validate(cfg: ResolutionConfig, mode: str = "lenient", *,
                                     "reporting follows the isolated-case convention only",
                                     "singular_locus"))
 
-    if mode == "strict":
-        structural = any(f.severity == "error" for f in findings)
-        if d < 3:
-            findings.append(Finding("error", "dimension-too-small",
-                                    f"strict mode requires dimension >= 3, got {d}", ""))
-        bound = (d - 4) // 2
-        for comp in cfg.components:
-            a = comp.discrepancy
-            if isinstance(a, int) and not isinstance(a, bool) and a >= 0 and a <= bound:
-                findings.append(Finding("error", "discrepancy-bound",
-                                        f"discrepancy {a} of {comp.label!r} violates the bound "
-                                        f"> floor((d-4)/2) = {bound} at dimension {d}", comp.label))
-        if not structural and d >= 3:
-            closed = convert_strata(cfg, "closed")
-            for name, h, dim in [("ambient", cfg.ambient, d)] + [
-                (",".join(k), v, d - len(k)) for k, v in sorted(closed.strata.items())
-            ]:
-                if dim < 0:
+    return tuple(findings)
+
+
+def _strict_findings(cfg: ResolutionConfig, lenient: ValidationReport) -> tuple[Finding, ...]:
+    findings: list[Finding] = []
+    d = cfg.dimension
+    if d < 3:
+        findings.append(Finding("error", "dimension-too-small",
+                                f"strict mode requires dimension >= 3, got {d}", ""))
+    bound = (d - 4) // 2
+    for comp in cfg.components:
+        a = comp.discrepancy
+        if isinstance(a, int) and not isinstance(a, bool) and a >= 0 and a <= bound:
+            findings.append(Finding("error", "discrepancy-bound",
+                                    f"discrepancy {a} of {comp.label!r} violates the bound "
+                                    f"> floor((d-4)/2) = {bound} at dimension {d}", comp.label))
+    if lenient.accepted and d >= 3:
+        closed = convert_strata(cfg, "closed")
+        for name, h, dim in [("ambient", cfg.ambient, d)] + [
+            (",".join(k), v, d - len(k)) for k, v in sorted(closed.strata.items())
+        ]:
+            if dim < 0:
+                findings.append(Finding("error", "serre-reflection",
+                                        f"stratum {name} is an intersection deeper than the dimension",
+                                        name))
+                continue
+            report = validate_smooth_projective(h, dim)
+            for f in report.findings:
+                if f.code == "serre-reflection":
                     findings.append(Finding("error", "serre-reflection",
-                                            f"stratum {name} is an intersection deeper than the dimension",
+                                            f"closed stratum {name} at dimension {dim}: {f.message}",
                                             name))
-                    continue
-                report = validate_smooth_projective(h, dim)
-                for f in report.findings:
-                    if f.code == "serre-reflection":
-                        findings.append(Finding("error", "serre-reflection",
-                                                f"closed stratum {name} at dimension {dim}: {f.message}",
-                                                name))
-    return ValidationReport(mode=mode, findings=tuple(findings))
+    return tuple(findings)
 
 
 # -- JSON interchange ---------------------------------------------------------

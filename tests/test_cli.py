@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -7,8 +9,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stringy import cli, engine
+from stringy import cli, engine, resolution
 from stringy.cli import main
 from stringy.exact_poly import BivariatePolynomial, StringyRational
 
@@ -195,6 +199,57 @@ class TestComputeJson:
             assert code == 0
             assert max(len(digits) for digits in re.findall(r"\d+", out)) > 4300
             assert f"== {tmp_path / 'node_a1.json'} ==\n" in out
+
+
+class TestPreparedConfig:
+    # One config object per file carries its validation reports, both strata
+    # conventions and both E-functions; every command step reuses them.
+
+    def test_local_evaluates_each_formula_once(self, run, monkeypatch):
+        sums = []
+        real_sum = engine.sum_over_common_denominator
+
+        def counting_sum(terms):
+            sums.append(len(terms))
+            return real_sum(terms)
+
+        monkeypatch.setattr(engine, "sum_over_common_denominator", counting_sum)
+        code, out, _ = run("compute", NODE, "--local")
+        assert code == 0
+        assert "local contribution = 1 + uv" in out
+        assert len(sums) == 2  # E_open and E_closed
+
+    def test_decompose_walks_serre_once(self, run, monkeypatch):
+        walked = []
+        real_walk = resolution.validate_smooth_projective
+
+        def counting_walk(h, d):
+            walked.append(d)
+            return real_walk(h, d)
+
+        monkeypatch.setattr(resolution, "validate_smooth_projective", counting_walk)
+        code, _, _ = run("decompose", NODE, "--pairs", "1,1", "--format", "json")
+        assert code == 0
+        assert walked == [3, 2]  # the ambient, then the closed stratum E1
+
+    def test_json_mode_renders_no_text(self, run, monkeypatch):
+        rendered = []
+        for name in ("polynomial_text", "polynomial_latex", "rational_text", "rational_latex",
+                     "series_text", "series_latex"):
+            def counting_render(*args, _real=getattr(cli, name), _name=name):
+                rendered.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(cli, name, counting_render)
+        for argv in (["compute", E6, "--local"], ["compute", NODE, "--local"],
+                     ["check", SMOOTH], ["check", E6, "--duality", "--symmetry", "--nonneg"]):
+            code, out, _ = run(*argv, "--format", "json")
+            assert json.loads(out)["exit_code"] == code
+        assert rendered == []
+        run("check", SMOOTH, "--polynomial")
+        run("compute", NODE, "--local", "--format", "latex")
+        assert rendered == ["polynomial_text", "rational_latex", "series_latex",
+                            "rational_latex", "polynomial_latex"]
 
 
 class TestCheck:
@@ -455,6 +510,22 @@ class TestErrors:
         assert bad.startswith(f"== {tmp_path / name} ==\nerror: ")
         assert good.startswith("E_st = 1 + 2uv + 2(uv)^2 + (uv)^3 (polynomial)\n")
 
+    @pytest.mark.parametrize("argv", [("validate", "--strict"), ("decompose", "--pairs", "1,1")])
+    def test_serre_message_past_the_digit_limit(self, run, tmp_path, argv):
+        digits = "9" * 5000
+        (tmp_path / "big.json").write_text(json.dumps({
+            "dimension": 3, "ambient": [[0, 0, digits]],
+            "components": [{"label": "E", "discrepancy": 1}],
+            "strata_convention": "closed", "strata": {"E": [[0, 0, 1]]},
+        }))
+        shutil.copy(NODE, tmp_path)
+        code, out, _ = run(argv[0], str(tmp_path), *argv[1:])
+        assert code == 2
+        bad, good = out.split(f"== {tmp_path / 'node_a1.json'} ==\n")
+        assert f"error: serre-reflection [ambient]: closed stratum ambient at dimension 3: " \
+               f"coefficient {digits} at (0,0) vs 0 at (3,3)" in bad
+        assert good.startswith("accepted (strict)" if argv[0] == "validate" else "b_{1,1} = 2 |")
+
     def test_negative_horizon(self, run):
         code, _, err = run("compute", NODE, "--horizon", "-3")
         assert code == 2
@@ -481,3 +552,76 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("E_st = ")
+
+
+# -- robustness: no input file may raise out of the CLI -----------------------
+
+_LABELS = ("A", "B", "C")
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.floats(-2, 2),
+                       st.text(max_size=4))
+_json_any = st.recursive(_json_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _config(draw):
+    """A config document that is mostly well formed: u<->v symmetric
+    polynomials (Serre-reflective at their dimension half of the time),
+    strata keyed by declared labels; then, half of the time, one field
+    replaced by arbitrary JSON or left out."""
+    serre = draw(st.booleans())
+    d = draw(st.integers(3 if serre else 1, 4))
+    labels = draw(st.lists(st.sampled_from(_LABELS), max_size=3, unique=True))
+
+    def poly(dim):
+        terms: dict = {}
+        for i, j, c in draw(st.lists(st.tuples(st.integers(0, max(dim, 0)), st.integers(0, max(dim, 0)),
+                                               st.integers(-3, 3)), max_size=4)):
+            orbit = {(i, j), (j, i)}
+            if serre:
+                orbit |= {(dim - i, dim - j), (dim - j, dim - i)}
+            for pair in orbit:
+                terms[pair] = terms.get(pair, 0) + c
+        return [[i, j, c] for (i, j), c in sorted(terms.items()) if c and i >= 0 and j >= 0]
+
+    keys = draw(st.lists(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True),
+                         max_size=4)) if labels else []
+    doc = {
+        "dimension": d,
+        "ambient": poly(d) or [[0, 0, 1], [d, d, 1]],
+        "components": [{"label": label, "discrepancy": draw(st.integers(0, 4))} for label in labels],
+        "strata_convention": "closed" if serre else draw(st.sampled_from(["open", "closed"])),
+        "strata": {",".join(sorted(key)): poly(d - len(key)) for key in keys},
+    }
+    if draw(st.booleans()):
+        doc["singular_locus"] = [[0, 0, draw(st.integers(1, 3))]]
+    field = draw(st.sampled_from(sorted(doc) + ["extra"]))
+    change = draw(st.sampled_from(["keep", "keep", "replace", "drop"]))
+    if change == "replace":
+        doc[field] = draw(_json_any)
+    elif change == "drop":
+        doc.pop(field, None)
+    return doc
+
+
+_document = st.one_of(st.binary(max_size=64), _config().map(lambda doc: json.dumps(doc).encode()))
+_ARGVS = (
+    ("compute",),
+    ("compute", "--local", "--format", "json"),
+    ("compute", "--strict", "--format", "latex", "--horizon", "3"),
+    ("check", "--duality", "--symmetry", "--polynomial", "--nonneg"),
+    ("decompose", "--pairs", "0,0;1,1;2,1;2,2", "--format", "json"),
+    ("validate", "--strict"),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_document)
+def test_no_input_raises_out_of_the_cli(tmp_path, document):
+    path = tmp_path / "config.json"
+    path.write_bytes(document)
+    for argv in _ARGVS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2, 3), argv

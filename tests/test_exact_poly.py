@@ -10,6 +10,7 @@ from stringy.exact_poly import (
     CycloProduct,
     StringyRational,
     TruncatedBiseries,
+    UnivariateTSeries,
     decimal_str,
     decode_json_int,
     encode_json_int,
@@ -560,6 +561,13 @@ class TestJsonInts:
         n = 7 ** exponent + exponent
         assert decimal_str(n) == str(n)  # 7^3000 has 2536 digits, within str's default limit
         assert decimal_str(-n) == "-" + decimal_str(n)
+
+    def test_reprs_past_the_digit_limit(self):
+        big = 10 ** 5000
+        digits = "1" + "0" * 5000
+        assert digits in repr(StringyRational(BivariatePolynomial({(0, 0): big}), (2,)))
+        assert digits in repr(TruncatedBiseries(3, {(1, 1): big}))
+        assert digits in repr(UnivariateTSeries(3, {2: -big}))
 
     def test_decode_error_truncates_the_value(self):
         with pytest.raises(ValueError) as info:

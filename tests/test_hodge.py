@@ -110,6 +110,20 @@ class TestValidateSmoothProjective:
         codes = {f.code for f in report.errors}
         assert "uv-asymmetry" in codes
 
+    def test_messages_past_the_digit_limit(self):
+        # Python's int/str conversion stops at 4300 digits; messages must not
+        big = 10 ** 5000
+        digits = "1" + "0" * 5000
+        report = validate_smooth_projective(hd({(0, 0): big, (1, 0): big, (0, 1): 1}), 1)
+        assert {f.code for f in report.errors} == {"uv-asymmetry", "serre-reflection"}
+        assert all(digits in f.message for f in report.errors)
+        violation = diamond_from_polynomial(P({(0, 0): -big}), 0)
+        assert digits in violation.describe()
+        with pytest.raises(ValueError, match=digits):
+            HodgeDiamond(1, {(1, 0): big})
+        diamond = HodgeDiamond(0, {(0, 0): big})
+        assert digits in str(diamond) and digits in repr(diamond)
+
     def test_k3_passes(self):
         k3 = hd({(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1}, 2)
         assert validate_smooth_projective(k3, 2).accepted

@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,47 @@ class TestConvertStrata:
         assert {k: dict(v.poly.items()) for k, v in got.strata.items()} == want
         back = convert_strata(got, cfg.convention)
         assert back.strata == cfg.strata
+
+
+class TestPreparedConfig:
+    # What is derived from a config is made once per config object.
+
+    def test_conversion_round_trip_returns_the_original(self):
+        cfg = node_config()
+        opened = convert_strata(cfg, "open")
+        assert convert_strata(cfg, "open") is opened
+        assert convert_strata(opened, "closed") is cfg
+
+    def test_conversion_makes_no_reference_cycle(self):
+        # a cycle would be freed only by the cycle collector, so a batch
+        # would hold several files' tables at once
+        gc.disable()
+        try:
+            cfg = node_config()
+            opened = convert_strata(cfg, "open")
+            original = weakref.ref(cfg)
+            del cfg
+            assert original() is None
+            back = convert_strata(opened, "closed")
+            assert back.strata == node_config().strata
+            assert convert_strata(opened, "closed") is back
+        finally:
+            gc.enable()
+
+    def test_strata_cannot_be_written_through(self):
+        cfg = node_config()
+        with pytest.raises(TypeError):
+            cfg.strata[("E2",)] = hd({(0, 0): 1})
+        assert list(cfg.strata) == [("E1",)]
+
+    def test_one_report_per_mode(self):
+        cfg = node_config()
+        strict = validate(cfg, "strict")
+        lenient = validate(cfg, "lenient")
+        assert validate(cfg, "strict") is strict
+        assert validate(cfg) is lenient
+        assert strict.findings[:len(lenient.findings)] == lenient.findings
+        assert validate(cfg, "lenient", max_components=0) is not lenient
 
 
 class TestDerivedPolynomials:
