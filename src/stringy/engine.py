@@ -11,9 +11,9 @@ with its boundary terms R and S and the implied Hodge-component dimensions.
 
 Everything takes a config that passes lenient validation; computations raise
 ConfigValidationError otherwise instead of producing garbage.  Validation,
-the strata conventions and both E-functions are computed once per config
-object and kept on it, so compute, the local contribution and the
-decomposition of one config share them.
+the strata conventions, each formula's uncancelled sum and both E-functions
+are kept on the config object and shared by every analysis of it; the
+formulas are compared before cancelling, and E_st is cancelled once.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .exact_poly import (
     StringyRational,
     TruncatedBiseries,
     UnivariateTSeries,
+    common_denominator_sum,
     decimal_str,
     expand_rational,
-    sum_over_common_denominator,
+    same_value,
 )
 from .hodge import DiamondViolation, HodgeDiamond, diamond_from_polynomial
 from .resolution import (
@@ -54,7 +55,7 @@ def _once_per_config(formula):
     """Evaluate ``formula`` once per config object; later calls return the
     value kept on the config."""
     @wraps(formula)
-    def kept(cfg: ResolutionConfig) -> StringyRational:
+    def kept(cfg: ResolutionConfig):
         return cfg._derive(formula.__name__, lambda: formula(cfg))
     return kept
 
@@ -68,20 +69,9 @@ def stringy_e_open(cfg: ResolutionConfig) -> StringyRational:
     The empty-set stratum is the ambient space minus all stored open strata;
     a component with a = 0 contributes the factor (uv-1)/(uv-1), normalized
     to 1 before any division can see 0/0.  The terms are summed over one
-    common denominator and cancelled once
-    (:func:`~stringy.exact_poly.sum_over_common_denominator`).
+    common denominator (:func:`_open_sum`) and cancelled once.
     """
-    _require(cfg, "lenient")
-    open_cfg = convert_strata(cfg, "open")
-    discrepancy = {comp.label: comp.discrepancy for comp in open_cfg.components}
-    complement = open_cfg.ambient.poly
-    terms = []
-    for key, value in open_cfg.strata.items():
-        complement = complement - value.poly
-        factors = [discrepancy[label] + 1 for label in key if discrepancy[label]]
-        terms.append((value.poly * (_UV - _ONE) ** len(factors), factors))
-    terms.append((complement, ()))
-    return sum_over_common_denominator(terms)
+    return StringyRational(*_open_sum(cfg))
 
 
 @_once_per_config
@@ -92,9 +82,31 @@ def stringy_e_closed(cfg: ResolutionConfig) -> StringyRational:
 
     A component with a = 0 makes its factor exactly zero, so every stratum
     containing one drops out; the sums effectively run over a != 0 only.
-    The terms are summed over one common denominator and cancelled once
-    (:func:`~stringy.exact_poly.sum_over_common_denominator`).
+    The terms are summed over one common denominator (:func:`_closed_sum`)
+    and cancelled once, unless :func:`compute` found them equal to E_open.
     """
+    return StringyRational(*_closed_sum(cfg))
+
+
+@_once_per_config
+def _open_sum(cfg: ResolutionConfig):
+    """The open-strata terms over their common denominator, not cancelled."""
+    _require(cfg, "lenient")
+    open_cfg = convert_strata(cfg, "open")
+    discrepancy = {comp.label: comp.discrepancy for comp in open_cfg.components}
+    complement = open_cfg.ambient.poly
+    terms = []
+    for key, value in open_cfg.strata.items():
+        complement = complement - value.poly
+        factors = [discrepancy[label] + 1 for label in key if discrepancy[label]]
+        terms.append((value.poly * (_UV - _ONE) ** len(factors), factors))
+    terms.append((complement, ()))
+    return common_denominator_sum(terms)
+
+
+@_once_per_config
+def _closed_sum(cfg: ResolutionConfig):
+    """The closed-strata terms over their common denominator, not cancelled."""
     _require(cfg, "lenient")
     closed_cfg = convert_strata(cfg, "closed")
     discrepancy = {comp.label: comp.discrepancy for comp in closed_cfg.components}
@@ -105,7 +117,7 @@ def stringy_e_closed(cfg: ResolutionConfig) -> StringyRational:
             for label in key:
                 num = num * (_UV - BivariatePolynomial.uv_power(discrepancy[label] + 1))
             terms.append((num, [discrepancy[label] + 1 for label in key]))
-    return sum_over_common_denominator(terms)
+    return common_denominator_sum(terms)
 
 
 @dataclass(frozen=True)
@@ -129,13 +141,15 @@ def compute(cfg: ResolutionConfig, horizon: Union[int, None] = None) -> StringyR
 
     The two formulas are algebraically equal for any config passing lenient
     validation, so agree=False is an internal-error signal (a broken lattice
-    conversion), not a property of the input.
+    conversion), not a property of the input.  It is decided before
+    cancelling, so E_closed is cancelled only when the formulas disagree.
     """
     if horizon is None:
         horizon = 2 * cfg.dimension
+    agree = same_value(_open_sum(cfg), _closed_sum(cfg))
     e_open = stringy_e_open(cfg)
-    e_closed = stringy_e_closed(cfg)
-    return StringyResult(e_open, e_closed, e_open == e_closed, horizon, cfg.dimension)
+    e_closed = cfg._derive(stringy_e_closed.__name__, lambda: e_open) if agree else stringy_e_closed(cfg)
+    return StringyResult(e_open, e_closed, agree, horizon, cfg.dimension)
 
 
 @dataclass(frozen=True)

@@ -273,10 +273,7 @@ class BivariatePolynomial:
         if not self._terms:
             return BivariatePolynomial()
 
-        classes: dict[int, dict[int, int]] = {}
-        for (i, j), c in self._terms.items():
-            classes.setdefault(i - j, {})[min(i, j)] = c
-
+        classes = _rows_of(self)
         for coeffs in classes.values():
             residue: dict[int, int] = {}
             for k, c in coeffs.items():
@@ -464,7 +461,7 @@ class StringyRational:
             return StringyRational._from_canonical(self._num + other._num * self._den.polynomial(), self._den)
         if not self._den:
             return other + self
-        return sum_over_common_denominator([(self._num, self._den), (other._num, other._den)])
+        return StringyRational(*common_denominator_sum([(self._num, self._den), (other._num, other._den)]))
 
     __radd__ = __add__
 
@@ -610,79 +607,64 @@ def _reduce(num: BivariatePolynomial, den: CycloProduct) -> tuple[BivariatePolyn
     that k divides.  The numerator splits by diagonal offset s = i - j into
     polynomials in t, and Phi_k^r divides the numerator exactly when it
     divides every one of them, that is when theta^j of each vanishes at the
-    primitive k-th roots of unity for j < r, with theta = t d/dt.  Level by
-    level in j, every k still in play is tested (:func:`_cyclotomic_root`)
-    and e_k drops by one per level passed.  Since every Phi_k(uv) is
-    irreducible in Q[u, v], what is left is the reduced fraction of the
-    value.  Its denominator is written back as (uv)^m - 1 factors: take the
-    largest k with e_k > 0 as m, use up one Phi_d for every d | m (a missing
-    one goes into the numerator), and repeat until every e_k is zero.  The
-    numerator is then num times the new factors over the old ones,
-    binomials that the two multisets do not share; the divisions are exact
-    (:meth:`BivariatePolynomial.exact_cyclo_quotient`).  No step costs per
-    degree of the denominator, only per term.
+    primitive k-th roots of unity for j < r, with theta = t d/dt
+    (:func:`_cyclotomic_root`).  Every Phi_k(uv) is irreducible in Q[u, v],
+    so cancelling the largest such r_k <= e_k leaves the reduced fraction.
+    Its denominator is written back in one pass over k, largest first: with
+    c_k the number of factors already written that k divides,
+    max(0, e_k - c_k - r_k) factors (uv)^k - 1 are written.  So Phi_k is
+    tested at most e_k - c_k levels deep, the levels theta^j made on first
+    use and shared by every k.  The numerator is num times the new factors
+    over the old ones; the divisions are exact
+    (:meth:`BivariatePolynomial.exact_cyclo_quotient`), and no step costs
+    per degree of the denominator, only per term.
     """
     if not num:
         return BivariatePolynomial(), CycloProduct()
     exponents: dict[int, int] = {}
-    for m in den:
+    for m, n in den._counts().items():
         for k in _divisors(m):
-            exponents[k] = exponents.get(k, 0) + 1
+            exponents[k] = exponents.get(k, 0) + n
     rows = sorted(_rows_of(num).values(), key=len)  # short rows refute soonest
     powers = [list(row) for row in rows]
-    coeffs = [list(row.values()) for row in rows]
-    in_play = {k: _prime_factors(k) for k in exponents}
-    while True:
-        for k, primes in list(in_play.items()):
-            if all(_cyclotomic_root(ns, cs, k, primes) for ns, cs in zip(powers, coeffs)):
-                exponents[k] -= 1
-                if exponents[k]:
-                    continue
-            del in_play[k]
-        if not in_play:
-            break
-        coeffs = [[c * n for n, c in zip(ns, cs)] for ns, cs in zip(powers, coeffs)]  # theta
-
+    levels = [[list(row.values()) for row in rows]]  # theta^j of the rows
     factors: list[int] = []
-    while True:
-        m = max((k for k, e in exponents.items() if e), default=0)
-        if not m:
-            break
-        for d in _divisors(m):
-            if exponents.get(d):
-                exponents[d] -= 1
-        factors.append(m)
-    unshared = den._counts()
-    gained = []
-    for m in factors:
-        if unshared.get(m):
-            unshared[m] -= 1
-        else:
-            gained.append(m)
+    for k in sorted(exponents, reverse=True):
+        depth = exponents[k]  # e_k - c_k: each written factor uses up its Phi_d
+        if depth <= 0:
+            continue
+        primes = _prime_factors(k)
+        for level in range(depth):
+            if level == len(levels):
+                levels.append([[c * n for n, c in zip(ns, cs)] for ns, cs in zip(powers, levels[-1])])
+            if not all(_cyclotomic_root(ns, cs, k, primes) for ns, cs in zip(powers, levels[level])):
+                break
+            depth -= 1
+        if depth:
+            factors += [k] * depth
+            for d in _divisors(k):
+                exponents[d] -= depth
+    reduced = CycloProduct(factors)
+    both = reduced.union(den)
+    gained = both.minus(den)
     if gained:
-        rows = _rows_of(num)
-        for m in gained:
-            rows = _times_cyclo(rows, m)
-        num = _poly_of(rows)
-    for m, n in unshared.items():
-        for _ in range(n):
-            num = num.exact_cyclo_quotient(m)
-    return num, CycloProduct(factors)
+        num = num * gained.polynomial()
+    for m in both.minus(reduced):
+        num = num.exact_cyclo_quotient(m)
+    return num, reduced
 
 
-def sum_over_common_denominator(terms: Iterable[tuple[BivariatePolynomial, Iterable[int]]]
-                                ) -> "StringyRational":
+def common_denominator_sum(terms: Iterable[tuple[BivariatePolynomial, Iterable[int]]]
+                           ) -> tuple[BivariatePolynomial, CycloProduct]:
     """The sum of num / prod_{m in factors} ((uv)^m - 1) over (num, factors)
-    pairs, brought over one common denominator and cancelled once; adding
-    term by term would cancel after every addition.
+    pairs as (numerator, common denominator), not cancelled: cancel it once
+    (``StringyRational(*sum)``), not after every addition.
 
     The common denominator takes every m with its largest multiplicity in
-    any term, and each numerator is multiplied by the factors of the common
-    denominator that its own lacks.  Those products are formed one distinct
-    m at a time: the partial sums that lack the same factors among the m
-    still to come are merged first, so a factor shared by many cofactors is
-    multiplied once into their sum.  Only the total is reduced
-    (:func:`_reduce`).
+    any term; each numerator is multiplied by the factors its own lacks, one
+    distinct m at a time, merging first the partial sums that lack the same
+    factors among the m still to come, so a factor shared by many cofactors
+    is multiplied once into their sum.
     """
     groups: dict[CycloProduct, Rows] = {}
     for num, factors in terms:
@@ -706,7 +688,15 @@ def sum_over_common_denominator(terms: Iterable[tuple[BivariatePolynomial, Itera
             else:
                 _add_into(into, part)
         pending = merged
-    return StringyRational._from_canonical(*_reduce(_poly_of(pending.get((), {})), common))
+    return _poly_of(pending.get((), {})), common
+
+
+def same_value(x: tuple, y: tuple) -> bool:
+    """Whether (numerator, denominator) pairs x and y, cancelled or not, are
+    one rational function: x - y over the union of the denominators is 0."""
+    if x[1] == y[1]:
+        return x[0] == y[0]  # one denominator: compare term by term
+    return not common_denominator_sum([x, (-y[0], y[1])])[0]
 
 
 def _coerce_rational(value) -> Union[StringyRational, None]:

@@ -31,6 +31,18 @@ DEFAULT_COMPONENT_CAP = 24
 # that fits.
 SUBSET_WALK_BUDGET = 2 ** 12
 
+# A polynomial with an exponent e reaches the output as a canonical
+# numerator of about e terms, and every exponent is printed as a JSON int;
+# inputs with an exponent above this budget are refused with an
+# ``exponent-cost`` finding.
+EXPONENT_BUDGET = 2 ** 14
+
+# A discrepancy a puts the factor (uv)^{a+1} - 1 into the denominator, and
+# the cancellation enumerates the divisors of a + 1 by trial division, at a
+# cost growing as sqrt(a + 1); inputs with a + 1 above this budget are
+# refused with a ``discrepancy-cost`` finding.
+DISCREPANCY_BUDGET = 2 ** 32
+
 
 @dataclass(frozen=True)
 class Component:
@@ -267,6 +279,10 @@ def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Findi
             findings.append(Finding("error", "bad-discrepancy",
                                     f"discrepancy of {label!r} must be an integer >= 0, got {a!r}",
                                     label))
+        elif a + 1 > DISCREPANCY_BUDGET:
+            findings.append(Finding("error", "discrepancy-cost",
+                                    f"discrepancy of {label!r} plus one exceeds the budget of "
+                                    f"{DISCREPANCY_BUDGET}", label))
 
     if len(cfg.components) > max_components:
         findings.append(Finding("error", "too-many-components",
@@ -299,6 +315,10 @@ def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Findi
         if not h.poly.is_uv_symmetric():
             findings.append(Finding("error", "uv-asymmetry",
                                     f"polynomial of {name} is not symmetric in u and v", name))
+        if max(h.poly.degree_u(), h.poly.degree_v()) > EXPONENT_BUDGET:
+            findings.append(Finding("error", "exponent-cost",
+                                    f"polynomial of {name} has an exponent over the budget of "
+                                    f"{EXPONENT_BUDGET}", name))
 
     if cfg.singular_locus is not None and not cfg.singular_locus.poly.is_zero:
         if cfg.singular_locus.poly != BivariatePolynomial.constant(

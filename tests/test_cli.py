@@ -7,14 +7,16 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stringy import cli, engine, resolution
+from stringy import cli, engine, exact_poly, resolution
 from stringy.cli import main
 from stringy.exact_poly import BivariatePolynomial, StringyRational
+from stringy.hodge import HodgeDelignePolynomial
 
 from conftest import FIXTURES
 
@@ -22,6 +24,7 @@ E6 = str(FIXTURES / "e6_fixture.json")
 NODE = str(FIXTURES / "node_a1.json")
 SMOOTH = str(FIXTURES / "smooth_p3.json")
 AFFINE = str(FIXTURES / "affine_line.json")
+_NINES = int("9" * 4300)
 
 
 @pytest.fixture
@@ -207,17 +210,54 @@ class TestPreparedConfig:
 
     def test_local_evaluates_each_formula_once(self, run, monkeypatch):
         sums = []
-        real_sum = engine.sum_over_common_denominator
+        real_sum = engine.common_denominator_sum
 
         def counting_sum(terms):
             sums.append(len(terms))
             return real_sum(terms)
 
-        monkeypatch.setattr(engine, "sum_over_common_denominator", counting_sum)
+        monkeypatch.setattr(engine, "common_denominator_sum", counting_sum)
         code, out, _ = run("compute", NODE, "--local")
         assert code == 0
         assert "local contribution = 1 + uv" in out
         assert len(sums) == 2  # E_open and E_closed
+
+    @pytest.mark.parametrize("argv", [("compute", E6), ("compute", NODE, "--local")])
+    def test_each_value_is_cancelled_once(self, run, monkeypatch, argv):
+        # agreement is decided on the unreduced sums, so only E_open's sum is
+        # cancelled; E_closed and the local contribution reuse its value
+        cancelled = []
+        real_reduce = exact_poly._reduce
+
+        def counting_reduce(num, den):
+            if den:
+                cancelled.append(den.factors)
+            return real_reduce(num, den)
+
+        monkeypatch.setattr(exact_poly, "_reduce", counting_reduce)
+        code, _, _ = run(*argv)
+        assert code == 0
+        assert len(cancelled) == 1
+
+    def test_disagreeing_formulas_are_reported(self, run, monkeypatch):
+        # a broken conversion: the open table gains a term, so E_open is wrong
+        real_converted = resolution._converted
+
+        def perturbed(cfg, target):
+            twin = real_converted(cfg, target)
+            table = {key: HodgeDelignePolynomial(value.poly + BivariatePolynomial.uv_power(1))
+                     for key, value in twin.strata.items()}
+            return twin.replace(strata=table)
+
+        truth = engine.compute(resolution.load_config(E6)).e_open
+        monkeypatch.setattr(resolution, "_converted", perturbed)
+        code, out, _ = run("compute", E6)
+        assert code == 1
+        assert out.splitlines()[-1] == "internal error: the open- and closed-strata formulas disagree"
+        result = engine.compute(resolution.load_config(E6))
+        assert not result.agree
+        assert result.e_closed == truth
+        assert result.e_closed == StringyRational(result.e_closed.numerator, result.e_closed.denominator)
 
     def test_decompose_walks_serre_once(self, run, monkeypatch):
         walked = []
@@ -525,6 +565,29 @@ class TestErrors:
         assert f"error: serre-reflection [ambient]: closed stratum ambient at dimension 3: " \
                f"coefficient {digits} at (0,0) vs 0 at (3,3)" in bad
         assert good.startswith("accepted (strict)" if argv[0] == "validate" else "b_{1,1} = 2 |")
+
+    @pytest.mark.parametrize("name, ambient, stratum, a, finding", [
+        # json.dumps of the 4300-digit exponent raised; the dense numerator ran for minutes
+        ("exponent.json", [[_NINES, _NINES, 1]], [[_NINES, _NINES, 1]], 1, "exponent-cost"),
+        ("dense.json", [[0, 0, 1], [_NINES, _NINES, 1]], [[0, 0, 1], [_NINES, _NINES, 1]], 1,
+         "exponent-cost"),
+        # trial division up to sqrt(a + 1) took seconds
+        ("discrepancy.json", [[0, 0, 1], [1, 1, 1]], [[0, 0, 1]], 10 ** 14 + 9, "discrepancy-cost"),
+    ])
+    def test_costly_input_is_refused_up_front(self, run, tmp_path, name, ambient, stratum, a, finding):
+        (tmp_path / name).write_text(json.dumps({
+            "dimension": 1, "ambient": ambient,
+            "components": [{"label": "E", "discrepancy": a}],
+            "strata_convention": "closed", "strata": {"E": stratum},
+        }))
+        shutil.copy(NODE, tmp_path)
+        started = time.perf_counter()
+        code, out, _ = run("compute", str(tmp_path), "--format", "json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        bad, good = parse_json_documents(out)
+        assert bad["exit_code"] == 2 and f"error: {finding} [" in bad["error"]
+        assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
 
     def test_negative_horizon(self, run):
         code, _, err = run("compute", NODE, "--horizon", "-3")

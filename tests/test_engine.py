@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringy import engine
 from stringy.engine import (
     NotPolynomial,
     Polynomial,
@@ -388,6 +389,34 @@ class TestFormulaEquivalence:
         assert result.e_open.denominator.factors == (4, 6, 100001)
         assert _e_open_at(result) == _closed_formula_at(cfg)
         assert elapsed < 0.5, f"compute with a = 10^5 took {elapsed:.3f}s"
+
+    def test_agreement_over_differing_denominators(self):
+        # A (a = 0) shares a pair stratum with B (a = 1), and the open
+        # strata of B cancel in the closed table: the open sum carries
+        # (uv)^2 - 1, the closed sum does not
+        p, q = hd({(0, 0): 1, (1, 1): 1}), hd({(0, 0): 2, (1, 0): 1, (0, 1): 1})
+        cfg = ResolutionConfig(2, projective_space(2),
+                               [Component("A", 0), Component("B", 1), Component("C", 2)], "open",
+                               {("A", "B"): p, ("B",): hd({(0, 0): -1, (1, 1): -1}), ("C",): q})
+        assert validate(cfg).accepted
+        assert engine._open_sum(cfg)[1].factors == (2, 3)
+        assert engine._closed_sum(cfg)[1].factors == (3,)
+        result = compute(cfg)
+        assert result.agree
+        assert result.e_closed is result.e_open
+        closed = convert_strata(cfg, "closed")
+        u, v = Fraction(2, 3), Fraction(5, 7)
+        t = u * v
+        direct = exact_fraction_eval(dict(closed.ambient.poly.items()), [], u, v)
+        for key, value in closed.strata.items():
+            if all(cfg.discrepancy(label) for label in key):
+                term = exact_fraction_eval(dict(value.poly.items()), [], u, v)
+                for label in key:
+                    e = cfg.discrepancy(label) + 1
+                    term *= (t - t ** e) / (t ** e - 1)
+                direct += term
+        x = result.e_open
+        assert exact_fraction_eval(dict(x.numerator.items()), x.denominator.factors, u, v) == direct
 
     def test_default_horizon_is_twice_dimension(self):
         result = compute(node_config())

@@ -11,12 +11,13 @@ from stringy.exact_poly import (
     StringyRational,
     TruncatedBiseries,
     UnivariateTSeries,
+    common_denominator_sum,
     decimal_str,
     decode_json_int,
     encode_json_int,
     expand_rational,
+    same_value,
     series_of_inverse_cyclo,
-    sum_over_common_denominator,
 )
 
 from oracles import (
@@ -300,7 +301,8 @@ class TestCanonicalForm:
         a, b, c = (StringyRational(BivariatePolynomial(n), d) for n, d in (a, b, c))
         left = (a + b) + c
         for other in (c + (b + a), (a + c) + b,
-                      sum_over_common_denominator([(x.numerator, x.denominator) for x in (b, c, a)])):
+                      StringyRational(*common_denominator_sum([(x.numerator, x.denominator)
+                                                               for x in (b, c, a)]))):
             assert other.numerator == left.numerator
             assert other.denominator.factors == left.denominator.factors
             assert hash(other) == hash(left)
@@ -325,6 +327,44 @@ class TestCanonicalForm:
         for m in set(factors):
             e_m = sum(1 for f in factors if f % m == 0)
             assert _phi_multiplicity(terms, m, e_m) < e_m
+
+    @given(term_dicts,
+           st.lists(st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=3)),
+                    max_size=3),
+           st.lists(st.integers(min_value=1, max_value=12), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_denominator_is_the_write_back_of_full_multiplicities(self, num, repeated, cancelling):
+        # The reduction tests each Phi_k only as deep as the written-back
+        # denominator can show.  The result must still be the write-back
+        # rule applied to the full multiplicities, counted by the oracle:
+        # r_k = min(e_k, times Phi_k divides), then repeatedly write the
+        # largest k left and use up one Phi_d for every d | k.
+        dens = [m for m, n in repeated for _ in range(n)][:6]
+        numerator = BivariatePolynomial(num) * CycloProduct(cancelling).polynomial()
+        terms = dict(numerator.items())
+        left = {}
+        for k in range(1, 13):
+            e_k = sum(1 for m in dens if m % k == 0)
+            if e_k:
+                left[k] = e_k - _phi_multiplicity(terms, k, e_k)
+        expected = []
+        while any(left.values()):
+            m = max(k for k, e in left.items() if e)
+            for d in range(1, m + 1):
+                if m % d == 0 and left.get(d):
+                    left[d] -= 1
+            expected.append(m)
+        x = StringyRational(numerator, dens)
+        assert x.denominator.factors == tuple(sorted(expected))
+
+    @given(term_dicts, st.lists(cyclo_m, max_size=3), st.lists(cyclo_m, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_same_value_without_cancelling(self, num, dens, extra):
+        n = BivariatePolynomial(num)
+        thick = (n * CycloProduct(extra).polynomial(), CycloProduct(list(dens) + list(extra)))
+        assert same_value(thick, (n, CycloProduct(dens)))
+        assert same_value((n, CycloProduct(dens)), thick)
+        assert not same_value(thick, (n + BivariatePolynomial.monomial(1, 0), CycloProduct(dens)))
 
     def test_zero_has_empty_denominator(self):
         x = StringyRational(BivariatePolynomial.zero(), (2, 3))

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from stringy.exact_poly import BivariatePolynomial
 from stringy.hodge import HodgeDelignePolynomial, projective_space
 from stringy.resolution import (
+    DISCREPANCY_BUDGET,
+    EXPONENT_BUDGET,
     Component,
     ResolutionConfig,
     component_closed_hd,
@@ -271,6 +273,24 @@ class TestValidateLenient:
         assert "subset-walk-cost" in {f.code for f in validate(cfg, "strict").errors}
         within = cfg.replace(strata={tuple(labels[:12]): hd({(0, 0): 1})})
         assert "subset-walk-cost" not in {f.code for f in validate(within).findings}
+
+    def test_exponent_and_discrepancy_cost(self):
+        # the budgets bound what the formulas may be handed, before any work
+        at = EXPONENT_BUDGET
+        line = hd({(0, 0): 1, (at, at): 1})
+        within = ResolutionConfig(1, line, [Component("E", DISCREPANCY_BUDGET - 1)], "closed",
+                                  {("E",): hd({(0, 0): 1})})
+        assert validate(within).accepted
+        over = line.poly + BivariatePolynomial.uv_power(at + 1)
+        cases = {
+            "exponent-cost": within.replace(ambient=HodgeDelignePolynomial(over, 1)),
+            "discrepancy-cost": within.replace(components=[Component("E", DISCREPANCY_BUDGET)]),
+        }
+        for code, cfg in cases.items():
+            codes = [f.code for f in validate(cfg).errors]
+            assert codes == [code]
+        singular = within.replace(singular_locus=hd({(at + 1, at + 1): 1}))
+        assert [f.location for f in validate(singular).errors] == ["singular_locus"]
 
     def test_unused_component_is_warning(self):
         cfg = ResolutionConfig(3, projective_space(3), [Component("A", 1)], "closed", {})
