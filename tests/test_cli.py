@@ -224,7 +224,7 @@ class TestPreparedConfig:
 
     @pytest.mark.parametrize("argv", [("compute", E6), ("compute", NODE, "--local")])
     def test_each_value_is_cancelled_once(self, run, monkeypatch, argv):
-        # agreement is decided on the unreduced sums, so only E_open's sum is
+        # agreement is decided on the uncancelled sums, so only E_open's sum is
         # cancelled; E_closed and the local contribution reuse its value
         cancelled = []
         real_reduce = exact_poly._reduce
@@ -567,11 +567,12 @@ class TestErrors:
         assert good.startswith("accepted (strict)" if argv[0] == "validate" else "b_{1,1} = 2 |")
 
     @pytest.mark.parametrize("name, ambient, stratum, a, finding", [
-        # json.dumps of the 4300-digit exponent raised; the dense numerator ran for minutes
+        # a 4300-digit exponent does not fit a JSON int; beside a constant term it also makes
+        # a dense canonical numerator of about that many terms
         ("exponent.json", [[_NINES, _NINES, 1]], [[_NINES, _NINES, 1]], 1, "exponent-cost"),
         ("dense.json", [[0, 0, 1], [_NINES, _NINES, 1]], [[0, 0, 1], [_NINES, _NINES, 1]], 1,
          "exponent-cost"),
-        # trial division up to sqrt(a + 1) took seconds
+        # the divisors of a + 1 are found by trial division up to its square root
         ("discrepancy.json", [[0, 0, 1], [1, 1, 1]], [[0, 0, 1]], 10 ** 14 + 9, "discrepancy-cost"),
     ])
     def test_costly_input_is_refused_up_front(self, run, tmp_path, name, ambient, stratum, a, finding):
