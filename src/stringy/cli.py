@@ -31,7 +31,7 @@ from .engine import (
     is_polynomial,
     local_contribution,
 )
-from .exact_poly import StringyRational, decimal_str, encode_json_int
+from .exact_poly import StringyRational, decimal_str, encode_json_int, series_size
 from .render import (
     polynomial_latex,
     polynomial_text,
@@ -40,7 +40,7 @@ from .render import (
     series_latex,
     series_text,
 )
-from .resolution import load_config, validate
+from .resolution import SERIES_BUDGET, load_config, validate
 from .validation import ConfigFormatError, ConfigValidationError
 
 EXIT_OK = 0
@@ -84,6 +84,16 @@ def _render_series(series, continues: bool, fmt: str) -> str:
     return series_latex(series, continues) if fmt == "latex" else series_text(series, continues)
 
 
+def _series(result):
+    """The expansion of E_st, refused up front when it would compute more
+    coefficients than the budget allows."""
+    size = series_size(result.e_open, result.horizon)
+    if size > SERIES_BUDGET:
+        raise _InputError(f"series-cost: expanding to horizon {result.horizon} computes {size} "
+                          f"coefficients, over the budget of {SERIES_BUDGET}")
+    return result.series
+
+
 def _load_and_validate(path: Path, mode: str):
     try:
         cfg = load_config(path)
@@ -107,20 +117,21 @@ def _cmd_compute(path: Path, args, out: list[str]) -> tuple[int, dict]:
     truncated = not polynomial or any(
         i + j > horizon for (i, j) in result.e_open.as_polynomial().support()
     )
+    series = _series(result)
 
     payload: dict = {
         "dimension": cfg.dimension,
         "agree": result.agree,
         "e_st": _rational_json(result.e_open),
         "polynomial": polynomial,
-        "series": _series_json(result.series, truncated),
+        "series": _series_json(series, truncated),
         "warnings": [f.describe() for f in report.warnings],
     }
     lines = args.format != "json"
     if lines:
         suffix = " (polynomial)" if polynomial else ""
         out.append(f"E_st = {_render_rational(result.e_open, args.format)}{suffix}")
-        out.append(f"series = {_render_series(result.series, truncated, args.format)}")
+        out.append(f"series = {_render_series(series, truncated, args.format)}")
         out.extend(f.describe() for f in report.warnings)
 
     code = EXIT_OK
@@ -197,7 +208,7 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
                 out.append(f"polynomial: POLYNOMIAL = {_render_polynomial(verdict.value, args.format)}")
 
     if "nonneg" in wanted:
-        report = check_nonnegativity(result.series, d)
+        report = check_nonnegativity(_series(result), d)
         checks["nonneg"] = {
             "passed": report.passed,
             "violations": [[i, j, encode_json_int(b)] for i, j, b in report.violations],

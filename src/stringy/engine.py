@@ -41,9 +41,6 @@ from .resolution import (
 )
 from .validation import ConfigValidationError
 
-_UV = BivariatePolynomial.monomial(1, 1)
-_ONE = BivariatePolynomial.one()
-
 
 def _require(cfg: ResolutionConfig, mode: str) -> None:
     report = validate(cfg, mode)
@@ -99,7 +96,7 @@ def _open_sum(cfg: ResolutionConfig):
     for key, value in open_cfg.strata.items():
         complement = complement - value.poly
         factors = [discrepancy[label] + 1 for label in key if discrepancy[label]]
-        terms.append((value.poly * (_UV - _ONE) ** len(factors), factors))
+        terms.append((value.poly, factors, [1] * len(factors)))  # (uv - 1) per factor
     terms.append((complement, ()))
     return common_denominator_sum(terms)
 
@@ -113,10 +110,10 @@ def _closed_sum(cfg: ResolutionConfig):
     terms = [(closed_cfg.ambient.poly, ())]
     for key, value in closed_cfg.strata.items():
         if all(discrepancy[label] for label in key):
-            num = value.poly
-            for label in key:
-                num = num * (_UV - BivariatePolynomial.uv_power(discrepancy[label] + 1))
-            terms.append((num, [discrepancy[label] + 1 for label in key]))
+            # uv - (uv)^{a+1} = -uv ((uv)^a - 1)
+            sign = BivariatePolynomial.uv_power(len(key), -1 if len(key) % 2 else 1)
+            terms.append((value.poly * sign, [discrepancy[label] + 1 for label in key],
+                          [discrepancy[label] for label in key]))
     return common_denominator_sum(terms)
 
 

@@ -19,6 +19,20 @@ The central representation choices:
   Phi_k that divides the numerator is cancelled.  The reduced denominator is
   then written back as (uv)^m - 1 factors by a fixed rule, so each value has
   exactly one representation and equality compares representations.
+* ``PackedNumerator`` is the one numerator representation inside the
+  arithmetic over denominators: the whole polynomial as one int, by
+  Kronecker substitution (D. Harvey, arXiv:0712.4046).  The term
+  c u^i v^j is a signed digit in slot min(i, j) R + r, r the rank of i - j
+  among the R offsets present, so t = uv is a shift by width R bits and
+  multiplying by t^m - 1 is one shift and one subtraction.  The formula
+  sums (:func:`common_denominator_sum`), the agreement check
+  (:func:`same_value`) and the cancellation (:func:`_reduce`) run on it;
+  the canonical numerator is unpacked once.  The slot width is chosen from
+  a proven bound, not a worst case: for a sum, the bit length of
+  sum_terms |num|_1 2^(factors multiplied in), plus a sign bit, in whole
+  bytes; the deeper cyclotomic tests and the written-back numerator widen
+  it only when their own bounds pass it (proofs in :func:`_reduce`).
+  Values with an empty denominator stay sparse.
 * ``TruncatedBiseries`` holds exact coefficients for all total degrees
   i + j <= horizon and claims nothing beyond it.  ``UnivariateTSeries`` is the
   analogous truncation for series in t alone, indexed by the power of t.
@@ -26,6 +40,7 @@ The central representation choices:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Mapping, Union
 
 ExponentPair = tuple[int, int]
@@ -260,54 +275,22 @@ class BivariatePolynomial:
         """Divide by (uv)^m - 1, returning the quotient or None when the
         division is not exact.
 
-        Terms are grouped by the diagonal offset i - j; within each group the
-        polynomial is univariate in t = uv, where division by t^m - 1 reduces
-        to residue-class sums: the remainder coefficient at t^r is the sum of
-        coefficients over exponents congruent to r mod m, and the quotient
-        coefficient at t^b is the tail sum over exponents >= b + m in the same
-        class.  Runs of zero tail sums are skipped, so the cost follows the
-        number of terms of the dividend and the quotient, not the degree.
+        On the packed polynomial (:class:`PackedNumerator`) every row is
+        divisible by t^m - 1 exactly when the value is divisible by
+        2^(width R m) - 1, and the quotient is the exact integer quotient
+        (:func:`_exact_quotient`).  The width holds the sum of |c|, which
+        bounds every residue-class sum and every quotient coefficient.
         """
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"cyclotomic-product exponent must be a positive int, got {m!r}")
         if not self._terms:
             return BivariatePolynomial()
-
-        classes = _rows_of(self)
-        for coeffs in classes.values():
-            residue: dict[int, int] = {}
-            for k, c in coeffs.items():
-                r = k % m
-                residue[r] = residue.get(r, 0) + c
-            if any(residue.values()):
-                return None
-
-        qterms: dict[ExponentPair, int] = {}
-        for shift, coeffs in classes.items():
-            chains: dict[int, list[int]] = {}
-            for k in coeffs:
-                chains.setdefault(k % m, []).append(k)
-            for ks in chains.values():
-                ks.sort(reverse=True)
-                acc = 0
-                ki = 0
-                pos = ks[0]
-                while pos >= m:
-                    if ki < len(ks) and ks[ki] == pos:
-                        acc += coeffs[pos]
-                        ki += 1
-                    if acc:
-                        base = pos - m
-                        pair = (base + shift, base) if shift >= 0 else (base, base - shift)
-                        qterms[pair] = acc
-                        pos -= m
-                    elif ki == len(ks):
-                        break  # tail sums are all zero from here down
-                    else:
-                        pos = ks[ki]  # zero tail sums down to the next term
-        out = BivariatePolynomial()
-        out._terms = qterms
-        return out
+        p = _packed(self)
+        w = p.width * len(p.offsets) * m
+        if not _vanishes(p.value, w, ()):
+            return None
+        return _unpack(PackedNumerator(_exact_quotient(p.value, w), p.width, p.offsets,
+                                       p.degree - m, p.norm))
 
 
 def _coerce_poly(value) -> Union[BivariatePolynomial, None]:
@@ -412,7 +395,7 @@ class StringyRational:
     __slots__ = ("_num", "_den")
 
     def __init__(self, numerator, denominator: Union[CycloProduct, Iterable[int]] = ()):
-        num = _coerce_poly(numerator)
+        num = numerator if isinstance(numerator, PackedNumerator) else _coerce_poly(numerator)
         if num is None:
             raise TypeError(f"numerator must be a BivariatePolynomial or int, got {type(numerator).__name__}")
         den = _coerce_cyclo(denominator)
@@ -524,179 +507,403 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-# Rows: a polynomial split by diagonal offset s = i - j, each part a
-# polynomial in t = uv given as {power of t: coefficient}.
-Rows = dict[int, dict[int, int]]
+class PackedNumerator:
+    """A polynomial in Z[u, v] as one int, by Kronecker substitution.
+
+    With t = uv, the term c u^i v^j is c t^n u^s (s >= 0) or c t^n v^-s
+    (s < 0), where n = min(i, j) and s = i - j.  It sits in slot n R + r,
+    where r is the rank of s among ``offsets`` (the R offsets present,
+    sorted), and every slot is ``width`` bits, a whole number of bytes:
+
+        value = sum of c 2^(width (n R + r)),   so T = 2^(width R) is t.
+
+    Multiplying by t^m - 1 is ``(value << width R m) - value`` and sums add.
+    Packing is linear and takes a product with a polynomial in t to the
+    product with its value at T, so the int is exact whatever the digits;
+    the polynomial can be read back (:func:`_unpack`) while every digit
+    stays below 2^(width - 1) in absolute value.  ``degree`` bounds n and
+    ``norm`` bounds the sum of |c|.
+    """
+
+    __slots__ = ("value", "width", "offsets", "degree", "norm")
+
+    def __init__(self, value: int, width: int, offsets: tuple[int, ...], degree: int, norm: int):
+        self.value, self.width, self.offsets, self.degree, self.norm = value, width, offsets, degree, norm
 
 
-def _rows_of(poly: BivariatePolynomial) -> Rows:
-    rows: Rows = {}
-    for (i, j), c in poly.items():
-        rows.setdefault(i - j, {})[min(i, j)] = c
-    return rows
+def _width(bound: int) -> int:
+    """The slot width, in whole bytes, that holds signed digits up to bound."""
+    return 8 * ((bound.bit_length() + 8) // 8)
 
 
-def _poly_of(rows: Rows) -> BivariatePolynomial:
-    terms = {}
-    for s, row in rows.items():
-        for k, c in row.items():
-            terms[(k + s, k) if s >= 0 else (k, k - s)] = c
+def _biased_zeros(nb: int, wide: int, slots: int) -> bytes:
+    """slots slots of wide bytes, each holding 2^(8 nb - 1): adding it makes
+    every nb-byte signed digit nonnegative."""
+    return (bytes(nb - 1) + b"\x80" + bytes(wide - nb)) * slots
+
+
+def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int) -> tuple[int, int]:
+    """The packed value of a nonempty {(i, j): c} over the offset ranks, and
+    its largest power of t."""
+    R, nb = len(rank), width // 8
+    top = max(i if i < j else j for i, j in terms)
+    pos = bytearray((top + 1) * R * nb)
+    neg = bytearray(len(pos))
+    for (i, j), c in terms.items():
+        at = ((i if i < j else j) * R + rank[i - j]) * nb
+        if c > 0:
+            pos[at:at + nb] = c.to_bytes(nb, "little")
+        else:
+            neg[at:at + nb] = (-c).to_bytes(nb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), top
+
+
+def _packed(poly: BivariatePolynomial) -> PackedNumerator:
+    """A nonzero polynomial packed wide enough for digits up to its norm."""
+    terms = poly._terms
+    offsets = tuple(sorted({i - j for i, j in terms}))
+    norm = sum(map(abs, terms.values()))
+    width = _width(norm)
+    value, top = _pack(terms, {s: r for r, s in enumerate(offsets)}, width)
+    return PackedNumerator(value, width, offsets, top, norm)
+
+
+def _relayout(p: PackedNumerator, width: int, offsets: tuple[int, ...]) -> int:
+    """p's value with slots of ``width`` bits over ``offsets``, which contain
+    p's own.  The biased digits move as bytes, by strided slice assignment."""
+    if not p.value:
+        return 0
+    nb, wide = p.width // 8, width // 8
+    R, wide_R = len(p.offsets), len(offsets)
+    rows = p.degree + 1
+    data = (p.value + int.from_bytes(_biased_zeros(nb, nb, rows * R), "little")).to_bytes(rows * R * nb, "little")
+    fill = _biased_zeros(nb, wide, rows * wide_R)
+    out = bytearray(fill)
+    rank = {s: r for r, s in enumerate(offsets)}
+    for r, s in enumerate(p.offsets):
+        at = rank[s] * wide
+        for b in range(nb):
+            out[at + b::wide * wide_R] = data[r * nb + b::R * nb]
+    return int.from_bytes(out, "little") - int.from_bytes(fill, "little")
+
+
+# maps every nonzero byte to 1, so that ``find`` locates nonzero slots
+_NONZERO_MARKS = bytes([0] + [1] * 255)
+
+
+def _unpack(p: PackedNumerator) -> BivariatePolynomial:
+    """The polynomial of a packed value whose digits fit its width.
+
+    Adding 2^(width - 1) to every slot and flipping that bit back leaves
+    each digit in two's complement in its own bytes.  Only the slots in runs
+    without 2 slots' worth of zero bytes are read; ``find`` skips the rest
+    at C speed.
+    """
+    terms: dict[ExponentPair, int] = {}
+    if p.value:
+        nb, R, offsets = p.width // 8, len(p.offsets), p.offsets
+        slots = (p.degree + 1) * R
+        bias = int.from_bytes(_biased_zeros(nb, nb, slots), "little")
+        data = ((p.value + bias) ^ bias).to_bytes(slots * nb, "little")
+        marks = data.translate(_NONZERO_MARKS)
+        gap = bytes(2 * nb - 1)  # holds a whole zero slot wherever it starts
+        start = marks.find(1)
+        while start >= 0:
+            end = marks.find(gap, start)
+            if end < 0:
+                end = len(data)
+            n, r = divmod(start // nb, R)
+            for at in range(start - start % nb, end, nb):
+                c = int.from_bytes(data[at:at + nb], "little", signed=True)
+                if c:
+                    s = offsets[r]
+                    terms[(n + s, n) if s >= 0 else (n, n - s)] = c
+                r += 1
+                if r == R:
+                    r, n = 0, n + 1
+            start = marks.find(1, end)
     out = BivariatePolynomial()
     out._terms = terms
     return out
 
 
-def _times_cyclo(rows: Rows, m: int) -> Rows:
-    """rows * ((uv)^m - 1)."""
-    out: Rows = {}
-    for s, row in rows.items():
-        product = {k: -c for k, c in row.items()}
-        for k, c in row.items():
-            acc = product.get(k + m, 0) + c
-            if acc:
-                product[k + m] = acc
-            else:
-                del product[k + m]
-        out[s] = product
-    return out
+def _fold(x: int, w: int) -> int:
+    """x modulo 2^w - 1, in [0, 2^w - 1]: as 2^h = 1 for h a multiple of w,
+    the bits above such an h near the middle are added onto those below,
+    halving the length each time.  No long division."""
+    if x < 0:
+        return ((1 << w) - 1) - _fold(-x, w)
+    n = x.bit_length()
+    while n > w:
+        h = w * ((-(-n // w) + 1) // 2)
+        x = (x >> h) + (x & ((1 << h) - 1))
+        n = x.bit_length()
+    return x
 
 
-def _add_into(acc: Rows, rows: Rows) -> None:
-    for s, row in rows.items():
-        into = acc.get(s)
-        if into is None:
-            acc[s] = dict(row)
-            continue
-        for k, c in row.items():
-            total = into.get(k, 0) + c
-            if total:
-                into[k] = total
-            else:
-                del into[k]
+def _vanishes(x: int, w: int, shifts: Iterable[int]) -> bool:
+    """Whether x times prod (1 - 2^s) over the shifts is 0 modulo 2^w - 1.
+    Modulo 2^w - 1 a multiplication by 2^s rotates w bits."""
+    mask = (1 << w) - 1
+    f = _fold(x, w)
+    for s in shifts:
+        f -= ((f << s) & mask) | (f >> (w - s))
+        if f < 0:
+            f += mask
+    return f == 0 or f == mask
 
 
-def _cyclotomic_root(powers: list[int], coeffs: list[int], k: int, primes: list[int]) -> bool:
-    """Whether Phi_k(t) divides sum_n c_n t^n, given the powers n and the
-    coefficients c_n.
+def _exact_quotient(x: int, w: int) -> int:
+    """x / (2^w - 1) for x divisible by it, without a long division.
 
-    Folded modulo t^k - 1 the polynomial keeps at most one term per residue.
-    In Q[t]/(t^k - 1) the product x = prod_{p | k prime} (1 - t^{k/p})
-    vanishes at every d-th root of unity with d < k (d divides some k/p) and
-    at no primitive k-th one, so the fold times x is zero exactly when the
-    polynomial vanishes at the primitive k-th roots: the cost is
-    O(terms * 2^omega(k)) whatever the degree.
+    2-adically 1 / (2^w - 1) = -(1 + 2^w + 2^2w + ...), and the first 2^i
+    terms are the product of the i factors 1 + 2^(w 2^j), one shift and add
+    each, modulo a power of two that holds the quotient; the result is read
+    balanced.
     """
-    fold: dict[int, int] = {}
-    for n, c in zip(powers, coeffs):
-        r = n % k
-        fold[r] = fold.get(r, 0) + c
-    for p in primes:
-        step = k // p
-        shifted = dict(fold)
-        for r, c in fold.items():
-            r = (r + step) % k
-            shifted[r] = shifted.get(r, 0) - c
-        fold = {r: c for r, c in shifted.items() if c}
-    return not any(fold.values())
+    if not x:
+        return 0
+    size = x.bit_length() - w + 2  # |x / (2^w - 1)| < 2^(size - 1)
+    mask = (1 << size) - 1
+    q = -x & mask
+    s = w
+    while s < size:
+        q = (q + (q << s)) & mask
+        s <<= 1
+    return q - (1 << size) if q >> (size - 1) else q
 
 
-def _reduce(num: BivariatePolynomial, den: CycloProduct) -> tuple[BivariatePolynomial, CycloProduct]:
-    """The unique representation of num / den.
+def _level_bound(x: PackedNumerator, k: int, primes: list[int], level: int) -> int:
+    """A bound on |f_L|_1, f_L = x P^L / (t^k - 1)^L with L = level and
+    P = prod_p (t^(k/p) - 1), and so on every digit of the level-(L + 1)
+    test of Phi_k (see :func:`_reduce`)."""
+    top = x.degree + level * (sum(k // p for p in primes) - k)  # the degree of f_L
+    return x.norm * math.comb(top // k + level, level) << len(primes) * level
+
+
+def _write_back_bound(norm: int, gained: CycloProduct, dropped: CycloProduct, degree: int) -> int:
+    """A bound on the digits of x G / prod_{m dropped} (t^m - 1) for
+    |x|_1 <= norm, G the product of the gained factors and degree that of
+    the result (see :func:`_reduce`)."""
+    bound = norm << len(gained)
+    for m in dropped.factors[1:]:
+        bound *= degree // m + 1
+    return bound
+
+
+def _deeper(x: PackedNumerator, k: int, primes: list[int], limit: int) -> int:
+    """How many more times Phi_k divides x, up to limit, given that it
+    divides once: Phi_k^(L+1) divides x when Phi_k divides f_L, made one
+    level at a time and widened first when the level's bound passes the
+    width (see :func:`_reduce`)."""
+    lift = sum(k // p for p in primes)
+    value, width, degree = x.value, x.width, x.degree
+    for level in range(1, limit + 1):
+        need = _width(_level_bound(x, k, primes, level))
+        if need > width:
+            value = _relayout(PackedNumerator(value, width, x.offsets, degree, 0), need, x.offsets)
+            width = need
+        step = width * len(x.offsets)
+        for p in primes:
+            value = (value << step * (k // p)) - value
+        value = _exact_quotient(value, step * k)
+        degree += lift - k
+        if not _vanishes(value, step * k, [step * k // p for p in primes]):
+            return level - 1
+    return limit
+
+
+def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
+            ) -> tuple[BivariatePolynomial, CycloProduct]:
+    """The unique representation of num / den.  num is a polynomial or the
+    packed value of a formula sum; only the result is unpacked, once.
 
     With t = uv, den = prod_k Phi_k(t)^{e_k}, where e_k counts the factors m
-    that k divides.  The numerator splits by diagonal offset s = i - j into
-    polynomials in t, and Phi_k^r divides the numerator exactly when it
-    divides every one of them, that is when theta^j of each vanishes at the
-    primitive k-th roots of unity for j < r, with theta = t d/dt
-    (:func:`_cyclotomic_root`).  Every Phi_k(uv) is irreducible in Q[u, v],
-    so cancelling the largest such r_k <= e_k leaves the reduced fraction.
-    Its denominator is written back in one pass over k, largest first: with
-    c_k the number of factors already written that k divides,
-    max(0, e_k - c_k - r_k) factors (uv)^k - 1 are written.  So Phi_k is
-    tested at most e_k - c_k levels deep, the levels theta^j made on first
-    use and shared by every k.  The numerator is num times the new factors
-    over the old ones; the divisions are exact
-    (:meth:`BivariatePolynomial.exact_cyclo_quotient`), and no step costs
-    per degree of the denominator, only per term.
+    that k divides.  Every Phi_k(uv) is irreducible in Q[u, v], and Phi_k^r
+    divides the numerator exactly when it divides every row (the terms of
+    one offset s = i - j, a polynomial in t), so cancelling the largest such
+    r_k <= e_k leaves the reduced fraction.  Its denominator is written back
+    in one pass over k, largest first: with c_k the number of factors
+    already written that k divides, max(0, e_k - c_k - r_k) factors
+    (uv)^k - 1 are written, so Phi_k is tested at most e_k - c_k levels
+    deep.  The numerator is num times the new factors over the old ones.
+
+    Every step runs on the packed value x (:class:`PackedNumerator`), where
+    T = 2^(width R) is t and folding modulo T^k - 1 folds every row modulo
+    t^k - 1 at once.  The int operations are exact at any width; a width
+    only decides whether digits can be read back, so the bounds below say
+    when it must grow, and a value is widened (:func:`_relayout`) only while
+    its own digits are known to fit.  With norm >= |x|_1:
+
+    * Level 1.  Modulo t^k - 1, y = prod_{p | k prime} (1 - t^{k/p})
+      vanishes at every d-th root of unity with d | k, d < k, and at no
+      primitive k-th one, so Phi_k divides a row f exactly when f y = 0
+      modulo t^k - 1.  The 2^omega(k) terms of y have exponents distinct
+      modulo k (two subsets of the k/p differ by k times a sum of +-1/p,
+      never an integer), so each digit of f y modulo t^k - 1 is a signed
+      sum of distinct residue-class sums of f, at most |f|_1 <= norm.
+      While norm < 2^(width - 1) those digits are determined by x y modulo
+      2^(width R k) - 1, and the test is whether that residue is 0
+      (:func:`_vanishes`).  The width of a sum
+      (:func:`common_denominator_sum`) is chosen for exactly this.
+    * Level L + 1.  Given Phi_k^L | f, the polynomial
+      f_L = f P^L / (t^k - 1)^L with P = prod_p (t^{k/p} - 1) is divisible
+      by Phi_k exactly when Phi_k^(L+1) divides f: P holds every Phi_d with
+      d | k except Phi_k.  By 1 / (t^k - 1)^L = (-1)^L sum_n C(n + L - 1,
+      L - 1) t^{kn}, |f_L|_1 <= |f P^L|_1 C(D + L, L) with
+      D = deg(f_L) // k, and |f P^L|_1 <= 2^(omega L) norm; a digit of the
+      level test is again at most |f_L|_1 (:func:`_level_bound`).  f_L is
+      made from f_(L-1), whose digits are within the previous level's
+      bound, by shift-subtracts and one exact division, after widening
+      f_(L-1) when this bound passes the width (:func:`_deeper`).
+    * Write-back.  The numerator x G / prod_{m dropped} (t^m - 1), with G
+      the product of the gained factors, is x G sum_n p(n) t^n up to sign,
+      where p(n) counts the ways to write n as a sum of dropped m's.  So its
+      coefficients are at most 2^|gained| norm max_{n <= deg} p(n), and
+      p(n) <= prod over the dropped m but the smallest of (deg // m + 1)
+      (:func:`_write_back_bound`).  x is widened first when that bound
+      passes its width.
+
+    Each step is a few int operations, linear in the packed size.
     """
-    if not num:
+    if not den:
+        return (_unpack(num) if isinstance(num, PackedNumerator) else num), CycloProduct()
+    if not isinstance(num, PackedNumerator):
+        if not num:
+            return BivariatePolynomial(), CycloProduct()
+        num = _packed(num)
+    if not num.value:
         return BivariatePolynomial(), CycloProduct()
+    counts = den._counts()
     exponents: dict[int, int] = {}
-    for m, n in den._counts().items():
+    for m, n in counts.items():
         for k in _divisors(m):
             exponents[k] = exponents.get(k, 0) + n
-    rows = sorted(_rows_of(num).values(), key=len)  # short rows refute soonest
-    powers = [list(row) for row in rows]
-    levels = [[list(row.values()) for row in rows]]  # theta^j of the rows
+    step = num.width * len(num.offsets)
+    folds: dict[int, int] = {}  # x modulo T^m - 1 per factor m, folded on for every k | m
     factors: list[int] = []
     for k in sorted(exponents, reverse=True):
         depth = exponents[k]  # e_k - c_k: each written factor uses up its Phi_d
         if depth <= 0:
             continue
+        m = min(f for f in counts if f % k == 0)
+        if m not in folds:
+            folds[m] = _fold(num.value, step * m)
         primes = _prime_factors(k)
-        for level in range(depth):
-            if level == len(levels):
-                levels.append([[c * n for n, c in zip(ns, cs)] for ns, cs in zip(powers, levels[-1])])
-            if not all(_cyclotomic_root(ns, cs, k, primes) for ns, cs in zip(powers, levels[level])):
-                break
-            depth -= 1
+        if _vanishes(folds[m], step * k, [step * k // p for p in primes]):
+            depth -= 1 + _deeper(num, k, primes, depth - 1)
         if depth:
             factors += [k] * depth
             for d in _divisors(k):
                 exponents[d] -= depth
     reduced = CycloProduct(factors)
     both = reduced.union(den)
-    gained = both.minus(den)
-    if gained:
-        num = num * gained.polynomial()
-    for m in both.minus(reduced):
-        num = num.exact_cyclo_quotient(m)
-    return num, reduced
+    gained, dropped = both.minus(den), both.minus(reduced)
+    value, width = num.value, num.width
+    degree = num.degree + gained.degree_uv() - dropped.degree_uv()
+    bound = _write_back_bound(num.norm, gained, dropped, degree)
+    need = _width(bound)
+    if need > width:
+        value, width = _relayout(num, need, num.offsets), need
+    step = width * len(num.offsets)
+    for m in gained:
+        value = (value << step * m) - value
+    for m in dropped:
+        value = _exact_quotient(value, step * m)
+    return _unpack(PackedNumerator(value, width, num.offsets, degree, bound)), reduced
 
 
-def common_denominator_sum(terms: Iterable[tuple[BivariatePolynomial, Iterable[int]]]
-                           ) -> tuple[BivariatePolynomial, CycloProduct]:
-    """The sum of num / prod_{m in factors} ((uv)^m - 1) over (num, factors)
-    pairs as (numerator, common denominator), not cancelled: cancel it once
+def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, CycloProduct]:
+    """The sum of num prod_{g in gains} ((uv)^g - 1) / prod_{m in factors}
+    ((uv)^m - 1) over (num, factors) or (num, factors, gains) terms, as
+    (packed numerator, common denominator), not cancelled: cancel it once
     (``StringyRational(*sum)``), not after every addition.
 
     The common denominator takes every m with its largest multiplicity in
-    any term; each numerator is multiplied by the factors its own lacks, one
-    distinct m at a time, merging first the partial sums that lack the same
-    factors among the m still to come, so a factor shared by many cofactors
-    is multiplied once into their sum.
+    any term; each numerator is multiplied by its gains and by the factors
+    its own denominator lacks, one distinct m at a time, merging first the
+    partial sums that still need the same factors among the m to come, so a
+    factor shared by many terms is multiplied once into their sum.
+
+    All of it runs on one packed layout (:class:`PackedNumerator`): the
+    offsets of every term, and a width that holds
+    norm = sum over terms of |num|_1 2^(number of factors multiplied in)
+    plus a sign bit.  norm bounds |sum|_1 and every partial sum's, so this
+    width holds every digit of the sum and every level-1 test of
+    :func:`_reduce`.
     """
-    groups: dict[CycloProduct, Rows] = {}
-    for num, factors in terms:
-        _add_into(groups.setdefault(_coerce_cyclo(factors), {}), _rows_of(num))
-    common = CycloProduct()
-    for key in groups:
-        common = common.union(key)
-    distinct = sorted(set(common))
-    pending: dict[tuple[int, ...], Rows] = {}
-    for key, part in groups.items():
-        counts = common.minus(key)._counts()
-        _add_into(pending.setdefault(tuple(counts.get(m, 0) for m in distinct), {}), part)
+    counted: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
+    entries = []
+    for num, factors, *gains in terms:
+        key = (tuple(factors), tuple(gains[0]) if gains else ())
+        if key not in counted:
+            counted[key] = (CycloProduct(key[0])._counts(), CycloProduct(key[1])._counts())
+        if num:
+            entries.append((key, num._terms))
+    largest: dict[int, int] = {}
+    for counts, _ in counted.values():
+        for m, n in counts.items():
+            if n > largest.get(m, 0):
+                largest[m] = n
+    common = CycloProduct(m for m, n in largest.items() for _ in range(n))
+    if not entries:
+        return PackedNumerator(0, 8, (), 0, 0), common
+    distinct = sorted(set(largest).union(*(g for _, g in counted.values())))
+    index = {m: k for k, m in enumerate(distinct)}
+    base = [largest.get(m, 0) for m in distinct]
+    needs = {}  # per key, how often each distinct m is multiplied in
+    for key, (counts, g) in counted.items():
+        row = base.copy()
+        for m, n in counts.items():
+            row[index[m]] -= n
+        for m, n in g.items():
+            row[index[m]] += n
+        needs[key] = tuple(row)
+    offsets = tuple(sorted({i - j for _, table in entries for i, j in table}))
+    rank = {s: r for r, s in enumerate(offsets)}
+    norm = sum(sum(map(abs, table.values())) << sum(needs[key]) for key, table in entries)
+    width = _width(norm)
+    step = width * len(offsets)
+    pending: dict[tuple[int, ...], int] = {}
+    degree = 0
+    for key, table in entries:
+        at = needs[key]
+        value, top = _pack(table, rank, width)
+        degree = max(degree, top + sum(m * n for m, n in zip(distinct, at)))
+        pending[at] = pending.get(at, 0) + value
     for m in distinct:
-        merged: dict[tuple[int, ...], Rows] = {}
-        for lacking, part in pending.items():
-            for _ in range(lacking[0]):
-                part = _times_cyclo(part, m)
-            into = merged.get(lacking[1:])
-            if into is None:
-                merged[lacking[1:]] = part  # every pending map is owned here
-            else:
-                _add_into(into, part)
+        merged: dict[tuple[int, ...], int] = {}
+        for at, part in pending.items():
+            for _ in range(at[0]):
+                part = (part << step * m) - part
+            merged[at[1:]] = merged.get(at[1:], 0) + part
         pending = merged
-    return _poly_of(pending.get((), {})), common
+    return PackedNumerator(pending.get((), 0), width, offsets, degree, norm), common
 
 
 def same_value(x: tuple, y: tuple) -> bool:
     """Whether (numerator, denominator) pairs x and y, cancelled or not, are
-    one rational function: x - y over the union of the denominators is 0."""
-    if x[1] == y[1]:
-        return x[0] == y[0]  # one denominator: compare term by term
-    return not common_denominator_sum([x, (-y[0], y[1])])[0]
+    one rational function: each numerator times the factors of the union of
+    the denominators that its own lacks, compared as ints over one packed
+    layout wide enough for both products."""
+    packed = []
+    for num, den in (x, y):
+        if not isinstance(num, PackedNumerator):
+            num = _packed(num) if num else PackedNumerator(0, 8, (), 0, 0)
+        packed.append((num, _coerce_cyclo(den)))
+    (a, da), (b, db) = packed
+    both = da.union(db)
+    ga, gb = both.minus(da), both.minus(db)
+    width = max(a.width, b.width, _width(a.norm << len(ga)), _width(b.norm << len(gb)))
+    offsets = a.offsets if a.offsets == b.offsets else tuple(sorted(set(a.offsets) | set(b.offsets)))
+    step = width * len(offsets)
+    values = []
+    for p, gain in ((a, ga), (b, gb)):
+        value = p.value if (p.width, p.offsets) == (width, offsets) else _relayout(p, width, offsets)
+        for m in gain:
+            value = (value << step * m) - value
+        values.append(value)
+    return values[0] == values[1]
 
 
 def _coerce_rational(value) -> Union[StringyRational, None]:
@@ -891,10 +1098,13 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     expansion is O(groups * factors * horizon); a convolution with the
     inverse series would cost O(terms * horizon / m) per factor, with the
     number of terms itself growing with the horizon.  The result is
-    independent of factor order.
+    independent of factor order.  A polynomial is only truncated, at a cost
+    per term.
     """
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
         raise ValueError(f"horizon must be a nonnegative int, got {horizon!r}")
+    if not x.denominator:
+        return TruncatedBiseries(horizon, {(i, j): c for (i, j), c in x.numerator.items() if i + j <= horizon})
     classes: dict[int, list[int]] = {}
     for (i, j), c in x.numerator.items():
         if i + j > horizon:
@@ -918,6 +1128,17 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     out = TruncatedBiseries(horizon)
     out._coeffs = coeffs
     return out
+
+
+def series_size(x: StringyRational, horizon: int) -> int:
+    """How many coefficients :func:`expand_rational` computes for x to the
+    horizon: (horizon - |s|) // 2 + 1 for every offset s = i - j of the
+    numerator's terms within the horizon, or one per such term when x is a
+    polynomial."""
+    inside = [(i, j) for i, j in x.numerator.support() if i + j <= horizon]
+    if not x.denominator:
+        return len(inside)
+    return sum((horizon - abs(s)) // 2 + 1 for s in {i - j for i, j in inside})
 
 
 # Python refuses int <-> decimal str conversions past a digit limit (4300 by

@@ -37,11 +37,25 @@ SUBSET_WALK_BUDGET = 2 ** 12
 # ``exponent-cost`` finding.
 EXPONENT_BUDGET = 2 ** 14
 
-# A discrepancy a puts the factor (uv)^{a+1} - 1 into the denominator, and
-# the cancellation enumerates the divisors of a + 1 by trial division, at a
-# cost growing as sqrt(a + 1); inputs with a + 1 above this budget are
-# refused with a ``discrepancy-cost`` finding.
-DISCREPANCY_BUDGET = 2 ** 32
+# A discrepancy a != 0 puts the factor (uv)^{a+1} - 1 into the formulas'
+# denominators, so the sum of a + 1 over those components bounds the degree
+# of either formula's common denominator.  The formulas run on numerators
+# packed densely in the powers of uv, so time and memory grow with that
+# degree; tables whose sum exceeds this budget are refused with a
+# ``discrepancy-cost`` finding.
+DISCREPANCY_BUDGET = 2 ** 18
+
+# The packed numerators hold one slot per offset i - j present in the tables
+# and per power of uv up to the largest one in them plus the denominator's
+# degree; tables whose packed numerators would span more slots are refused
+# with a ``packed-size-cost`` finding.
+PACKED_SLOT_BUDGET = 2 ** 22
+
+# Expanding E_st to a horizon h computes (h - |s|) // 2 + 1 coefficients for
+# every offset s = i - j of its numerator (``exact_poly.series_size``), and
+# prints the nonzero ones; a series over this many coefficients is refused
+# as an input error before any is computed.
+SERIES_BUDGET = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -279,10 +293,18 @@ def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Findi
             findings.append(Finding("error", "bad-discrepancy",
                                     f"discrepancy of {label!r} must be an integer >= 0, got {a!r}",
                                     label))
-        elif a + 1 > DISCREPANCY_BUDGET:
-            findings.append(Finding("error", "discrepancy-cost",
-                                    f"discrepancy of {label!r} plus one exceeds the budget of "
-                                    f"{DISCREPANCY_BUDGET}", label))
+
+    degree = 0  # of the common denominators, at most
+    for comp in cfg.components:
+        a = comp.discrepancy
+        if isinstance(a, int) and not isinstance(a, bool) and a > 0:
+            degree += a + 1
+            if degree > DISCREPANCY_BUDGET:
+                findings.append(Finding("error", "discrepancy-cost",
+                                        f"the sum of a + 1 over the components with a != 0 passes "
+                                        f"the budget of {DISCREPANCY_BUDGET} at {comp.label!r}",
+                                        str(comp.label)))
+                break
 
     if len(cfg.components) > max_components:
         findings.append(Finding("error", "too-many-components",
@@ -319,6 +341,16 @@ def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Findi
             findings.append(Finding("error", "exponent-cost",
                                     f"polynomial of {name} has an exponent over the budget of "
                                     f"{EXPONENT_BUDGET}", name))
+
+    if not any(f.code in ("exponent-cost", "discrepancy-cost") for f in findings):
+        pairs = [pair for h in (cfg.ambient, *cfg.strata.values()) for pair in h.poly.support()]
+        offsets = len({i - j for i, j in pairs})
+        powers = max((min(pair) for pair in pairs), default=0) + degree + 1
+        if offsets * powers > PACKED_SLOT_BUDGET:
+            findings.append(Finding("error", "packed-size-cost",
+                                    f"the formulas' packed numerators span {offsets} offsets i - j times "
+                                    f"{powers} powers of uv, over the budget of {PACKED_SLOT_BUDGET} slots",
+                                    ""))
 
     if cfg.singular_locus is not None and not cfg.singular_locus.poly.is_zero:
         if cfg.singular_locus.poly != BivariatePolynomial.constant(

@@ -239,6 +239,21 @@ class TestPreparedConfig:
         assert code == 0
         assert len(cancelled) == 1
 
+    def test_compute_unpacks_once(self, run, monkeypatch):
+        # the numerator stays packed from the formula sums through the
+        # agreement check and the cancellation; only E_st is unpacked
+        unpacked = []
+        real_unpack = exact_poly._unpack
+
+        def counting_unpack(packed):
+            unpacked.append(packed.width)
+            return real_unpack(packed)
+
+        monkeypatch.setattr(exact_poly, "_unpack", counting_unpack)
+        code, _, _ = run("compute", E6)
+        assert code == 0
+        assert len(unpacked) == 1
+
     def test_disagreeing_formulas_are_reported(self, run, monkeypatch):
         # a broken conversion: the open table gains a term, so E_open is wrong
         real_converted = resolution._converted
@@ -588,6 +603,54 @@ class TestErrors:
         assert code == 2
         bad, good = parse_json_documents(out)
         assert bad["exit_code"] == 2 and f"error: {finding} [" in bad["error"]
+        assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
+
+    def test_discrepancy_sum_is_refused_up_front(self, run, tmp_path):
+        # each a + 1 is below 2^32, but together they would put a
+        # denominator of degree about 2^34 into the packed formulas
+        (tmp_path / "wide.json").write_text(json.dumps({
+            "dimension": 1, "ambient": [[0, 0, 1], [1, 1, 1]],
+            "components": [{"label": f"E{k}", "discrepancy": 2 ** 32 - 1 - k} for k in range(4)],
+            "strata_convention": "closed", "strata": {f"E{k}": [[0, 0, 1]] for k in range(4)},
+        }))
+        shutil.copy(NODE, tmp_path)
+        started = time.perf_counter()
+        code, out, _ = run("compute", str(tmp_path), "--format", "json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        good, bad = parse_json_documents(out)
+        assert bad["exit_code"] == 2 and "error: discrepancy-cost [" in bad["error"]
+        assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
+
+    def test_far_apart_offsets_stay_cheap(self, run, tmp_path):
+        # terms at (2^14, 0), (0, 2^14) and (2^14, 2^14): the packed layout
+        # keeps one slot per offset present, not one per offset in between
+        at = resolution.EXPONENT_BUDGET
+        table = [[0, 0, 1], [at, 0, 1], [0, at, 1], [at, at, 1]]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "ambient": table,
+            "components": [{"label": "A", "discrepancy": 1}, {"label": "B", "discrepancy": 2}],
+            "strata_convention": "closed", "strata": {"A": table, "B": [[0, 0, 1]], "A,B": [[0, 0, 1]]},
+        }))
+        started = time.perf_counter()
+        code, out, _ = run("compute", str(path), "--format", "json")
+        assert time.perf_counter() - started < 0.5
+        assert code == 0
+        assert json.loads(out)["agree"] is True
+
+    @pytest.mark.parametrize("argv", [("compute",), ("check", "--nonneg")])
+    def test_costly_series_is_refused_up_front(self, run, tmp_path, argv):
+        # E6 expands over 10^6 coefficients at this horizon; the node is a
+        # polynomial, whose series is its truncation
+        shutil.copy(E6, tmp_path)
+        shutil.copy(NODE, tmp_path)
+        started = time.perf_counter()
+        code, out, _ = run(argv[0], str(tmp_path), *argv[1:], "--horizon", "2000000", "--format", "json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        bad, good = parse_json_documents(out)
+        assert bad["exit_code"] == 2 and bad["error"].startswith("series-cost: ")
         assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
 
     def test_negative_horizon(self, run):

@@ -372,8 +372,9 @@ class TestFormulaEquivalence:
         assert elapsed < 1.0, f"compute on 16 components took {elapsed:.3f}s"
 
     def test_large_discrepancies_stay_sparse(self):
-        # Denominators of degree 10^5: the reduction works per term, never
-        # per degree, so this takes milliseconds.
+        # Denominators of degree 10^5: the packed reduction is a few int
+        # operations per step, per degree only at C speed, so this takes
+        # milliseconds.
         components = [Component("A", 10 ** 5), Component("B", 3), Component("C", 5)]
         strata = {("A",): hd({(0, 0): 1, (1, 1): 1}, 2),
                   ("B",): hd({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}, 2),

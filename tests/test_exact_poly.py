@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stringy import exact_poly
 from stringy.exact_poly import (
     BivariatePolynomial,
     CycloProduct,
@@ -22,7 +23,9 @@ from stringy.exact_poly import (
 
 from oracles import (
     binomial_series_check,
+    cyclo_dict,
     cyclotomic,
+    dict_add,
     dict_mul,
     divide_by_t_poly,
     long_divide_by_cyclo,
@@ -277,6 +280,24 @@ def _phi_multiplicity(num, k, cap):
     return count
 
 
+def _write_back(terms, dens):
+    """The reduced denominator by the write-back rule applied to the full
+    multiplicities, counted by the oracle."""
+    left = {}
+    for k in range(1, max(dens, default=0) + 1):
+        e_k = sum(1 for m in dens if m % k == 0)
+        if e_k:
+            left[k] = e_k - _phi_multiplicity(terms, k, e_k)
+    written = []
+    while any(left.values()):
+        m = max(k for k, e in left.items() if e)
+        for d in range(1, m + 1):
+            if m % d == 0 and left.get(d):
+                left[d] -= 1
+        written.append(m)
+    return sorted(written)
+
+
 rationals = st.tuples(term_dicts, st.lists(cyclo_m, max_size=3))
 
 
@@ -341,21 +362,8 @@ class TestCanonicalForm:
         # largest k left and use up one Phi_d for every d | k.
         dens = [m for m, n in repeated for _ in range(n)][:6]
         numerator = BivariatePolynomial(num) * CycloProduct(cancelling).polynomial()
-        terms = dict(numerator.items())
-        left = {}
-        for k in range(1, 13):
-            e_k = sum(1 for m in dens if m % k == 0)
-            if e_k:
-                left[k] = e_k - _phi_multiplicity(terms, k, e_k)
-        expected = []
-        while any(left.values()):
-            m = max(k for k, e in left.items() if e)
-            for d in range(1, m + 1):
-                if m % d == 0 and left.get(d):
-                    left[d] -= 1
-            expected.append(m)
         x = StringyRational(numerator, dens)
-        assert x.denominator.factors == tuple(sorted(expected))
+        assert list(x.denominator.factors) == _write_back(dict(numerator.items()), dens)
 
     @given(term_dicts, st.lists(cyclo_m, max_size=3), st.lists(cyclo_m, max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -411,6 +419,127 @@ class TestCanonicalForm:
         assert sympy.expand(n_out * q - p * d_out) == 0
         reduced = sympy.quo(d_out, sympy.gcd(n_out, d_out), t)
         assert sympy.Poly(reduced, t).monic() == sympy.Poly(q, t).monic()
+
+
+def _near_width(nbytes):
+    # digits on either side of the largest one a slot of nbytes bytes holds
+    return st.integers(min_value=-4, max_value=3).map(lambda r: 2 ** (8 * nbytes - 1) + r)
+
+
+signed_coeffs = st.one_of(
+    coeffs,
+    st.tuples(st.integers(min_value=1, max_value=9).flatmap(_near_width), st.sampled_from([1, -1]))
+    .map(lambda cs: cs[0] * cs[1]),
+)
+
+
+@st.composite
+def kernel_dicts(draw, max_size=6):
+    """Terms with negative and near-width coefficients, one of them in the
+    top slot: the largest power of uv at the largest offset."""
+    terms = draw(st.dictionaries(st.tuples(exponents, exponents), signed_coeffs, max_size=max_size))
+    terms[(16, 8)] = draw(signed_coeffs)
+    return terms
+
+
+def _oracle_value(num, den, factors):
+    """num * prod(factors) / prod(den) by the oracle's long division."""
+    out = dict(num)
+    for m in factors:
+        out = dict_mul(out, cyclo_dict(m))
+    for m in den:
+        out, rem = long_divide_by_cyclo(out, m)
+        assert not rem
+    return out
+
+
+class TestPackedKernel:
+    # The packed arithmetic against the dict oracles, on inputs that stress
+    # the layout: negative digits, the top slot, digits next to the slot
+    # width, and quotients that outgrow the width of the sum.
+
+    @given(kernel_dicts(max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_pack_round_trip(self, terms):
+        poly = BivariatePolynomial(terms)
+        assert exact_poly._unpack(exact_poly._packed(poly)) == poly
+
+    @given(st.lists(st.tuples(kernel_dicts(max_size=4), st.lists(cyclo_m, max_size=3),
+                              st.lists(cyclo_m, max_size=2)), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_matches_oracle(self, terms):
+        packed, common = common_denominator_sum([(P(n), den, gains) for n, den, gains in terms])
+        largest = {}
+        for _, den, _ in terms:
+            for m in set(den):
+                largest[m] = max(largest.get(m, 0), den.count(m))
+        assert common.factors == tuple(sorted(m for m, n in largest.items() for _ in range(n)))
+        expected = {}
+        for n, den, gains in terms:
+            lacking = CycloProduct(common).minus(CycloProduct(den))
+            expected = dict_add(expected, _oracle_value(n, (), list(lacking) + gains))
+        assert dict(exact_poly._unpack(packed).items()) == expected
+
+    @given(kernel_dicts(max_size=4), st.lists(st.integers(min_value=1, max_value=12), max_size=4),
+           st.lists(st.integers(min_value=1, max_value=12), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_matches_oracle(self, terms, dens, cancelling):
+        numerator = _oracle_value(terms, (), cancelling)
+        dens = dens + cancelling
+        x = StringyRational(P(numerator), dens)
+        assert list(x.denominator.factors) == _write_back(numerator, dens)
+        assert dict(x.numerator.items()) == _oracle_value(numerator, dens, x.denominator.factors)
+
+    @given(kernel_dicts(max_size=4), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=2, max_value=60))
+    @settings(max_examples=40, deadline=None)
+    def test_growth_past_the_sum_width(self, q, j, L):
+        # q (t^L - 1)^j / (t - 1)^j = q (1 + t + ... + t^(L-1))^j: the
+        # quotient's digits grow like L^(j-1) past the width of the input
+        numerator = _oracle_value(q, (), [L] * j)
+        x = StringyRational(P(numerator), [1] * j)
+        assert not x.denominator
+        assert dict(x.numerator.items()) == _oracle_value(numerator, [1] * j, ())
+
+    def test_growth_widens(self, monkeypatch):
+        widened = []
+        real = exact_poly._relayout
+
+        def counting(p, width, offsets):
+            widened.append((p.width, width))
+            return real(p, width, offsets)
+
+        monkeypatch.setattr(exact_poly, "_relayout", counting)
+        numerator = _oracle_value({(1, 0): 1, (0, 0): -1}, (), [40] * 5)
+        x = StringyRational(P(numerator), [1] * 5)
+        assert widened and all(new > old for old, new in widened)
+        assert dict(x.numerator.items()) == _oracle_value(numerator, [1] * 5, ())
+
+    @given(st.dictionaries(st.tuples(exponents, exponents), coeffs, min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=12), st.integers(min_value=2, max_value=12),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_level_bound_holds(self, q, k, M, L):
+        # f = q (t^(kM) - 1)^L is divisible by Phi_k^L, and each
+        # f_l = f P^l / (t^k - 1)^l folds to about M^l times |q|_1
+        f = _oracle_value(q, (), [k * M] * L)
+        packed = exact_poly._packed(P(f))
+        primes = exact_poly._prime_factors(k)
+        for level in range(1, L + 1):
+            f_l = _oracle_value(f, [k] * level, [k // p for p in primes] * level)
+            assert sum(map(abs, f_l.values())) <= exact_poly._level_bound(packed, k, primes, level)
+
+    @given(kernel_dicts(max_size=6), cyclo_m, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_matches_long_division(self, terms, m, divisible):
+        if divisible:
+            terms = dict_mul(terms, cyclo_dict(m))
+        q = P(terms).exact_cyclo_quotient(m)
+        oq, orem = long_divide_by_cyclo(terms, m)
+        if orem:
+            assert q is None
+        else:
+            assert q is not None and dict(q.items()) == oq
 
 
 class TestSeries:

@@ -292,6 +292,30 @@ class TestValidateLenient:
         singular = within.replace(singular_locus=hd({(at + 1, at + 1): 1}))
         assert [f.location for f in validate(singular).errors] == ["singular_locus"]
 
+    def test_discrepancy_budget_bounds_the_sum(self):
+        # the budget bounds the common denominator's degree, the sum of
+        # a + 1 over the components with a != 0
+        half = DISCREPANCY_BUDGET // 2
+        cfg = ResolutionConfig(1, hd({(0, 0): 1, (1, 1): 1}),
+                               [Component("A", half - 1), Component("B", half - 1), Component("C", 0)],
+                               "closed", {("A",): hd({(0, 0): 1}), ("B",): hd({(0, 0): 1})})
+        assert validate(cfg).accepted
+        over = cfg.replace(components=[Component("A", half - 1), Component("B", half), Component("C", 0)])
+        assert [(f.code, f.location) for f in validate(over).errors] == [("discrepancy-cost", "B")]
+
+    def test_packed_size_budget(self):
+        # offsets i - j present times powers of uv: 2 * 64 + 1 offsets with a
+        # denominator of degree 2^15 pass 2^22 slots, 2 * 8 + 1 do not
+        def fan(n):
+            terms = {(0, 0): 1}
+            for k in range(1, n + 1):
+                terms[(k, 0)] = terms[(0, k)] = 1
+            return hd(terms)
+
+        cfg = ResolutionConfig(1, fan(8), [Component("A", 2 ** 15 - 1)], "closed", {("A",): hd({(0, 0): 1})})
+        assert validate(cfg).accepted
+        assert [f.code for f in validate(cfg.replace(ambient=fan(64))).errors] == ["packed-size-cost"]
+
     def test_unused_component_is_warning(self):
         cfg = ResolutionConfig(3, projective_space(3), [Component("A", 1)], "closed", {})
         report = validate(cfg)
