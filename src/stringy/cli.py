@@ -31,7 +31,7 @@ from .engine import (
     is_polynomial,
     local_contribution,
 )
-from .exact_poly import StringyRational, decimal_str, encode_json_int, series_size
+from .exact_poly import PackedSizeError, StringyRational, decimal_str, encode_json_int, series_size
 from .render import (
     polynomial_latex,
     polynomial_text,
@@ -327,6 +327,10 @@ def _run_one(path: Path, args) -> tuple[int, str]:
     except ConfigValidationError as exc:
         code, payload = EXIT_INPUT, {"error": str(exc)}
         out = [f"error: {exc}"]
+    except PackedSizeError as exc:
+        # validation bounds the formula sums; a deeper cancellation test can need wider slots
+        code, payload = EXIT_INPUT, {"error": f"packed-size-cost: {exc}"}
+        out = [f"error: packed-size-cost: {exc}"]
     elapsed_us = (time.perf_counter_ns() - started) // 1000
 
     if args.format == "json":

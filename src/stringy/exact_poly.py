@@ -32,7 +32,9 @@ The central representation choices:
   sum_terms |num|_1 2^(factors multiplied in), plus a sign bit, in whole
   bytes; the deeper cyclotomic tests and the written-back numerator widen
   it only when their own bounds pass it (proofs in :func:`_reduce`).
-  Values with an empty denominator stay sparse.
+  A packed value costs its slots times its width in time and memory, so
+  one over ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
+  it is made.  Values with an empty denominator stay sparse.
 * ``TruncatedBiseries`` holds exact coefficients for all total degrees
   i + j <= horizon and claims nothing beyond it.  ``UnivariateTSeries`` is the
   analogous truncation for series in t alone, indexed by the power of t.
@@ -280,6 +282,9 @@ class BivariatePolynomial:
         2^(width R m) - 1, and the quotient is the exact integer quotient
         (:func:`_exact_quotient`).  The width holds the sum of |c|, which
         bounds every residue-class sum and every quotient coefficient.
+        The packed value has a slot per power of uv up to the degree, so
+        a polynomial whose packed value would pass ``PACKED_BIT_BUDGET``
+        bits raises ``PackedSizeError``.
         """
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"cyclotomic-product exponent must be a positive int, got {m!r}")
@@ -390,6 +395,11 @@ class StringyRational:
     the denominator (see :func:`_reduce`), so equal values have identical
     numerators and denominators: ``__eq__`` compares them term by term and
     equal values hash equal.
+
+    A numerator over a nonempty denominator is reduced packed, with a slot
+    per power of uv up to its degree: one whose packed value would pass
+    ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError``, from the
+    constructor or from a sum over two denominators.
     """
 
     __slots__ = ("_num", "_den")
@@ -507,6 +517,17 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
+# A packed value of S slots of w bits is an int of S w bits, and each step on
+# it takes time linear in that, whatever the degree or the digits that make
+# it up; a value over this many bits is refused (PackedSizeError) before it
+# is made.
+PACKED_BIT_BUDGET = 2 ** 26
+
+
+class PackedSizeError(ValueError):
+    """Raised when a packed numerator would pass ``PACKED_BIT_BUDGET``."""
+
+
 class PackedNumerator:
     """A polynomial in Z[u, v] as one int, by Kronecker substitution.
 
@@ -536,17 +557,29 @@ def _width(bound: int) -> int:
     return 8 * ((bound.bit_length() + 8) // 8)
 
 
+def packed_bits(slots: int, bound: int) -> int:
+    """The size in bits of a packed value of this many slots whose digits
+    are at most bound in absolute value."""
+    return slots * _width(bound)
+
+
+def _check_size(slots: int, width: int) -> None:
+    """Refuse a packed value over the budget before it is made."""
+    if slots * width > PACKED_BIT_BUDGET:
+        raise PackedSizeError(f"a packed numerator of {slots} slots of {width} bits passes the budget "
+                              f"of {PACKED_BIT_BUDGET} bits")
+
+
 def _biased_zeros(nb: int, wide: int, slots: int) -> bytes:
     """slots slots of wide bytes, each holding 2^(8 nb - 1): adding it makes
     every nb-byte signed digit nonnegative."""
     return (bytes(nb - 1) + b"\x80" + bytes(wide - nb)) * slots
 
 
-def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int) -> tuple[int, int]:
-    """The packed value of a nonempty {(i, j): c} over the offset ranks, and
-    its largest power of t."""
+def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int, top: int) -> int:
+    """The packed value of a nonempty {(i, j): c} over the offset ranks,
+    whose largest power of t is top."""
     R, nb = len(rank), width // 8
-    top = max(i if i < j else j for i, j in terms)
     pos = bytearray((top + 1) * R * nb)
     neg = bytearray(len(pos))
     for (i, j), c in terms.items():
@@ -555,7 +588,12 @@ def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int
             pos[at:at + nb] = c.to_bytes(nb, "little")
         else:
             neg[at:at + nb] = (-c).to_bytes(nb, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), top
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _top(terms: Mapping[ExponentPair, int]) -> int:
+    """The largest power of t among the terms."""
+    return max(i if i < j else j for i, j in terms)
 
 
 def _packed(poly: BivariatePolynomial) -> PackedNumerator:
@@ -563,8 +601,9 @@ def _packed(poly: BivariatePolynomial) -> PackedNumerator:
     terms = poly._terms
     offsets = tuple(sorted({i - j for i, j in terms}))
     norm = sum(map(abs, terms.values()))
-    width = _width(norm)
-    value, top = _pack(terms, {s: r for r, s in enumerate(offsets)}, width)
+    width, top = _width(norm), _top(terms)
+    _check_size((top + 1) * len(offsets), width)
+    value = _pack(terms, {s: r for r, s in enumerate(offsets)}, width, top)
     return PackedNumerator(value, width, offsets, top, norm)
 
 
@@ -576,6 +615,7 @@ def _relayout(p: PackedNumerator, width: int, offsets: tuple[int, ...]) -> int:
     nb, wide = p.width // 8, width // 8
     R, wide_R = len(p.offsets), len(offsets)
     rows = p.degree + 1
+    _check_size(rows * wide_R, width)
     data = (p.value + int.from_bytes(_biased_zeros(nb, nb, rows * R), "little")).to_bytes(rows * R * nb, "little")
     fill = _biased_zeros(nb, wide, rows * wide_R)
     out = bytearray(fill)
@@ -681,14 +721,52 @@ def _level_bound(x: PackedNumerator, k: int, primes: list[int], level: int) -> i
     return x.norm * math.comb(top // k + level, level) << len(primes) * level
 
 
-def _write_back_bound(norm: int, gained: CycloProduct, dropped: CycloProduct, degree: int) -> int:
-    """A bound on the digits of x G / prod_{m dropped} (t^m - 1) for
-    |x|_1 <= norm, G the product of the gained factors and degree that of
-    the result (see :func:`_reduce`)."""
-    bound = norm << len(gained)
-    for m in dropped.factors[1:]:
-        bound *= degree // m + 1
-    return bound
+def _write_back_bounds(norm: int, gained: int, order: list[int], degree: int) -> tuple[list[int], int]:
+    """For c_j = x G / prod_{i < j} (t^(m_i) - 1), m_i = order[i], where
+    |x|_1 <= norm, G is a product of ``gained`` factors and degree is that
+    of x G: bounds on |c_j|_1 for j < len(order), and on every coefficient
+    of the last, each provided that c_j is a polynomial (see :func:`_reduce`)."""
+    base = norm << gained
+    sums = []
+    for j, m in enumerate(order):
+        bound = base
+        for f in order[:j]:
+            bound *= degree // f + 1
+        sums.append(bound)
+        degree -= m
+    digit = base
+    for f in order[:-1]:  # all parts but the smallest
+        digit *= degree // f + 1
+    return sums, digit
+
+
+def _write_back(num: PackedNumerator, den: CycloProduct, reduced: CycloProduct,
+                checked: bool) -> Union[PackedNumerator, None]:
+    """num times the factors of reduced over those of den, as a packed value
+    whose digits fit its width.  Unless checked, the quotient must be known
+    to be a polynomial; if checked, each division is tested first and None
+    is returned at the first that is not exact (see :func:`_reduce`)."""
+    both = reduced.union(den)
+    gained, dropped = both.minus(den), both.minus(reduced)
+    order = sorted(dropped, reverse=True)
+    degree = num.degree + gained.degree_uv()
+    sums, digit = _write_back_bounds(num.norm, len(gained), order, degree)
+    value, width = num.value, num.width
+    need = _width(max(sums + [digit]) if checked else digit)
+    slots, wide = (degree + 1) * len(num.offsets), max(need, width)
+    if checked and slots * wide > PACKED_BIT_BUDGET:
+        return None  # a trial is not worth passing the budget for
+    _check_size(slots, wide)
+    if need > width:
+        value, width = _relayout(num, need, num.offsets), need
+    step = width * len(num.offsets)
+    for m in gained:
+        value = (value << step * m) - value
+    for m in order:
+        if checked and not _vanishes(value, step * m, ()):
+            return None
+        value = _exact_quotient(value, step * m)
+    return PackedNumerator(value, width, num.offsets, degree - dropped.degree_uv(), digit)
 
 
 def _deeper(x: PackedNumerator, k: int, primes: list[int], limit: int) -> int:
@@ -761,8 +839,22 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
       where p(n) counts the ways to write n as a sum of dropped m's.  So its
       coefficients are at most 2^|gained| norm max_{n <= deg} p(n), and
       p(n) <= prod over the dropped m but the smallest of (deg // m + 1)
-      (:func:`_write_back_bound`).  x is widened first when that bound
+      (:func:`_write_back_bounds`).  x is widened first when that bound
       passes its width.
+    * Phi_1, last.  By then every other Phi_k is settled, and with the
+      factors written so far the numerator x G / prod_{m dropped} (t^m - 1)
+      is a polynomial exactly when Phi_1 divides x to the full depth
+      e_1 - c_1, since each factor holds Phi_1 once.  So when Phi_1 passes
+      level 1 with more levels to go, that write-back is tried first
+      (:func:`_write_back`, checked): dividing by the largest m first,
+      before each division the quotient so far c_j = x G / prod_{i < j}
+      (t^{m_i} - 1) is a polynomial, its power series has |c_j|_1 <=
+      2^|gained| norm prod_{i < j} (deg(c_j) // m_i + 1), and while that
+      fits the width the residue test of t^{m_j} - 1 is exact.  If a test
+      fails, Phi_1 is tested level by level as above.  A formula sum never
+      keeps a pole at uv = 1 ((uv - 1)/((uv)^{a+1} - 1) has none), so its
+      trial succeeds, and no quotient by (t - 1)^L, whose digits grow like
+      C(deg + L, L), is made.
 
     Each step is a few int operations, linear in the packed size.
     """
@@ -791,26 +883,19 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
             folds[m] = _fold(num.value, step * m)
         primes = _prime_factors(k)
         if _vanishes(folds[m], step * k, [step * k // p for p in primes]):
+            if k == 1 and depth > 1:
+                # the last Phi: try cancelling it to the full depth first
+                reduced = CycloProduct(factors)
+                out = _write_back(num, den, reduced, checked=True)
+                if out is not None:
+                    return _unpack(out), reduced
             depth -= 1 + _deeper(num, k, primes, depth - 1)
         if depth:
             factors += [k] * depth
             for d in _divisors(k):
                 exponents[d] -= depth
     reduced = CycloProduct(factors)
-    both = reduced.union(den)
-    gained, dropped = both.minus(den), both.minus(reduced)
-    value, width = num.value, num.width
-    degree = num.degree + gained.degree_uv() - dropped.degree_uv()
-    bound = _write_back_bound(num.norm, gained, dropped, degree)
-    need = _width(bound)
-    if need > width:
-        value, width = _relayout(num, need, num.offsets), need
-    step = width * len(num.offsets)
-    for m in gained:
-        value = (value << step * m) - value
-    for m in dropped:
-        value = _exact_quotient(value, step * m)
-    return _unpack(PackedNumerator(value, width, num.offsets, degree, bound)), reduced
+    return _unpack(_write_back(num, den, reduced, checked=False)), reduced
 
 
 def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, CycloProduct]:
@@ -830,7 +915,9 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     norm = sum over terms of |num|_1 2^(number of factors multiplied in)
     plus a sign bit.  norm bounds |sum|_1 and every partial sum's, so this
     width holds every digit of the sum and every level-1 test of
-    :func:`_reduce`.
+    :func:`_reduce`.  A sum whose packed value would pass
+    ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before any term
+    is packed.
     """
     counted: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
     entries = []
@@ -864,13 +951,14 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     norm = sum(sum(map(abs, table.values())) << sum(needs[key]) for key, table in entries)
     width = _width(norm)
     step = width * len(offsets)
+    tops = [_top(table) for _, table in entries]
+    degree = max(top + sum(m * n for m, n in zip(distinct, needs[key]))
+                 for top, (key, _) in zip(tops, entries))
+    _check_size((degree + 1) * len(offsets), width)
     pending: dict[tuple[int, ...], int] = {}
-    degree = 0
-    for key, table in entries:
+    for top, (key, table) in zip(tops, entries):
         at = needs[key]
-        value, top = _pack(table, rank, width)
-        degree = max(degree, top + sum(m * n for m, n in zip(distinct, at)))
-        pending[at] = pending.get(at, 0) + value
+        pending[at] = pending.get(at, 0) + _pack(table, rank, width, top)
     for m in distinct:
         merged: dict[tuple[int, ...], int] = {}
         for at, part in pending.items():
@@ -899,6 +987,7 @@ def same_value(x: tuple, y: tuple) -> bool:
     step = width * len(offsets)
     values = []
     for p, gain in ((a, ga), (b, gb)):
+        _check_size((p.degree + gain.degree_uv() + 1) * len(offsets), width)
         value = p.value if (p.width, p.offsets) == (width, offsets) else _relayout(p, width, offsets)
         for m in gain:
             value = (value << step * m) - value

@@ -16,7 +16,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .exact_poly import BivariatePolynomial, decode_json_int, encode_json_int
+from .exact_poly import PACKED_BIT_BUDGET, BivariatePolynomial, decode_json_int, encode_json_int, packed_bits
 from .hodge import HodgeDelignePolynomial, validate_smooth_projective
 from .validation import ConfigFormatError, Finding, ValidationReport
 
@@ -45,11 +45,11 @@ EXPONENT_BUDGET = 2 ** 14
 # ``discrepancy-cost`` finding.
 DISCREPANCY_BUDGET = 2 ** 18
 
-# The packed numerators hold one slot per offset i - j present in the tables
-# and per power of uv up to the largest one in them plus the denominator's
-# degree; tables whose packed numerators would span more slots are refused
-# with a ``packed-size-cost`` finding.
-PACKED_SLOT_BUDGET = 2 ** 22
+# The formula sums are packed with one slot per offset i - j present in the
+# tables and per power of uv up to the largest one in them plus the
+# denominator's degree, each slot as wide as their digits need; tables whose
+# sums could pass ``exact_poly.PACKED_BIT_BUDGET`` bits (see
+# ``_packed_sum_bits``) are refused with a ``packed-size-cost`` finding.
 
 # Expanding E_st to a horizon h computes (h - |s|) // 2 + 1 coefficients for
 # every offset s = i - j of its numerator (``exact_poly.series_size``), and
@@ -277,6 +277,8 @@ def validate(cfg: ResolutionConfig, mode: str = "lenient", *,
 def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Finding, ...]:
     findings: list[Finding] = []
     seen_labels: set[str] = set()
+    degree = 0  # of the common denominators, at most
+    factors = 0  # in the common denominators, at most
     for comp in cfg.components:
         label = comp.label
         if not isinstance(label, str) or not label or "," in label:
@@ -293,18 +295,13 @@ def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Findi
             findings.append(Finding("error", "bad-discrepancy",
                                     f"discrepancy of {label!r} must be an integer >= 0, got {a!r}",
                                     label))
-
-    degree = 0  # of the common denominators, at most
-    for comp in cfg.components:
-        a = comp.discrepancy
-        if isinstance(a, int) and not isinstance(a, bool) and a > 0:
+        elif a and degree <= DISCREPANCY_BUDGET:
             degree += a + 1
+            factors += 1
             if degree > DISCREPANCY_BUDGET:
                 findings.append(Finding("error", "discrepancy-cost",
                                         f"the sum of a + 1 over the components with a != 0 passes "
-                                        f"the budget of {DISCREPANCY_BUDGET} at {comp.label!r}",
-                                        str(comp.label)))
-                break
+                                        f"the budget of {DISCREPANCY_BUDGET} at {label!r}", label))
 
     if len(cfg.components) > max_components:
         findings.append(Finding("error", "too-many-components",
@@ -343,14 +340,11 @@ def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Findi
                                     f"{EXPONENT_BUDGET}", name))
 
     if not any(f.code in ("exponent-cost", "discrepancy-cost") for f in findings):
-        pairs = [pair for h in (cfg.ambient, *cfg.strata.values()) for pair in h.poly.support()]
-        offsets = len({i - j for i, j in pairs})
-        powers = max((min(pair) for pair in pairs), default=0) + degree + 1
-        if offsets * powers > PACKED_SLOT_BUDGET:
+        bits = _packed_sum_bits(cfg, degree, factors)
+        if bits > PACKED_BIT_BUDGET:
             findings.append(Finding("error", "packed-size-cost",
-                                    f"the formulas' packed numerators span {offsets} offsets i - j times "
-                                    f"{powers} powers of uv, over the budget of {PACKED_SLOT_BUDGET} slots",
-                                    ""))
+                                    f"the formulas' packed numerators take up to {bits} bits, over the "
+                                    f"budget of {PACKED_BIT_BUDGET}", ""))
 
     if cfg.singular_locus is not None and not cfg.singular_locus.poly.is_zero:
         if cfg.singular_locus.poly != BivariatePolynomial.constant(
@@ -361,6 +355,27 @@ def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Findi
                                     "singular_locus"))
 
     return tuple(findings)
+
+
+def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
+    """A bound on the size of the formula sums and of the agreement check
+    (``exact_poly.common_denominator_sum``, ``same_value``), given a common
+    denominator of at most this degree and this many factors.
+
+    Slots: the offsets i - j present times the powers of uv up to the
+    largest in the tables plus the degree.  Width: the open strata are
+    signed sums of the closed ones over supersets and the reverse, so the
+    terms of either formula have sum_terms |num|_1 <= |ambient|_1 +
+    2 sum_keys 2^|key| |H_key|_1; every term is multiplied by at most
+    ``factors`` factors (uv)^m - 1 in the sum and as many more in the
+    agreement check, each doubling that bound.
+    """
+    tables = [(0, cfg.ambient.poly)] + [(len(key), h.poly) for key, h in cfg.strata.items()]
+    norm = sum(sum(abs(c) for _, c in p.items()) << (size + 1 if size else 0) for size, p in tables)
+    pairs = [pair for _, p in tables for pair in p.support()]
+    offsets = len({i - j for i, j in pairs})
+    powers = max((min(pair) for pair in pairs), default=0) + degree + 1
+    return packed_bits(offsets * powers, norm << 2 * factors)
 
 
 def _strict_findings(cfg: ResolutionConfig, lenient: ValidationReport) -> tuple[Finding, ...]:

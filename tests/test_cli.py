@@ -622,6 +622,56 @@ class TestErrors:
         assert bad["exit_code"] == 2 and "error: discrepancy-cost [" in bad["error"]
         assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
 
+    def test_wide_coefficients_are_refused_up_front(self, run, tmp_path):
+        # a 10^4-digit coefficient makes every slot about 33 kbit wide, over
+        # 2^18 powers of uv: gigabytes per packed sum
+        (tmp_path / "wide.json").write_text(json.dumps({
+            "dimension": 1, "ambient": [[0, 0, 1], [1, 1, 1]],
+            "components": [{"label": "E", "discrepancy": 2 ** 18 - 2}],
+            "strata_convention": "closed", "strata": {"E": [[0, 0, "9" * 10000]]},
+        }))
+        shutil.copy(NODE, tmp_path)
+        started = time.perf_counter()
+        code, out, _ = run("compute", str(tmp_path), "--format", "json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        good, bad = parse_json_documents(out)
+        assert bad["exit_code"] == 2 and "\n  error: packed-size-cost: " in bad["error"]
+        assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
+
+    def test_packed_size_error_is_an_input_error(self, run, tmp_path, monkeypatch):
+        # validation bounds the formula sums only; a later step that would
+        # pass the budget (here a lowered one, which validation does not
+        # read) refuses its file, and the batch goes on
+        monkeypatch.setattr(exact_poly, "PACKED_BIT_BUDGET", 64)
+        shutil.copy(E6, tmp_path)
+        shutil.copy(NODE, tmp_path)
+        code, out, _ = run("compute", str(tmp_path), "--format", "json")
+        assert code == 2
+        bad, good = parse_json_documents(out)
+        assert bad["exit_code"] == 2 and bad["error"].startswith("packed-size-cost: ")
+        assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
+
+    def test_polynomial_e_st_with_large_discrepancies_stays_cheap(self, run, tmp_path):
+        # six prime a + 1 near 2^14 and tables (uv)^(a+1) - 1: E_st is a
+        # polynomial, so uv - 1 cancels six times from a numerator of
+        # degree about 10^5, without quotients by (uv - 1)^L
+        primes = [16381, 16369, 16363, 16361, 16349, 16339]
+        fan = [[0, 0, 1]] + [[k, 0, 1] for k in range(1, 7)] + [[0, k, 1] for k in range(1, 7)]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "ambient": fan,
+            "components": [{"label": f"E{k}", "discrepancy": m - 1} for k, m in enumerate(primes)],
+            "strata_convention": "closed",
+            "strata": {f"E{k}": [[0, 0, -1], [m, m, 1]] for k, m in enumerate(primes)},
+        }))
+        started = time.perf_counter()
+        code, out, _ = run("compute", str(path), "--format", "json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agree"] is True and doc["e_st"]["den"] == []
+
     def test_far_apart_offsets_stay_cheap(self, run, tmp_path):
         # terms at (2^14, 0), (0, 2^14) and (2^14, 2^14): the packed layout
         # keeps one slot per offset present, not one per offset in between

@@ -9,6 +9,7 @@ from stringy import exact_poly
 from stringy.exact_poly import (
     BivariatePolynomial,
     CycloProduct,
+    PackedSizeError,
     StringyRational,
     TruncatedBiseries,
     UnivariateTSeries,
@@ -482,6 +483,7 @@ class TestPackedKernel:
 
     @given(kernel_dicts(max_size=4), st.lists(st.integers(min_value=1, max_value=12), max_size=4),
            st.lists(st.integers(min_value=1, max_value=12), max_size=3))
+    @example({(1, 1): 1, (0, 0): 2}, [1, 3], [1, 6])  # Phi_1 divides twice of three
     @settings(max_examples=60, deadline=None)
     def test_reduce_matches_oracle(self, terms, dens, cancelling):
         numerator = _oracle_value(terms, (), cancelling)
@@ -528,6 +530,46 @@ class TestPackedKernel:
         for level in range(1, L + 1):
             f_l = _oracle_value(f, [k] * level, [k // p for p in primes] * level)
             assert sum(map(abs, f_l.values())) <= exact_poly._level_bound(packed, k, primes, level)
+
+    def test_packs_past_the_budget_are_refused(self):
+        # a slot per power of uv up to the degree: past the budget the
+        # library refuses before it allocates, not after
+        top = exact_poly.PACKED_BIT_BUDGET  # slots are at least 8 bits wide
+        far = P({(top, top): 1, (0, 0): -1})
+        near = exact_poly._packed(P({(top // 64, top // 64): 1, (0, 0): -1}))
+        started = time.perf_counter()
+        with pytest.raises(PackedSizeError):
+            far.exact_cyclo_quotient(top)
+        with pytest.raises(PackedSizeError):
+            StringyRational(far, (2,))
+        with pytest.raises(PackedSizeError):
+            common_denominator_sum([(far, (2,)), (BivariatePolynomial.one(), (3,))])
+        with pytest.raises(PackedSizeError):  # widening 8-bit slots to 512
+            exact_poly._relayout(near, 512, near.offsets)
+        assert time.perf_counter() - started < 0.5
+
+    def test_uv_minus_one_cancels_without_level_tests(self, monkeypatch):
+        # q prod (t^m - 1) / prod (t^m - 1) over 2^18 powers of uv: Phi_1
+        # divides eight times, and the quotients by (t - 1)^L of the level
+        # tests would need slots of about 16 + 17 L bits
+        deeper = []
+        real = exact_poly._deeper
+
+        def counting(x, k, primes, limit):
+            deeper.append((k, limit))
+            return real(x, k, primes, limit)
+
+        monkeypatch.setattr(exact_poly, "_deeper", counting)
+        ms = [32749, 32719, 32717, 32713, 32707, 32693, 32687, 32653]
+        q = P({(0, 0): 1, **{(k, 0): 1 for k in range(1, 5)}, **{(0, k): 1 for k in range(1, 5)}})
+        numerator = q
+        for m in ms:
+            numerator = numerator * BivariatePolynomial.cyclo_factor(m)
+        started = time.perf_counter()
+        x = StringyRational(numerator, ms)
+        assert time.perf_counter() - started < 0.5
+        assert x.is_polynomial and x.numerator == q
+        assert sorted(deeper) == [(m, 0) for m in sorted(ms)]  # none for Phi_1
 
     @given(kernel_dicts(max_size=6), cyclo_m, st.booleans())
     @settings(max_examples=60, deadline=None)

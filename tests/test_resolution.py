@@ -304,8 +304,10 @@ class TestValidateLenient:
         assert [(f.code, f.location) for f in validate(over).errors] == [("discrepancy-cost", "B")]
 
     def test_packed_size_budget(self):
-        # offsets i - j present times powers of uv: 2 * 64 + 1 offsets with a
-        # denominator of degree 2^15 pass 2^22 slots, 2 * 8 + 1 do not
+        # offsets i - j present times powers of uv times the slot width the
+        # sums need: 2 * 8 + 1 offsets with a denominator of degree 2^15 fit
+        # in 8-bit slots; 2 * 128 + 1 offsets at degree 2^16 do not fit the
+        # budget, nor does one coefficient of 10^4 digits at degree 2^15
         def fan(n):
             terms = {(0, 0): 1}
             for k in range(1, n + 1):
@@ -314,7 +316,10 @@ class TestValidateLenient:
 
         cfg = ResolutionConfig(1, fan(8), [Component("A", 2 ** 15 - 1)], "closed", {("A",): hd({(0, 0): 1})})
         assert validate(cfg).accepted
-        assert [f.code for f in validate(cfg.replace(ambient=fan(64))).errors] == ["packed-size-cost"]
+        cases = [cfg.replace(ambient=fan(128), components=[Component("A", 2 ** 16 - 1)]),
+                 cfg.replace(strata={("A",): hd({(0, 0): 10 ** 10000})})]
+        for over in cases:
+            assert [f.code for f in validate(over).errors] == ["packed-size-cost"]
 
     def test_unused_component_is_warning(self):
         cfg = ResolutionConfig(3, projective_space(3), [Component("A", 1)], "closed", {})
