@@ -26,13 +26,19 @@ from .exact_poly import (
     BivariatePolynomial,
     StringyRational,
     TruncatedBiseries,
-    UnivariateTSeries,
     common_denominator_sum,
     decimal_str,
     expand_rational,
     same_value,
 )
-from .hodge import DiamondViolation, HodgeDiamond, diamond_from_polynomial
+from .hodge import (
+    DiamondViolation,
+    HodgeDiamond,
+    diamond_from_polynomial,
+    mirror_mismatches,
+    swap,
+    with_mirrors,
+)
 from .resolution import (
     ResolutionConfig,
     convert_strata,
@@ -174,17 +180,15 @@ def check_duality(x: StringyRational, d: int) -> CheckOutcome:
     num = x.numerator
     shift = d + x.denominator.degree_uv()
     sign = -1 if len(x.denominator) % 2 else 1
-    candidates = set(num.support())
-    for (i, j) in num.support():
-        candidates.add((shift - i, shift - j))
-    for (i, j) in sorted(candidates, key=lambda ij: (ij[0] + ij[1], ij[0], ij[1])):
-        here = num.coefficient(i, j) if i >= 0 and j >= 0 else 0
-        mi, mj = shift - i, shift - j
-        there = num.coefficient(mi, mj) if mi >= 0 and mj >= 0 else 0
-        if here != sign * there:
-            return CheckOutcome(False, (i, j),
-                                f"coefficient {decimal_str(here)} at ({i},{j}) vs "
-                                f"{sign}*{decimal_str(there)} from ({mi},{mj})")
+
+    def mirror(ij):
+        return shift - ij[0], shift - ij[1]
+
+    for (i, j), (mi, mj), here, there in mirror_mismatches(
+            lambda ij: num.coefficient(*ij), with_mirrors(num.support(), mirror), mirror, sign):
+        return CheckOutcome(False, (i, j),
+                            f"coefficient {decimal_str(here)} at ({i},{j}) vs "
+                            f"{sign}*{decimal_str(there)} from ({mi},{mj})")
     return CheckOutcome(True)
 
 
@@ -192,16 +196,12 @@ def check_symmetry(x: StringyRational) -> CheckOutcome:
     """u<->v symmetry of the numerator; the denominator is symmetric by
     construction.  The witness is the u-heavy member of the first bad pair."""
     num = x.numerator
-    seen: set[tuple[int, int]] = set()
-    for (i, j) in sorted(num.support(), key=lambda ij: (ij[0] + ij[1], min(ij), max(ij))):
+    walk = sorted(num.support(), key=lambda ij: (ij[0] + ij[1], min(ij), max(ij)))
+    for (i, j), _, _, _ in mirror_mismatches(lambda ij: num.coefficient(*ij), walk, swap):
         a, b = max(i, j), min(i, j)
-        if a == b or (a, b) in seen:
-            continue
-        seen.add((a, b))
-        if num.coefficient(a, b) != num.coefficient(b, a):
-            return CheckOutcome(False, (a, b),
-                                f"coefficient {decimal_str(num.coefficient(a, b))} at ({a},{b}) vs "
-                                f"{decimal_str(num.coefficient(b, a))} at ({b},{a})")
+        return CheckOutcome(False, (a, b),
+                            f"coefficient {decimal_str(num.coefficient(a, b))} at ({a},{b}) vs "
+                            f"{decimal_str(num.coefficient(b, a))} at ({b},{a})")
     return CheckOutcome(True)
 
 
@@ -278,10 +278,9 @@ def generalized_stringy_hodge_numbers(series: TruncatedBiseries, d: int
             if val < 0:
                 return DiamondViolation((i, j), val, "negative entry")
             entries[(i, j)] = val
-    for (i, j) in sorted(entries, key=lambda ij: (ij[0] + ij[1], ij[0], ij[1])):
-        if i + j == d and entries[(i, j)] != entries[(j, i)]:
-            return DiamondViolation((i, j), entries[(i, j)],
-                                    f"h^{{{j},{i}}} = {decimal_str(entries[(j, i)])} differs on the middle line")
+    middle = [(i, d - i) for i in range(d + 1)]
+    for (i, j), _, here, there in mirror_mismatches(entries.__getitem__, middle, swap):
+        return DiamondViolation((i, j), here, f"h^{{{j},{i}}} = {decimal_str(there)} differs on the middle line")
     full = dict(entries)
     for (i, j), val in entries.items():
         full[(d - i, d - j)] = val
@@ -319,9 +318,9 @@ def check_nonnegativity(series: TruncatedBiseries, d: int) -> NonnegativityRepor
     return NonnegativityReport(d, series.horizon, tuple(violations), tuple(notes))
 
 
-def correction_factor_series(a: int, horizon: int) -> UnivariateTSeries:
+def correction_factor_series(a: int, horizon: int) -> dict[int, int]:
     """Series of the closed-formula factor (t - t^{a+1})/(t^{a+1} - 1) in
-    t = uv:
+    t = uv, as {power: coefficient} for powers up to the horizon:
 
         -t + t^{a+1} - t^{a+2} + t^{2a+2} - t^{2a+3} + ...
 
@@ -333,14 +332,14 @@ def correction_factor_series(a: int, horizon: int) -> UnivariateTSeries:
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
         raise ValueError(f"horizon must be a nonnegative int, got {horizon!r}")
     if a == 0:
-        return UnivariateTSeries(horizon)
+        return {}
     coeffs: dict[int, int] = {}
     e = a + 1
     for k in range(e, horizon + 1, e):
         coeffs[k] = 1
     for k in range(1, horizon + 1, e):
         coeffs[k] = -1
-    return UnivariateTSeries(horizon, coeffs)
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,7 @@ The central representation choices:
   one over ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
   it is made.  Values with an empty denominator stay sparse.
 * ``TruncatedBiseries`` holds exact coefficients for all total degrees
-  i + j <= horizon and claims nothing beyond it.  ``UnivariateTSeries`` is the
-  analogous truncation for series in t alone, indexed by the power of t.
+  i + j <= horizon and claims nothing beyond it.
 """
 
 from __future__ import annotations
@@ -69,9 +68,9 @@ def _check_exponent_pair(pair) -> ExponentPair:
     return (i, j)
 
 
-def _term_sort_key(pair: ExponentPair) -> tuple[int, int, int]:
+def _term_order(item: tuple[ExponentPair, int]) -> tuple[int, int, int]:
     # ascending total degree, then u-heavy terms first within a degree
-    i, j = pair
+    (i, j), _ = item
     return (i + j, j, i)
 
 
@@ -137,7 +136,7 @@ class BivariatePolynomial:
         return iter(self._terms.items())
 
     def sorted_items(self) -> list[tuple[ExponentPair, int]]:
-        return sorted(self._terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        return sorted(self._terms.items(), key=_term_order)
 
     def coefficient(self, i: int, j: int) -> int:
         return self._terms.get((i, j), 0)
@@ -154,10 +153,6 @@ class BivariatePolynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def total_degree(self) -> int:
-        """Largest i + j over the support; 0 for the zero polynomial."""
-        return max((i + j for i, j in self._terms), default=0)
 
     def degree_u(self) -> int:
         return max((i for i, _ in self._terms), default=0)
@@ -486,9 +481,6 @@ class StringyRational:
         if not self._den:
             return f"StringyRational({self._num!r})"
         return f"StringyRational({self._num!r}, {self._den!r})"
-
-    def expand(self, horizon: int) -> "TruncatedBiseries":
-        return expand_rational(self, horizon)
 
 
 def _divisors(n: int) -> list[int]:
@@ -1046,14 +1038,7 @@ class TruncatedBiseries:
         return iter(self._coeffs.items())
 
     def sorted_items(self) -> list[tuple[ExponentPair, int]]:
-        return sorted(self._coeffs.items(), key=lambda kv: _term_sort_key(kv[0]))
-
-    def diagonal(self) -> dict[int, int]:
-        """The map {k: coefficient of (uv)^k} over the stored terms."""
-        return {i: c for (i, j), c in self._coeffs.items() if i == j}
-
-    def is_uv_symmetric(self) -> bool:
-        return all(self._coeffs.get((j, i), 0) == c for (i, j), c in self._coeffs.items())
+        return sorted(self._coeffs.items(), key=_term_order)
 
     def truncated(self, horizon: int) -> "TruncatedBiseries":
         if horizon > self._horizon:
@@ -1088,88 +1073,6 @@ class TruncatedBiseries:
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}): {decimal_str(c)}" for (i, j), c in self.sorted_items())
         return f"TruncatedBiseries(horizon={self._horizon}, {{{body}}})"
-
-
-class UnivariateTSeries:
-    """Exact series coefficients in t = uv for every power k <= horizon."""
-
-    __slots__ = ("_horizon", "_coeffs")
-
-    def __init__(self, horizon: int, coeffs: Union[Mapping[int, int], None] = None):
-        if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-            raise ValueError(f"horizon must be a nonnegative int, got {horizon!r}")
-        data: dict[int, int] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-                    raise ValueError(f"powers must be nonnegative ints, got {k!r}")
-                c = _check_coefficient(c)
-                if k > horizon:
-                    raise ValueError(f"coefficient at t^{k} lies beyond horizon {horizon}")
-                if c:
-                    data[k] = c
-        self._horizon = horizon
-        self._coeffs = data
-
-    @property
-    def horizon(self) -> int:
-        return self._horizon
-
-    def coefficient(self, k: int) -> int:
-        if k > self._horizon:
-            raise ValueError(f"coefficient at t^{k} lies beyond horizon {self._horizon}")
-        return self._coeffs.get(k, 0)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._coeffs.items())
-
-    def sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self._coeffs.items())
-
-    def times_t_polynomial(self, tpoly: Mapping[int, int]) -> "UnivariateTSeries":
-        """Multiply by a polynomial in t given as {power: coefficient};
-        exact to the same horizon."""
-        data: dict[int, int] = {}
-        for k, c in self._coeffs.items():
-            for a, pc in tpoly.items():
-                if a < 0:
-                    raise ValueError("polynomial powers must be nonnegative")
-                k2 = k + a
-                if k2 > self._horizon:
-                    continue
-                acc = data.get(k2, 0) + c * pc
-                if acc:
-                    data[k2] = acc
-                else:
-                    data.pop(k2, None)
-        out = UnivariateTSeries(self._horizon)
-        out._coeffs = data
-        return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UnivariateTSeries):
-            return self._horizon == other._horizon and self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._horizon, frozenset(self._coeffs.items())))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {decimal_str(c)}" for k, c in self.sorted_items())
-        return f"UnivariateTSeries(horizon={self._horizon}, {{{body}}})"
-
-
-def series_of_inverse_cyclo(m: int, horizon: int) -> UnivariateTSeries:
-    """The power-series expansion of 1 / ((uv)^m - 1) in t = uv:
-
-        1 / (t^m - 1) = -(1 + t^m + t^{2m} + ...)
-
-    truncated at the given t-power horizon.  Kept as public API; the
-    engine's expansion (``expand_rational``) no longer goes through it.
-    """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"cyclotomic-product exponent must be a positive int, got {m!r}")
-    return UnivariateTSeries(horizon, {k: -1 for k in range(0, horizon + 1, m)})
 
 
 def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:

@@ -114,6 +114,42 @@ def blowup(ambient_dim: int, center: HodgeDelignePolynomial, codim: int,
     return HodgeDelignePolynomial(ambient.poly + center.poly * fiber_part, ambient_dim)
 
 
+def mirror_mismatches(coefficient, points, reflect, sign: int = 1):
+    """Yield (p, q, c(p), c(q)) once for each unordered pair {p, q} with
+    q = reflect(p) and c(p) != sign * c(q), in the order of the pair's first
+    member among ``points``.
+
+    Every reflection identity checked here has this shape: the functional
+    equation of E_st (sign -1 for an odd number of denominator factors),
+    u<->v symmetry and the Serre reflection.  The caller chooses the points
+    and their order, since the first mismatch is the witness it reports.
+    """
+    seen = set()
+    for p in points:
+        if p in seen:
+            continue
+        q = reflect(p)
+        seen.add(q)
+        here, there = coefficient(p), coefficient(q)
+        if here != sign * there:
+            yield p, q, here, there
+
+
+def degree_order(ij: tuple[int, int]) -> tuple[int, int, int]:
+    """Sort key (i+j, i, j): by total degree, v-heavy first."""
+    return ij[0] + ij[1], ij[0], ij[1]
+
+
+def with_mirrors(support, reflect) -> list[tuple[int, int]]:
+    """The support and its mirror points, in :func:`degree_order`."""
+    return sorted(set(support) | {reflect(p) for p in support}, key=degree_order)
+
+
+def swap(ij: tuple[int, int]) -> tuple[int, int]:
+    """The u<->v reflection (i, j) -> (j, i)."""
+    return ij[1], ij[0]
+
+
 def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationReport:
     """Check the two identities every smooth projective d-fold satisfies:
     u<->v symmetry and the Serre reflection (i,j) <-> (d-i,d-j).
@@ -124,41 +160,30 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
     if isinstance(d, bool) or not isinstance(d, int) or d < 0:
         raise ValueError(f"dimension must be a nonnegative int, got {d!r}")
     p = h.poly
+
+    def coefficient(ij):
+        return p.coefficient(*ij)  # 0 off the support and at negative points
+
+    def serre(ij):
+        return d - ij[0], d - ij[1]
+
     findings: list[Finding] = []
-
-    seen: set[tuple[int, int]] = set()
-    for (i, j) in sorted(p.support(), key=lambda ij: (ij[0] + ij[1], ij[0], ij[1])):
+    # the support only: adding the swapped points would reorder the findings
+    for (i, j), _, _, _ in mirror_mismatches(coefficient, sorted(p.support(), key=degree_order), swap):
         a, b = max(i, j), min(i, j)
-        if (a, b) in seen or a == b:
-            continue
-        seen.add((a, b))
-        if p.coefficient(a, b) != p.coefficient(b, a):
-            findings.append(Finding(
-                "error", "uv-asymmetry",
-                f"coefficient {decimal_str(p.coefficient(a, b))} at ({a},{b}) vs "
-                f"{decimal_str(p.coefficient(b, a))} at ({b},{a})",
-                f"({a},{b}) vs ({b},{a})",
-            ))
-
-    candidates = set(p.support())
-    for (i, j) in p.support():
-        candidates.add((d - i, d - j))
-    seen_pairs: set[frozenset] = set()
-    for (i, j) in sorted(candidates, key=lambda ij: (ij[0] + ij[1], ij[0], ij[1])):
-        mi, mj = d - i, d - j
-        key = frozenset(((i, j), (mi, mj)))
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        here = p.coefficient(i, j) if i >= 0 and j >= 0 else 0
-        there = p.coefficient(mi, mj) if mi >= 0 and mj >= 0 else 0
-        if here != there:
-            findings.append(Finding(
-                "error", "serre-reflection",
-                f"coefficient {decimal_str(here)} at ({i},{j}) vs {decimal_str(there)} at ({mi},{mj}) "
-                f"for dimension {d}",
-                f"({i},{j}) vs ({mi},{mj})",
-            ))
+        findings.append(Finding(
+            "error", "uv-asymmetry",
+            f"coefficient {decimal_str(p.coefficient(a, b))} at ({a},{b}) vs "
+            f"{decimal_str(p.coefficient(b, a))} at ({b},{a})",
+            f"({a},{b}) vs ({b},{a})",
+        ))
+    for (i, j), (mi, mj), here, there in mirror_mismatches(coefficient, with_mirrors(p.support(), serre), serre):
+        findings.append(Finding(
+            "error", "serre-reflection",
+            f"coefficient {decimal_str(here)} at ({i},{j}) vs {decimal_str(there)} at ({mi},{mj}) "
+            f"for dimension {d}",
+            f"({i},{j}) vs ({mi},{mj})",
+        ))
     return ValidationReport(mode="smooth-projective", findings=tuple(findings))
 
 
@@ -256,7 +281,7 @@ def diamond_from_polynomial(p: BivariatePolynomial, d: int) -> Union[HodgeDiamon
         (i, j): (-1 if (i + j) % 2 else 1) * c
         for (i, j), c in p.items()
     }
-    for (i, j) in sorted(entries, key=lambda ij: (ij[0] + ij[1], ij[0], ij[1])):
+    for (i, j) in sorted(entries, key=degree_order):
         val = entries[(i, j)]
         if val < 0:
             return DiamondViolation((i, j), val, "negative entry")

@@ -3,59 +3,72 @@
 Terms are ordered by total degree, u-heavy first within a degree.  Powers of
 uv render as a unit ("(uv)^3", "(u v)^{3}") because everything the theory
 produces is concentrated on or near the diagonal and reads best that way.
+
+One set of functions renders both forms, given a style: the strings in
+which the two differ.
+
+    field                         text               LaTeX
+    uv word                       "uv"               "u v"
+    exponent open, close          "^", ""            "^{", "}"
+    factor brackets               "(", ")"           "\\left(", "\\right)"
+    fraction open, middle, close  "(", ") / ", ""    "\\frac{", "}{", "}"
+    ellipsis                      " + ..."           " + \\cdots"
+
+A factor (uv)^m - 1 is the monomial (m, m) and " - 1" inside the factor
+brackets; a fraction is its numerator and denominator between the three
+fraction strings.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import NamedTuple
+
 from .exact_poly import BivariatePolynomial, CycloProduct, StringyRational, TruncatedBiseries, decimal_str
 
 
-def _ordered_terms(items):
-    return sorted(items, key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1], kv[0][0]))
+class _Style(NamedTuple):
+    uv: str
+    sup: str
+    end: str
+    left: str
+    right: str
+    frac_open: str
+    frac_mid: str
+    frac_close: str
+    ellipsis: str
 
 
-def _monomial_text(i: int, j: int) -> str:
+_TEXT = _Style("uv", "^", "", "(", ")", "(", ") / ", "", " + ...")
+_LATEX = _Style("u v", "^{", "}", "\\left(", "\\right)", "\\frac{", "}{", "}", " + \\cdots")
+
+
+def _monomial(i: int, j: int, uv: str, sup: str, end: str) -> str:
+    # takes the style's strings, not the style: unpacking it per term
+    # makes a long series render measurably slower
     if i == j:
         if i == 0:
             return ""
         if i == 1:
-            return "uv"
-        return f"(uv)^{i}"
+            return uv
+        return f"({uv}){sup}{i}{end}"
     parts = []
     if i == 1:
         parts.append("u")
     elif i > 1:
-        parts.append(f"u^{i}")
+        parts.append(f"u{sup}{i}{end}")
     if j == 1:
         parts.append("v")
     elif j > 1:
-        parts.append(f"v^{j}")
+        parts.append(f"v{sup}{j}{end}")
     return " ".join(parts)
 
 
-def _monomial_latex(i: int, j: int) -> str:
-    if i == j:
-        if i == 0:
-            return ""
-        if i == 1:
-            return "u v"
-        return f"(u v)^{{{i}}}"
-    parts = []
-    if i == 1:
-        parts.append("u")
-    elif i > 1:
-        parts.append(f"u^{{{i}}}")
-    if j == 1:
-        parts.append("v")
-    elif j > 1:
-        parts.append(f"v^{{{j}}}")
-    return " ".join(parts)
-
-
-def _join_terms(items, monomial) -> str:
+def _terms(p: BivariatePolynomial | TruncatedBiseries, style: _Style) -> str:
+    uv, sup, end = style[:3]
     pieces = []
-    for (i, j), c in items:
-        mono = monomial(i, j)
+    for (i, j), c in p.sorted_items():
+        mono = _monomial(i, j, uv, sup, end)
         mag = abs(c)
         if not mono:
             body = decimal_str(mag)
@@ -70,48 +83,28 @@ def _join_terms(items, monomial) -> str:
     return " ".join(pieces) if pieces else "0"
 
 
-def polynomial_text(p: BivariatePolynomial) -> str:
-    return _join_terms(_ordered_terms(p.items()), _monomial_text)
+def _denominator(den: CycloProduct, style: _Style) -> str:
+    uv, sup, end, left, right = style[:5]
+    return "".join(f"{left}{_monomial(m, m, uv, sup, end)} - 1{right}" for m in den)
 
 
-def polynomial_latex(p: BivariatePolynomial) -> str:
-    return _join_terms(_ordered_terms(p.items()), _monomial_latex)
-
-
-def _factor_text(m: int) -> str:
-    return "(uv - 1)" if m == 1 else f"((uv)^{m} - 1)"
-
-
-def _factor_latex(m: int) -> str:
-    inner = "u v - 1" if m == 1 else f"(u v)^{{{m}}} - 1"
-    return f"\\left({inner}\\right)"
-
-
-def denominator_text(den: CycloProduct) -> str:
-    return "".join(_factor_text(m) for m in den)
-
-
-def denominator_latex(den: CycloProduct) -> str:
-    return "".join(_factor_latex(m) for m in den)
-
-
-def rational_text(x: StringyRational) -> str:
+def _rational(x: StringyRational, style: _Style) -> str:
+    num = _terms(x.numerator, style)
     if x.is_polynomial:
-        return polynomial_text(x.numerator)
-    return f"({polynomial_text(x.numerator)}) / {denominator_text(x.denominator)}"
+        return num
+    return f"{style.frac_open}{num}{style.frac_mid}{_denominator(x.denominator, style)}{style.frac_close}"
 
 
-def rational_latex(x: StringyRational) -> str:
-    if x.is_polynomial:
-        return polynomial_latex(x.numerator)
-    return f"\\frac{{{polynomial_latex(x.numerator)}}}{{{denominator_latex(x.denominator)}}}"
+def _series(series: TruncatedBiseries, continues: bool, style: _Style) -> str:
+    body = _terms(series, style)
+    return f"{body}{style.ellipsis}" if continues else body
 
 
-def series_text(series: TruncatedBiseries, continues: bool) -> str:
-    body = _join_terms(_ordered_terms(series.items()), _monomial_text)
-    return f"{body} + ..." if continues else body
-
-
-def series_latex(series: TruncatedBiseries, continues: bool) -> str:
-    body = _join_terms(_ordered_terms(series.items()), _monomial_latex)
-    return f"{body} + \\cdots" if continues else body
+polynomial_text = partial(_terms, style=_TEXT)
+polynomial_latex = partial(_terms, style=_LATEX)
+denominator_text = partial(_denominator, style=_TEXT)
+denominator_latex = partial(_denominator, style=_LATEX)
+rational_text = partial(_rational, style=_TEXT)
+rational_latex = partial(_rational, style=_LATEX)
+series_text = partial(_series, style=_TEXT)
+series_latex = partial(_series, style=_LATEX)

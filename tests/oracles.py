@@ -233,11 +233,21 @@ def binomial_series_check(series, dens, num, horizon):
 
 
 def exact_fraction_eval(num, dens, u, v):
-    """Evaluate num / prod((uv)^m - 1) at exact rational points."""
-    t = Fraction(u) * Fraction(v)
-    total = Fraction(0)
-    for (i, j), c in num.items():
-        total += Fraction(c) * Fraction(u) ** i * Fraction(v) ** j
+    """Evaluate num / prod((uv)^m - 1) at exact rational points.
+
+    With u = a/b and v = c/e the value is put over one integer denominator,
+    b^I e^J prod((ac)^m - (be)^m) / (be)^(sum m) for I, J the top powers
+    of u and v, and reduced once at the end: summing Fractions term by term
+    takes a gcd of the huge partial values at every step.
+    """
+    u, v = Fraction(u), Fraction(v)
+    a, b, c, e = u.numerator, u.denominator, v.numerator, v.denominator
+    top_i = max((i for i, _ in num), default=0)
+    top_j = max((j for _, j in num), default=0)
+    total = sum(coeff * a ** i * b ** (top_i - i) * c ** j * e ** (top_j - j)
+                for (i, j), coeff in num.items())
+    den = b ** top_i * e ** top_j
     for m in dens:
-        total /= t ** m - 1
-    return total
+        total *= (b * e) ** m
+        den *= (a * c) ** m - (b * e) ** m
+    return Fraction(total, den)

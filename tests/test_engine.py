@@ -29,9 +29,8 @@ from stringy.exact_poly import (
     StringyRational,
     TruncatedBiseries,
     expand_rational,
-    series_of_inverse_cyclo,
 )
-from stringy.hodge import HodgeDelignePolynomial, HodgeDiamond, projective_space
+from stringy.hodge import HodgeDelignePolynomial, HodgeDiamond, projective_space, validate_smooth_projective
 from stringy.resolution import Component, ResolutionConfig, convert_strata, validate
 from stringy.validation import ConfigValidationError
 
@@ -320,6 +319,49 @@ class TestSymmetry:
         assert check_symmetry(stringy_e_open(cfg)).passed
 
 
+# Two uv-asymmetries whose partners are absent and four Serre mismatches in
+# dimension 3, one of them against the negative mirror point (3,-1).  The
+# checks walk their candidates in different orders, and the first witness
+# or the order of the findings shows which.
+_ASYMMETRIC = {(0, 0): 1, (3, 0): 2, (1, 2): 5, (0, 4): 7}
+
+
+def _duality_outcome(num, d):
+    x = StringyRational(P(num), (1,))
+    assert len(x.denominator) % 2 == 1  # sign -1
+    outcome = check_duality(x, d)
+    return outcome.passed, outcome.witness, outcome.detail
+
+
+@pytest.mark.parametrize("check, expected", [
+    ("smooth-projective", [
+        "error: uv-asymmetry [(2,1) vs (1,2)]: coefficient 0 at (2,1) vs 5 at (1,2)",
+        "error: uv-asymmetry [(3,0) vs (0,3)]: coefficient 2 at (3,0) vs 0 at (0,3)",
+        "error: uv-asymmetry [(4,0) vs (0,4)]: coefficient 0 at (4,0) vs 7 at (0,4)",
+        "error: serre-reflection [(0,0) vs (3,3)]: coefficient 1 at (0,0) vs 0 at (3,3) for dimension 3",
+        "error: serre-reflection [(3,-1) vs (0,4)]: coefficient 0 at (3,-1) vs 7 at (0,4) for dimension 3",
+        "error: serre-reflection [(0,3) vs (3,0)]: coefficient 0 at (0,3) vs 2 at (3,0) for dimension 3",
+        "error: serre-reflection [(1,2) vs (2,1)]: coefficient 5 at (1,2) vs 0 at (2,1) for dimension 3",
+    ]),
+    ("symmetry", (False, (3, 0), "coefficient 2 at (3,0) vs 0 at (0,3)")),
+    # D = 3 + 1: (1,0) and (3,4) match under sign -1, the centre (2,2) cannot
+    ("duality-centre", (False, (2, 2), "coefficient 3 at (2,2) vs -1*3 from (2,2)")),
+    ("duality-negative-mirror", (False, (-1, 4), "coefficient 0 at (-1,4) vs -1*9 from (5,0)")),
+])
+def test_reflection_walk_order(check, expected):
+    if check == "smooth-projective":
+        report = validate_smooth_projective(hd(_ASYMMETRIC), 3)
+        got = [f.describe() for f in report.findings]
+    elif check == "symmetry":
+        outcome = check_symmetry(StringyRational(P(_ASYMMETRIC)))
+        got = (outcome.passed, outcome.witness, outcome.detail)
+    elif check == "duality-centre":
+        got = _duality_outcome({(0, 0): 1, (1, 0): 2, (2, 2): 3, (3, 4): -2, (4, 4): -1}, 3)
+    else:
+        got = _duality_outcome({(0, 0): 1, (2, 2): 3, (4, 4): -1, (5, 0): 9}, 3)
+    assert got == expected
+
+
 class TestFormulaEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))
@@ -447,14 +489,6 @@ class TestCorrectionFactor:
     def test_a2_pattern(self):
         s = correction_factor_series(2, 7)
         assert dict(s.items()) == {1: -1, 3: 1, 4: -1, 6: 1, 7: -1}
-
-    @pytest.mark.parametrize("a", range(1, 7))
-    def test_matches_numerator_times_inverse(self, a):
-        horizon = 30
-        via_engine = correction_factor_series(a, horizon)
-        inverse = series_of_inverse_cyclo(a + 1, horizon)
-        via_product = inverse.times_t_polynomial({1: 1, a + 1: -1})
-        assert dict(via_engine.items()) == dict(via_product.items())
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_sign_pattern(self, a):

@@ -12,14 +12,12 @@ from stringy.exact_poly import (
     PackedSizeError,
     StringyRational,
     TruncatedBiseries,
-    UnivariateTSeries,
     common_denominator_sum,
     decimal_str,
     decode_json_int,
     encode_json_int,
     expand_rational,
     same_value,
-    series_of_inverse_cyclo,
 )
 
 from oracles import (
@@ -585,26 +583,6 @@ class TestPackedKernel:
 
 
 class TestSeries:
-    def test_inverse_cyclo_values(self):
-        assert dict(series_of_inverse_cyclo(7, 6).items()) == {0: -1}
-        assert dict(series_of_inverse_cyclo(1, 3).items()) == {0: -1, 1: -1, 2: -1, 3: -1}
-
-    def test_inverse_cyclo_m2_pattern(self):
-        assert dict(series_of_inverse_cyclo(2, 5).items()) == {0: -1, 2: -1, 4: -1}
-
-    @given(cyclo_m, st.integers(min_value=0, max_value=24))
-    def test_inverse_cyclo_multiplies_to_one(self, m, horizon):
-        s = series_of_inverse_cyclo(m, horizon)
-        prod = s.times_t_polynomial({m: 1, 0: -1})
-        assert dict(prod.items()) == {0: 1}
-
-    def test_coefficient_beyond_horizon_raises(self):
-        s = series_of_inverse_cyclo(2, 5)
-        assert s.coefficient(4) == -1
-        assert s.coefficient(5) == 0
-        with pytest.raises(ValueError):
-            s.coefficient(6)
-
     def test_biseries_horizon_is_total_degree(self):
         s = TruncatedBiseries(6, {(3, 3): 1})
         assert s.coefficient(3, 3) == 1
@@ -778,7 +756,6 @@ class TestJsonInts:
         digits = "1" + "0" * 5000
         assert digits in repr(StringyRational(BivariatePolynomial({(0, 0): big}), (2,)))
         assert digits in repr(TruncatedBiseries(3, {(1, 1): big}))
-        assert digits in repr(UnivariateTSeries(3, {2: -big}))
 
     def test_decode_error_truncates_the_value(self):
         with pytest.raises(ValueError) as info:
