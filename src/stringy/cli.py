@@ -8,16 +8,19 @@ a batch exits with the worst per-file code.
 
 The json format is loss-free and byte-stable: keys are sorted, indentation
 is fixed, timings are integer microseconds, and any integer beyond signed
-64-bit range is a decimal string.
+64-bit range is a decimal string.  Each report is exactly the standard
+``json`` module's ``dumps(report, sort_keys=True, indent=2) + "\n"``,
+written by one writer (:func:`_json_text`) that emits polynomial terms
+straight from ``sorted_items()``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .engine import (
@@ -31,7 +34,15 @@ from .engine import (
     is_polynomial,
     local_contribution,
 )
-from .exact_poly import PackedSizeError, StringyRational, decimal_str, encode_json_int, series_size
+from .exact_poly import (
+    _I64_MAX,
+    _I64_MIN,
+    PackedSizeError,
+    StringyRational,
+    decimal_str,
+    encode_json_int,
+    series_size,
+)
 from .render import (
     polynomial_latex,
     polynomial_text,
@@ -56,8 +67,84 @@ class _InputError(Exception):
     """Anything wrong with the input file; rendered to the user, exit 2."""
 
 
-def _triples(poly) -> list:
-    return [[i, j, encode_json_int(c)] for (i, j), c in poly.sorted_items()]
+class _Triples:
+    """Terms ((i, j), c) in output order, written as [[i, j, c], ...] with
+    encode_json_int's rule for c."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+
+def _triples(poly) -> _Triples:
+    return _Triples(poly.sorted_items())
+
+
+def _quoted(c: int) -> str:
+    """The JSON text of ``encode_json_int(c)`` for ``c`` beyond signed 64 bits."""
+    return '"' + decimal_str(c) + '"'
+
+
+def _write_json(value, pad: str, out: list) -> None:
+    """Append to ``out`` the text that the ``json`` module's
+    ``dumps(value, sort_keys=True, indent=2)`` gives for ``value``, nested at
+    indentation ``pad``.  Takes dict (str keys), list, str, int, bool, None
+    and :class:`_Triples`; any other type raises ``TypeError``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, _Triples):
+        if not value.items:
+            out.append("[]")
+            return
+        row = "\n" + pad + "  "
+        cell = row + "  "
+        lo, hi = _I64_MIN, _I64_MAX  # encode_json_int's rule, inlined
+        out.append("[" + ",".join(
+            f"{row}[{cell}{i},{cell}{j},{cell}{c if lo <= c <= hi else _quoted(c)}{row}]"
+            for (i, j), c in value.items) + "\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """The ``json`` module's ``dumps(value, sort_keys=True, indent=2)``, with
+    :class:`_Triples` written as the lists they stand for."""
+    out: list = []
+    _write_json(value, "", out)
+    return "".join(out)
 
 
 def _rational_json(x: StringyRational) -> dict:
@@ -211,8 +298,8 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
         report = check_nonnegativity(_series(result), d)
         checks["nonneg"] = {
             "passed": report.passed,
-            "violations": [[i, j, encode_json_int(b)] for i, j, b in report.violations],
-            "notes": [[i, j, encode_json_int(b)] for i, j, b in report.beyond_notes],
+            "violations": _Triples([((i, j), b) for i, j, b in report.violations]),
+            "notes": _Triples([((i, j), b) for i, j, b in report.beyond_notes]),
         }
         all_passed &= report.passed
         if lines:
@@ -342,7 +429,7 @@ def _run_one(path: Path, args) -> tuple[int, str]:
             "exit_code": code,
         }
         report.update(payload)
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     else:
         text = "".join(line + "\n" for line in out)
     return code, text

@@ -160,21 +160,6 @@ class BivariatePolynomial:
     def degree_v(self) -> int:
         return max((j for _, j in self._terms), default=0)
 
-    def is_diagonal(self) -> bool:
-        """True when every term is a power of t = uv."""
-        return all(i == j for i, j in self._terms)
-
-    def diagonal_coefficients(self) -> dict[int, int]:
-        """The map {k: coefficient of (uv)^k}; requires a diagonal polynomial."""
-        if not self.is_diagonal():
-            raise ValueError("polynomial has off-diagonal terms")
-        return {i: c for (i, _), c in self._terms.items()}
-
-    def swap_uv(self) -> "BivariatePolynomial":
-        out = BivariatePolynomial()
-        out._terms = {(j, i): c for (i, j), c in self._terms.items()}
-        return out
-
     def is_uv_symmetric(self) -> bool:
         return all(self._terms.get((j, i), 0) == c for (i, j), c in self._terms.items())
 
@@ -247,18 +232,6 @@ class BivariatePolynomial:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BivariatePolynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = BivariatePolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -1039,28 +1012,6 @@ class TruncatedBiseries:
 
     def sorted_items(self) -> list[tuple[ExponentPair, int]]:
         return sorted(self._coeffs.items(), key=_term_order)
-
-    def truncated(self, horizon: int) -> "TruncatedBiseries":
-        if horizon > self._horizon:
-            raise ValueError("cannot extend a truncation")
-        return TruncatedBiseries(horizon, {p: c for p, c in self._coeffs.items() if p[0] + p[1] <= horizon})
-
-    def times_polynomial(self, p: BivariatePolynomial) -> "TruncatedBiseries":
-        """Multiply by a polynomial; exact to the same horizon."""
-        data: dict[ExponentPair, int] = {}
-        for (i, j), c in self._coeffs.items():
-            for (a, b), pc in p.items():
-                pair = (i + a, j + b)
-                if pair[0] + pair[1] > self._horizon:
-                    continue
-                acc = data.get(pair, 0) + c * pc
-                if acc:
-                    data[pair] = acc
-                else:
-                    data.pop(pair, None)
-        out = TruncatedBiseries(self._horizon)
-        out._coeffs = data
-        return out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedBiseries):

@@ -232,13 +232,14 @@ def binomial_series_check(series, dens, num, horizon):
     return lhs == rhs
 
 
-def exact_fraction_eval(num, dens, u, v):
-    """Evaluate num / prod((uv)^m - 1) at exact rational points.
+def exact_fraction_pair(num, dens, u, v):
+    """num / prod((uv)^m - 1) at exact rational points with uv != 1, as an
+    unreduced pair of ints (numerator, denominator).
 
     With u = a/b and v = c/e the value is put over one integer denominator,
     b^I e^J prod((ac)^m - (be)^m) / (be)^(sum m) for I, J the top powers
-    of u and v, and reduced once at the end: summing Fractions term by term
-    takes a gcd of the huge partial values at every step.
+    of u and v.  Nothing is reduced: a gcd of the huge values costs far
+    more than the sums, so compare pairs with :func:`same_fraction`.
     """
     u, v = Fraction(u), Fraction(v)
     a, b, c, e = u.numerator, u.denominator, v.numerator, v.denominator
@@ -250,4 +251,16 @@ def exact_fraction_eval(num, dens, u, v):
     for m in dens:
         total *= (b * e) ** m
         den *= (a * c) ** m - (b * e) ** m
-    return Fraction(total, den)
+    return total, den
+
+
+def same_fraction(x, y):
+    """Whether two unreduced (numerator, denominator) pairs are equal."""
+    return x[0] * y[1] == y[0] * x[1]
+
+
+def exact_fraction_eval(num, dens, u, v):
+    """num / prod((uv)^m - 1) at exact rational points, as a Fraction
+    reduced once at the end: summing Fractions term by term takes a gcd of
+    the huge partial values at every step."""
+    return Fraction(*exact_fraction_pair(num, dens, u, v))

@@ -802,3 +802,50 @@ def test_no_input_raises_out_of_the_cli(tmp_path, document):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([argv[0], str(path), *argv[1:]])
         assert code in (0, 1, 2, 3), argv
+
+
+# -- the JSON writer: the bytes of json.dumps(v, sort_keys=True, indent=2) ----
+
+_EDGE_INTS = (0, -1, 2 ** 63 - 1, -(2 ** 63), 2 ** 63, -(2 ** 63) - 1)
+# past Python's int/str digit limit; made by a map, since hypothesis reprs its strategies
+_PAST_DIGIT_LIMIT = st.sampled_from((1, -1)).map(lambda sign: sign * 10 ** 5000)
+_writer_text = st.one_of(st.text(max_size=8),
+                         st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é€ 😀', max_size=8))
+_writer_triples = st.lists(
+    st.tuples(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+              st.one_of(st.sampled_from(_EDGE_INTS), _PAST_DIGIT_LIMIT, st.integers(-(2 ** 70), 2 ** 70))),
+    max_size=5).map(cli._Triples)
+_writer_leaf = st.one_of(st.none(), st.booleans(), st.sampled_from(_EDGE_INTS),
+                         st.integers(-(2 ** 70), 2 ** 70), _writer_text, _writer_triples)
+_writer_value = st.recursive(_writer_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(_writer_text, inner, max_size=4)), max_leaves=12)
+
+
+def _as_lists(value):
+    """The plain JSON value the writer's input stands for."""
+    if isinstance(value, cli._Triples):
+        return [[i, j, exact_poly.encode_json_int(c)] for (i, j), c in value.items]
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(item) for item in value]
+    return value
+
+
+@given(_writer_value)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(_as_lists(value), sort_keys=True, indent=2)
+
+
+def test_json_writer_quotes_coefficients_beyond_64_bits():
+    terms = [((0, 0), c) for c in (2 ** 63 - 1, -(2 ** 63), 2 ** 63, -(2 ** 63) - 1, 10 ** 5000)]
+    doc = json.loads(cli._json_text({"num": cli._Triples(terms)}))
+    assert doc["num"][:2] == [[0, 0, 2 ** 63 - 1], [0, 0, -(2 ** 63)]]
+    assert doc["num"][2:4] == [[0, 0, str(2 ** 63)], [0, 0, str(-(2 ** 63) - 1)]]
+    assert doc["num"][4][2] == "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, [float("nan")], {1: 2}, (1, 2)])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
