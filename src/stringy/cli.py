@@ -181,13 +181,15 @@ def _series(result):
     return result.series
 
 
-def _load_and_validate(path: Path, mode: str):
+def _load(path: Path):
     try:
-        cfg = load_config(path)
-    except ConfigFormatError as exc:
+        return load_config(path)
+    except (ConfigFormatError, OSError) as exc:
         raise _InputError(str(exc)) from None
-    except OSError as exc:
-        raise _InputError(str(exc)) from None
+
+
+def _load_and_validate(path: Path, mode: str):
+    cfg = _load(path)
     report = validate(cfg, mode)
     if not report.accepted:
         lines = [f.describe() for f in report.findings]
@@ -376,11 +378,7 @@ def _cmd_decompose(path: Path, args, out: list[str]) -> tuple[int, dict]:
 
 def _cmd_validate(path: Path, args, out: list[str]) -> tuple[int, dict]:
     mode = "strict" if args.strict else "lenient"
-    try:
-        cfg = load_config(path)
-    except (ConfigFormatError, OSError) as exc:
-        raise _InputError(str(exc)) from None
-    report = validate(cfg, mode)
+    report = validate(_load(path), mode)
     for f in report.findings:
         out.append(f.describe())
     out.append(f"{'accepted' if report.accepted else 'rejected'} ({mode})")
@@ -408,16 +406,10 @@ def _run_one(path: Path, args) -> tuple[int, str]:
     out: list[str] = []
     try:
         code, payload = _COMMANDS[args.command](path, args, out)
-    except _InputError as exc:
-        code, payload = EXIT_INPUT, {"error": str(exc)}
-        out = [f"error: {exc}"]
-    except ConfigValidationError as exc:
-        code, payload = EXIT_INPUT, {"error": str(exc)}
-        out = [f"error: {exc}"]
-    except PackedSizeError as exc:
+    except (_InputError, ConfigValidationError, PackedSizeError) as exc:
         # validation bounds the formula sums; a deeper cancellation test can need wider slots
-        code, payload = EXIT_INPUT, {"error": f"packed-size-cost: {exc}"}
-        out = [f"error: packed-size-cost: {exc}"]
+        error = f"packed-size-cost: {exc}" if isinstance(exc, PackedSizeError) else str(exc)
+        code, payload, out = EXIT_INPUT, {"error": error}, [f"error: {error}"]
     elapsed_us = (time.perf_counter_ns() - started) // 1000
 
     if args.format == "json":

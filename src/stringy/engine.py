@@ -45,7 +45,7 @@ from .resolution import (
     exceptional_union_hd,
     validate,
 )
-from .validation import ConfigValidationError
+from .validation import ConfigValidationError, checked_int
 
 
 def _require(cfg: ResolutionConfig, mode: str) -> None:
@@ -175,8 +175,7 @@ def check_duality(x: StringyRational, d: int) -> CheckOutcome:
     representation of x is used: cancelling a factor (uv)^m - 1 flips the
     sign and shifts D by m consistently on both sides.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        raise ValueError(f"dimension must be a nonnegative int, got {d!r}")
+    checked_int(d, "dimension")
     num = x.numerator
     shift = d + x.denominator.degree_uv()
     sign = -1 if len(x.denominator) % 2 else 1
@@ -228,8 +227,7 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
     numerator exactly, and the lowest term of the residual is the witness
     when it does not.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        raise ValueError(f"dimension must be a nonnegative int, got {d!r}")
+    checked_int(d, "dimension")
     if x.is_polynomial:
         return Polynomial(x.numerator)
     horizon = 2 * d + x.denominator.degree_uv()
@@ -266,8 +264,7 @@ def generalized_stringy_hodge_numbers(series: TruncatedBiseries, d: int
     assignments agree exactly when the series is u<->v symmetric there.
     Deliberately opt-in: the construction is heuristic, not proved.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        raise ValueError(f"dimension must be a nonnegative int, got {d!r}")
+    checked_int(d, "dimension")
     if series.horizon < d:
         raise ValueError(f"series horizon {series.horizon} is below the dimension {d}")
     entries: dict[tuple[int, int], int] = {}
@@ -303,8 +300,7 @@ def check_nonnegativity(series: TruncatedBiseries, d: int) -> NonnegativityRepor
     """(-1)^{i+j} b_{i,j} >= 0 for i+j <= d, the proved range.  Sign
     anomalies beyond the range are reported separately and carry no verdict:
     the bound genuinely fails there in general."""
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        raise ValueError(f"dimension must be a nonnegative int, got {d!r}")
+    checked_int(d, "dimension")
     if series.horizon < d:
         raise ValueError(f"series horizon {series.horizon} is below the dimension {d}")
     violations = []
@@ -327,10 +323,8 @@ def correction_factor_series(a: int, horizon: int) -> dict[int, int]:
     (+1 at multiples of a+1, -1 one step above each, including step 0).
     At a = 0 the numerator is identically zero and so is the series.
     """
-    if isinstance(a, bool) or not isinstance(a, int) or a < 0:
-        raise ValueError(f"discrepancy must be a nonnegative int, got {a!r}")
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
-        raise ValueError(f"horizon must be a nonnegative int, got {horizon!r}")
+    checked_int(a, "discrepancy")
+    checked_int(horizon, "horizon")
     if a == 0:
         return {}
     coeffs: dict[int, int] = {}

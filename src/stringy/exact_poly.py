@@ -44,6 +44,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Mapping, Union
 
+from .validation import checked_int
+
 ExponentPair = tuple[int, int]
 
 _I64_MIN = -(2**63)
@@ -126,8 +128,7 @@ class BivariatePolynomial:
     @classmethod
     def cyclo_factor(cls, m: int) -> "BivariatePolynomial":
         """(uv)^m - 1."""
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"cyclotomic-product exponent must be a positive int, got {m!r}")
+        checked_int(m, "cyclotomic-product exponent", 1)
         return cls({(m, m): 1, (0, 0): -1})
 
     # -- inspection ---------------------------------------------------------
@@ -176,9 +177,7 @@ class BivariatePolynomial:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "BivariatePolynomial":
-        out = BivariatePolynomial()
-        out._terms = {pair: -c for pair, c in self._terms.items()}
-        return out
+        return _polynomial({pair: -c for pair, c in self._terms.items()})
 
     def __add__(self, other) -> "BivariatePolynomial":
         other = _coerce_poly(other)
@@ -191,9 +190,7 @@ class BivariatePolynomial:
                 data[pair] = acc
             else:
                 data.pop(pair, None)
-        out = BivariatePolynomial()
-        out._terms = data
-        return out
+        return _polynomial(data)
 
     __radd__ = __add__
 
@@ -213,9 +210,7 @@ class BivariatePolynomial:
         if isinstance(other, int) and not isinstance(other, bool):
             if other == 0:
                 return BivariatePolynomial()
-            out = BivariatePolynomial()
-            out._terms = {pair: c * other for pair, c in self._terms.items()}
-            return out
+            return _polynomial({pair: c * other for pair, c in self._terms.items()})
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         data: dict[ExponentPair, int] = {}
@@ -227,9 +222,7 @@ class BivariatePolynomial:
                     data[pair] = acc
                 else:
                     data.pop(pair, None)
-        out = BivariatePolynomial()
-        out._terms = data
-        return out
+        return _polynomial(data)
 
     __rmul__ = __mul__
 
@@ -254,16 +247,23 @@ class BivariatePolynomial:
         a polynomial whose packed value would pass ``PACKED_BIT_BUDGET``
         bits raises ``PackedSizeError``.
         """
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"cyclotomic-product exponent must be a positive int, got {m!r}")
+        checked_int(m, "cyclotomic-product exponent", 1)
         if not self._terms:
             return BivariatePolynomial()
-        p = _packed(self)
+        p = common_denominator_sum([(self, ())])[0]
         w = p.width * len(p.offsets) * m
         if not _vanishes(p.value, w, ()):
             return None
         return _unpack(PackedNumerator(_exact_quotient(p.value, w), p.width, p.offsets,
                                        p.degree - m, p.norm))
+
+
+def _polynomial(terms: dict[ExponentPair, int]) -> BivariatePolynomial:
+    """The polynomial of a term map already free of zero coefficients, which
+    it takes over without copying or checking."""
+    out = BivariatePolynomial()
+    out._terms = terms
+    return out
 
 
 def _coerce_poly(value) -> Union[BivariatePolynomial, None]:
@@ -281,11 +281,9 @@ class CycloProduct:
     __slots__ = ("_factors",)
 
     def __init__(self, factors: Iterable[int] = ()):
-        fs = []
-        for m in factors:
-            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-                raise ValueError(f"denominator factors must be positive ints, got {m!r}")
-            fs.append(m)
+        fs = tuple(factors)
+        for m in fs:  # a loop: this runs per rational operation, and a generator costs more
+            checked_int(m, "denominator factor", 1)
         self._factors = tuple(sorted(fs))
 
     @property
@@ -561,17 +559,6 @@ def _top(terms: Mapping[ExponentPair, int]) -> int:
     return max(i if i < j else j for i, j in terms)
 
 
-def _packed(poly: BivariatePolynomial) -> PackedNumerator:
-    """A nonzero polynomial packed wide enough for digits up to its norm."""
-    terms = poly._terms
-    offsets = tuple(sorted({i - j for i, j in terms}))
-    norm = sum(map(abs, terms.values()))
-    width, top = _width(norm), _top(terms)
-    _check_size((top + 1) * len(offsets), width)
-    value = _pack(terms, {s: r for r, s in enumerate(offsets)}, width, top)
-    return PackedNumerator(value, width, offsets, top, norm)
-
-
 def _relayout(p: PackedNumerator, width: int, offsets: tuple[int, ...]) -> int:
     """p's value with slots of ``width`` bits over ``offsets``, which contain
     p's own.  The biased digits move as bytes, by strided slice assignment."""
@@ -627,9 +614,7 @@ def _unpack(p: PackedNumerator) -> BivariatePolynomial:
                 if r == R:
                     r, n = 0, n + 1
             start = marks.find(1, end)
-    out = BivariatePolynomial()
-    out._terms = terms
-    return out
+    return _polynomial(terms)
 
 
 def _fold(x: int, w: int) -> int:
@@ -826,9 +811,7 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
     if not den:
         return (_unpack(num) if isinstance(num, PackedNumerator) else num), CycloProduct()
     if not isinstance(num, PackedNumerator):
-        if not num:
-            return BivariatePolynomial(), CycloProduct()
-        num = _packed(num)
+        num = common_denominator_sum([(num, ())])[0]
     if not num.value:
         return BivariatePolynomial(), CycloProduct()
     counts = den._counts()
@@ -942,7 +925,7 @@ def same_value(x: tuple, y: tuple) -> bool:
     packed = []
     for num, den in (x, y):
         if not isinstance(num, PackedNumerator):
-            num = _packed(num) if num else PackedNumerator(0, 8, (), 0, 0)
+            num = common_denominator_sum([(num, ())])[0]
         packed.append((num, _coerce_cyclo(den)))
     (a, da), (b, db) = packed
     both = da.union(db)
@@ -970,32 +953,23 @@ def _coerce_rational(value) -> Union[StringyRational, None]:
 
 
 class TruncatedBiseries:
-    """Exact series coefficients for every (i, j) with i + j <= horizon.
+    """Exact series coefficients for every (i, j) with i + j <= horizon,
+    held as the polynomial of those coefficients.
 
     Asking for a coefficient beyond the horizon raises: nothing out there is
     claimed, not even zero.
     """
 
-    __slots__ = ("_horizon", "_coeffs")
+    __slots__ = ("_horizon", "_poly")
 
     def __init__(self, horizon: int, coeffs: Union[Mapping, Iterable, None] = None):
-        if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-            raise ValueError(f"horizon must be a nonnegative int, got {horizon!r}")
-        data: dict[ExponentPair, int] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-            for pair, c in items:
-                pair = _check_exponent_pair(pair)
-                c = _check_coefficient(c)
-                if pair[0] + pair[1] > horizon:
-                    raise ValueError(f"coefficient at {pair} lies beyond horizon {horizon}")
-                acc = data.get(pair, 0) + c
-                if acc:
-                    data[pair] = acc
-                else:
-                    data.pop(pair, None)
+        checked_int(horizon, "horizon")
+        poly = BivariatePolynomial(coeffs)
+        for (i, j) in poly._terms:
+            if i + j > horizon:
+                raise ValueError(f"coefficient at {(i, j)} lies beyond horizon {horizon}")
         self._horizon = horizon
-        self._coeffs = data
+        self._poly = poly
 
     @property
     def horizon(self) -> int:
@@ -1005,21 +979,21 @@ class TruncatedBiseries:
         pair = _check_exponent_pair((i, j))
         if pair[0] + pair[1] > self._horizon:
             raise ValueError(f"coefficient at {pair} lies beyond horizon {self._horizon}")
-        return self._coeffs.get(pair, 0)
+        return self._poly.coefficient(*pair)
 
     def items(self) -> Iterator[tuple[ExponentPair, int]]:
-        return iter(self._coeffs.items())
+        return self._poly.items()
 
     def sorted_items(self) -> list[tuple[ExponentPair, int]]:
-        return sorted(self._coeffs.items(), key=_term_order)
+        return self._poly.sorted_items()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedBiseries):
-            return self._horizon == other._horizon and self._coeffs == other._coeffs
+            return self._horizon == other._horizon and self._poly == other._poly
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._horizon, frozenset(self._coeffs.items())))
+        return hash((self._horizon, self._poly))
 
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}): {decimal_str(c)}" for (i, j), c in self.sorted_items())
@@ -1044,8 +1018,7 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     independent of factor order.  A polynomial is only truncated, at a cost
     per term.
     """
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-        raise ValueError(f"horizon must be a nonnegative int, got {horizon!r}")
+    checked_int(horizon, "horizon")
     if not x.denominator:
         return TruncatedBiseries(horizon, {(i, j): c for (i, j), c in x.numerator.items() if i + j <= horizon})
     classes: dict[int, list[int]] = {}
@@ -1069,7 +1042,7 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
             if c:
                 coeffs[(k + s, k) if s >= 0 else (k, k - s)] = sign * c
     out = TruncatedBiseries(horizon)
-    out._coeffs = coeffs
+    out._poly = _polynomial(coeffs)
     return out
 
 

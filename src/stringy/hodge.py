@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .exact_poly import BivariatePolynomial, decimal_str
-from .validation import Finding, ValidationReport
+from .validation import Finding, ValidationReport, checked_int
 
 
 def _combine_add(a: Union[int, None], b: Union[int, None]) -> Union[int, None]:
@@ -38,9 +38,8 @@ class HodgeDelignePolynomial:
     def __post_init__(self):
         if not isinstance(self.poly, BivariatePolynomial):
             raise TypeError("poly must be a BivariatePolynomial")
-        d = self.claimed_dimension
-        if d is not None and (isinstance(d, bool) or not isinstance(d, int) or d < 0):
-            raise ValueError(f"claimed dimension must be a nonnegative int, got {d!r}")
+        if self.claimed_dimension is not None:
+            checked_int(self.claimed_dimension, "claimed dimension")
 
     @property
     def is_zero(self) -> bool:
@@ -77,8 +76,7 @@ class HodgeDelignePolynomial:
 
 def projective_space(n: int) -> HodgeDelignePolynomial:
     """H(P^n) = 1 + uv + ... + (uv)^n, claiming dimension n."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"projective-space dimension must be a nonnegative int, got {n!r}")
+    checked_int(n, "projective-space dimension")
     return HodgeDelignePolynomial(
         BivariatePolynomial.from_diagonal({k: 1 for k in range(n + 1)}),
         claimed_dimension=n,
@@ -102,10 +100,8 @@ def blowup(ambient_dim: int, center: HodgeDelignePolynomial, codim: int,
 
     the scissor relation H(Bl) = H(X) - H(Z) + H(Z)*H(P^{codim-1}).
     """
-    if isinstance(codim, bool) or not isinstance(codim, int) or codim < 2:
-        raise ValueError(f"blowup codimension must be an int >= 2, got {codim!r}")
-    if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, int) or ambient_dim < codim:
-        raise ValueError(f"ambient dimension must be an int >= codimension, got {ambient_dim!r}")
+    checked_int(codim, "blowup codimension", 2)
+    checked_int(ambient_dim, "ambient dimension", codim)
     if center.claimed_dimension is not None and center.claimed_dimension != ambient_dim - codim:
         raise ValueError(
             f"center claims dimension {center.claimed_dimension}, expected {ambient_dim - codim}"
@@ -157,8 +153,7 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
     Every violating exponent pair becomes one finding; passing both checks is
     necessary, not sufficient, for the polynomial to be geometric.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        raise ValueError(f"dimension must be a nonnegative int, got {d!r}")
+    checked_int(d, "dimension")
     p = h.poly
 
     def coefficient(ij):
@@ -199,6 +194,21 @@ class DiamondViolation:
         return f"violation at {self.location}: value {decimal_str(self.value)} ({self.reason})"
 
 
+def _diamond_violation(entries: dict[tuple[int, int], int], d: int) -> Union[DiamondViolation, None]:
+    """The first entry, in :func:`degree_order`, that breaks a Hodge-diamond
+    identity: negative, then unequal to its u<->v mirror h^{q,p}, then to
+    its Serre mirror h^{d-p,d-q}; None when the table is a diamond."""
+    for (p, q) in sorted(entries, key=degree_order):
+        val = entries[(p, q)]
+        if val < 0:
+            return DiamondViolation((p, q), val, "negative entry")
+        for mp, mq in ((q, p), (d - p, d - q)):
+            there = entries.get((mp, mq), 0)
+            if there != val:
+                return DiamondViolation((p, q), val, f"h^{{{mp},{mq}}} = {decimal_str(there)} differs")
+    return None
+
+
 class HodgeDiamond:
     """Entries h^{p,q} for 0 <= p,q <= d, with the classical identities
     h^{p,q} = h^{q,p} = h^{d-p,d-q} enforced at construction."""
@@ -206,26 +216,17 @@ class HodgeDiamond:
     __slots__ = ("_d", "_entries")
 
     def __init__(self, d: int, entries: dict[tuple[int, int], int]):
-        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-            raise ValueError(f"dimension must be a nonnegative int, got {d!r}")
+        checked_int(d, "dimension")
         clean: dict[tuple[int, int], int] = {}
         for (p, q), val in entries.items():
             if p < 0 or q < 0 or p > d or q > d:
                 raise ValueError(f"entry ({p},{q}) outside the {d}-diamond")
-            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-                shown = decimal_str(val) if isinstance(val, int) else repr(val)
-                raise ValueError(f"entry at ({p},{q}) must be a nonnegative int, got {shown}")
+            checked_int(val, f"entry at ({p},{q})", None)
             if val:
                 clean[(p, q)] = val
-        for (p, q), val in clean.items():
-            if clean.get((q, p), 0) != val:
-                raise ValueError(f"h^{{{p},{q}}} = {decimal_str(val)} but "
-                                 f"h^{{{q},{p}}} = {decimal_str(clean.get((q, p), 0))}")
-            if clean.get((d - p, d - q), 0) != val:
-                raise ValueError(
-                    f"h^{{{p},{q}}} = {decimal_str(val)} but "
-                    f"h^{{{d - p},{d - q}}} = {decimal_str(clean.get((d - p, d - q), 0))}"
-                )
+        violation = _diamond_violation(clean, d)
+        if violation is not None:
+            raise ValueError(violation.describe())
         self._d = d
         self._entries = clean
 
@@ -272,8 +273,7 @@ def diamond_from_polynomial(p: BivariatePolynomial, d: int) -> Union[HodgeDiamon
     DiamondViolation rather than an exception.  Exponents beyond d are a
     caller error and raise.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        raise ValueError(f"dimension must be a nonnegative int, got {d!r}")
+    checked_int(d, "dimension")
     for (i, j) in p.support():
         if i > d or j > d:
             raise ValueError(f"exponent ({i},{j}) exceeds dimension {d}")
@@ -281,14 +281,4 @@ def diamond_from_polynomial(p: BivariatePolynomial, d: int) -> Union[HodgeDiamon
         (i, j): (-1 if (i + j) % 2 else 1) * c
         for (i, j), c in p.items()
     }
-    for (i, j) in sorted(entries, key=degree_order):
-        val = entries[(i, j)]
-        if val < 0:
-            return DiamondViolation((i, j), val, "negative entry")
-        if entries.get((j, i), 0) != val:
-            return DiamondViolation((i, j), val, f"h^{{{j},{i}}} = {decimal_str(entries.get((j, i), 0))} differs")
-        if entries.get((d - i, d - j), 0) != val:
-            return DiamondViolation(
-                (i, j), val, f"h^{{{d - i},{d - j}}} = {decimal_str(entries.get((d - i, d - j), 0))} differs"
-            )
-    return HodgeDiamond(d, entries)
+    return _diamond_violation(entries, d) or HodgeDiamond(d, entries)

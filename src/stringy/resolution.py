@@ -18,7 +18,7 @@ from typing import Mapping, Union
 
 from .exact_poly import PACKED_BIT_BUDGET, BivariatePolynomial, decode_json_int, encode_json_int, packed_bits
 from .hodge import HodgeDelignePolynomial, validate_smooth_projective
-from .validation import ConfigFormatError, Finding, ValidationReport
+from .validation import ConfigFormatError, Finding, ValidationReport, checked_int
 
 StratumKey = tuple[str, ...]
 
@@ -84,8 +84,7 @@ class ResolutionConfig:
     def __init__(self, dimension: int, ambient: HodgeDelignePolynomial,
                  components: list[Component], convention: str,
                  strata: Mapping, singular_locus: Union[HodgeDelignePolynomial, None] = None):
-        if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
-            raise ValueError(f"dimension must be an int >= 1, got {dimension!r}")
+        checked_int(dimension, "dimension", 1)
         if convention not in ("open", "closed"):
             raise ValueError(f"strata convention must be 'open' or 'closed', got {convention!r}")
         if not isinstance(ambient, HodgeDelignePolynomial):
@@ -249,8 +248,7 @@ def exceptional_union_hd(cfg: ResolutionConfig) -> HodgeDelignePolynomial:
     return HodgeDelignePolynomial(total)
 
 
-def validate(cfg: ResolutionConfig, mode: str = "lenient", *,
-             max_components: int = DEFAULT_COMPONENT_CAP) -> ValidationReport:
+def validate(cfg: ResolutionConfig, mode: str = "lenient") -> ValidationReport:
     """Semantic validation.
 
     Lenient mode admits any formally consistent table: unique labels,
@@ -262,19 +260,18 @@ def validate(cfg: ResolutionConfig, mode: str = "lenient", *,
     geometric smooth projective input, not a sufficient one).
 
     A strict report starts with the lenient report's findings.  Each report
-    is made once per config object, mode and cap.
+    is made once per config object and mode.
     """
     if mode not in ("lenient", "strict"):
         raise ValueError(f"validation mode must be 'lenient' or 'strict', got {mode!r}")
-    lenient = cfg._derive(("validate", "lenient", max_components),
-                          lambda: ValidationReport("lenient", _lenient_findings(cfg, max_components)))
+    lenient = cfg._derive(("validate", "lenient"), lambda: ValidationReport("lenient", _lenient_findings(cfg)))
     if mode == "lenient":
         return lenient
-    return cfg._derive(("validate", "strict", max_components),
+    return cfg._derive(("validate", "strict"),
                        lambda: ValidationReport("strict", lenient.findings + _strict_findings(cfg, lenient)))
 
 
-def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Finding, ...]:
+def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
     findings: list[Finding] = []
     seen_labels: set[str] = set()
     degree = 0  # of the common denominators, at most
@@ -303,9 +300,9 @@ def _lenient_findings(cfg: ResolutionConfig, max_components: int) -> tuple[Findi
                                         f"the sum of a + 1 over the components with a != 0 passes "
                                         f"the budget of {DISCREPANCY_BUDGET} at {label!r}", label))
 
-    if len(cfg.components) > max_components:
+    if len(cfg.components) > DEFAULT_COMPONENT_CAP:
         findings.append(Finding("error", "too-many-components",
-                                f"{len(cfg.components)} components exceed the cap of {max_components} "
+                                f"{len(cfg.components)} components exceed the cap of {DEFAULT_COMPONENT_CAP} "
                                 f"(subset enumeration cost)", ""))
 
     walk = sum(2 ** len(key) for key in cfg.strata)

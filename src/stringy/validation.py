@@ -1,8 +1,10 @@
-"""Finding/report types shared by config validation and the check routines."""
+"""Finding/report types shared by config validation and the check routines,
+and the one guard for integer arguments."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Union
 
 
 class ConfigFormatError(ValueError):
@@ -48,3 +50,16 @@ class ValidationReport:
     @property
     def warnings(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == "warning")
+
+
+def checked_int(value, what: str, least: Union[int, None] = 0) -> int:
+    """``value`` if it is an int (not a bool) of at least ``least``, which
+    None leaves unbounded; otherwise a ``ValueError`` that names ``what``.
+    The one guard for the integer arguments of the public functions."""
+    if isinstance(value, int) and not isinstance(value, bool) and (least is None or value >= least):
+        return value
+    from .exact_poly import decimal_str  # exact_poly imports this module
+
+    bound = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}.get(least, f"an int >= {least}")
+    shown = decimal_str(value) if isinstance(value, int) and not isinstance(value, bool) else repr(value)
+    raise ValueError(f"{what} must be {bound}, got {shown}")

@@ -264,3 +264,51 @@ def exact_fraction_eval(num, dens, u, v):
     reduced once at the end: summing Fractions term by term takes a gcd of
     the huge partial values at every step."""
     return Fraction(*exact_fraction_pair(num, dens, u, v))
+
+
+def _bounded_vectors(length, top, total):
+    """How many vectors in [0, top]^length have entries summing to total."""
+    counts = [1]  # counts[s]: vectors so far whose entries sum to s
+    for _ in range(length):
+        counts = [sum(counts[max(0, s - top):s + 1]) for s in range(len(counts) + top)]
+    return counts[total] if 0 <= total < len(counts) else 0
+
+
+def fermat_hodge_deligne(N, k):
+    """H(Y) of the smooth Fermat hypersurface Y of degree k in P^N, as a dict
+    {(p, q): coefficient} with coefficient (-1)^(p+q) h^{p,q}.
+
+    Y has dimension n = N - 1.  Its cohomology is the powers of the
+    hyperplane class, h^{p,p} = 1 for p <= n, plus the primitive middle
+    part, where by Griffiths' Jacobian-ring description (P. Griffiths, On
+    the periods of certain rational integrals, Ann. of Math. 90, 1969)
+    h^{n-q,q}_prim counts the exponent vectors in [0, k-2]^(N+1) with sum
+    (q+1)k - N - 1.
+    """
+    n = N - 1
+    terms = {(p, p): 1 for p in range(n + 1)}
+    for q in range(n + 1):
+        count = _bounded_vectors(N + 1, k - 2, (q + 1) * k - N - 1)
+        terms[(n - q, q)] = terms.get((n - q, q), 0) + (-1) ** n * count
+    return {pair: c for pair, c in terms.items() if c}
+
+
+def fermat_cone_config(N, k):
+    """The interchange mapping of the projective cone X over the Fermat
+    hypersurface Y of degree k <= N in P^N.
+
+    X has dimension N and one isolated singularity, the vertex.  Blowing it
+    up gives P(O_Y + O_Y(1)), with ambient H(Y)(1 + uv) and one exceptional
+    divisor E = Y of discrepancy a = N - k, so the closed stratum of E is
+    H(Y).  By the open-strata formula E_st = H(Y) (uv + (uv - 1)/((uv)^(a+1) - 1)).
+    """
+    fermat = fermat_hodge_deligne(N, k)
+    ambient = dict_mul(fermat, {(0, 0): 1, (1, 1): 1})
+    return {
+        "dimension": N,
+        "ambient": [[i, j, c] for (i, j), c in sorted(ambient.items())],
+        "components": [{"label": "E", "discrepancy": N - k}],
+        "strata_convention": "closed",
+        "strata": {"E": [[i, j, c] for (i, j), c in sorted(fermat.items())]},
+        "singular_locus": [[0, 0, 1]],
+    }

@@ -470,7 +470,7 @@ class TestPackedKernel:
     @settings(max_examples=60, deadline=None)
     def test_pack_round_trip(self, terms):
         poly = BivariatePolynomial(terms)
-        assert exact_poly._unpack(exact_poly._packed(poly)) == poly
+        assert exact_poly._unpack(common_denominator_sum([(poly, ())])[0]) == poly
 
     @given(st.lists(st.tuples(kernel_dicts(max_size=4), st.lists(cyclo_m, max_size=3),
                               st.lists(cyclo_m, max_size=2)), min_size=1, max_size=4))
@@ -532,7 +532,7 @@ class TestPackedKernel:
         # f = q (t^(kM) - 1)^L is divisible by Phi_k^L, and each
         # f_l = f P^l / (t^k - 1)^l folds to about M^l times |q|_1
         f = _oracle_value(q, (), [k * M] * L)
-        packed = exact_poly._packed(P(f))
+        packed = common_denominator_sum([(P(f), ())])[0]
         primes = exact_poly._prime_factors(k)
         for level in range(1, L + 1):
             f_l = _oracle_value(f, [k] * level, [k // p for p in primes] * level)
@@ -543,7 +543,7 @@ class TestPackedKernel:
         # library refuses before it allocates, not after
         top = exact_poly.PACKED_BIT_BUDGET  # slots are at least 8 bits wide
         far = P({(top, top): 1, (0, 0): -1})
-        near = exact_poly._packed(P({(top // 64, top // 64): 1, (0, 0): -1}))
+        near = common_denominator_sum([(P({(top // 64, top // 64): 1, (0, 0): -1}), ())])[0]
         started = time.perf_counter()
         with pytest.raises(PackedSizeError):
             far.exact_cyclo_quotient(top)

@@ -174,6 +174,28 @@ class TestHodgeDiamond:
         b = HodgeDiamond(1, {(0, 0): 1, (1, 1): 1})
         assert a == b
 
+    @given(st.data())
+    def test_construction_and_reading_share_one_walk(self, data):
+        # symmetric orbits, then a few perturbed entries: HodgeDiamond raises
+        # exactly when diamond_from_polynomial returns a violation, with its text
+        d = data.draw(st.integers(min_value=0, max_value=3))
+        points = st.tuples(st.integers(0, d), st.integers(0, d))
+        values = st.integers(min_value=-3, max_value=3)
+        entries = {}
+        for (p, q), val in data.draw(st.dictionaries(points, values, max_size=4)).items():
+            for mirror in ((p, q), (q, p), (d - p, d - q), (d - q, d - p)):
+                entries[mirror] = val
+        entries.update(data.draw(st.dictionaries(points, values, max_size=2)))
+        out = diamond_from_polynomial(P({(p, q): (-1) ** (p + q) * h for (p, q), h in entries.items()}), d)
+        if isinstance(out, DiamondViolation):
+            with pytest.raises(ValueError) as info:
+                HodgeDiamond(d, entries)
+            assert str(info.value) == out.describe()
+            assert str(info.value).startswith(f"violation at {out.location}: ")
+        else:
+            assert HodgeDiamond(d, entries) == out
+            assert all(h >= 0 for h in entries.values())
+
     def test_str_renders_rows(self):
         text = str(diamond_from_polynomial(projective_space(2).poly, 2))
         rows = [line.split() for line in text.splitlines()]

@@ -189,7 +189,6 @@ class TestPreparedConfig:
         assert validate(cfg, "strict") is strict
         assert validate(cfg) is lenient
         assert strict.findings[:len(lenient.findings)] == lenient.findings
-        assert validate(cfg, "lenient", max_components=0) is not lenient
 
 
 class TestDerivedPolynomials:
@@ -258,8 +257,8 @@ class TestValidateLenient:
     def test_component_cap(self):
         comps = [Component(f"E{k}", 1) for k in range(30)]
         cfg = ResolutionConfig(3, projective_space(3), comps, "closed", {})
-        assert "too-many-components" in {f.code for f in validate(cfg).errors}
-        assert validate(cfg, max_components=31).accepted
+        # the cap is the only thing wrong with 30 unused components
+        assert {f.code for f in validate(cfg).errors} == {"too-many-components"}
 
     def test_subset_walk_cost(self):
         # one 16-label key: 65536 subsets to convert, refused before any work

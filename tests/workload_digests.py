@@ -10,6 +10,14 @@ path, and prints one line per pass: workload, seed, command, pass name,
 options, exit code and the sha256 of stdout.  Run it at two commits and
 compare the printed lines: equal lines mean byte-identical output.  It only
 reads ``perfbench/``; pytest does not collect it.
+
+``tests/workload_digests.txt`` holds the lines for seeds 7 and 11, and CI
+fails when the output differs from it:
+
+    PYTHONPATH=src python3 tests/workload_digests.py 7 11 | diff tests/workload_digests.txt -
+
+Regenerate that file only with a change whose output is meant to differ,
+and say in the change which passes differ and why.
 """
 
 from __future__ import annotations
