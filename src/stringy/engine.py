@@ -219,13 +219,14 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
     """Decide whether x is a polynomial, for the E-function of a projective
     d-fold.
 
-    An empty canonical denominator settles it immediately.  Otherwise the
-    functional equation bounds a polynomial E-function's support by (d, d),
-    so expand to horizon 2d + sum(m_k): any nonzero coefficient outside that
-    box refutes polynomiality with the coefficient as witness; if the box
-    holds, the candidate read off the truncation must multiply back onto the
-    numerator exactly, and the lowest term of the residual is the witness
-    when it does not.
+    The canonical form decides it: x is a polynomial exactly when its
+    canonical denominator is empty.  Otherwise the expansion only finds the
+    witness.  The functional equation bounds a polynomial E-function's
+    support by (d, d), so expand to horizon 2d + sum(m_k): a nonzero
+    coefficient outside that box is the witness; if the box holds, the
+    candidate read off the truncation cannot multiply back onto the
+    numerator (x is not a polynomial), and the lowest term of the residual
+    is the witness.
     """
     checked_int(d, "dimension")
     if x.is_polynomial:
@@ -238,8 +239,6 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
                                          f"exceeds degree ({d},{d})")
     candidate = BivariatePolynomial({(i, j): c for (i, j), c in series.items() if i <= d and j <= d})
     residual = candidate * x.denominator.polynomial() - x.numerator
-    if residual.is_zero:
-        return Polynomial(candidate)
     (i, j), c = residual.sorted_items()[0]
     return NotPolynomial((i, j), f"division residual {decimal_str(c)} at ({i},{j})")
 
@@ -262,26 +261,18 @@ def generalized_stringy_hodge_numbers(series: TruncatedBiseries, d: int
 
     On the line i+j = d the reflection targets (j, i), so the two
     assignments agree exactly when the series is u<->v symmetric there.
+    The reflected table is read by :func:`diamond_from_polynomial`, so the
+    answer is the diamond or its first violation in degree order.
     Deliberately opt-in: the construction is heuristic, not proved.
     """
     checked_int(d, "dimension")
     if series.horizon < d:
         raise ValueError(f"series horizon {series.horizon} is below the dimension {d}")
-    entries: dict[tuple[int, int], int] = {}
-    for i in range(d + 1):
-        for j in range(d + 1 - i):
-            b = series.coefficient(i, j)
-            val = (-1 if (i + j) % 2 else 1) * b
-            if val < 0:
-                return DiamondViolation((i, j), val, "negative entry")
-            entries[(i, j)] = val
-    middle = [(i, d - i) for i in range(d + 1)]
-    for (i, j), _, here, there in mirror_mismatches(entries.__getitem__, middle, swap):
-        return DiamondViolation((i, j), here, f"h^{{{j},{i}}} = {decimal_str(there)} differs on the middle line")
-    full = dict(entries)
-    for (i, j), val in entries.items():
-        full[(d - i, d - j)] = val
-    return HodgeDiamond(d, full)
+    lower = [((i, j), b) for (i, j), b in series.items() if i + j <= d]
+    # (d-i) + (d-j) has the parity of i + j, so the reflected coefficient
+    # reads off as the same h; the middle line is left to the u<->v test
+    reflected = [((d - i, d - j), b) for (i, j), b in lower if i + j < d]
+    return diamond_from_polynomial(BivariatePolynomial(lower + reflected), d)
 
 
 @dataclass(frozen=True)

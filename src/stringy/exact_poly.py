@@ -1071,7 +1071,7 @@ def decimal_str(value: int) -> str:
         return "-" + decimal_str(-value)
     if value < _DECIMAL_PIECE_BOUND:
         return str(value)
-    half = int(value.bit_length() * 0.30102999566398) // 2  # about half the digits
+    half = value.bit_length() * 30103 // 200000  # about half the digits (log10 2 ~ 0.30103)
     high, low = divmod(value, 10 ** half)
     return decimal_str(high) + decimal_str(low).rjust(half, "0")
 

@@ -216,19 +216,10 @@ class HodgeDiamond:
     __slots__ = ("_d", "_entries")
 
     def __init__(self, d: int, entries: dict[tuple[int, int], int]):
-        checked_int(d, "dimension")
-        clean: dict[tuple[int, int], int] = {}
-        for (p, q), val in entries.items():
-            if p < 0 or q < 0 or p > d or q > d:
-                raise ValueError(f"entry ({p},{q}) outside the {d}-diamond")
-            checked_int(val, f"entry at ({p},{q})", None)
-            if val:
-                clean[(p, q)] = val
-        violation = _diamond_violation(clean, d)
-        if violation is not None:
-            raise ValueError(violation.describe())
-        self._d = d
-        self._entries = clean
+        read = _diamond(d, entries)
+        if isinstance(read, DiamondViolation):
+            raise ValueError(read.describe())
+        self._d, self._entries = read._d, read._entries
 
     @property
     def dimension(self) -> int:
@@ -264,6 +255,26 @@ class HodgeDiamond:
         return f"HodgeDiamond(d={self._d}, {{{body}}})"
 
 
+def _diamond(d: int, entries: dict[tuple[int, int], int]) -> Union[HodgeDiamond, DiamondViolation]:
+    """Read a table of entries h^{p,q}: the diamond, or the first violation
+    of :func:`_diamond_violation`, found in one walk.  Zero entries are
+    dropped; a position outside 0 <= p,q <= d or a non-int value raises."""
+    checked_int(d, "dimension")
+    clean: dict[tuple[int, int], int] = {}
+    for (p, q), val in entries.items():
+        if p < 0 or q < 0 or p > d or q > d:
+            raise ValueError(f"entry ({p},{q}) outside the {d}-diamond")
+        checked_int(val, f"entry at ({p},{q})", None)
+        if val:
+            clean[(p, q)] = val
+    violation = _diamond_violation(clean, d)
+    if violation is not None:
+        return violation
+    diamond = object.__new__(HodgeDiamond)
+    diamond._d, diamond._entries = d, clean
+    return diamond
+
+
 def diamond_from_polynomial(p: BivariatePolynomial, d: int) -> Union[HodgeDiamond, DiamondViolation]:
     """Read h^{p,q} := (-1)^{p+q} * coefficient(p,q) off a polynomial.
 
@@ -273,12 +284,4 @@ def diamond_from_polynomial(p: BivariatePolynomial, d: int) -> Union[HodgeDiamon
     DiamondViolation rather than an exception.  Exponents beyond d are a
     caller error and raise.
     """
-    checked_int(d, "dimension")
-    for (i, j) in p.support():
-        if i > d or j > d:
-            raise ValueError(f"exponent ({i},{j}) exceeds dimension {d}")
-    entries = {
-        (i, j): (-1 if (i + j) % 2 else 1) * c
-        for (i, j), c in p.items()
-    }
-    return _diamond_violation(entries, d) or HodgeDiamond(d, entries)
+    return _diamond(d, {(i, j): (-1 if (i + j) % 2 else 1) * c for (i, j), c in p.items()})

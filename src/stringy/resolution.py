@@ -10,7 +10,6 @@ lattice walk enumerates only stored keys and their subsets.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -79,7 +78,7 @@ class ResolutionConfig:
     """
 
     __slots__ = ("_dimension", "_ambient", "_components", "_convention", "_strata", "_singular_locus",
-                 "_derived", "_source", "__weakref__")
+                 "_derived", "__weakref__")
 
     def __init__(self, dimension: int, ambient: HodgeDelignePolynomial,
                  components: list[Component], convention: str,
@@ -111,7 +110,6 @@ class ResolutionConfig:
         self._strata = MappingProxyType(table)
         self._singular_locus = singular_locus
         self._derived: dict = {}
-        self._source = None  # weak reference to the config this one was converted from
 
     @property
     def dimension(self) -> int:
@@ -200,16 +198,12 @@ def convert_strata(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
 
     Only subsets of stored keys can acquire nonzero values, so the walk
     enumerates exactly those.  The converted config is made once per config
-    object and links back: converting it back returns ``cfg`` itself for as
-    long as ``cfg`` exists (the link is weak).
+    object: converting ``cfg`` again returns the same object.
     """
     if target not in ("open", "closed"):
         raise ValueError(f"strata convention must be 'open' or 'closed', got {target!r}")
     if cfg.convention == target:
         return cfg
-    source = cfg._source() if cfg._source is not None else None
-    if source is not None:
-        return source
     return cfg._derive(("convention", target), lambda: _converted(cfg, target))
 
 
@@ -223,11 +217,7 @@ def _converted(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
                 term = value
             acc[sub] = (acc[sub] + term) if sub in acc else term
     table = {key: val for key, val in acc.items() if not val.is_zero}
-    twin = cfg.replace(convention=target, strata=table)
-    # weak: a strong link back would make a reference cycle, which only the
-    # cycle collector frees, so a batch would hold several files' tables
-    twin._source = weakref.ref(cfg)
-    return twin
+    return cfg.replace(convention=target, strata=table)
 
 
 def component_closed_hd(cfg: ResolutionConfig, label: str) -> HodgeDelignePolynomial:

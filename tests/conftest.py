@@ -9,6 +9,7 @@ from stringy import (
     Component,
     HodgeDelignePolynomial,
     ResolutionConfig,
+    hodge,
     projective_space,
 )
 
@@ -29,6 +30,20 @@ def e6_path():
 @pytest.fixture(scope="session")
 def node_path():
     return FIXTURES / "node_a1.json"
+
+
+@pytest.fixture
+def diamond_walks(monkeypatch):
+    """The dimension of each ``hodge._diamond_violation`` walk, in call order."""
+    walks = []
+    walk = hodge._diamond_violation
+
+    def counting(entries, d):
+        walks.append(d)
+        return walk(entries, d)
+
+    monkeypatch.setattr(hodge, "_diamond_violation", counting)
+    return walks
 
 
 def load_golden(name):

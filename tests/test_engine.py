@@ -30,7 +30,13 @@ from stringy.exact_poly import (
     TruncatedBiseries,
     expand_rational,
 )
-from stringy.hodge import HodgeDelignePolynomial, HodgeDiamond, projective_space, validate_smooth_projective
+from stringy.hodge import (
+    DiamondViolation,
+    HodgeDelignePolynomial,
+    HodgeDiamond,
+    projective_space,
+    validate_smooth_projective,
+)
 from stringy.resolution import Component, ResolutionConfig, convert_strata, validate
 from stringy.validation import ConfigValidationError
 
@@ -577,6 +583,17 @@ class TestStringyHodgeNumbers:
         series = TruncatedBiseries(2, {(0, 0): 1, (2, 0): 1, (0, 2): 2, (1, 1): 1})
         out = generalized_stringy_hodge_numbers(series, 2)
         assert not isinstance(out, HodgeDiamond)
+
+    def test_generalized_off_middle_asymmetry_is_a_violation(self, diamond_walks):
+        series = TruncatedBiseries(4, {(0, 0): 1, (1, 0): -1, (1, 1): 1})
+        out = generalized_stringy_hodge_numbers(series, 2)
+        assert out == DiamondViolation((1, 0), 1, "h^{0,1} = 0 differs")
+        assert diamond_walks == [2]
+
+    def test_generalized_middle_line_reason(self):
+        series = TruncatedBiseries(2, {(0, 0): 1, (2, 0): 1, (0, 2): 2, (1, 1): 1})
+        out = generalized_stringy_hodge_numbers(series, 2)
+        assert out == DiamondViolation((0, 2), 2, "h^{2,0} = 1 differs")
 
     def test_generalized_mirrors_lower_half(self):
         series = TruncatedBiseries(2, {(0, 0): 1, (1, 1): 4, (1, 0): -2, (0, 1): -2})

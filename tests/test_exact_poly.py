@@ -1,5 +1,7 @@
+import ast
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -760,3 +762,19 @@ class TestJsonInts:
         with pytest.raises(ValueError) as info:
             decode_json_int("x" * 5000)
         assert len(str(info.value)) < 100
+
+
+class TestIntegerOnly:
+    def test_no_floats_in_the_package(self):
+        # the computational path is integer arithmetic: no float literal,
+        # no true division, no float() anywhere in the package source
+        found = []
+        for path in sorted(Path(exact_poly.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                    found.append((path.name, node.lineno, repr(node.value)))
+                elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                    found.append((path.name, node.lineno, "/"))
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                    found.append((path.name, node.lineno, "float()"))
+        assert found == []

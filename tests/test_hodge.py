@@ -196,6 +196,18 @@ class TestHodgeDiamond:
             assert HodgeDiamond(d, entries) == out
             assert all(h >= 0 for h in entries.values())
 
+    def test_each_reading_walks_the_table_once(self, diamond_walks):
+        assert isinstance(diamond_from_polynomial(projective_space(3).poly, 3), HodgeDiamond)
+        assert diamond_walks == [3]
+        HodgeDiamond(2, {(0, 0): 1, (2, 2): 1})
+        assert diamond_walks == [3, 2]
+        assert isinstance(diamond_from_polynomial(P({(0, 0): 1, (1, 1): -2, (2, 2): 1}), 2), DiamondViolation)
+        assert diamond_walks == [3, 2, 2]
+
+    def test_exponent_beyond_dimension_is_outside_the_diamond(self):
+        with pytest.raises(ValueError, match=r"^entry \(3,3\) outside the 2-diamond$"):
+            diamond_from_polynomial(P({(0, 0): 1, (3, 3): 1}), 2)
+
     def test_str_renders_rows(self):
         text = str(diamond_from_polynomial(projective_space(2).poly, 2))
         rows = [line.split() for line in text.splitlines()]

@@ -154,11 +154,13 @@ class TestConvertStrata:
 class TestPreparedConfig:
     # What is derived from a config is made once per config object.
 
-    def test_conversion_round_trip_returns_the_original(self):
+    def test_conversion_round_trip_is_equal_and_made_once(self):
         cfg = node_config()
         opened = convert_strata(cfg, "open")
         assert convert_strata(cfg, "open") is opened
-        assert convert_strata(opened, "closed") is cfg
+        back = convert_strata(opened, "closed")
+        assert back.strata == cfg.strata
+        assert convert_strata(opened, "closed") is back
 
     def test_conversion_makes_no_reference_cycle(self):
         # a cycle would be freed only by the cycle collector, so a batch
