@@ -27,11 +27,11 @@ The central representation choices:
   multiplying by t^m - 1 is one shift and one subtraction.  The formula
   sums (:func:`common_denominator_sum`), the agreement check
   (:func:`same_value`) and the cancellation (:func:`_reduce`) run on it;
-  the canonical numerator is unpacked once.  The slot width is chosen from
-  a proven bound, not a worst case: for a sum, the bit length of
-  sum_terms |num|_1 2^(factors multiplied in), plus a sign bit, in whole
-  bytes; the deeper cyclotomic tests and the written-back numerator widen
-  it only when their own bounds pass it (proofs in :func:`_reduce`).
+  the canonical numerator is unpacked once.  A sum's slots are as wide as
+  sum_terms |num|_1 2^(factors multiplied in) plus a sign bit, in whole
+  bytes.  The cancellation bounds nothing ahead: it runs at that width and
+  confirms its answer after the fact, and only a failed confirmation
+  doubles the width and runs it again (proofs in :func:`_reduce`).
   A packed value costs its slots times its width in time and memory, so
   one over ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
   it is made.  Values with an empty denominator stay sparse.
@@ -41,7 +41,6 @@ The central representation choices:
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Mapping, Union
 
 from .validation import checked_int
@@ -282,9 +281,17 @@ class CycloProduct:
 
     def __init__(self, factors: Iterable[int] = ()):
         fs = tuple(factors)
-        for m in fs:  # a loop: this runs per rational operation, and a generator costs more
+        for m in fs:  # a loop: a generator costs more
             checked_int(m, "denominator factor", 1)
         self._factors = tuple(sorted(fs))
+
+    @classmethod
+    def _from_sorted(cls, factors: tuple[int, ...]) -> "CycloProduct":
+        """The product of factors that are already checked and sorted, which
+        it takes over without checking or sorting them again."""
+        out = cls.__new__(cls)
+        out._factors = factors
+        return out
 
     @property
     def factors(self) -> tuple[int, ...]:
@@ -320,32 +327,38 @@ class CycloProduct:
             out = out * BivariatePolynomial.cyclo_factor(m)
         return out
 
-    def _counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for m in self._factors:
-            counts[m] = counts.get(m, 0) + 1
-        return counts
-
     def union(self, other: "CycloProduct") -> "CycloProduct":
         """Multiset union (max multiplicity per value): the least common
         denominator used when adding rationals."""
-        counts = self._counts()
-        for m, n in other._counts().items():
+        counts = _multiplicities(self._factors)
+        for m, n in _multiplicities(other._factors).items():
             counts[m] = max(counts.get(m, 0), n)
-        return CycloProduct(m for m, n in counts.items() for _ in range(n))
+        return _from_counts(counts)
 
     def minus(self, other: "CycloProduct") -> "CycloProduct":
         """Multiset difference; other must be contained in self."""
-        counts = self._counts()
-        for m, n in other._counts().items():
+        counts = _multiplicities(self._factors)
+        for m, n in _multiplicities(other._factors).items():
             if counts.get(m, 0) < n:
                 raise ValueError("multiset difference of non-contained factor sets")
             counts[m] -= n
-        return CycloProduct(m for m, n in counts.items() for _ in range(n))
+        return _from_counts(counts)
 
     def times(self, other: "CycloProduct") -> "CycloProduct":
         """Multiset sum: the denominator of a product of rationals."""
-        return CycloProduct(self._factors + other._factors)
+        return CycloProduct._from_sorted(tuple(sorted(self._factors + other._factors)))
+
+
+def _multiplicities(factors: Iterable[int]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for m in factors:
+        counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
+def _from_counts(counts: Mapping[int, int]) -> CycloProduct:
+    """The product with each checked m taken counts[m] times."""
+    return CycloProduct._from_sorted(tuple(m for m in sorted(counts) for _ in range(counts[m])))
 
 
 def _coerce_cyclo(value) -> CycloProduct:
@@ -506,7 +519,8 @@ class PackedNumerator:
     product with its value at T, so the int is exact whatever the digits;
     the polynomial can be read back (:func:`_unpack`) while every digit
     stays below 2^(width - 1) in absolute value.  ``degree`` bounds n and
-    ``norm`` bounds the sum of |c|.
+    ``norm`` bounds the sum of |c|, or is 0 for a written-back numerator,
+    whose digits are checked instead (:func:`_fits`).
     """
 
     __slots__ = ("value", "width", "offsets", "degree", "norm")
@@ -533,10 +547,9 @@ def _check_size(slots: int, width: int) -> None:
                               f"of {PACKED_BIT_BUDGET} bits")
 
 
-def _biased_zeros(nb: int, wide: int, slots: int) -> bytes:
-    """slots slots of wide bytes, each holding 2^(8 nb - 1): adding it makes
-    every nb-byte signed digit nonnegative."""
-    return (bytes(nb - 1) + b"\x80" + bytes(wide - nb)) * slots
+def _repeated(digit: int, nb: int, slots: int) -> bytes:
+    """slots slots of nb bytes, each holding the nonnegative digit."""
+    return digit.to_bytes(nb, "little") * slots
 
 
 def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int, top: int) -> int:
@@ -568,8 +581,9 @@ def _relayout(p: PackedNumerator, width: int, offsets: tuple[int, ...]) -> int:
     R, wide_R = len(p.offsets), len(offsets)
     rows = p.degree + 1
     _check_size(rows * wide_R, width)
-    data = (p.value + int.from_bytes(_biased_zeros(nb, nb, rows * R), "little")).to_bytes(rows * R * nb, "little")
-    fill = _biased_zeros(nb, wide, rows * wide_R)
+    half = 1 << (p.width - 1)  # added to every slot, it makes each digit nonnegative
+    data = (p.value + int.from_bytes(_repeated(half, nb, rows * R), "little")).to_bytes(rows * R * nb, "little")
+    fill = _repeated(half, wide, rows * wide_R)
     out = bytearray(fill)
     rank = {s: r for r, s in enumerate(offsets)}
     for r, s in enumerate(p.offsets):
@@ -595,7 +609,7 @@ def _unpack(p: PackedNumerator) -> BivariatePolynomial:
     if p.value:
         nb, R, offsets = p.width // 8, len(p.offsets), p.offsets
         slots = (p.degree + 1) * R
-        bias = int.from_bytes(_biased_zeros(nb, nb, slots), "little")
+        bias = int.from_bytes(_repeated(1 << (p.width - 1), nb, slots), "little")
         data = ((p.value + bias) ^ bias).to_bytes(slots * nb, "little")
         marks = data.translate(_NONZERO_MARKS)
         gap = bytes(2 * nb - 1)  # holds a whole zero slot wherever it starts
@@ -663,158 +677,63 @@ def _exact_quotient(x: int, w: int) -> int:
     return q - (1 << size) if q >> (size - 1) else q
 
 
-def _level_bound(x: PackedNumerator, k: int, primes: list[int], level: int) -> int:
-    """A bound on |f_L|_1, f_L = x P^L / (t^k - 1)^L with L = level and
-    P = prod_p (t^(k/p) - 1), and so on every digit of the level-(L + 1)
-    test of Phi_k (see :func:`_reduce`)."""
-    top = x.degree + level * (sum(k // p for p in primes) - k)  # the degree of f_L
-    return x.norm * math.comb(top // k + level, level) << len(primes) * level
-
-
-def _write_back_bounds(norm: int, gained: int, order: list[int], degree: int) -> tuple[list[int], int]:
-    """For c_j = x G / prod_{i < j} (t^(m_i) - 1), m_i = order[i], where
-    |x|_1 <= norm, G is a product of ``gained`` factors and degree is that
-    of x G: bounds on |c_j|_1 for j < len(order), and on every coefficient
-    of the last, each provided that c_j is a polynomial (see :func:`_reduce`)."""
-    base = norm << gained
-    sums = []
-    for j, m in enumerate(order):
-        bound = base
-        for f in order[:j]:
-            bound *= degree // f + 1
-        sums.append(bound)
-        degree -= m
-    digit = base
-    for f in order[:-1]:  # all parts but the smallest
-        digit *= degree // f + 1
-    return sums, digit
-
-
-def _write_back(num: PackedNumerator, den: CycloProduct, reduced: CycloProduct,
-                checked: bool) -> Union[PackedNumerator, None]:
-    """num times the factors of reduced over those of den, as a packed value
-    whose digits fit its width.  Unless checked, the quotient must be known
-    to be a polynomial; if checked, each division is tested first and None
-    is returned at the first that is not exact (see :func:`_reduce`)."""
+def _write_back(num: PackedNumerator, den: CycloProduct, reduced: CycloProduct
+                ) -> Union[PackedNumerator, None]:
+    """num times the factors of reduced over those of den, dividing by the
+    largest dropped factor first, or None at the first division that leaves
+    a residue.  The width holds every digit of num times the gained factors;
+    the quotient's digits are left for :func:`_fits` to check (see
+    :func:`_reduce`)."""
     both = reduced.union(den)
     gained, dropped = both.minus(den), both.minus(reduced)
-    order = sorted(dropped, reverse=True)
     degree = num.degree + gained.degree_uv()
-    sums, digit = _write_back_bounds(num.norm, len(gained), order, degree)
-    value, width = num.value, num.width
-    need = _width(max(sums + [digit]) if checked else digit)
-    slots, wide = (degree + 1) * len(num.offsets), max(need, width)
-    if checked and slots * wide > PACKED_BIT_BUDGET:
-        return None  # a trial is not worth passing the budget for
-    _check_size(slots, wide)
-    if need > width:
-        value, width = _relayout(num, need, num.offsets), need
+    width = max(num.width, _width(num.norm << len(gained)))
+    _check_size((degree + 1) * len(num.offsets), width)
+    value = num.value if width == num.width else _relayout(num, width, num.offsets)
     step = width * len(num.offsets)
     for m in gained:
         value = (value << step * m) - value
-    for m in order:
-        if checked and not _vanishes(value, step * m, ()):
+    for m in sorted(dropped, reverse=True):
+        if not _vanishes(value, step * m, ()):
             return None
         value = _exact_quotient(value, step * m)
-    return PackedNumerator(value, width, num.offsets, degree - dropped.degree_uv(), digit)
+    return PackedNumerator(value, width, num.offsets, degree - dropped.degree_uv(), 0)
+
+
+def _fits(p: PackedNumerator, headroom: int) -> bool:
+    """Whether every digit of p, read balanced, keeps headroom bits below
+    its width: p plus 2^(width - 1 - headroom) in every slot is a
+    nonnegative int of p's slots with the top headroom bits of every slot
+    clear.  Bit masks on the whole int; no digit is read."""
+    w = p.width
+    if headroom >= w:
+        return False
+    nb, slots = w // 8, (p.degree + 1) * len(p.offsets)
+    biased = p.value + int.from_bytes(_repeated(1 << (w - 1 - headroom), nb, slots), "little")
+    top = int.from_bytes(_repeated(((1 << headroom) - 1) << (w - headroom), nb, slots), "little")
+    return biased >= 0 and biased.bit_length() <= slots * w and not biased & top
 
 
 def _deeper(x: PackedNumerator, k: int, primes: list[int], limit: int) -> int:
     """How many more times Phi_k divides x, up to limit, given that it
     divides once: Phi_k^(L+1) divides x when Phi_k divides f_L, made one
-    level at a time and widened first when the level's bound passes the
-    width (see :func:`_reduce`)."""
-    lift = sum(k // p for p in primes)
-    value, width, degree = x.value, x.width, x.degree
+    level at a time at x's width (see :func:`_reduce`)."""
+    step = x.width * len(x.offsets)
+    value = x.value
     for level in range(1, limit + 1):
-        need = _width(_level_bound(x, k, primes, level))
-        if need > width:
-            value = _relayout(PackedNumerator(value, width, x.offsets, degree, 0), need, x.offsets)
-            width = need
-        step = width * len(x.offsets)
         for p in primes:
             value = (value << step * (k // p)) - value
         value = _exact_quotient(value, step * k)
-        degree += lift - k
         if not _vanishes(value, step * k, [step * k // p for p in primes]):
             return level - 1
     return limit
 
 
-def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
-            ) -> tuple[BivariatePolynomial, CycloProduct]:
-    """The unique representation of num / den.  num is a polynomial or the
-    packed value of a formula sum; only the result is unpacked, once.
-
-    With t = uv, den = prod_k Phi_k(t)^{e_k}, where e_k counts the factors m
-    that k divides.  Every Phi_k(uv) is irreducible in Q[u, v], and Phi_k^r
-    divides the numerator exactly when it divides every row (the terms of
-    one offset s = i - j, a polynomial in t), so cancelling the largest such
-    r_k <= e_k leaves the reduced fraction.  Its denominator is written back
-    in one pass over k, largest first: with c_k the number of factors
-    already written that k divides, max(0, e_k - c_k - r_k) factors
-    (uv)^k - 1 are written, so Phi_k is tested at most e_k - c_k levels
-    deep.  The numerator is num times the new factors over the old ones.
-
-    Every step runs on the packed value x (:class:`PackedNumerator`), where
-    T = 2^(width R) is t and folding modulo T^k - 1 folds every row modulo
-    t^k - 1 at once.  The int operations are exact at any width; a width
-    only decides whether digits can be read back, so the bounds below say
-    when it must grow, and a value is widened (:func:`_relayout`) only while
-    its own digits are known to fit.  With norm >= |x|_1:
-
-    * Level 1.  Modulo t^k - 1, y = prod_{p | k prime} (1 - t^{k/p})
-      vanishes at every d-th root of unity with d | k, d < k, and at no
-      primitive k-th one, so Phi_k divides a row f exactly when f y = 0
-      modulo t^k - 1.  The 2^omega(k) terms of y have exponents distinct
-      modulo k (two subsets of the k/p differ by k times a sum of +-1/p,
-      never an integer), so each digit of f y modulo t^k - 1 is a signed
-      sum of distinct residue-class sums of f, at most |f|_1 <= norm.
-      While norm < 2^(width - 1) those digits are determined by x y modulo
-      2^(width R k) - 1, and the test is whether that residue is 0
-      (:func:`_vanishes`).  The width of a sum
-      (:func:`common_denominator_sum`) is chosen for exactly this.
-    * Level L + 1.  Given Phi_k^L | f, the polynomial
-      f_L = f P^L / (t^k - 1)^L with P = prod_p (t^{k/p} - 1) is divisible
-      by Phi_k exactly when Phi_k^(L+1) divides f: P holds every Phi_d with
-      d | k except Phi_k.  By 1 / (t^k - 1)^L = (-1)^L sum_n C(n + L - 1,
-      L - 1) t^{kn}, |f_L|_1 <= |f P^L|_1 C(D + L, L) with
-      D = deg(f_L) // k, and |f P^L|_1 <= 2^(omega L) norm; a digit of the
-      level test is again at most |f_L|_1 (:func:`_level_bound`).  f_L is
-      made from f_(L-1), whose digits are within the previous level's
-      bound, by shift-subtracts and one exact division, after widening
-      f_(L-1) when this bound passes the width (:func:`_deeper`).
-    * Write-back.  The numerator x G / prod_{m dropped} (t^m - 1), with G
-      the product of the gained factors, is x G sum_n p(n) t^n up to sign,
-      where p(n) counts the ways to write n as a sum of dropped m's.  So its
-      coefficients are at most 2^|gained| norm max_{n <= deg} p(n), and
-      p(n) <= prod over the dropped m but the smallest of (deg // m + 1)
-      (:func:`_write_back_bounds`).  x is widened first when that bound
-      passes its width.
-    * Phi_1, last.  By then every other Phi_k is settled, and with the
-      factors written so far the numerator x G / prod_{m dropped} (t^m - 1)
-      is a polynomial exactly when Phi_1 divides x to the full depth
-      e_1 - c_1, since each factor holds Phi_1 once.  So when Phi_1 passes
-      level 1 with more levels to go, that write-back is tried first
-      (:func:`_write_back`, checked): dividing by the largest m first,
-      before each division the quotient so far c_j = x G / prod_{i < j}
-      (t^{m_i} - 1) is a polynomial, its power series has |c_j|_1 <=
-      2^|gained| norm prod_{i < j} (deg(c_j) // m_i + 1), and while that
-      fits the width the residue test of t^{m_j} - 1 is exact.  If a test
-      fails, Phi_1 is tested level by level as above.  A formula sum never
-      keeps a pole at uv = 1 ((uv - 1)/((uv)^{a+1} - 1) has none), so its
-      trial succeeds, and no quotient by (t - 1)^L, whose digits grow like
-      C(deg + L, L), is made.
-
-    Each step is a few int operations, linear in the packed size.
-    """
-    if not den:
-        return (_unpack(num) if isinstance(num, PackedNumerator) else num), CycloProduct()
-    if not isinstance(num, PackedNumerator):
-        num = common_denominator_sum([(num, ())])[0]
-    if not num.value:
-        return BivariatePolynomial(), CycloProduct()
-    counts = den._counts()
+def _cancel(num: PackedNumerator, den: CycloProduct) -> tuple[CycloProduct, Union[PackedNumerator, None]]:
+    """The reduced denominator of num / den and the written-back numerator,
+    or None for it when a division leaves a residue, from the cyclotomic
+    tests at num's width (see :func:`_reduce`)."""
+    counts = _multiplicities(den.factors)
     exponents: dict[int, int] = {}
     for m, n in counts.items():
         for k in _divisors(m):
@@ -833,17 +752,87 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
         if _vanishes(folds[m], step * k, [step * k // p for p in primes]):
             if k == 1 and depth > 1:
                 # the last Phi: try cancelling it to the full depth first
-                reduced = CycloProduct(factors)
-                out = _write_back(num, den, reduced, checked=True)
+                reduced = CycloProduct._from_sorted(tuple(factors[::-1]))
+                out = _write_back(num, den, reduced)
                 if out is not None:
-                    return _unpack(out), reduced
+                    return reduced, out
             depth -= 1 + _deeper(num, k, primes, depth - 1)
         if depth:
             factors += [k] * depth
             for d in _divisors(k):
                 exponents[d] -= depth
-    reduced = CycloProduct(factors)
-    return _unpack(_write_back(num, den, reduced, checked=False)), reduced
+    reduced = CycloProduct._from_sorted(tuple(factors[::-1]))  # written largest first
+    return reduced, _write_back(num, den, reduced)
+
+
+def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
+            ) -> tuple[BivariatePolynomial, CycloProduct]:
+    """The unique representation of num / den.  num is a polynomial or the
+    packed value of a formula sum; only the result is unpacked, once.
+
+    With t = uv, den = prod_k Phi_k(t)^{e_k}, where e_k counts the factors m
+    that k divides.  Every Phi_k(uv) is irreducible in Q[u, v], and Phi_k^r
+    divides the numerator exactly when it divides every row (the terms of
+    one offset s = i - j, a polynomial in t), so cancelling the largest such
+    r_k <= e_k leaves the reduced fraction.  Its denominator is written back
+    in one pass over k, largest first: with c_k the number of factors
+    already written that k divides, max(0, e_k - c_k - r_k) factors
+    (uv)^k - 1 are written, so Phi_k is tested at most e_k - c_k levels
+    deep.  The numerator is x G / prod_{m dropped} (t^m - 1), with x = num
+    and G the product of the gained factors (:func:`_write_back`).
+
+    Every step runs on the packed value x (:class:`PackedNumerator`), where
+    T = 2^(width R) is t.  Modulo t^k - 1, y = prod_{p | k prime}
+    (1 - t^{k/p}) vanishes at every d-th root of unity with d | k, d < k,
+    and at no primitive k-th one, so Phi_k divides a row f exactly when
+    t^k - 1 divides f y.  Level L + 1 tests f_L = f P^L / (t^k - 1)^L,
+    P = prod_p (t^{k/p} - 1), which Phi_k divides exactly when Phi_k^(L+1)
+    divides f (:func:`_deeper`).  The int operations are exact at any
+    width, and the width only decides whether digits can be read back, so
+    nothing is bounded ahead; the answers are confirmed after the fact:
+
+    * A residue is a proof.  If Phi_k divides f_L, T^k - 1 divides
+      f_L(T) y(T) as ints, so a nonzero fold (:func:`_vanishes`) proves
+      that it does not, whatever the width, provided the levels before
+      were true.  Likewise a division of the write-back that leaves a
+      residue proves the numerator is no polynomial.
+    * A false "divides" can only cancel too much: the first one, at the
+      largest such k, leaves Phi_k in the denominator fewer times than the
+      reduced fraction needs, so x G / prod_{m dropped} (t^m - 1) is not a
+      polynomial.
+    * The write-back confirms it is one.  Its divisions leave no residue,
+      so the quotient q times prod_{m dropped} (T^m - 1) is x G(T) as
+      ints.  The width holds every digit of x G, and if q's digits keep
+      1 + |dropped| bits of headroom (:func:`_fits`), each of the factors
+      at most doubles them, so both sides are packed polynomials whose
+      digits fit: their ints are equal only if they are.
+
+    So a written-back numerator that fits is the canonical one.  One that
+    does not (too narrow, or a test fooled by digits past the width) makes
+    the whole reduction run again at twice the width, until it fits or the
+    size passes ``PACKED_BIT_BUDGET`` (:func:`_relayout`).
+
+    Phi_1 comes last.  With every other Phi_k settled, x G / prod_{m
+    dropped} (t^m - 1) is a polynomial exactly when Phi_1 divides x to the
+    full depth e_1 - c_1.  So when Phi_1 passes level 1 with more levels to
+    go, that write-back is tried first, and only a residue sends Phi_1 to
+    the level tests.  A formula sum never keeps a pole at uv = 1, so its
+    trial succeeds, and no quotient by (t - 1)^L is made.
+
+    Each step is a few int operations, linear in the packed size.
+    """
+    if not den:
+        return (_unpack(num) if isinstance(num, PackedNumerator) else num), CycloProduct()
+    if not isinstance(num, PackedNumerator):
+        num = common_denominator_sum([(num, ())])[0]
+    if not num.value:
+        return BivariatePolynomial(), CycloProduct()
+    while True:
+        reduced, out = _cancel(num, den)
+        if out is not None and _fits(out, 1 + len(reduced.union(den)) - len(reduced)):
+            return _unpack(out), reduced
+        width = 2 * num.width
+        num = PackedNumerator(_relayout(num, width, num.offsets), width, num.offsets, num.degree, num.norm)
 
 
 def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, CycloProduct]:
@@ -872,7 +861,9 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     for num, factors, *gains in terms:
         key = (tuple(factors), tuple(gains[0]) if gains else ())
         if key not in counted:
-            counted[key] = (CycloProduct(key[0])._counts(), CycloProduct(key[1])._counts())
+            for m in key[0] + key[1]:  # the caller's: checked once per distinct key
+                checked_int(m, "denominator factor", 1)
+            counted[key] = (_multiplicities(key[0]), _multiplicities(key[1]))
         if num:
             entries.append((key, num._terms))
     largest: dict[int, int] = {}
@@ -880,7 +871,7 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
         for m, n in counts.items():
             if n > largest.get(m, 0):
                 largest[m] = n
-    common = CycloProduct(m for m, n in largest.items() for _ in range(n))
+    common = _from_counts(largest)
     if not entries:
         return PackedNumerator(0, 8, (), 0, 0), common
     distinct = sorted(set(largest).union(*(g for _, g in counted.values())))

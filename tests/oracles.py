@@ -240,18 +240,45 @@ def exact_fraction_pair(num, dens, u, v):
     b^I e^J prod((ac)^m - (be)^m) / (be)^(sum m) for I, J the top powers
     of u and v.  Nothing is reduced: a gcd of the huge values costs far
     more than the sums, so compare pairs with :func:`same_fraction`.
+
+    The sum is taken per diagonal offset s = i - j, where the term at
+    n = min(i, j) is a^(i-n) c^(j-n) (ac)^n b^(I-i) e^(J-j), by a sparse
+    Horner walk down n (:func:`_descending_horner`): products by small
+    powers per gap, and large powers only once per offset.
     """
     u, v = Fraction(u), Fraction(v)
     a, b, c, e = u.numerator, u.denominator, v.numerator, v.denominator
     top_i = max((i for i, _ in num), default=0)
     top_j = max((j for _, j in num), default=0)
-    total = sum(coeff * a ** i * b ** (top_i - i) * c ** j * e ** (top_j - j)
-                for (i, j), coeff in num.items())
+    classes = {}  # per offset s = i - j, {n: coefficient} with n = min(i, j)
+    for (i, j), coeff in num.items():
+        classes.setdefault(i - j, {})[min(i, j)] = coeff
+    total = 0
+    for s, coeffs in classes.items():
+        du, dv = max(s, 0), max(-s, 0)  # i = n + du, j = n + dv
+        p, q = top_i - du, top_j - dv  # b^(p - n) e^(q - n) = b^(p - low) e^(q - low) (be)^(low - n)
+        low, top = min(p, q), max(coeffs)
+        total += (a ** du * c ** dv * b ** (p - low) * e ** (q - low) * (b * e) ** (low - top)
+                  * _descending_horner(coeffs, a * c, b * e))
     den = b ** top_i * e ** top_j
     for m in dens:
         total *= (b * e) ** m
         den *= (a * c) ** m - (b * e) ** m
     return total, den
+
+
+def _descending_horner(coeffs, x, y):
+    """sum c x^n y^(top - n) over coeffs = {n: c}, top the largest n, walking
+    down the exponents: acc x^gap + c y^(top - n), with y^(top - n) kept
+    up to date by y^gap, so each gap costs products by small powers."""
+    acc, y_power, prev = 0, 1, None
+    for n in sorted(coeffs, reverse=True):
+        if prev is not None:
+            acc *= x ** (prev - n)
+            y_power *= y ** (prev - n)
+        acc += coeffs[n] * y_power
+        prev = n
+    return acc * x ** prev
 
 
 def same_fraction(x, y):

@@ -50,6 +50,33 @@ def parse_json_documents(out):
     return docs
 
 
+# a prime: values modulo it stand in for the rational functions at a point
+_MERSENNE_127 = 2 ** 127 - 1
+
+
+def _at(triples, u, v):
+    """A polynomial given as [i, j, c] triples at (u, v), modulo 2^127 - 1."""
+    p = _MERSENNE_127
+    return sum(exact_poly.decode_json_int(c) * pow(u, i, p) * pow(v, j, p) for i, j, c in triples) % p
+
+
+def _closed_formula_at(config, u, v):
+    """E_st of a closed-convention config at (u, v), modulo 2^127 - 1, by the
+    closed-strata formula sum_I H(D_I) prod_{i in I} (uv - (uv)^(a_i + 1)) /
+    ((uv)^(a_i + 1) - 1), independently of the library's arithmetic."""
+    p = _MERSENNE_127
+    t = u * v % p
+    discrepancy = {comp["label"]: comp["discrepancy"] for comp in config["components"]}
+    total = _at(config["ambient"], u, v)
+    for key, triples in config["strata"].items():
+        term = _at(triples, u, v)
+        for label in key.split(","):
+            power = pow(t, discrepancy[label] + 1, p)
+            term = term * (t - power) * pow(power - 1, -1, p) % p
+        total += term
+    return total % p
+
+
 def assert_canonical_json(out):
     # The report must round-trip byte-identically through a sorted re-dump.
     for doc in parse_json_documents(out):
@@ -671,6 +698,31 @@ class TestErrors:
         assert code == 0
         doc = json.loads(out)
         assert doc["agree"] is True and doc["e_st"]["den"] == []
+
+    @pytest.mark.parametrize("components, reach", [(11, 4), (16, 2)], ids=["11x9-offsets", "16x5-offsets"])
+    def test_lenient_accepted_deep_cancellation_computes(self, run, tmp_path, components, reach):
+        # prime a + 1 just below 2^14 and tables (uv)^(a+1) - 1: validation
+        # accepts them, and E_st is a polynomial with small coefficients, so
+        # the cancellation has no reason to refuse them after the sums
+        primes = [m for m in range(2 ** 14 - 1, 2 ** 13, -1) if all(m % d for d in range(2, 128))][:components]
+        fan = [[0, 0, 1]] + [[k, 0, 1] for k in range(1, reach + 1)] + [[0, k, 1] for k in range(1, reach + 1)]
+        config = {
+            "dimension": 1, "ambient": fan,
+            "components": [{"label": f"E{k}", "discrepancy": m - 1} for k, m in enumerate(primes)],
+            "strata_convention": "closed",
+            "strata": {f"E{k}": [[0, 0, -1], [m, m, 1]] for k, m in enumerate(primes)},
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(config))
+        assert run("validate", str(path))[0] == 0
+        started = time.perf_counter()
+        code, out, _ = run("compute", str(path), "--format", "json")
+        assert time.perf_counter() - started < 3.0
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agree"] is True and doc["e_st"]["den"] == []
+        for u, v in [(2, 3), (5, 7)]:
+            assert _at(doc["e_st"]["num"], u, v) == _closed_formula_at(config, u, v)
 
     def test_far_apart_offsets_stay_cheap(self, run, tmp_path):
         # terms at (2^14, 0), (0, 2^14) and (2^14, 2^14): the packed layout

@@ -4,10 +4,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stringy import engine
+from stringy import engine, exact_poly, resolution
 from stringy.engine import (
     NotPolynomial,
     Polynomial,
@@ -37,10 +37,11 @@ from stringy.hodge import (
     projective_space,
     validate_smooth_projective,
 )
-from stringy.resolution import Component, ResolutionConfig, convert_strata, validate
+from stringy.resolution import Component, ResolutionConfig, convert_strata, load_config, validate
 from stringy.validation import ConfigValidationError
 
 from conftest import (
+    LABELS,
     e6_config,
     load_golden,
     node_config,
@@ -374,7 +375,60 @@ def test_reflection_walk_order(check, expected):
     assert got == expected
 
 
+@st.composite
+def near_budget_configs(draw):
+    """Configs of 1-4 components with a <= 40, whose tables hold 1-5
+    offsets i - j, in either convention: about the size that a packed
+    budget of 2^12 bits accepts or just refuses.  Discrepancies repeat, and
+    a table may carry the factors (uv)^(a+1) - 1 of its labels, so that
+    poles cancel, often all of them, as in a polynomial E_st."""
+    pool = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4))
+    labels = LABELS[:draw(st.integers(min_value=1, max_value=4))]
+    components = [Component(label, draw(st.sampled_from(pool))) for label in labels]
+    reach = draw(st.sets(st.integers(min_value=1, max_value=6), max_size=2))
+    offsets = sorted(reach | ({0} if not reach or draw(st.booleans()) else set()))
+
+    def table(key=()):
+        terms = {}
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            k, s = draw(st.integers(min_value=0, max_value=8)), draw(st.sampled_from(offsets))
+            c = draw(st.integers(min_value=-99, max_value=99).filter(bool))
+            for pair in {(k + s, k), (k, k + s)}:
+                terms[pair] = terms.get(pair, 0) + c
+        poly = BivariatePolynomial(terms)
+        for comp in components:
+            if comp.label in key and comp.discrepancy and draw(st.booleans()):
+                poly = poly * BivariatePolynomial.cyclo_factor(comp.discrepancy + 1)
+        return HodgeDelignePolynomial(poly)
+
+    keys = draw(st.sets(st.frozensets(st.sampled_from(labels), min_size=1), min_size=1, max_size=4))
+    strata = {tuple(sorted(key)): table(key) for key in keys}
+    return ResolutionConfig(draw(st.integers(min_value=1, max_value=4)), table(), components,
+                            draw(st.sampled_from(["open", "closed"])), strata)
+
+
 class TestFormulaEquivalence:
+    @settings(max_examples=100, deadline=None)
+    @given(near_budget_configs())
+    @example(load_config({  # Phi_1 three deep: proven bounds on its quotients passed the budget
+        "dimension": 1, "ambient": [[0, 0, 1]], "strata_convention": "open",
+        "components": [{"label": label, "discrepancy": a}
+                       for label, a in (("E1", 15), ("E2", 15), ("E3", 15), ("E4", 25))],
+        "strata": {"E1,E2,E3,E4": [[0, 0, -4], [16, 16, 8], [26, 26, 4], [32, 32, -4], [42, 42, -8],
+                                   [58, 58, 4]]},
+    }))
+    def test_lenient_acceptance_is_never_refused_later(self, cfg):
+        # validation bounds the formula sums; the agreement check and the
+        # cancellation after them must then stay within the same budget
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resolution, "PACKED_BIT_BUDGET", 2 ** 12)
+            patch.setattr(exact_poly, "PACKED_BIT_BUDGET", 2 ** 12)
+            if not validate(cfg).accepted:
+                return
+            result = compute(cfg)
+        assert result.agree
+        assert same_fraction(_e_open_at(result), _closed_formula_at(convert_strata(cfg, "closed")))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))
     def test_open_equals_closed_and_oracle_series(self, seed):

@@ -526,20 +526,6 @@ class TestPackedKernel:
         assert widened and all(new > old for old, new in widened)
         assert dict(x.numerator.items()) == _oracle_value(numerator, [1] * 5, ())
 
-    @given(st.dictionaries(st.tuples(exponents, exponents), coeffs, min_size=1, max_size=4),
-           st.integers(min_value=1, max_value=12), st.integers(min_value=2, max_value=12),
-           st.integers(min_value=1, max_value=3))
-    @settings(max_examples=40, deadline=None)
-    def test_level_bound_holds(self, q, k, M, L):
-        # f = q (t^(kM) - 1)^L is divisible by Phi_k^L, and each
-        # f_l = f P^l / (t^k - 1)^l folds to about M^l times |q|_1
-        f = _oracle_value(q, (), [k * M] * L)
-        packed = common_denominator_sum([(P(f), ())])[0]
-        primes = exact_poly._prime_factors(k)
-        for level in range(1, L + 1):
-            f_l = _oracle_value(f, [k] * level, [k // p for p in primes] * level)
-            assert sum(map(abs, f_l.values())) <= exact_poly._level_bound(packed, k, primes, level)
-
     def test_packs_past_the_budget_are_refused(self):
         # a slot per power of uv up to the degree: past the budget the
         # library refuses before it allocates, not after
@@ -778,3 +764,32 @@ class TestIntegerOnly:
                 elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
                     found.append((path.name, node.lineno, "float()"))
         assert found == []
+
+    def test_no_dead_names_in_the_package(self):
+        # every import, and every module-level private function, class or
+        # assignment, is read somewhere in the package: a helper that loses
+        # its only caller goes with it
+        defined, read = [], set()
+        for path in sorted(Path(exact_poly.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    names = []
+                defined += [(path.name, node.lineno, name) for name in names
+                            if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                    defined += [(path.name, node.lineno, (alias.asname or alias.name).split(".")[0])
+                                for alias in node.names]
+                elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)  # a name listed in __all__
+        assert [entry for entry in defined if entry[2] not in read] == []
