@@ -11,7 +11,7 @@ is fixed, timings are integer microseconds, and any integer beyond signed
 64-bit range is a decimal string.  Each report is exactly the standard
 ``json`` module's ``dumps(report, sort_keys=True, indent=2) + "\n"``,
 written by one writer (:func:`_json_text`) that emits polynomial terms
-straight from ``sorted_items()``.
+straight from ``sorted_items()``, read only when a report is written.
 """
 
 from __future__ import annotations
@@ -69,16 +69,18 @@ class _InputError(Exception):
 
 class _Triples:
     """Terms ((i, j), c) in output order, written as [[i, j, c], ...] with
-    encode_json_int's rule for c."""
+    encode_json_int's rule for c.  Holds the function that gives them and
+    calls it only when the writer writes them, so a text run, which writes
+    no report, neither orders nor copies any terms."""
 
-    __slots__ = ("items",)
+    __slots__ = ("terms",)
 
-    def __init__(self, items):
-        self.items = items
+    def __init__(self, terms):
+        self.terms = terms
 
 
 def _triples(poly) -> _Triples:
-    return _Triples(poly.sorted_items())
+    return _Triples(poly.sorted_items)
 
 
 def _quoted(c: int) -> str:
@@ -102,7 +104,8 @@ def _write_json(value, pad: str, out: list) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, _Triples):
-        if not value.items:
+        items = value.terms()
+        if not items:
             out.append("[]")
             return
         row = "\n" + pad + "  "
@@ -110,7 +113,7 @@ def _write_json(value, pad: str, out: list) -> None:
         lo, hi = _I64_MIN, _I64_MAX  # encode_json_int's rule, inlined
         out.append("[" + ",".join(
             f"{row}[{cell}{i},{cell}{j},{cell}{c if lo <= c <= hi else _quoted(c)}{row}]"
-            for (i, j), c in value.items) + "\n" + pad + "]")
+            for (i, j), c in items) + "\n" + pad + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -300,8 +303,8 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
         report = check_nonnegativity(_series(result), d)
         checks["nonneg"] = {
             "passed": report.passed,
-            "violations": _Triples([((i, j), b) for i, j, b in report.violations]),
-            "notes": _Triples([((i, j), b) for i, j, b in report.beyond_notes]),
+            "violations": _Triples(lambda: [((i, j), b) for i, j, b in report.violations]),
+            "notes": _Triples(lambda: [((i, j), b) for i, j, b in report.beyond_notes]),
         }
         all_passed &= report.passed
         if lines:

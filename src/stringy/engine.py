@@ -233,7 +233,7 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
         return Polynomial(x.numerator)
     horizon = 2 * d + x.denominator.degree_uv()
     series = expand_rational(x, horizon)
-    for (i, j), c in series.sorted_items():
+    for (i, j), c in series.items():
         if c and (i > d or j > d):
             return NotPolynomial((i, j), f"series coefficient {decimal_str(c)} at ({i},{j}) "
                                          f"exceeds degree ({d},{d})")
@@ -296,7 +296,7 @@ def check_nonnegativity(series: TruncatedBiseries, d: int) -> NonnegativityRepor
         raise ValueError(f"series horizon {series.horizon} is below the dimension {d}")
     violations = []
     notes = []
-    for (i, j), b in series.sorted_items():
+    for (i, j), b in series.items():
         if (-1 if (i + j) % 2 else 1) * b < 0:
             if i + j <= d:
                 violations.append((i, j, b))

@@ -36,12 +36,14 @@ The central representation choices:
   one over ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
   it is made.  Values with an empty denominator stay sparse.
 * ``TruncatedBiseries`` holds exact coefficients for all total degrees
-  i + j <= horizon and claims nothing beyond it.
+  i + j <= horizon, in output order, and claims nothing beyond it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from itertools import accumulate, compress
+from operator import add
+from typing import ItemsView, Iterable, Iterator, Mapping, Union
 
 from .validation import checked_int
 
@@ -947,6 +949,12 @@ class TruncatedBiseries:
     """Exact series coefficients for every (i, j) with i + j <= horizon,
     held as the polynomial of those coefficients.
 
+    The coefficients are held in output order: by total degree i + j, then
+    j, then i (the order of :meth:`BivariatePolynomial.sorted_items`).  The
+    public constructor sorts once and :func:`expand_rational` builds them
+    in that order, so ``items()`` and ``sorted_items()`` hand them out as
+    they stand.
+
     Asking for a coefficient beyond the horizon raises: nothing out there is
     claimed, not even zero.
     """
@@ -960,7 +968,15 @@ class TruncatedBiseries:
             if i + j > horizon:
                 raise ValueError(f"coefficient at {(i, j)} lies beyond horizon {horizon}")
         self._horizon = horizon
-        self._poly = poly
+        self._poly = _polynomial(dict(poly.sorted_items()))
+
+    @classmethod
+    def _in_order(cls, horizon: int, terms: dict[ExponentPair, int]) -> "TruncatedBiseries":
+        """The series of a term map already within the horizon, free of
+        zeros and in output order, which it takes over as it stands."""
+        out = cls.__new__(cls)
+        out._horizon, out._poly = horizon, _polynomial(terms)
+        return out
 
     @property
     def horizon(self) -> int:
@@ -973,10 +989,12 @@ class TruncatedBiseries:
         return self._poly.coefficient(*pair)
 
     def items(self) -> Iterator[tuple[ExponentPair, int]]:
+        """The terms in output order."""
         return self._poly.items()
 
-    def sorted_items(self) -> list[tuple[ExponentPair, int]]:
-        return self._poly.sorted_items()
+    def sorted_items(self) -> ItemsView[ExponentPair, int]:
+        """The terms in output order, as held: no sort and no copy."""
+        return self._poly._terms.items()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedBiseries):
@@ -987,65 +1005,103 @@ class TruncatedBiseries:
         return hash((self._horizon, self._poly))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({i},{j}): {decimal_str(c)}" for (i, j), c in self.sorted_items())
+        body = ", ".join(f"({i},{j}): {decimal_str(c)}" for (i, j), c in self.items())
         return f"TruncatedBiseries(horizon={self._horizon}, {{{body}}})"
 
 
+def _running_sums(values: list[int], stride: int) -> None:
+    """values[k] += values[k - stride] for k = stride, stride + 1, ... in
+    place: the running sum along each residue class mod stride.  Slices do
+    the additions at C speed, one per class (``accumulate``) or one per
+    block of stride after the first (added to the block before it, already
+    summed), whichever is fewer."""
+    n = len(values)
+    if stride * stride < n:
+        for r in range(stride):
+            values[r::stride] = accumulate(values[r::stride])
+    else:
+        for at in range(stride, n, stride):
+            values[at:at + stride] = map(add, values[at:at + stride], values[at - stride:at])
+
+
+def _skewed_layout(offsets: Iterable[int], horizon: int) -> tuple[list[int], int, int]:
+    """The skewed flat layout of :func:`expand_rational` for the offsets
+    present: the offsets in rank order, by (|s| mod 2, -s); the first flat
+    row, the least |s| // 2; and the number of positions, R per row up to
+    horizon // 2, less the odd offsets' slots in the last row when the
+    horizon is even (their degrees 2 row + 1 pass it)."""
+    ranked = sorted(offsets, key=lambda s: (s & 1, -s))  # s & 1 is |s| mod 2
+    if not ranked:
+        return ranked, 0, 0
+    first = min(map(abs, ranked)) // 2
+    size = (horizon // 2 + 1 - first) * len(ranked)
+    if horizon % 2 == 0:
+        size -= sum(s & 1 for s in ranked)
+    return ranked, first, size
+
+
 def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
-    """Exact power-series coefficients of x for all i + j <= horizon.
+    """Exact power-series coefficients of x for all i + j <= horizon, in
+    output order (see :class:`TruncatedBiseries`), without a sort.
 
-    The numerator's terms within the horizon are grouped by the diagonal
-    offset s = i - j; each group is a dense series in t = uv indexed by
-    k = min(i, j), up to top = (horizon - |s|) // 2.  Dividing a series x by
-    t^m - 1 is the stride recurrence
+    The terms of one diagonal offset s = i - j form a series in t = uv
+    indexed by k = min(i, j), up to top = (horizon - |s|) // 2.  All of
+    them sit in one skewed flat list: the coefficient at k of offset s is
+    at position (k + |s| // 2 - first) R + rank(s), with R the number of
+    offsets present, ranked by (|s| mod 2, -s), and first the least
+    |s| // 2 (:func:`_skewed_layout`).  As i + j = 2k + |s| and
+    j = (i + j - s) / 2, position order is output order.  An offset's
+    column starts |s| // 2 - first rows down, after positions that stay 0.
 
-        y_k = -x_k + y_{k-m}    (y_k = -x_k for k < m),
+    A step of R positions is a step of one power of t within every column,
+    so dividing by t^m - 1 is the stride recurrence
 
-    that is, minus a running sum along each residue class mod m, swept
-    upward in place.  A factor costs O(horizon) per group, so the whole
-    expansion is O(groups * factors * horizon); a convolution with the
-    inverse series would cost O(terms * horizon / m) per factor, with the
-    number of terms itself growing with the horizon.  The result is
-    independent of factor order.  A polynomial is only truncated, at a cost
-    per term.
+        y_k = -x_k + y_{k-m}    (y_k = -x_k for k < m)
+
+    on the whole list at stride m R: minus a running sum along each residue
+    class (:func:`_running_sums`).  The recurrence is linear, so the
+    numerator goes in with the sign of all the factors' -1s at once.  A
+    factor costs O(horizon) per offset, so the whole expansion is
+    O(offsets * factors * horizon), and the result is independent of factor
+    order.  Then each offset's exponent pairs go in by one strided slice
+    assignment into a list of the same layout, and the nonzero positions,
+    read in order, are the terms.  A polynomial is only truncated, at a
+    cost per term, and sorted once.
     """
     checked_int(horizon, "horizon")
     if not x.denominator:
         return TruncatedBiseries(horizon, {(i, j): c for (i, j), c in x.numerator.items() if i + j <= horizon})
-    classes: dict[int, list[int]] = {}
-    for (i, j), c in x.numerator.items():
-        if i + j > horizon:
-            continue
-        s = i - j
-        row = classes.get(s)
-        if row is None:
-            row = classes[s] = [0] * ((horizon - abs(s)) // 2 + 1)
-        row[min(i, j)] = c
+    inside = [(i, j, c) for (i, j), c in x.numerator.items() if i + j <= horizon]
+    offsets, first, size = _skewed_layout({i - j for i, j, _ in inside}, horizon)
+    if not size:
+        return TruncatedBiseries(horizon)
+    R = len(offsets)
+    rank = {s: r for r, s in enumerate(offsets)}
     factors = x.denominator.factors
     sign = -1 if len(factors) % 2 else 1
-    coeffs: dict[ExponentPair, int] = {}
-    for s, row in classes.items():
-        for m in factors:
-            # the running sums; the -1 of every factor is applied once below
-            for k in range(m, len(row)):
-                row[k] += row[k - m]
-        for k, c in enumerate(row):
-            if c:
-                coeffs[(k + s, k) if s >= 0 else (k, k - s)] = sign * c
-    out = TruncatedBiseries(horizon)
-    out._poly = _polynomial(coeffs)
-    return out
+    values = [0] * size
+    for i, j, c in inside:
+        values[((i + j) // 2 - first) * R + rank[i - j]] = sign * c
+    for m in factors:
+        _running_sums(values, m * R)
+    pairs: list = [None] * size
+    for r, s in enumerate(offsets):
+        n = (horizon - abs(s)) // 2 + 1
+        at = (abs(s) // 2 - first) * R + r
+        pairs[at:at + n * R:R] = zip(range(s, s + n), range(n)) if s >= 0 else zip(range(n), range(-s, n - s))
+    return TruncatedBiseries._in_order(horizon, dict(compress(zip(pairs, values), values)))
 
 
 def series_size(x: StringyRational, horizon: int) -> int:
     """How many coefficients :func:`expand_rational` computes for x to the
-    horizon: (horizon - |s|) // 2 + 1 for every offset s = i - j of the
+    horizon: the positions of its skewed layout, about
+    horizon // 2 + 1 - min |s| // 2 for every offset s = i - j of the
     numerator's terms within the horizon, or one per such term when x is a
     polynomial."""
     inside = [(i, j) for i, j in x.numerator.support() if i + j <= horizon]
     if not x.denominator:
         return len(inside)
-    return sum((horizon - abs(s)) // 2 + 1 for s in {i - j for i, j in inside})
+    return _skewed_layout({i - j for i, j in inside}, horizon)[2]
 
 
 # Python refuses int <-> decimal str conversions past a digit limit (4300 by

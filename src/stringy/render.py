@@ -17,14 +17,26 @@ which the two differ.
 A factor (uv)^m - 1 is the monomial (m, m) and " - 1" inside the factor
 brackets; a fraction is its numerator and denominator between the three
 fraction strings.
+
+Terms are read in the order their holder gives them: a series holds its
+coefficients in output order, so it renders without a sort.  The monomial
+strings are memoized per exponent pair and style in a bounded LRU cache,
+since every series of a batch repeats the same pairs near the diagonal.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .exact_poly import BivariatePolynomial, CycloProduct, StringyRational, TruncatedBiseries, decimal_str
+from .exact_poly import (
+    _DECIMAL_PIECE_BOUND,
+    BivariatePolynomial,
+    CycloProduct,
+    StringyRational,
+    TruncatedBiseries,
+    decimal_str,
+)
 
 
 class _Style(NamedTuple):
@@ -43,6 +55,7 @@ _TEXT = _Style("uv", "^", "", "(", ")", "(", ") / ", "", " + ...")
 _LATEX = _Style("u v", "^{", "}", "\\left(", "\\right)", "\\frac{", "}{", "}", " + \\cdots")
 
 
+@lru_cache(maxsize=1 << 13)
 def _monomial(i: int, j: int, uv: str, sup: str, end: str) -> str:
     # takes the style's strings, not the style: unpacking it per term
     # makes a long series render measurably slower
@@ -70,12 +83,11 @@ def _terms(p: BivariatePolynomial | TruncatedBiseries, style: _Style) -> str:
     for (i, j), c in p.sorted_items():
         mono = _monomial(i, j, uv, sup, end)
         mag = abs(c)
-        if not mono:
-            body = decimal_str(mag)
-        elif mag == 1:
+        if mag == 1 and mono:
             body = mono
         else:
-            body = f"{decimal_str(mag)}{mono}"
+            # decimal_str's own test, inlined: str for all but huge values
+            body = (str(mag) if mag < _DECIMAL_PIECE_BOUND else decimal_str(mag)) + mono
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -50,10 +50,11 @@ DISCREPANCY_BUDGET = 2 ** 18
 # sums could pass ``exact_poly.PACKED_BIT_BUDGET`` bits (see
 # ``_packed_sum_bits``) are refused with a ``packed-size-cost`` finding.
 
-# Expanding E_st to a horizon h computes (h - |s|) // 2 + 1 coefficients for
-# every offset s = i - j of its numerator (``exact_poly.series_size``), and
-# prints the nonzero ones; a series over this many coefficients is refused
-# as an input error before any is computed.
+# Expanding E_st to a horizon h computes about h // 2 + 1 - min |s| // 2
+# coefficients for every offset s = i - j of its numerator, one per position
+# of its skewed layout (``exact_poly.series_size``), and prints the nonzero
+# ones; a series over this many coefficients is refused as an input error
+# before any is computed.
 SERIES_BUDGET = 2 ** 18
 
 

@@ -2,7 +2,9 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import random
 import re
 import shutil
 import subprocess
@@ -774,6 +776,53 @@ class TestErrors:
         assert doc["error"] == "--local needs the config's singular_locus"
 
 
+def _series_shaped_config(seed):
+    """A config shaped like the benchmark's deep-series ones: dimension 5,
+    6 components with discrepancies 1-4 and u<->v symmetric tables, so
+    E_st keeps several small factors (uv)^m - 1 in its denominator."""
+    rng = random.Random(seed)
+
+    def table(top, count):
+        terms = {}
+        for _ in range(count):
+            i, j, c = rng.randint(0, top), rng.randint(0, top), rng.choice([-3, -2, -1, 1, 2, 3])
+            for pair in {(i, j), (j, i)}:
+                terms[pair] = terms.get(pair, 0) + c
+        return [[i, j, c] for (i, j), c in sorted(terms.items()) if c] or [[0, 0, 1]]
+
+    labels = [f"E{k}" for k in range(6)]
+    strata = {label: table(4, 4) for label in labels}
+    strata.update({f"{a},{b}": table(3, 3) for a, b in itertools.combinations(labels, 2) if rng.random() < 0.2})
+    return {
+        "dimension": 5, "ambient": table(5, 5),
+        "components": [{"label": label, "discrepancy": rng.randint(1, 4)} for label in labels],
+        "strata_convention": "closed", "strata": strata,
+    }
+
+
+@pytest.mark.parametrize("argv", [("compute",), ("check", "--nonneg")])
+def test_deep_series_stays_linear(run, tmp_path, argv):
+    # about 17000 coefficients at horizon 3200: expanding, ordering and
+    # printing them takes hundredths of a second; an emission or an order
+    # that grew quadratically would take seconds
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(_series_shaped_config(3200)))
+    x = engine.compute(resolution.load_config(path), 10).e_open
+    assert len(x.denominator) >= 3
+    assert 10000 < exact_poly.series_size(x, 3200) <= resolution.SERIES_BUDGET
+    started = time.perf_counter()
+    code, out, _ = run(argv[0], str(path), *argv[1:], "--horizon", "3200")
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"{argv[0]} to horizon 3200 took {elapsed:.3f}s"
+    if argv[0] == "compute":
+        assert code == 0
+        series = out.splitlines()[1]
+        assert series.startswith("series = ") and series.endswith(" + ...")
+        assert series.count(" + ") + series.count(" - ") > 10000
+    else:
+        assert code in (0, 1) and out.startswith("nonneg: ")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stringy.cli", "compute", NODE],
@@ -866,7 +915,7 @@ _writer_text = st.one_of(st.text(max_size=8),
 _writer_triples = st.lists(
     st.tuples(st.tuples(st.integers(0, 40), st.integers(0, 40)),
               st.one_of(st.sampled_from(_EDGE_INTS), _PAST_DIGIT_LIMIT, st.integers(-(2 ** 70), 2 ** 70))),
-    max_size=5).map(cli._Triples)
+    max_size=5).map(lambda terms: cli._Triples(lambda: terms))
 _writer_leaf = st.one_of(st.none(), st.booleans(), st.sampled_from(_EDGE_INTS),
                          st.integers(-(2 ** 70), 2 ** 70), _writer_text, _writer_triples)
 _writer_value = st.recursive(_writer_leaf, lambda inner: st.one_of(
@@ -876,7 +925,7 @@ _writer_value = st.recursive(_writer_leaf, lambda inner: st.one_of(
 def _as_lists(value):
     """The plain JSON value the writer's input stands for."""
     if isinstance(value, cli._Triples):
-        return [[i, j, exact_poly.encode_json_int(c)] for (i, j), c in value.items]
+        return [[i, j, exact_poly.encode_json_int(c)] for (i, j), c in value.terms()]
     if isinstance(value, dict):
         return {key: _as_lists(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -891,7 +940,7 @@ def test_json_writer_matches_json_dumps(value):
 
 def test_json_writer_quotes_coefficients_beyond_64_bits():
     terms = [((0, 0), c) for c in (2 ** 63 - 1, -(2 ** 63), 2 ** 63, -(2 ** 63) - 1, 10 ** 5000)]
-    doc = json.loads(cli._json_text({"num": cli._Triples(terms)}))
+    doc = json.loads(cli._json_text({"num": cli._Triples(lambda: terms)}))
     assert doc["num"][:2] == [[0, 0, 2 ** 63 - 1], [0, 0, -(2 ** 63)]]
     assert doc["num"][2:4] == [[0, 0, str(2 ** 63)], [0, 0, str(-(2 ** 63) - 1)]]
     assert doc["num"][4][2] == "1" + "0" * 5000

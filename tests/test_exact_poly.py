@@ -701,6 +701,45 @@ class TestDeepExpansion:
         assert elapsed < 1.0, f"expansion to horizon {horizon} took {elapsed:.3f}s"
 
 
+def _in_output_order(series):
+    """The series' terms as a dict, after checking that it hands them out
+    ordered by i + j, then j, then i."""
+    items = list(series.items())
+    assert items == sorted(items, key=lambda item: (item[0][0] + item[0][1], item[0][1], item[0][0]))
+    assert list(series.sorted_items()) == items
+    return dict(items)
+
+
+class TestOutputOrder:
+    @given(deep_terms, deep_dens, st.integers(min_value=0, max_value=150))
+    # offsets -3 to 2 of both parities, at an odd and an even horizon
+    @example({(0, 3): 1, (0, 2): -2, (1, 0): 5, (4, 2): 1, (1, 1): -1, (7, 8): 2}, [1, 2], 31)
+    @example({(0, 3): 1, (0, 2): -2, (1, 0): 5, (4, 2): 1, (1, 1): -1, (7, 8): 2}, [1, 2], 30)
+    @example({(40, 40): 3, (50, 41): -1}, [2, 3], 60)  # no term inside the horizon
+    @example({(0, 0): 1, (3, 0): 2, (0, 3): -1, (5, 1): 4, (1, 6): 1, (9, 9): 7}, [], 9)  # a polynomial, truncated
+    @settings(max_examples=80, deadline=None)
+    def test_expansion_is_in_output_order(self, num, dens, horizon):
+        x = StringyRational(BivariatePolynomial(num), dens)
+        got = expand_rational(x, horizon)
+        want = series_expand(dict(x.numerator.items()), list(x.denominator.factors), horizon)
+        assert _in_output_order(got) == want
+
+    @given(term_dicts, st.randoms(use_true_random=False))
+    def test_constructor_puts_terms_in_output_order(self, terms, rng):
+        shuffled = list(terms.items())
+        rng.shuffle(shuffled)
+        assert _in_output_order(TruncatedBiseries(16, shuffled)) == terms
+
+    def test_series_size_counts_the_skewed_layout(self):
+        # offsets 0 and 9 to horizon 10: rows 0-5 of two slots, less the odd
+        # offset's slot in the last row (degree 11); its column starts four
+        # rows down, so 4 of the 11 positions hold no term
+        x = StringyRational(P({(0, 0): 1, (9, 0): 1}), (1,))
+        assert exact_poly.series_size(x, 10) == 11
+        assert exact_poly.series_size(x, 11) == 12
+        assert exact_poly.series_size(StringyRational(P({(9, 0): 1}), (1,)), 10) == 1
+
+
 class TestJsonInts:
     def test_small_ints_stay_ints(self):
         assert encode_json_int(42) == 42

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stringy import render
 from stringy.exact_poly import BivariatePolynomial, StringyRational, expand_rational
 from stringy.render import (
     polynomial_latex,
@@ -205,3 +206,27 @@ class TestSeriesRendering:
         horizon = 12  # exponents capped at 6 above, so nothing is cut off
         s = expand_rational(StringyRational(p), horizon)
         assert series_text(s, False) == polynomial_text(p)
+
+
+class TestMonomialMemo:
+    def test_styles_do_not_share_memoized_monomials(self):
+        # the same exponent pairs rendered text, LaTeX, then text again: each
+        # rendering must read back to the same terms in its own syntax.
+        # Coefficients +-1, a constant term, and one past decimal_str's
+        # piece bound (10^600)
+        huge = 10 ** 600 + 7
+        p = P({(0, 0): 1, (1, 1): -1, (2, 0): 1, (0, 3): -1, (2, 2): huge, (3, 1): -huge, (1, 0): 5})
+        x = StringyRational(P({(0, 0): -1, (1, 0): 1, (2, 1): -huge, (1, 1): 1}), (1, 2))
+        series = expand_rational(x, 9)
+        want_series = dict(series.items())
+        assert any(abs(c) == 1 for c in want_series.values()) and (0, 0) in want_series
+        assert max(map(abs, want_series.values())) >= 10 ** 600
+        render._monomial.cache_clear()
+        first = polynomial_text(p), series_text(series, False)
+        for latex, (poly_text, ser_text) in ((False, first),
+                                            (True, (polynomial_latex(p), series_latex(series, False))),
+                                            (False, (polynomial_text(p), series_text(series, False)))):
+            assert parse_polynomial(poly_text, latex=latex) == dict(p.items())
+            assert parse_polynomial(ser_text, latex=latex) == want_series
+        assert (polynomial_text(p), series_text(series, False)) == first
+        assert render._monomial.cache_info().hits > 0
