@@ -30,6 +30,7 @@ from .exact_poly import (
     decimal_str,
     expand_rational,
     same_value,
+    signed_sum,
 )
 from .hodge import (
     DiamondViolation,
@@ -97,13 +98,12 @@ def _open_sum(cfg: ResolutionConfig):
     _require(cfg, "lenient")
     open_cfg = convert_strata(cfg, "open")
     discrepancy = {comp.label: comp.discrepancy for comp in open_cfg.components}
-    complement = open_cfg.ambient.poly
-    terms = []
+    terms, complement = [], [(1, open_cfg.ambient.poly)]
     for key, value in open_cfg.strata.items():
-        complement = complement - value.poly
         factors = [discrepancy[label] + 1 for label in key if discrepancy[label]]
         terms.append((value.poly, factors, [1] * len(factors)))  # (uv - 1) per factor
-    terms.append((complement, ()))
+        complement.append((-1, value.poly))
+    terms.append((signed_sum(complement), ()))  # the ambient less every stored open stratum
     return common_denominator_sum(terms)
 
 
@@ -117,9 +117,8 @@ def _closed_sum(cfg: ResolutionConfig):
     for key, value in closed_cfg.strata.items():
         if all(discrepancy[label] for label in key):
             # uv - (uv)^{a+1} = -uv ((uv)^a - 1)
-            sign = BivariatePolynomial.uv_power(len(key), -1 if len(key) % 2 else 1)
-            terms.append((value.poly * sign, [discrepancy[label] + 1 for label in key],
-                          [discrepancy[label] for label in key]))
+            terms.append((value.poly, [discrepancy[label] + 1 for label in key],
+                          [discrepancy[label] for label in key], len(key)))
     return common_denominator_sum(terms)
 
 

@@ -27,9 +27,9 @@ The central representation choices:
   multiplying by t^m - 1 is one shift and one subtraction.  The formula
   sums (:func:`common_denominator_sum`), the agreement check
   (:func:`same_value`) and the cancellation (:func:`_reduce`) run on it;
-  the canonical numerator is unpacked once.  A sum's slots are as wide as
-  sum_terms |num|_1 2^(factors multiplied in) plus a sign bit, in whole
-  bytes.  The cancellation bounds nothing ahead: it runs at that width and
+  the canonical numerator is unpacked once, in output order.  A sum's
+  slots are as wide as sum_terms |num|_1 2^(factors multiplied in) plus a
+  sign bit, in whole bytes.  The cancellation bounds nothing ahead: it runs at that width and
   confirms its answer after the fact, and only a failed confirmation
   doubles the width and runs it again (proofs in :func:`_reduce`).
   A packed value costs its slots times its width in time and memory, so
@@ -41,8 +41,9 @@ The central representation choices:
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, compress
-from operator import add
+from operator import add, mul, sub
 from typing import ItemsView, Iterable, Iterator, Mapping, Union
 
 from .validation import checked_int
@@ -81,10 +82,12 @@ class BivariatePolynomial:
     """A polynomial in Z[u, v], stored sparsely.
 
     Instances are immutable by convention: no method mutates ``self`` and the
-    internal term map is never handed out directly.
+    internal term map is never handed out directly.  A canonical numerator
+    read back from its packed value (:func:`_unpack`) holds its terms in
+    output order already, and ``sorted_items()`` hands them out unsorted.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_ordered")
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
         data: dict[ExponentPair, int] = {}
@@ -99,6 +102,7 @@ class BivariatePolynomial:
                 else:
                     data.pop(pair, None)
         self._terms = data
+        self._ordered = False  # set by _unpack alone
 
     @classmethod
     def zero(cls) -> "BivariatePolynomial":
@@ -138,6 +142,9 @@ class BivariatePolynomial:
         return iter(self._terms.items())
 
     def sorted_items(self) -> list[tuple[ExponentPair, int]]:
+        """The terms in output order: by total degree i + j, then j."""
+        if self._ordered:
+            return list(self._terms.items())
         return sorted(self._terms.items(), key=_term_order)
 
     def coefficient(self, i: int, j: int) -> int:
@@ -273,6 +280,17 @@ def _coerce_poly(value) -> Union[BivariatePolynomial, None]:
     if isinstance(value, int) and not isinstance(value, bool):
         return BivariatePolynomial.constant(value)
     return None
+
+
+def signed_sum(parts: Iterable[tuple[int, BivariatePolynomial]]) -> BivariatePolynomial:
+    """The sum of sign p over (sign, p) parts, sign 1 or -1, added term by
+    term into one map: no polynomial is made per part."""
+    data: dict[ExponentPair, int] = {}
+    get = data.get
+    for sign, p in parts:
+        for pair, c in p._terms.items():
+            data[pair] = get(pair, 0) + sign * c
+    return _polynomial({pair: c for pair, c in data.items() if c})
 
 
 class CycloProduct:
@@ -554,24 +572,25 @@ def _repeated(digit: int, nb: int, slots: int) -> bytes:
     return digit.to_bytes(nb, "little") * slots
 
 
-def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int, top: int) -> int:
-    """The packed value of a nonempty {(i, j): c} over the offset ranks,
-    whose largest power of t is top."""
+def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int, rows: tuple[int, int],
+          lift: int = 0) -> int:
+    """The packed value of a nonempty {(i, j): c} over the offset ranks times
+    (-uv)^lift: each term lift rows up, negated when lift is odd.  rows are
+    the least and the largest power of t among the terms, and only the
+    slots between them are written as bytes."""
     R, nb = len(rank), width // 8
-    pos = bytearray((top + 1) * R * nb)
+    low, high = rows
+    pos = bytearray((high - low + 1) * R * nb)
     neg = bytearray(len(pos))
+    base = low * R
     for (i, j), c in terms.items():
-        at = ((i if i < j else j) * R + rank[i - j]) * nb
+        at = ((i if i < j else j) * R + rank[i - j] - base) * nb
         if c > 0:
             pos[at:at + nb] = c.to_bytes(nb, "little")
         else:
             neg[at:at + nb] = (-c).to_bytes(nb, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _top(terms: Mapping[ExponentPair, int]) -> int:
-    """The largest power of t among the terms."""
-    return max(i if i < j else j for i, j in terms)
+    value = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    return (-value if lift & 1 else value) << (low + lift) * R * width
 
 
 def _relayout(p: PackedNumerator, width: int, offsets: tuple[int, ...]) -> int:
@@ -597,40 +616,77 @@ def _relayout(p: PackedNumerator, width: int, offsets: tuple[int, ...]) -> int:
 
 # maps every nonzero byte to 1, so that ``find`` locates nonzero slots
 _NONZERO_MARKS = bytes([0] + [1] * 255)
+# maps every byte to the byte that extends its sign bit
+_SIGN_FILL = bytes([0] * 128 + [255] * 128)
+# the signed memoryview format of a slot of 1, 2, 4 or 8 bytes
+_SIGNED_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _digits(data: bytes, nb: int) -> list[int]:
+    """The signed digits of consecutive little-endian two's-complement slots
+    of nb bytes.  Slots of up to 8 bytes are read by one ``memoryview.cast``
+    to the next slot size it has, 1, 2, 4 or 8 bytes, after widening them
+    by strided slices that fill the new bytes with the sign, and swapping
+    the bytes of each slot on a big-endian host; wider slots one by one."""
+    if nb > 8:
+        return [int.from_bytes(data[at:at + nb], "little", signed=True) for at in range(0, len(data), nb)]
+    w = 1 << (nb - 1).bit_length()
+    if w != nb or sys.byteorder == "big":
+        out = bytearray(len(data) // nb * w)
+        fill = data[nb - 1::nb].translate(_SIGN_FILL)
+        for b in range(w):
+            out[(b if sys.byteorder == "little" else w - 1 - b)::w] = data[b::nb] if b < nb else fill
+        data = out
+    return memoryview(data).cast(_SIGNED_FORMAT[w]).tolist()
 
 
 def _unpack(p: PackedNumerator) -> BivariatePolynomial:
-    """The polynomial of a packed value whose digits fit its width.
+    """The polynomial of a packed value whose digits fit its width, with its
+    terms in output order (see :meth:`BivariatePolynomial.sorted_items`).
 
     Adding 2^(width - 1) to every slot and flipping that bit back leaves
-    each digit in two's complement in its own bytes.  Only the slots in runs
-    without 2 slots' worth of zero bytes are read; ``find`` skips the rest
-    at C speed.
+    each digit in two's complement in its own bytes.  The digits are read
+    in blocks of whole rows (one power of t), and ``find`` over the nonzero
+    marks skips the zero runs between blocks at C speed.  Each block's
+    digits are read at once (:func:`_digits`) and moved, one strided slice
+    per offset, into the skewed order of :func:`expand_rational`: the term
+    at t^n of offset s goes to row n + |s| // 2 of the block, offsets ranked
+    by (|s| mod 2, -s), so position order is output order.  That moves a
+    column at most skew = max |s| // 2 - min |s| // 2 rows down, so blocks
+    cut only at skew + 1 whole zero rows fill disjoint, ascending stretches
+    of the output order, and their terms are read out block after block.
     """
     terms: dict[ExponentPair, int] = {}
     if p.value:
-        nb, R, offsets = p.width // 8, len(p.offsets), p.offsets
-        slots = (p.degree + 1) * R
-        bias = int.from_bytes(_repeated(1 << (p.width - 1), nb, slots), "little")
-        data = ((p.value + bias) ^ bias).to_bytes(slots * nb, "little")
+        nb, R = p.width // 8, len(p.offsets)
+        row = R * nb
+        size = (p.degree + 1) * row
+        bias = int.from_bytes(_repeated(1 << (p.width - 1), nb, size // nb), "little")
+        data = ((p.value + bias) ^ bias).to_bytes(size, "little")
+        ranked, first, _ = _skewed_layout(p.offsets, 0)  # the rank order and the first row
+        skew = max(map(abs, ranked)) // 2 - first
+        place = {s: (abs(s) // 2 - first) * R + q for q, s in enumerate(ranked)}
+        columns = [(r, s, place[s]) for r, s in enumerate(p.offsets)]
         marks = data.translate(_NONZERO_MARKS)
-        gap = bytes(2 * nb - 1)  # holds a whole zero slot wherever it starts
+        gap = bytes((skew + 2) * row - 1)  # holds skew + 1 whole zero rows wherever it starts
         start = marks.find(1)
         while start >= 0:
             end = marks.find(gap, start)
             if end < 0:
-                end = len(data)
-            n, r = divmod(start // nb, R)
-            for at in range(start - start % nb, end, nb):
-                c = int.from_bytes(data[at:at + nb], "little", signed=True)
-                if c:
-                    s = offsets[r]
-                    terms[(n + s, n) if s >= 0 else (n, n - s)] = c
-                r += 1
-                if r == R:
-                    r, n = 0, n + 1
+                end = size
+            a, b = start // row, -(-end // row)
+            digits = _digits(data[a * row:b * row], nb)
+            values = [0] * ((b - a + skew) * R)
+            pairs: list = [None] * len(values)
+            n, span = range(a, b), (b - a) * R
+            for r, s, at in columns:
+                values[at:at + span:R] = digits[r::R]
+                pairs[at:at + span:R] = zip(range(a + s, b + s), n) if s >= 0 else zip(n, range(a - s, b - s))
+            terms.update(compress(zip(pairs, values), values))
             start = marks.find(1, end)
-    return _polynomial(terms)
+    out = _polynomial(terms)
+    out._ordered = True
+    return out
 
 
 def _fold(x: int, w: int) -> int:
@@ -838,16 +894,20 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
 
 
 def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, CycloProduct]:
-    """The sum of num prod_{g in gains} ((uv)^g - 1) / prod_{m in factors}
-    ((uv)^m - 1) over (num, factors) or (num, factors, gains) terms, as
-    (packed numerator, common denominator), not cancelled: cancel it once
-    (``StringyRational(*sum)``), not after every addition.
+    """The sum of num (-uv)^lift prod_{g in gains} ((uv)^g - 1) /
+    prod_{m in factors} ((uv)^m - 1) over (num, factors),
+    (num, factors, gains) or (num, factors, gains, lift) terms, as (packed
+    numerator, common denominator), not cancelled: cancel it once
+    (``StringyRational(*sum)``), not after every addition.  Each num is a
+    stored table, packed as it is: no term is multiplied out first.
 
     The common denominator takes every m with its largest multiplicity in
     any term; each numerator is multiplied by its gains and by the factors
     its own denominator lacks, one distinct m at a time, merging first the
     partial sums that still need the same factors among the m to come, so a
-    factor shared by many terms is multiplied once into their sum.
+    factor shared by many terms is multiplied once into their sum.  Every
+    m is checked once, in the order met; (-uv)^lift places the packed
+    table lift rows up, negated when lift is odd (:func:`_pack`).
 
     All of it runs on one packed layout (:class:`PackedNumerator`): the
     offsets of every term, and a width that holds
@@ -858,48 +918,61 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before any term
     is packed.
     """
-    counted: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
+    keys: dict[tuple, None] = {}
+    checked: set[int] = set()
     entries = []
-    for num, factors, *gains in terms:
-        key = (tuple(factors), tuple(gains[0]) if gains else ())
-        if key not in counted:
-            for m in key[0] + key[1]:  # the caller's: checked once per distinct key
-                checked_int(m, "denominator factor", 1)
-            counted[key] = (_multiplicities(key[0]), _multiplicities(key[1]))
+    for num, factors, *rest in terms:
+        key = (tuple(factors), tuple(rest[0]) if rest else ())
+        if key not in keys:
+            keys[key] = None
+            for m in key[0] + key[1]:  # the caller's: checked once each
+                if type(m) is not int or m not in checked:
+                    checked.add(checked_int(m, "denominator factor", 1))
         if num:
-            entries.append((key, num._terms))
-    largest: dict[int, int] = {}
-    for counts, _ in counted.values():
-        for m, n in counts.items():
-            if n > largest.get(m, 0):
-                largest[m] = n
-    common = _from_counts(largest)
+            lift = checked_int(rest[1], "lift") if len(rest) > 1 else 0
+            entries.append((key, num._terms, lift))
+    distinct = sorted(checked)  # every m among the factors and gains
+    index = {m: k for k, m in enumerate(distinct)}
+    counts = {}  # per key, how often each distinct m is among its factors
+    for key in keys:
+        row = [0] * len(distinct)
+        for m in key[0]:
+            row[index[m]] += 1
+        counts[key] = row
+    largest = [max(col) for col in zip(*counts.values())]
+    common = CycloProduct._from_sorted(tuple(m for m, n in zip(distinct, largest) for _ in range(n)))
     if not entries:
         return PackedNumerator(0, 8, (), 0, 0), common
-    distinct = sorted(set(largest).union(*(g for _, g in counted.values())))
-    index = {m: k for k, m in enumerate(distinct)}
-    base = [largest.get(m, 0) for m in distinct]
-    needs = {}  # per key, how often each distinct m is multiplied in
-    for key, (counts, g) in counted.items():
-        row = base.copy()
-        for m, n in counts.items():
-            row[index[m]] -= n
-        for m, n in g.items():
-            row[index[m]] += n
-        needs[key] = tuple(row)
-    offsets = tuple(sorted({i - j for _, table in entries for i, j in table}))
+    needs = {}  # per key, how often each distinct m is multiplied in, their number and their degree
+    for key, row in counts.items():
+        need = list(map(sub, largest, row))
+        for m in key[1]:
+            need[index[m]] += 1
+        needs[key] = (tuple(need), sum(need), sum(map(mul, distinct, need)))
+    present: set[int] = set()
+    sized = []
+    norm = degree = 0
+    for key, table, lift in entries:
+        low = high = min(next(iter(table)))  # the least and largest power of t
+        for i, j in table:
+            present.add(i - j)
+            n = i if i < j else j
+            if n > high:
+                high = n
+            elif n < low:
+                low = n
+        need, many, gained = needs[key]
+        norm += sum(map(abs, table.values())) << many
+        degree = max(degree, high + lift + gained)
+        sized.append((need, table, (low, high), lift))
+    offsets = tuple(sorted(present))
     rank = {s: r for r, s in enumerate(offsets)}
-    norm = sum(sum(map(abs, table.values())) << sum(needs[key]) for key, table in entries)
     width = _width(norm)
     step = width * len(offsets)
-    tops = [_top(table) for _, table in entries]
-    degree = max(top + sum(m * n for m, n in zip(distinct, needs[key]))
-                 for top, (key, _) in zip(tops, entries))
     _check_size((degree + 1) * len(offsets), width)
     pending: dict[tuple[int, ...], int] = {}
-    for top, (key, table) in zip(tops, entries):
-        at = needs[key]
-        pending[at] = pending.get(at, 0) + _pack(table, rank, width, top)
+    for need, table, rows, lift in sized:
+        pending[need] = pending.get(need, 0) + _pack(table, rank, width, rows, lift)
     for m in distinct:
         merged: dict[tuple[int, ...], int] = {}
         for at, part in pending.items():

@@ -15,7 +15,15 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .exact_poly import PACKED_BIT_BUDGET, BivariatePolynomial, decode_json_int, encode_json_int, packed_bits
+from .exact_poly import (
+    PACKED_BIT_BUDGET,
+    BivariatePolynomial,
+    _polynomial,
+    decode_json_int,
+    encode_json_int,
+    packed_bits,
+    signed_sum,
+)
 from .hodge import HodgeDelignePolynomial, validate_smooth_projective
 from .validation import ConfigFormatError, Finding, ValidationReport, checked_int
 
@@ -209,15 +217,24 @@ def convert_strata(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
 
 
 def _converted(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
-    acc: dict[StratumKey, HodgeDelignePolynomial] = {}
+    parts: dict[StratumKey, list[tuple[int, HodgeDelignePolynomial]]] = {}
     for stored_key, value in cfg.strata.items():
         for sub in _nonempty_subsets(stored_key):
-            if target == "open" and (len(stored_key) - len(sub)) % 2:
-                term = HodgeDelignePolynomial(-value.poly, value.claimed_dimension)
+            sign = -1 if target == "open" and (len(stored_key) - len(sub)) % 2 else 1
+            if sub in parts:
+                parts[sub].append((sign, value))
             else:
-                term = value
-            acc[sub] = (acc[sub] + term) if sub in acc else term
-    table = {key: val for key, val in acc.items() if not val.is_zero}
+                parts[sub] = [(sign, value)]
+    table = {}
+    for key, terms in parts.items():
+        if len(terms) == 1 and terms[0][0] == 1:
+            value = terms[0][1]  # a stored value, as it is
+        else:
+            claims = {value.claimed_dimension for _, value in terms}  # the one they share, else none
+            value = HodgeDelignePolynomial(signed_sum([(sign, value.poly) for sign, value in terms]),
+                                           claims.pop() if len(claims) == 1 else None)
+        if value.poly:
+            table[key] = value
     return cfg.replace(convention=target, strata=table)
 
 
@@ -233,10 +250,8 @@ def exceptional_union_hd(cfg: ResolutionConfig) -> HodgeDelignePolynomial:
     """H of the union of all components, by inclusion-exclusion over the
     stored closed strata."""
     closed = convert_strata(cfg, "closed")
-    total = BivariatePolynomial.zero()
-    for key, value in closed.strata.items():
-        total = total + (value.poly if len(key) % 2 else -value.poly)
-    return HodgeDelignePolynomial(total)
+    return HodgeDelignePolynomial(signed_sum([(1 if len(key) % 2 else -1, value.poly)
+                                              for key, value in closed.strata.items()]))
 
 
 def validate(cfg: ResolutionConfig, mode: str = "lenient") -> ValidationReport:
@@ -426,7 +441,7 @@ def _poly_from_triples(raw, where: str) -> BivariatePolynomial:
         if (i, j) in terms:
             raise ConfigFormatError(f"{where}: duplicate exponent pair ({i},{j})")
         terms[(i, j)] = c
-    return BivariatePolynomial(terms)
+    return _polynomial(terms)  # every triple is checked above
 
 
 def _poly_to_triples(p: BivariatePolynomial) -> list:

@@ -26,6 +26,7 @@ from stringy import (
     projective_space,
     validate_smooth_projective,
 )
+from stringy.exact_poly import common_denominator_sum
 from stringy.validation import checked_int
 
 ONE = BivariatePolynomial.one()
@@ -55,6 +56,8 @@ GUARDED = {
     "BivariatePolynomial.exact_cyclo_quotient":
         ("cyclotomic-product exponent", ONE.exact_cyclo_quotient, 1),
     "CycloProduct": ("denominator factor", lambda n: CycloProduct([2, n]), 1),
+    "common_denominator_sum.factors": ("denominator factor", lambda n: common_denominator_sum([(ONE, [2, n])]), 1),
+    "common_denominator_sum.lift": ("lift", lambda n: common_denominator_sum([(ONE, [2], [], n)]), 0),
     "TruncatedBiseries": ("horizon", TruncatedBiseries, 0),
     "expand_rational": ("horizon", lambda n: expand_rational(StringyRational(1, (2,)), n), 0),
     "ResolutionConfig.dimension":

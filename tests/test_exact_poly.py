@@ -1,7 +1,9 @@
 import ast
 import random
+import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -452,6 +454,20 @@ def kernel_dicts(draw, max_size=6):
     return terms
 
 
+@st.composite
+def sparse_dicts(draw):
+    """Terms in rows (powers of uv) hundreds apart, at offsets far enough
+    apart that each row's terms land in several rows of the output order:
+    the packed value is read in several blocks."""
+    rows = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4, unique=True))
+    terms = {}
+    for row in rows:
+        for s in draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=3, unique=True)):
+            n = 300 * row + draw(st.integers(min_value=0, max_value=3))
+            terms[(n + s, n) if s >= 0 else (n, n - s)] = draw(signed_coeffs)
+    return terms
+
+
 def _oracle_value(num, den, factors):
     """num * prod(factors) / prod(den) by the oracle's long division."""
     out = dict(num)
@@ -468,27 +484,74 @@ class TestPackedKernel:
     # the layout: negative digits, the top slot, digits next to the slot
     # width, and quotients that outgrow the width of the sum.
 
-    @given(kernel_dicts(max_size=8))
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(kernel_dicts(max_size=8), sparse_dicts()))
+    @settings(max_examples=80, deadline=None)
     def test_pack_round_trip(self, terms):
         poly = BivariatePolynomial(terms)
-        assert exact_poly._unpack(common_denominator_sum([(poly, ())])[0]) == poly
+        unpacked = exact_poly._unpack(common_denominator_sum([(poly, ())])[0])
+        assert unpacked == poly
+        assert list(unpacked.items()) == poly.sorted_items()  # read back in output order
+
+    def test_sparse_values_read_only_their_rows(self, monkeypatch):
+        # 1 + (uv)^(2^20) packs 2^20 + 1 slots; the zero rows between its
+        # two terms are skipped, not read
+        read = []
+        real = exact_poly._digits
+
+        def counting(data, nb):
+            read.append(len(data) // nb)
+            return real(data, nb)
+
+        monkeypatch.setattr(exact_poly, "_digits", counting)
+        poly = P({(0, 0): 1, (2 ** 20, 2 ** 20): 1})
+        packed = common_denominator_sum([(poly, ())])[0]
+        assert (packed.degree + 1) * len(packed.offsets) == 2 ** 20 + 1
+        unpacked = exact_poly._unpack(packed)
+        assert unpacked == poly and unpacked.sorted_items() == [((0, 0), 1), ((2 ** 20, 2 ** 20), 1)]
+        assert len(read) == 2 and sum(read) <= 4
+
+    @pytest.mark.parametrize("nb", range(1, 10))
+    def test_digits_in_either_byte_order(self, monkeypatch, nb):
+        # the widened slots are cast in the host's byte order: on a
+        # big-endian host each slot is written most significant byte first
+        rng = random.Random(nb)
+        digits = [rng.randrange(-2 ** (8 * nb - 1), 2 ** (8 * nb - 1)) for _ in range(50)]
+        digits += [-2 ** (8 * nb - 1), 2 ** (8 * nb - 1) - 1, -1, 0, 1]
+        data = b"".join(d.to_bytes(nb, "little", signed=True) for d in digits)
+        assert exact_poly._digits(data, nb) == digits
+        monkeypatch.setattr(exact_poly, "sys", SimpleNamespace(byteorder="big"))
+        if nb <= 8:
+            w = 1 << (nb - 1).bit_length()
+            swapped = [int.from_bytes(d.to_bytes(w, "big", signed=True), sys.byteorder, signed=True)
+                       for d in digits]
+            assert exact_poly._digits(data, nb) == swapped
+        else:
+            assert exact_poly._digits(data, nb) == digits
 
     @given(st.lists(st.tuples(kernel_dicts(max_size=4), st.lists(cyclo_m, max_size=3),
-                              st.lists(cyclo_m, max_size=2)), min_size=1, max_size=4))
+                              st.lists(cyclo_m, max_size=2), st.integers(min_value=0, max_value=3)),
+                    min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_sum_matches_oracle(self, terms):
-        packed, common = common_denominator_sum([(P(n), den, gains) for n, den, gains in terms])
+        packed, common = common_denominator_sum([(P(n), den, gains, lift) for n, den, gains, lift in terms])
         largest = {}
-        for _, den, _ in terms:
+        for _, den, _, _ in terms:
             for m in set(den):
                 largest[m] = max(largest.get(m, 0), den.count(m))
         assert common.factors == tuple(sorted(m for m, n in largest.items() for _ in range(n)))
         expected = {}
-        for n, den, gains in terms:
+        for n, den, gains, lift in terms:
             lacking = CycloProduct(common).minus(CycloProduct(den))
-            expected = dict_add(expected, _oracle_value(n, (), list(lacking) + gains))
+            lifted = dict_mul(n, {(lift, lift): -1 if lift % 2 else 1})  # times (-uv)^lift
+            expected = dict_add(expected, _oracle_value(lifted, (), list(lacking) + gains))
         assert dict(exact_poly._unpack(packed).items()) == expected
+
+    def test_factors_checked_once_in_the_order_met(self):
+        one = BivariatePolynomial.one()
+        with pytest.raises(ValueError, match="got 0$"):
+            common_denominator_sum([(one, (2, 3)), (one, (2, 0), (-1,))])
+        with pytest.raises(ValueError, match="got True$"):  # equal to 1, which passed, but no int
+            common_denominator_sum([(one, (1,)), (one, (1, True))])
 
     @given(kernel_dicts(max_size=4), st.lists(st.integers(min_value=1, max_value=12), max_size=4),
            st.lists(st.integers(min_value=1, max_value=12), max_size=3))

@@ -133,6 +133,22 @@ class TestConvertStrata:
         assert closed.stratum("B").poly == P({(2, 2): 1}) + curve.poly
         assert closed.stratum(("A", "B")).poly == curve.poly
 
+    def test_claims_survive_only_when_every_summand_shares_them(self):
+        cfg = ResolutionConfig(
+            3, projective_space(3),
+            [Component("A", 1), Component("B", 1), Component("C", 1)],
+            "open",
+            {("A",): hd({(1, 1): 1}, 2), ("B",): hd({(1, 1): 1}, 2), ("C",): hd({(1, 1): 1}),
+             ("A", "B"): hd({(0, 0): 1}, 2), ("B", "C"): hd({(0, 0): 1}, 1)},
+        )
+        closed = convert_strata(cfg, "closed")
+        assert closed.stratum("A").claimed_dimension == 2  # A and AB claim 2
+        assert closed.stratum("B").claimed_dimension is None  # B, AB and BC: 2, 2 and 1
+        assert closed.stratum("C").claimed_dimension is None  # C claims nothing
+        assert closed.stratum(("B", "C")).claimed_dimension == 1
+        opened = convert_strata(closed, "open")
+        assert opened.stratum("A").claimed_dimension == 2  # A less AB: a negated summand keeps its claim
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))
     def test_round_trip_matches_full_lattice_oracle(self, seed):
