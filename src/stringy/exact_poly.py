@@ -640,6 +640,35 @@ def _digits(data: bytes, nb: int) -> list[int]:
     return memoryview(data).cast(_SIGNED_FORMAT[w]).tolist()
 
 
+def _sparse_terms(data: bytes, marks: bytes, start: int, end: int, nb: int,
+                  offsets: tuple[int, ...]) -> list[tuple[ExponentPair, int]]:
+    """The terms of the nonzero slots between bytes start and end of data,
+    sorted in output order.  Only runs without a whole zero slot are read
+    (:func:`_digits`), and only their nonzero digits become terms."""
+    R = len(offsets)
+    gap = bytes(2 * nb - 1)  # holds a whole zero slot wherever it starts
+    found = []
+    while start >= 0:
+        stop = marks.find(gap, start, end)
+        if stop < 0:
+            stop = end
+        lo, hi = start // nb, -(-stop // nb)
+        digits = _digits(data[lo * nb:hi * nb], nb)
+        for k, c in zip(compress(range(lo, hi), digits), compress(digits, digits)):
+            n, r = divmod(k, R)
+            s = offsets[r]
+            found.append(((n + s, n) if s >= 0 else (n, n - s), c))
+        start = marks.find(1, stop, end)
+    found.sort(key=_term_order)
+    return found
+
+
+# a block is moved into the skewed order when its stretch of that order, in
+# slots, is at most this many times its nonzero bytes; a sparser block is
+# read term by term and sorted (see :func:`_unpack`)
+_SKEWED_READ = 16
+
+
 def _unpack(p: PackedNumerator) -> BivariatePolynomial:
     """The polynomial of a packed value whose digits fit its width, with its
     terms in output order (see :meth:`BivariatePolynomial.sorted_items`).
@@ -647,14 +676,21 @@ def _unpack(p: PackedNumerator) -> BivariatePolynomial:
     Adding 2^(width - 1) to every slot and flipping that bit back leaves
     each digit in two's complement in its own bytes.  The digits are read
     in blocks of whole rows (one power of t), and ``find`` over the nonzero
-    marks skips the zero runs between blocks at C speed.  Each block's
-    digits are read at once (:func:`_digits`) and moved, one strided slice
-    per offset, into the skewed order of :func:`expand_rational`: the term
-    at t^n of offset s goes to row n + |s| // 2 of the block, offsets ranked
-    by (|s| mod 2, -s), so position order is output order.  That moves a
-    column at most skew = max |s| // 2 - min |s| // 2 rows down, so blocks
-    cut only at skew + 1 whole zero rows fill disjoint, ascending stretches
-    of the output order, and their terms are read out block after block.
+    marks skips the zero runs between blocks at C speed.  The skewed order
+    of :func:`expand_rational` puts the term at t^n of offset s in row
+    n + |s| // 2, offsets ranked by (|s| mod 2, -s), so position order is
+    output order.  That moves a column at most skew = max |s| // 2 -
+    min |s| // 2 rows down, so blocks cut only at skew + 1 whole zero rows
+    fill disjoint, ascending stretches of the output order, and their terms
+    are read out block after block.
+
+    A block of rows a to b spans (b - a + skew) R positions of that order.
+    When they are at most ``_SKEWED_READ`` times its nonzero bytes, its
+    digits are read at once (:func:`_digits`) and each offset's column is
+    moved there by one strided slice.  A sparser block, or one of few rows
+    beside a wide skew, is read as runs of nonzero slots and its terms are
+    sorted (:func:`_sparse_terms`), so no read outgrows the nonzero bytes
+    by more than that factor.
     """
     terms: dict[ExponentPair, int] = {}
     if p.value:
@@ -668,21 +704,26 @@ def _unpack(p: PackedNumerator) -> BivariatePolynomial:
         place = {s: (abs(s) // 2 - first) * R + q for q, s in enumerate(ranked)}
         columns = [(r, s, place[s]) for r, s in enumerate(p.offsets)]
         marks = data.translate(_NONZERO_MARKS)
-        gap = bytes((skew + 2) * row - 1)  # holds skew + 1 whole zero rows wherever it starts
+        reach = (skew + 2) * row - 1  # bytes that hold skew + 1 whole zero rows wherever they start
+        gap = bytes(reach) if reach < size else None  # none fits in a shorter value
         start = marks.find(1)
         while start >= 0:
-            end = marks.find(gap, start)
+            end = marks.find(gap, start) if gap else -1
             if end < 0:
                 end = size
             a, b = start // row, -(-end // row)
-            digits = _digits(data[a * row:b * row], nb)
-            values = [0] * ((b - a + skew) * R)
-            pairs: list = [None] * len(values)
-            n, span = range(a, b), (b - a) * R
-            for r, s, at in columns:
-                values[at:at + span:R] = digits[r::R]
-                pairs[at:at + span:R] = zip(range(a + s, b + s), n) if s >= 0 else zip(n, range(a - s, b - s))
-            terms.update(compress(zip(pairs, values), values))
+            stretch = (b - a + skew) * R
+            if stretch > _SKEWED_READ * marks.count(1, start, end):
+                terms.update(_sparse_terms(data, marks, start, end, nb, p.offsets))
+            else:
+                digits = _digits(data[a * row:b * row], nb)
+                values = [0] * stretch
+                pairs: list = [None] * stretch
+                n, span = range(a, b), (b - a) * R
+                for r, s, at in columns:
+                    values[at:at + span:R] = digits[r::R]
+                    pairs[at:at + span:R] = zip(range(a + s, b + s), n) if s >= 0 else zip(n, range(a - s, b - s))
+                terms.update(compress(zip(pairs, values), values))
             start = marks.find(1, end)
     out = _polynomial(terms)
     out._ordered = True
@@ -906,8 +947,9 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     its own denominator lacks, one distinct m at a time, merging first the
     partial sums that still need the same factors among the m to come, so a
     factor shared by many terms is multiplied once into their sum.  Every
-    m is checked once, in the order met; (-uv)^lift places the packed
-    table lift rows up, negated when lift is odd (:func:`_pack`).
+    m is checked once, in the order met, and every lift with its term's
+    factors, whether num is zero or not; (-uv)^lift places the packed table
+    lift rows up, negated when lift is odd (:func:`_pack`).
 
     All of it runs on one packed layout (:class:`PackedNumerator`): the
     offsets of every term, and a width that holds
@@ -928,8 +970,8 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
             for m in key[0] + key[1]:  # the caller's: checked once each
                 if type(m) is not int or m not in checked:
                     checked.add(checked_int(m, "denominator factor", 1))
+        lift = checked_int(rest[1], "lift") if len(rest) > 1 else 0
         if num:
-            lift = checked_int(rest[1], "lift") if len(rest) > 1 else 0
             entries.append((key, num._terms, lift))
     distinct = sorted(checked)  # every m among the factors and gains
     index = {m: k for k, m in enumerate(distinct)}

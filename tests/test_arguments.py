@@ -58,6 +58,8 @@ GUARDED = {
     "CycloProduct": ("denominator factor", lambda n: CycloProduct([2, n]), 1),
     "common_denominator_sum.factors": ("denominator factor", lambda n: common_denominator_sum([(ONE, [2, n])]), 1),
     "common_denominator_sum.lift": ("lift", lambda n: common_denominator_sum([(ONE, [2], [], n)]), 0),
+    "common_denominator_sum.lift_of_zero":
+        ("lift", lambda n: common_denominator_sum([(BivariatePolynomial.zero(), [2], [], n)]), 0),
     "TruncatedBiseries": ("horizon", TruncatedBiseries, 0),
     "expand_rational": ("horizon", lambda n: expand_rational(StringyRational(1, (2,)), n), 0),
     "ResolutionConfig.dimension":

@@ -2,6 +2,7 @@ import ast
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -468,6 +469,41 @@ def sparse_dicts(draw):
     return terms
 
 
+@st.composite
+def wide_dicts(draw):
+    """Terms at offsets up to 1200 apart in a few rows, and maybe a second
+    group 1000 rows up: the skew (up to 300 rows) outgrows the rows, so
+    most blocks are read term by term."""
+    terms = {}
+    for base in draw(st.lists(st.sampled_from([0, 1000]), min_size=1, max_size=2, unique=True)):
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            n = base + draw(st.integers(min_value=0, max_value=4))
+            s = draw(st.integers(min_value=-600, max_value=600))
+            terms[(n + s, n) if s >= 0 else (n, n - s)] = draw(signed_coeffs)
+    return terms
+
+
+@pytest.fixture
+def digit_reads(monkeypatch):
+    """The number of slots of each read through ``exact_poly._digits``."""
+    read = []
+    real = exact_poly._digits
+
+    def counting(data, nb):
+        read.append(len(data) // nb)
+        return real(data, nb)
+
+    monkeypatch.setattr(exact_poly, "_digits", counting)
+    return read
+
+
+def _assert_round_trip(terms):
+    poly = BivariatePolynomial(terms)
+    unpacked = exact_poly._unpack(common_denominator_sum([(poly, ())])[0])
+    assert unpacked == poly
+    assert list(unpacked.items()) == poly.sorted_items()  # read back in output order
+
+
 def _oracle_value(num, den, factors):
     """num * prod(factors) / prod(den) by the oracle's long division."""
     out = dict(num)
@@ -484,31 +520,48 @@ class TestPackedKernel:
     # the layout: negative digits, the top slot, digits next to the slot
     # width, and quotients that outgrow the width of the sum.
 
-    @given(st.one_of(kernel_dicts(max_size=8), sparse_dicts()))
-    @settings(max_examples=80, deadline=None)
+    @given(kernel_dicts(max_size=8))
+    @settings(max_examples=60, deadline=None)
     def test_pack_round_trip(self, terms):
-        poly = BivariatePolynomial(terms)
-        unpacked = exact_poly._unpack(common_denominator_sum([(poly, ())])[0])
-        assert unpacked == poly
-        assert list(unpacked.items()) == poly.sorted_items()  # read back in output order
+        _assert_round_trip(terms)
 
-    def test_sparse_values_read_only_their_rows(self, monkeypatch):
+    @given(st.one_of(sparse_dicts(), wide_dicts()))
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_pack_round_trip(self, terms):
+        _assert_round_trip(terms)
+
+    def test_sparse_values_read_only_their_rows(self, digit_reads):
         # 1 + (uv)^(2^20) packs 2^20 + 1 slots; the zero rows between its
         # two terms are skipped, not read
-        read = []
-        real = exact_poly._digits
-
-        def counting(data, nb):
-            read.append(len(data) // nb)
-            return real(data, nb)
-
-        monkeypatch.setattr(exact_poly, "_digits", counting)
         poly = P({(0, 0): 1, (2 ** 20, 2 ** 20): 1})
         packed = common_denominator_sum([(poly, ())])[0]
         assert (packed.degree + 1) * len(packed.offsets) == 2 ** 20 + 1
         unpacked = exact_poly._unpack(packed)
         assert unpacked == poly and unpacked.sorted_items() == [((0, 0), 1), ((2 ** 20, 2 ** 20), 1)]
-        assert len(read) == 2 and sum(read) <= 4
+        assert len(digit_reads) == 2 and sum(digit_reads) <= 4
+
+    @pytest.mark.parametrize("terms", [
+        # 1 + the sum of u^k + v^k for k <= 2^12: 8193 offsets in one row,
+        # a skew of 2048 rows
+        {(0, 0): 1, **{(k, 0): 1 for k in range(1, 2 ** 12 + 1)}, **{(0, k): 1 for k in range(1, 2 ** 12 + 1)}},
+        # offsets -800, 0 and 800 (a skew of 400 rows) every 150 rows up to
+        # row 29850: one block with all but 600 of its 89,553 slots zero
+        {pair: 1 for n in range(0, 30000, 150) for pair in [(n + 800, n), (n, n), (n, n + 800)]},
+    ], ids=["one-row", "rows-150-apart"])
+    def test_wide_skews_read_only_their_terms(self, digit_reads, terms):
+        # the skewed order of a block this sparse beside its skew would
+        # span far more positions than it has terms: it is read term by term
+        poly = P(terms)
+        packed = common_denominator_sum([(poly, ())])[0]
+        tracemalloc.start()
+        try:
+            unpacked = exact_poly._unpack(packed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert unpacked == poly and list(unpacked.items()) == poly.sorted_items()
+        assert sum(digit_reads) == len(terms)
+        assert peak < 2 ** 23  # 8 MB; the skewed order of the one-row case holds 16.8 million positions
 
     @pytest.mark.parametrize("nb", range(1, 10))
     def test_digits_in_either_byte_order(self, monkeypatch, nb):
