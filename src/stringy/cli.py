@@ -35,6 +35,7 @@ from .engine import (
     local_contribution,
 )
 from .exact_poly import (
+    _DECIMAL_PIECE_BOUND,
     _I64_MAX,
     _I64_MIN,
     PackedSizeError,
@@ -308,12 +309,15 @@ def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
         }
         all_passed &= report.passed
         if lines:
+            small = _DECIMAL_PIECE_BOUND  # decimal_str's own test, inlined: an int formats as str below it
             if report.passed:
                 out.append(f"nonneg: PASS (i+j <= {d})")
             else:
                 out.append(f"nonneg: FAIL ({len(report.violations)} violation(s))")
-                out.extend(f"violation: b_{{{i},{j}}} = {decimal_str(b)}" for i, j, b in report.violations)
-            out.extend(f"note: b_{{{i},{j}}} = {decimal_str(b)} beyond range" for i, j, b in report.beyond_notes)
+                out.extend(f"violation: b_{{{i},{j}}} = {b if -small < b < small else decimal_str(b)}"
+                           for i, j, b in report.violations)
+            out.extend(f"note: b_{{{i},{j}}} = {b if -small < b < small else decimal_str(b)} beyond range"
+                       for i, j, b in report.beyond_notes)
 
     payload = {"dimension": d, "agree": True, "checks": checks, "passed": all_passed}
     return (EXIT_OK if all_passed else EXIT_FAILED), payload

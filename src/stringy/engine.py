@@ -11,26 +11,32 @@ with its boundary terms R and S and the implied Hodge-component dimensions.
 
 Everything takes a config that passes lenient validation; computations raise
 ConfigValidationError otherwise instead of producing garbage.  Validation,
-the strata conventions, each formula's uncancelled sum and both E-functions
-are kept on the config object and shared by every analysis of it; the
-formulas are compared before cancelling, and E_st is cancelled once.
+the packed tables, each formula's uncancelled sum and both E-functions are
+kept on the config object and shared by every analysis of it.  Each config
+has one packed layout (:func:`_packed_strata`): every stored table is
+packed once, the other convention's tables are signed sums of those packed
+ints, and both formula sums and the agreement check run on it, so the
+formulas convert no table and are compared before cancelling, on one
+layout; E_st is cancelled once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from typing import Union
+from typing import NamedTuple, Union
 
 from .exact_poly import (
     BivariatePolynomial,
+    CycloProduct,
+    PackedNumerator,
     StringyRational,
     TruncatedBiseries,
-    common_denominator_sum,
+    _merge,
+    _pack_tables,
     decimal_str,
     expand_rational,
     same_value,
-    signed_sum,
 )
 from .hodge import (
     DiamondViolation,
@@ -42,6 +48,8 @@ from .hodge import (
 )
 from .resolution import (
     ResolutionConfig,
+    StratumKey,
+    _subset_walk,
     convert_strata,
     exceptional_union_hd,
     validate,
@@ -92,34 +100,125 @@ def stringy_e_closed(cfg: ResolutionConfig) -> StringyRational:
     return StringyRational(*_closed_sum(cfg))
 
 
+class _PackedStrata(NamedTuple):
+    """A config's tables packed once, on its one layout (:func:`_packed_strata`)."""
+
+    width: int
+    offsets: tuple[int, ...]
+    norm: int  # bounds sum_terms |num|_1 of either formula
+    factor: dict[str, int]  # per label, a + 1, or 0 at a = 0
+    ambient: tuple[int, int]  # (value, top)
+    complement: tuple[int, int]  # the ambient less every open stratum
+    open: dict[StratumKey, tuple[int, int]]
+    closed: dict[StratumKey, tuple[int, int]]
+
+
+@_once_per_config
+def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
+    """Every stored table packed once, on one layout shared by both
+    formulas and the agreement check; the other convention's tables are
+    signed sums of those packed ints, by the subset walk of
+    :func:`convert_strata` (:func:`resolution._subset_walk`), and a sum that
+    is 0 is dropped.  Each value comes with top, the largest power of t it
+    can hold.  The walk's empty subset gives the open complement: the
+    ambient plus the walk to the open convention there, or less the walk to
+    the closed one.
+
+    The layout has the offsets of the ambient and the stored tables; every
+    value above is a signed sum of those, and so is every formula sum.  Its
+    width holds digits up to N 2^|K|, where
+
+        N = |ambient|_1 + sum over stored J of 2^|J| |H_J|_1
+
+    and K is the multiset that takes every m = a + 1 (a != 0) with the
+    largest multiplicity it has among the labels of one stored key.
+
+    * N bounds sum_terms |num|_1 of either formula.  A converted table at I
+      has |num|_1 <= sum over stored J >= I of |H_J|_1, and J has 2^|J| - 1
+      nonempty subsets; the complement adds |ambient|_1 and the empty
+      subset, which counts every J once.  A formula in the stored
+      convention uses fewer terms: the ambient, each H_J once, and, for
+      the open one, the complement.
+    * Each term's factors are among those of a stored key J >= I, so both
+      common denominators D_open and D_closed, and their union, divide the
+      product over K.  Every term of a formula is multiplied by |D|
+      factors (uv)^m - 1, each at most doubling |num|_1, and by (-uv)^lift,
+      which keeps it, so a formula sum and every partial sum has
+      |sum|_1 <= N 2^|D|.  The agreement check multiplies each sum by the
+      factors of the union its own denominator lacks, which makes
+      N 2^|D_open | D_closed| <= N 2^|K|.  So every digit fits this width,
+      and :func:`exact_poly.same_value` needs no other layout.
+    * The same products have no power of t past the largest top plus the
+      degree of K, which bounds the slots.
+
+    This is within ``resolution._packed_sum_bits``: it counts the same
+    offsets, powers up to the same top plus the sum of a + 1 over all
+    components with a != 0, which K's degree is at most, and digits up to
+    (|ambient|_1 + 2 sum_J 2^|J| |H_J|_1) 2^(2 factors), with factors at
+    least |K|.  So lenient acceptance also accepts this layout.
+    """
+    _require(cfg, "lenient")
+    factor = {comp.label: comp.discrepancy + 1 if comp.discrepancy else 0 for comp in cfg.components}
+    most: dict[int, int] = {}  # K: per m, the most factors (uv)^m - 1 the labels of one stored key give
+    for key in cfg.strata:
+        here = [factor[label] for label in key if factor[label]]
+        for m in here:
+            most[m] = max(most.get(m, 0), here.count(m))
+    reach = sum(m * n for m, n in most.items())
+    width, offsets, norm, packed = _pack_tables(
+        [(cfg.ambient.poly, 0, reach)] + [(value.poly, len(key), reach) for key, value in cfg.strata.items()],
+        sum(most.values()))
+    stored = dict(zip(cfg.strata, packed[1:]))
+    target = "open" if cfg.convention == "closed" else "closed"
+    converted = {}
+    for key, parts in _subset_walk(stored, target).items():
+        if len(parts) == 1 and parts[0][0] == 1:
+            converted[key] = parts[0][1]
+            continue
+        value = 0
+        for sign, (part, _) in parts:
+            value = value + part if sign > 0 else value - part
+        if value:
+            converted[key] = (value, max(top for _, (_, top) in parts))
+    (ambient, ambient_top), (empty, empty_top) = packed[0], converted.pop((), (0, 0))
+    complement = (ambient + empty if target == "open" else ambient - empty, max(ambient_top, empty_top))
+    opened, closed = (converted, stored) if target == "open" else (stored, converted)
+    return _PackedStrata(width, offsets, norm, factor, packed[0], complement, opened, closed)
+
+
+def _formula_sum(strata: _PackedStrata, terms: list[tuple]) -> tuple[PackedNumerator, CycloProduct]:
+    """The (value, top, factors, gains, lift) terms over their common
+    denominator, on the config's layout (:func:`exact_poly._merge`)."""
+    value, degree, common = _merge(terms, strata.width, strata.offsets)
+    return PackedNumerator(value, strata.width, strata.offsets, degree, strata.norm << len(common)), common
+
+
 @_once_per_config
 def _open_sum(cfg: ResolutionConfig):
-    """The open-strata terms over their common denominator, not cancelled."""
-    _require(cfg, "lenient")
-    open_cfg = convert_strata(cfg, "open")
-    discrepancy = {comp.label: comp.discrepancy for comp in open_cfg.components}
-    terms, complement = [], [(1, open_cfg.ambient.poly)]
-    for key, value in open_cfg.strata.items():
-        factors = [discrepancy[label] + 1 for label in key if discrepancy[label]]
-        terms.append((value.poly, factors, [1] * len(factors)))  # (uv - 1) per factor
-        complement.append((-1, value.poly))
-    terms.append((signed_sum(complement), ()))  # the ambient less every stored open stratum
-    return common_denominator_sum(terms)
+    """The open-strata terms over their common denominator, not cancelled:
+    each open stratum over its factors, times uv - 1 per factor, and the
+    complement as it is."""
+    strata = _packed_strata(cfg)
+    terms = [(*strata.complement, (), (), 0)]
+    for key, (value, top) in strata.open.items():
+        factors = tuple(strata.factor[label] for label in key if strata.factor[label])
+        terms.append((value, top, factors, (1,) * len(factors), 0))
+    return _formula_sum(strata, terms)
 
 
 @_once_per_config
 def _closed_sum(cfg: ResolutionConfig):
-    """The closed-strata terms over their common denominator, not cancelled."""
-    _require(cfg, "lenient")
-    closed_cfg = convert_strata(cfg, "closed")
-    discrepancy = {comp.label: comp.discrepancy for comp in closed_cfg.components}
-    terms = [(closed_cfg.ambient.poly, ())]
-    for key, value in closed_cfg.strata.items():
-        if all(discrepancy[label] for label in key):
-            # uv - (uv)^{a+1} = -uv ((uv)^a - 1)
-            terms.append((value.poly, [discrepancy[label] + 1 for label in key],
-                          [discrepancy[label] for label in key], len(key)))
-    return common_denominator_sum(terms)
+    """The closed-strata terms over their common denominator, not
+    cancelled: the ambient, and every closed stratum without a label at
+    a = 0 over its factors, times uv - (uv)^{a+1} = -uv ((uv)^a - 1) per
+    factor."""
+    strata = _packed_strata(cfg)
+    terms = [(*strata.ambient, (), (), 0)]
+    for key, (value, top) in strata.closed.items():
+        factors = tuple(strata.factor[label] for label in key)
+        if all(factors):
+            terms.append((value, top, factors, tuple(m - 1 for m in factors), len(key)))
+    return _formula_sum(strata, terms)
 
 
 @dataclass(frozen=True)

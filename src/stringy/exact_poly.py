@@ -24,14 +24,18 @@ The central representation choices:
   Kronecker substitution (D. Harvey, arXiv:0712.4046).  The term
   c u^i v^j is a signed digit in slot min(i, j) R + r, r the rank of i - j
   among the R offsets present, so t = uv is a shift by width R bits and
-  multiplying by t^m - 1 is one shift and one subtraction.  The formula
-  sums (:func:`common_denominator_sum`), the agreement check
-  (:func:`same_value`) and the cancellation (:func:`_reduce`) run on it;
-  the canonical numerator is unpacked once, in output order.  A sum's
-  slots are as wide as sum_terms |num|_1 2^(factors multiplied in) plus a
-  sign bit, in whole bytes.  The cancellation bounds nothing ahead: it runs at that width and
-  confirms its answer after the fact, and only a failed confirmation
-  doubles the width and runs it again (proofs in :func:`_reduce`).
+  multiplying by t^m - 1 is one shift and one subtraction.  Tables are
+  packed onto one layout (:func:`_pack_tables`) and summed over a common
+  denominator by one merge (:func:`_merge`): the engine's formula sums,
+  from tables packed once per config, and :func:`common_denominator_sum`.
+  The agreement check (:func:`same_value`) and the cancellation
+  (:func:`_reduce`) run on the packed sums; the canonical numerator is
+  unpacked once, in output order.  A sum's slots are as wide as a bound
+  on sum_terms |num|_1 2^(factors multiplied in) needs, plus a sign bit,
+  in whole bytes.  The cancellation bounds nothing ahead: it runs at that
+  width and confirms its answer after the fact, and only a failed
+  confirmation doubles the width and runs it again (proofs in
+  :func:`_reduce`).
   A packed value costs its slots times its width in time and memory, so
   one over ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
   it is made.  Values with an empty denominator stay sparse.
@@ -42,8 +46,8 @@ The central representation choices:
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, compress
-from operator import add, mul, sub
+from itertools import accumulate, compress, takewhile
+from operator import add
 from typing import ItemsView, Iterable, Iterator, Mapping, Union
 
 from .validation import checked_int
@@ -572,12 +576,11 @@ def _repeated(digit: int, nb: int, slots: int) -> bytes:
     return digit.to_bytes(nb, "little") * slots
 
 
-def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int, rows: tuple[int, int],
-          lift: int = 0) -> int:
-    """The packed value of a nonempty {(i, j): c} over the offset ranks times
-    (-uv)^lift: each term lift rows up, negated when lift is odd.  rows are
-    the least and the largest power of t among the terms, and only the
-    slots between them are written as bytes."""
+def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int,
+          rows: tuple[int, int]) -> int:
+    """The packed value of a nonempty {(i, j): c} over the offset ranks.
+    rows are the least and the largest power of t among the terms, and only
+    the slots between them are written as bytes."""
     R, nb = len(rank), width // 8
     low, high = rows
     pos = bytearray((high - low + 1) * R * nb)
@@ -589,8 +592,43 @@ def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int
             pos[at:at + nb] = c.to_bytes(nb, "little")
         else:
             neg[at:at + nb] = (-c).to_bytes(nb, "little")
-    value = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-    return (-value if lift & 1 else value) << (low + lift) * R * width
+    return (int.from_bytes(pos, "little") - int.from_bytes(neg, "little")) << low * R * width
+
+
+def _pack_tables(tables: list[tuple[BivariatePolynomial, int, int]], spare: int = 0
+                 ) -> tuple[int, tuple[int, ...], int, list[tuple[int, int]]]:
+    """(polynomial, shift, reach) tables packed on one layout, as (width,
+    offsets, norm, [(value, top)]): the offsets of all of them; norm, the
+    sum of |p|_1 2^shift; slots as wide as signed digits up to norm 2^spare
+    need; and per table its packed value and its largest power of t, (0, 0)
+    for a zero table.  reach is the degree in t a table may yet be
+    multiplied by, and a layout whose values could then pass
+    ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before any table
+    is packed."""
+    present: set[int] = set()
+    rows = []
+    norm = degree = 0
+    for p, shift, reach in tables:
+        if not p._terms:
+            rows.append(None)
+            continue
+        low = high = min(next(iter(p._terms)))
+        for i, j in p._terms:
+            present.add(i - j)
+            n = i if i < j else j
+            if n > high:
+                high = n
+            elif n < low:
+                low = n
+        rows.append((low, high))
+        norm += sum(map(abs, p._terms.values())) << shift
+        degree = max(degree, high + reach)
+    offsets = tuple(sorted(present))
+    rank = {s: r for r, s in enumerate(offsets)}
+    width = _width(norm << spare)
+    _check_size((degree + 1) * len(offsets), width)
+    return width, offsets, norm, [(_pack(p._terms, rank, width, span), span[1]) if span else (0, 0)
+                                  for (p, _, _), span in zip(tables, rows)]
 
 
 def _relayout(p: PackedNumerator, width: int, offsets: tuple[int, ...]) -> int:
@@ -934,31 +972,85 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
         num = PackedNumerator(_relayout(num, width, num.offsets), width, num.offsets, num.degree, num.norm)
 
 
+def _needs(keys: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
+           ) -> tuple[CycloProduct, list[int], dict[tuple, tuple[tuple[int, ...], int, int]]]:
+    """For terms whose (factors, gains) are these keys: their common
+    denominator, which takes every m with its largest multiplicity in any
+    key's factors; the distinct m among all factors and gains, sorted; and
+    per key what its numerator is multiplied by, its gains and the factors
+    its own denominator lacks, as (how often each distinct m, their number,
+    their degree)."""
+    distinct = sorted({m for key in keys for part in key for m in part})
+    largest = dict.fromkeys(distinct, 0)
+    for factors, _ in keys:
+        for m in factors:
+            largest[m] = max(largest[m], factors.count(m))
+    common = CycloProduct._from_sorted(tuple(m for m in distinct for _ in range(largest[m])))
+    index = {m: k for k, m in enumerate(distinct)}
+    base = list(largest.values())  # in the order of distinct
+    size, degree = len(common), common.degree_uv()
+    needs = {}
+    for factors, gains in keys:
+        need = base[:]
+        for m in factors:
+            need[index[m]] -= 1
+        for m in gains:
+            need[index[m]] += 1
+        needs[factors, gains] = (tuple(need), size - len(factors) + len(gains),
+                                 degree - sum(factors) + sum(gains))
+    return common, distinct, needs
+
+
+def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[int, int, CycloProduct]:
+    """The sum of value (-uv)^lift prod_{g in gains} ((uv)^g - 1) /
+    prod_{m in factors} ((uv)^m - 1) over (value, top, factors, gains,
+    lift) terms, each value packed on the layout of width and offsets with
+    no power of t past top, as (packed numerator, a bound on its degree,
+    common denominator), not cancelled.
+
+    Every term's factors count towards the common denominator
+    (:func:`_needs`), whether its value is zero or not.  (-uv)^lift moves a
+    value lift rows up, negated when lift is odd.  Each value is multiplied
+    by what it needs one distinct m at a time, merging first the partial
+    sums that still need the same factors among the m to come, so a factor
+    shared by many terms is multiplied once into their sum.
+    """
+    common, distinct, needs = _needs({(factors, gains) for _, _, factors, gains, _ in terms})
+    step = width * len(offsets)
+    pending: dict[tuple[int, ...], int] = {}
+    degree = 0
+    for value, top, factors, gains, lift in terms:
+        if value:
+            need, _, gained = needs[factors, gains]
+            degree = max(degree, top + lift + gained)
+            pending[need] = pending.get(need, 0) + ((-value if lift & 1 else value) << lift * step)
+    for m in distinct:
+        merged: dict[tuple[int, ...], int] = {}
+        for at, part in pending.items():
+            for _ in range(at[0]):
+                part = (part << step * m) - part
+            merged[at[1:]] = merged.get(at[1:], 0) + part
+        pending = merged
+    return pending.get((), 0), degree, common
+
+
 def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, CycloProduct]:
     """The sum of num (-uv)^lift prod_{g in gains} ((uv)^g - 1) /
     prod_{m in factors} ((uv)^m - 1) over (num, factors),
     (num, factors, gains) or (num, factors, gains, lift) terms, as (packed
     numerator, common denominator), not cancelled: cancel it once
-    (``StringyRational(*sum)``), not after every addition.  Each num is a
-    stored table, packed as it is: no term is multiplied out first.
+    (``StringyRational(*sum)``), not after every addition.
 
-    The common denominator takes every m with its largest multiplicity in
-    any term; each numerator is multiplied by its gains and by the factors
-    its own denominator lacks, one distinct m at a time, merging first the
-    partial sums that still need the same factors among the m to come, so a
-    factor shared by many terms is multiplied once into their sum.  Every
-    m is checked once, in the order met, and every lift with its term's
-    factors, whether num is zero or not; (-uv)^lift places the packed table
-    lift rows up, negated when lift is odd (:func:`_pack`).
-
-    All of it runs on one packed layout (:class:`PackedNumerator`): the
-    offsets of every term, and a width that holds
+    Every m is checked once, in the order met, and every lift with its
+    term's factors, whether num is zero or not.  Then each num is packed as
+    it is, on one layout (:func:`_pack_tables`), and the packed values go
+    through the one merge of the formula sums (:func:`_merge`).  The layout
+    has the offsets of every term, and a width that holds
     norm = sum over terms of |num|_1 2^(number of factors multiplied in)
     plus a sign bit.  norm bounds |sum|_1 and every partial sum's, so this
-    width holds every digit of the sum and every level-1 test of
-    :func:`_reduce`.  A sum whose packed value would pass
-    ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before any term
-    is packed.
+    width holds every digit of the sum.  A sum whose packed value would
+    pass ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before any
+    term is packed.
     """
     keys: dict[tuple, None] = {}
     checked: set[int] = set()
@@ -970,59 +1062,13 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
             for m in key[0] + key[1]:  # the caller's: checked once each
                 if type(m) is not int or m not in checked:
                     checked.add(checked_int(m, "denominator factor", 1))
-        lift = checked_int(rest[1], "lift") if len(rest) > 1 else 0
-        if num:
-            entries.append((key, num._terms, lift))
-    distinct = sorted(checked)  # every m among the factors and gains
-    index = {m: k for k, m in enumerate(distinct)}
-    counts = {}  # per key, how often each distinct m is among its factors
-    for key in keys:
-        row = [0] * len(distinct)
-        for m in key[0]:
-            row[index[m]] += 1
-        counts[key] = row
-    largest = [max(col) for col in zip(*counts.values())]
-    common = CycloProduct._from_sorted(tuple(m for m, n in zip(distinct, largest) for _ in range(n)))
-    if not entries:
-        return PackedNumerator(0, 8, (), 0, 0), common
-    needs = {}  # per key, how often each distinct m is multiplied in, their number and their degree
-    for key, row in counts.items():
-        need = list(map(sub, largest, row))
-        for m in key[1]:
-            need[index[m]] += 1
-        needs[key] = (tuple(need), sum(need), sum(map(mul, distinct, need)))
-    present: set[int] = set()
-    sized = []
-    norm = degree = 0
-    for key, table, lift in entries:
-        low = high = min(next(iter(table)))  # the least and largest power of t
-        for i, j in table:
-            present.add(i - j)
-            n = i if i < j else j
-            if n > high:
-                high = n
-            elif n < low:
-                low = n
-        need, many, gained = needs[key]
-        norm += sum(map(abs, table.values())) << many
-        degree = max(degree, high + lift + gained)
-        sized.append((need, table, (low, high), lift))
-    offsets = tuple(sorted(present))
-    rank = {s: r for r, s in enumerate(offsets)}
-    width = _width(norm)
-    step = width * len(offsets)
-    _check_size((degree + 1) * len(offsets), width)
-    pending: dict[tuple[int, ...], int] = {}
-    for need, table, rows, lift in sized:
-        pending[need] = pending.get(need, 0) + _pack(table, rank, width, rows, lift)
-    for m in distinct:
-        merged: dict[tuple[int, ...], int] = {}
-        for at, part in pending.items():
-            for _ in range(at[0]):
-                part = (part << step * m) - part
-            merged[at[1:]] = merged.get(at[1:], 0) + part
-        pending = merged
-    return PackedNumerator(pending.get((), 0), width, offsets, degree, norm), common
+        entries.append((num, key, checked_int(rest[1], "lift") if len(rest) > 1 else 0))
+    _, _, needs = _needs(keys)
+    width, offsets, norm, packed = _pack_tables([(num, needs[key][1], lift + needs[key][2])
+                                                 for num, key, lift in entries])
+    value, degree, common = _merge([(value, top, *key, lift) for (value, top), (_, key, lift)
+                                    in zip(packed, entries)], width, offsets)
+    return PackedNumerator(value, width, offsets, degree, norm), common
 
 
 def same_value(x: tuple, y: tuple) -> bool:
@@ -1180,14 +1226,15 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     O(offsets * factors * horizon), and the result is independent of factor
     order.  Then each offset's exponent pairs go in by one strided slice
     assignment into a list of the same layout, and the nonzero positions,
-    read in order, are the terms.  A polynomial is only truncated, at a
-    cost per term, and sorted once.
+    read in order, are the terms.  Only the numerator's terms within the
+    horizon are read (:func:`_inside`); a polynomial is only truncated and
+    sorted once.
     """
     checked_int(horizon, "horizon")
+    inside = _inside(x.numerator, horizon)
     if not x.denominator:
-        return TruncatedBiseries(horizon, {(i, j): c for (i, j), c in x.numerator.items() if i + j <= horizon})
-    inside = [(i, j, c) for (i, j), c in x.numerator.items() if i + j <= horizon]
-    offsets, first, size = _skewed_layout({i - j for i, j, _ in inside}, horizon)
+        return TruncatedBiseries(horizon, inside)
+    offsets, first, size = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
     if not size:
         return TruncatedBiseries(horizon)
     R = len(offsets)
@@ -1195,7 +1242,7 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     factors = x.denominator.factors
     sign = -1 if len(factors) % 2 else 1
     values = [0] * size
-    for i, j, c in inside:
+    for (i, j), c in inside:
         values[((i + j) // 2 - first) * R + rank[i - j]] = sign * c
     for m in factors:
         _running_sums(values, m * R)
@@ -1211,12 +1258,21 @@ def series_size(x: StringyRational, horizon: int) -> int:
     """How many coefficients :func:`expand_rational` computes for x to the
     horizon: the positions of its skewed layout, about
     horizon // 2 + 1 - min |s| // 2 for every offset s = i - j of the
-    numerator's terms within the horizon, or one per such term when x is a
-    polynomial."""
-    inside = [(i, j) for i, j in x.numerator.support() if i + j <= horizon]
+    numerator's terms within the horizon (:func:`_inside`), or one per such
+    term when x is a polynomial."""
+    inside = _inside(x.numerator, horizon)
     if not x.denominator:
         return len(inside)
-    return _skewed_layout({i - j for i, j in inside}, horizon)[2]
+    return _skewed_layout({i - j for (i, j), _ in inside}, horizon)[2]
+
+
+def _inside(p: BivariatePolynomial, horizon: int) -> list[tuple[ExponentPair, int]]:
+    """The terms of p with i + j <= horizon.  When p holds its terms in
+    output order (:func:`_unpack`), they are a prefix: the scan stops at
+    the first term past the horizon."""
+    if p._ordered:
+        return list(takewhile(lambda item: item[0][0] + item[0][1] <= horizon, p._terms.items()))
+    return [((i, j), c) for (i, j), c in p._terms.items() if i + j <= horizon]
 
 
 # Python refuses int <-> decimal str conversions past a digit limit (4300 by

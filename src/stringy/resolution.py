@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -52,11 +53,12 @@ EXPONENT_BUDGET = 2 ** 14
 # ``discrepancy-cost`` finding.
 DISCREPANCY_BUDGET = 2 ** 18
 
-# The formula sums are packed with one slot per offset i - j present in the
-# tables and per power of uv up to the largest one in them plus the
-# denominator's degree, each slot as wide as their digits need; tables whose
-# sums could pass ``exact_poly.PACKED_BIT_BUDGET`` bits (see
-# ``_packed_sum_bits``) are refused with a ``packed-size-cost`` finding.
+# The formula sums are packed on one layout per config, with one slot per
+# offset i - j present in the tables and per power of uv up to the largest
+# one in them plus the denominator's degree, each slot as wide as their
+# digits need (``engine._packed_strata``); tables whose sums could pass
+# ``exact_poly.PACKED_BIT_BUDGET`` bits (see ``_packed_sum_bits``) are
+# refused with a ``packed-size-cost`` finding.
 
 # Expanding E_st to a horizon h computes about h // 2 + 1 - min |s| // 2
 # coefficients for every offset s = i - j of its numerator, one per position
@@ -166,6 +168,18 @@ class ResolutionConfig:
             value = self._derived[key] = produce()
         return value
 
+    def _with_strata(self, convention: str, strata: dict) -> "ResolutionConfig":
+        """This config in the other convention, with a table whose keys are
+        sorted tuples of checked labels and whose values are nonzero
+        HodgeDelignePolynomials, taken over as it is: nothing is checked
+        or canonicalised again.  Package-internal: the producer is
+        :func:`convert_strata`."""
+        out = ResolutionConfig.__new__(ResolutionConfig)
+        out._dimension, out._ambient, out._components = self._dimension, self._ambient, self._components
+        out._convention, out._strata = convention, MappingProxyType(strata)
+        out._singular_locus, out._derived = self._singular_locus, {}
+        return out
+
     def replace(self, **changes) -> "ResolutionConfig":
         fields = {
             "dimension": self._dimension,
@@ -192,22 +206,39 @@ def _canonical_key(key) -> StratumKey:
     return tuple(sorted(parts))
 
 
-def _nonempty_subsets(key: StratumKey):
-    n = len(key)
-    for mask in range(1, 1 << n):
-        yield tuple(key[b] for b in range(n) if mask >> b & 1)
-
-
-def convert_strata(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
-    """Convert the strata table between the open and closed conventions by
-    inclusion-exclusion over the subset lattice:
+def _subset_walk(strata: Mapping[StratumKey, object], target: str
+                 ) -> dict[StratumKey, list[tuple[int, object]]]:
+    """Inclusion-exclusion over the subset lattice: per label subset I of a
+    stored key, the empty one included, the (sign, value) of every stored
+    J >= I, whose signed values add up to the stratum I in the target
+    convention:
 
         closed H(D_I) = sum over stored J >= I of open H(D_J)
         open H(D_I)   = sum over stored J >= I of (-1)^{|J|-|I|} closed H(D_J)
 
     Only subsets of stored keys can acquire nonzero values, so the walk
-    enumerates exactly those.  The converted config is made once per config
-    object: converting ``cfg`` again returns the same object.
+    enumerates exactly those.  The values are passed through as they are:
+    polynomials here (:func:`convert_strata`), packed ints in the engine.
+    The empty subset gathers every stored key, the ambient left out.
+    """
+    parts: dict[StratumKey, list[tuple[int, object]]] = {}
+    for key, value in strata.items():
+        n = len(key)
+        for size in range(n + 1):
+            part = (-1 if target == "open" and (n - size) % 2 else 1, value)
+            for sub in combinations(key, size):  # sorted, as key is
+                if sub in parts:
+                    parts[sub].append(part)
+                else:
+                    parts[sub] = [part]
+    return parts
+
+
+def convert_strata(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
+    """Convert the strata table between the open and closed conventions by
+    inclusion-exclusion over the subset lattice (:func:`_subset_walk`).
+    The converted config is made once per config object: converting
+    ``cfg`` again returns the same object.
     """
     if target not in ("open", "closed"):
         raise ValueError(f"strata convention must be 'open' or 'closed', got {target!r}")
@@ -217,16 +248,10 @@ def convert_strata(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
 
 
 def _converted(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
-    parts: dict[StratumKey, list[tuple[int, HodgeDelignePolynomial]]] = {}
-    for stored_key, value in cfg.strata.items():
-        for sub in _nonempty_subsets(stored_key):
-            sign = -1 if target == "open" and (len(stored_key) - len(sub)) % 2 else 1
-            if sub in parts:
-                parts[sub].append((sign, value))
-            else:
-                parts[sub] = [(sign, value)]
     table = {}
-    for key, terms in parts.items():
+    for key, terms in _subset_walk(cfg.strata, target).items():
+        if not key:
+            continue  # the empty subset is no stratum
         if len(terms) == 1 and terms[0][0] == 1:
             # a stored value, as it is: through signed_sum too, the 150
             # conversions of a seed-7 ladder round took 66 ms, not 58
@@ -238,7 +263,7 @@ def _converted(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
                                            claims.pop() if len(claims) == 1 else None)
         if value.poly:
             table[key] = value
-    return cfg.replace(convention=target, strata=table)
+    return cfg._with_strata(target, table)
 
 
 def component_closed_hd(cfg: ResolutionConfig, label: str) -> HodgeDelignePolynomial:
@@ -365,7 +390,7 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
 
 def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
     """A bound on the size of the formula sums and of the agreement check
-    (``exact_poly.common_denominator_sum``, ``same_value``), given a common
+    (``engine._packed_strata``, ``exact_poly.same_value``), given a common
     denominator of at most this degree and this many factors.
 
     Slots: the offsets i - j present times the powers of uv up to the

@@ -26,6 +26,7 @@ E6 = str(FIXTURES / "e6_fixture.json")
 NODE = str(FIXTURES / "node_a1.json")
 SMOOTH = str(FIXTURES / "smooth_p3.json")
 AFFINE = str(FIXTURES / "affine_line.json")
+D4 = str(FIXTURES / "d4_terminal.json")
 _NINES = int("9" * 4300)
 
 
@@ -238,18 +239,34 @@ class TestPreparedConfig:
     # conventions and both E-functions; every command step reuses them.
 
     def test_local_evaluates_each_formula_once(self, run, monkeypatch):
-        sums = []
-        real_sum = engine.common_denominator_sum
+        merges = []
+        real_merge = engine._merge
 
-        def counting_sum(terms):
-            sums.append(len(terms))
-            return real_sum(terms)
+        def counting_merge(terms, width, offsets):
+            merges.append(len(terms))
+            return real_merge(terms, width, offsets)
 
-        monkeypatch.setattr(engine, "common_denominator_sum", counting_sum)
+        monkeypatch.setattr(engine, "_merge", counting_merge)
         code, out, _ = run("compute", NODE, "--local")
         assert code == 0
         assert "local contribution = 1 + uv" in out
-        assert len(sums) == 2  # E_open and E_closed
+        assert len(merges) == 2  # E_open and E_closed
+
+    @pytest.mark.parametrize("argv", [("compute", E6), ("compute", NODE, "--local"), ("compute", D4)])
+    def test_compute_converts_nothing(self, run, monkeypatch, argv):
+        # a closed-convention file: the open tables are packed sums of the
+        # stored ones, and both formulas and the agreement check share one
+        # layout, so no table is converted and no value is laid out again
+        calls = []
+        for module, name in ((resolution, "_converted"), (exact_poly, "_relayout")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        code, _, _ = run(*argv)
+        assert code == 0
+        assert calls == []
 
     @pytest.mark.parametrize("argv", [("compute", E6), ("compute", NODE, "--local")])
     def test_each_value_is_cancelled_once(self, run, monkeypatch, argv):
@@ -284,17 +301,17 @@ class TestPreparedConfig:
         assert len(unpacked) == 1
 
     def test_disagreeing_formulas_are_reported(self, run, monkeypatch):
-        # a broken conversion: the open table gains a term, so E_open is wrong
-        real_converted = resolution._converted
+        # a broken conversion: the packed walk to the open tables adds every
+        # part, so the open complement gains the closed stratum twice and
+        # E_open is wrong
+        real_walk = engine._subset_walk
 
-        def perturbed(cfg, target):
-            twin = real_converted(cfg, target)
-            table = {key: HodgeDelignePolynomial(value.poly + BivariatePolynomial.uv_power(1))
-                     for key, value in twin.strata.items()}
-            return twin.replace(strata=table)
+        def perturbed(strata, target):
+            return {key: [(1, value) for _, value in parts]
+                    for key, parts in real_walk(strata, target).items()}
 
         truth = engine.compute(resolution.load_config(E6)).e_open
-        monkeypatch.setattr(resolution, "_converted", perturbed)
+        monkeypatch.setattr(engine, "_subset_walk", perturbed)
         code, out, _ = run("compute", E6)
         assert code == 1
         assert out.splitlines()[-1] == "internal error: the open- and closed-strata formulas disagree"

@@ -407,6 +407,59 @@ def near_budget_configs(draw):
                             draw(st.sampled_from(["open", "closed"])), strata)
 
 
+@st.composite
+def lattice_configs(draw):
+    """Configs of 2-4 components, often with a = 0, whose stored keys have
+    one to three labels, in either convention.  A stored table may be drawn
+    as minus the signed sum of its stored supersets, so that the table the
+    other convention has at its key cancels to 0."""
+    labels = LABELS[:draw(st.integers(min_value=2, max_value=4))]
+    components = [Component(label, draw(st.sampled_from([0, 0, 1, 2, 4]))) for label in labels]
+    convention = draw(st.sampled_from(["open", "closed"]))
+
+    def table(top):
+        terms = {}
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            i, j = (draw(st.integers(min_value=0, max_value=top)) for _ in range(2))
+            c = draw(st.integers(min_value=-9, max_value=9).filter(bool))
+            for pair in {(i, j), (j, i)}:
+                terms[pair] = terms.get(pair, 0) + c
+        return P(terms)
+
+    keys = draw(st.sets(st.frozensets(st.sampled_from(labels), min_size=1, max_size=3),
+                        min_size=1, max_size=6))
+    strata = {}
+    for key in sorted((tuple(sorted(key)) for key in keys), key=len, reverse=True):  # supersets first
+        above = [(j, value) for j, value in strata.items() if set(key) < set(j)]
+        if above and draw(st.booleans()):
+            value = P({})
+            for j, h in above:  # the other convention's table at key is then 0
+                flip = convention == "closed" and (len(j) - len(key)) % 2
+                value = value + h.poly if flip else value - h.poly
+        else:
+            value = table(3)
+        if value:
+            strata[key] = HodgeDelignePolynomial(value)
+    return ResolutionConfig(3, HodgeDelignePolynomial(table(3)), components, convention, strata)
+
+
+def _sums_over_converted_tables(cfg):
+    """Both formula sums as terms of ``common_denominator_sum`` over the
+    tables of ``convert_strata``, each table packed on its own."""
+    opened, closed = convert_strata(cfg, "open"), convert_strata(cfg, "closed")
+    a = {comp.label: comp.discrepancy for comp in cfg.components}
+    complement = cfg.ambient.poly
+    open_terms = []
+    for key, value in opened.strata.items():
+        complement = complement - value.poly
+        factors = [a[label] + 1 for label in key if a[label]]
+        open_terms.append((value.poly, factors, [1] * len(factors)))
+    closed_terms = [(value.poly, [a[label] + 1 for label in key], [a[label] for label in key], len(key))
+                    for key, value in closed.strata.items() if all(a[label] for label in key)]
+    return (exact_poly.common_denominator_sum(open_terms + [(complement, ())]),
+            exact_poly.common_denominator_sum(closed_terms + [(cfg.ambient.poly, ())]))
+
+
 class TestFormulaEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(near_budget_configs())
@@ -428,6 +481,36 @@ class TestFormulaEquivalence:
             result = compute(cfg)
         assert result.agree
         assert same_fraction(_e_open_at(result), _closed_formula_at(convert_strata(cfg, "closed")))
+
+    @settings(max_examples=120, deadline=None)
+    @given(lattice_configs())
+    @example(ResolutionConfig(  # the closed table at B cancels to 0; A has a = 0
+        2, HodgeDelignePolynomial(P({(0, 0): 1, (1, 1): 1, (2, 2): 1})),
+        [Component("A", 0), Component("B", 1), Component("C", 2)], "open",
+        {("A", "B"): hd({(0, 0): 1, (1, 1): 1}), ("B",): hd({(0, 0): -1, (1, 1): -1}),
+         ("C",): hd({(0, 0): 2, (1, 0): 1, (0, 1): 1})}))
+    def test_packed_sums_match_converted_tables(self, cfg):
+        # the formula sums on the config's one packed layout, with the other
+        # convention made by packed inclusion-exclusion, against the sums
+        # over the converted tables
+        assert validate(cfg).accepted
+        mine = engine._open_sum(cfg), engine._closed_sum(cfg)
+        for (num, den), (their_num, their_den) in zip(mine, _sums_over_converted_tables(cfg)):
+            assert den.factors == their_den.factors
+            assert exact_poly.same_value((num, den), (their_num, their_den))
+            assert StringyRational(num, den) == StringyRational(their_num, their_den)
+        # one layout serves the agreement check, within the bound validation sets
+        strata = engine._packed_strata(cfg)
+        (x, dx), (y, dy) = mine
+        assert (x.width, x.offsets) == (y.width, y.offsets) == (strata.width, strata.offsets)
+        both = dx.union(dy)
+        rows = max(p.degree + both.minus(den).degree_uv() for p, den in mine) + 1
+        nonzero = [comp.discrepancy for comp in cfg.components if comp.discrepancy]
+        bound = resolution._packed_sum_bits(cfg, sum(a + 1 for a in nonzero), len(nonzero))
+        assert rows * len(strata.offsets) * strata.width <= bound
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_poly, "_relayout", None)  # a call would raise
+            assert exact_poly.same_value(*mine)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))

@@ -846,6 +846,18 @@ class TestOutputOrder:
         rng.shuffle(shuffled)
         assert _in_output_order(TruncatedBiseries(16, shuffled)) == terms
 
+    @given(deep_terms, deep_dens, st.integers(min_value=0, max_value=150))
+    @settings(max_examples=60, deadline=None)
+    def test_terms_inside_the_horizon_are_a_prefix(self, num, dens, horizon):
+        # a numerator read back in output order is cut at the first term
+        # past the horizon; any other is scanned whole, with the same terms
+        x = StringyRational(BivariatePolynomial(num), dens)
+        want = [(pair, c) for pair, c in x.numerator.sorted_items() if sum(pair) <= horizon]
+        if x.denominator:  # the numerator is read back in output order
+            assert exact_poly._inside(x.numerator, horizon) == want
+        unordered = BivariatePolynomial(dict(x.numerator.items()))
+        assert sorted(exact_poly._inside(unordered, horizon)) == sorted(want)
+
     def test_series_size_counts_the_skewed_layout(self):
         # offsets 0 and 9 to horizon 10: rows 0-5 of two slots, less the odd
         # offset's slot in the last row (degree 11); its column starts four

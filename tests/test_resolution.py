@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringy import resolution
 from stringy.exact_poly import BivariatePolynomial
 from stringy.hodge import HodgeDelignePolynomial, projective_space
 from stringy.resolution import (
@@ -177,6 +178,24 @@ class TestPreparedConfig:
         back = convert_strata(opened, "closed")
         assert back.strata == cfg.strata
         assert convert_strata(opened, "closed") is back
+
+    def test_conversion_checks_no_key_again(self, monkeypatch):
+        # the walk makes sorted tuples of checked labels, which the twin
+        # takes over without canonicalising them again
+        cfg = node_config()
+        canonicalised = []
+        real = resolution._canonical_key
+
+        def counting(key):
+            canonicalised.append(key)
+            return real(key)
+
+        monkeypatch.setattr(resolution, "_canonical_key", counting)
+        opened = convert_strata(cfg, "open")
+        assert canonicalised == []
+        assert opened.convention == "open" and opened.dimension == cfg.dimension
+        assert opened.components == cfg.components and opened.singular_locus is cfg.singular_locus
+        assert convert_strata(opened, "closed").strata == cfg.strata
 
     def test_conversion_makes_no_reference_cycle(self):
         # a cycle would be freed only by the cycle collector, so a batch
