@@ -89,6 +89,33 @@ def _quoted(c: int) -> str:
     return '"' + decimal_str(c) + '"'
 
 
+class _TripleParts(dict):
+    """Pieces of the text of triples [i, j, c] at one indentation, one per
+    exponent: the text up to j for i, or from j up to the coefficient for
+    j.  Each is made on first use and kept, so a term costs two lookups,
+    one int format and one concatenation.  Kept per exponent, not per pair
+    (i, j), the pieces stay few: a seed-7 ``ladder`` round writes 3392
+    distinct pairs but a few hundred distinct exponents.  Past
+    ``_TRIPLE_PARTS_CAP`` exponents it starts over, like
+    ``render._monomial``'s bounded cache."""
+
+    __slots__ = ("template",)
+
+    def __init__(self, template: str):
+        self.template = template
+
+    def __missing__(self, exponent: int) -> str:
+        if len(self) >= _TRIPLE_PARTS_CAP:
+            self.clear()
+        text = self[exponent] = self.template % exponent
+        return text
+
+
+_TRIPLE_PARTS_CAP = 1 << 12
+# per indentation, of which a report has a handful: the pieces for i and for j
+_TRIPLE_PARTS: dict[str, tuple[_TripleParts, _TripleParts]] = {}
+
+
 def _write_json(value, pad: str, out: list) -> None:
     """Append to ``out`` the text that the ``json`` module's
     ``dumps(value, sort_keys=True, indent=2)`` gives for ``value``, nested at
@@ -109,12 +136,17 @@ def _write_json(value, pad: str, out: list) -> None:
         if not items:
             out.append("[]")
             return
-        row = "\n" + pad + "  "
-        cell = row + "  "
+        row = "\n" + pad + "  "  # pad is spaces only, so no % in the templates
+        parts = _TRIPLE_PARTS.get(pad)
+        if parts is None:
+            cell = row + "  "
+            parts = _TRIPLE_PARTS[pad] = (_TripleParts(row + "[" + cell + "%d,"),
+                                          _TripleParts(cell + "%d," + cell))
+        heads, mids = parts
+        end = row + "]"
         lo, hi = _I64_MIN, _I64_MAX  # encode_json_int's rule, inlined
-        out.append("[" + ",".join(
-            f"{row}[{cell}{i},{cell}{j},{cell}{c if lo <= c <= hi else _quoted(c)}{row}]"
-            for (i, j), c in items) + "\n" + pad + "]")
+        out.append("[" + (end + ",").join([f"{heads[i]}{mids[j]}{c if lo <= c <= hi else _quoted(c)}"
+                                           for (i, j), c in items]) + end + "\n" + pad + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -185,15 +217,22 @@ def _series(result):
     return result.series
 
 
-def _load(path: Path):
+def _read(path: Path) -> bytes:
     try:
-        return load_config(path)
-    except (ConfigFormatError, OSError) as exc:
+        return path.read_bytes()
+    except OSError as exc:
         raise _InputError(str(exc)) from None
 
 
-def _load_and_validate(path: Path, mode: str):
-    cfg = _load(path)
+def _load(data: bytes):
+    try:
+        return load_config(data)
+    except ConfigFormatError as exc:
+        raise _InputError(str(exc)) from None
+
+
+def _load_and_validate(data: bytes, mode: str):
+    cfg = _load(data)
     report = validate(cfg, mode)
     if not report.accepted:
         lines = [f.describe() for f in report.findings]
@@ -201,9 +240,9 @@ def _load_and_validate(path: Path, mode: str):
     return cfg, report
 
 
-def _cmd_compute(path: Path, args, out: list[str]) -> tuple[int, dict]:
+def _cmd_compute(data: bytes, args, out: list[str]) -> tuple[int, dict]:
     mode = "strict" if args.strict else "lenient"
-    cfg, report = _load_and_validate(path, mode)
+    cfg, report = _load_and_validate(data, mode)
     horizon = args.horizon if args.horizon is not None else 2 * cfg.dimension
     result = compute(cfg, horizon)
     polynomial = result.e_open.is_polynomial
@@ -255,9 +294,9 @@ def _record_outcome(name: str, outcome: CheckOutcome, checks: dict, out: list[st
     return outcome.passed
 
 
-def _cmd_check(path: Path, args, out: list[str]) -> tuple[int, dict]:
+def _cmd_check(data: bytes, args, out: list[str]) -> tuple[int, dict]:
     mode = "strict" if args.strict else "lenient"
-    cfg, _ = _load_and_validate(path, mode)
+    cfg, _ = _load_and_validate(data, mode)
     d = cfg.dimension
     wanted = [name for name, on in
               (("duality", args.duality), ("symmetry", args.symmetry),
@@ -341,8 +380,8 @@ def _parse_pairs(raw: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _cmd_decompose(path: Path, args, out: list[str]) -> tuple[int, dict]:
-    cfg, _ = _load_and_validate(path, "strict")
+def _cmd_decompose(data: bytes, args, out: list[str]) -> tuple[int, dict]:
+    cfg, _ = _load_and_validate(data, "strict")
     pairs = _parse_pairs(args.pairs)
     result = decompose_coefficients(cfg, pairs)
 
@@ -383,9 +422,9 @@ def _cmd_decompose(path: Path, args, out: list[str]) -> tuple[int, dict]:
     return code, payload
 
 
-def _cmd_validate(path: Path, args, out: list[str]) -> tuple[int, dict]:
+def _cmd_validate(data: bytes, args, out: list[str]) -> tuple[int, dict]:
     mode = "strict" if args.strict else "lenient"
-    report = validate(_load(path), mode)
+    report = validate(_load(data), mode)
     for f in report.findings:
         out.append(f.describe())
     out.append(f"{'accepted' if report.accepted else 'rejected'} ({mode})")
@@ -409,10 +448,14 @@ _COMMANDS = {
 
 
 def _run_one(path: Path, args) -> tuple[int, str]:
+    """One input file's exit code and output.  The file is read once: its
+    bytes are both loaded and hashed."""
     started = time.perf_counter_ns()
     out: list[str] = []
+    data = None
     try:
-        code, payload = _COMMANDS[args.command](path, args, out)
+        data = _read(path)
+        code, payload = _COMMANDS[args.command](data, args, out)
     except (_InputError, ConfigValidationError, PackedSizeError) as exc:
         # validation bounds the formula sums; a deeper cancellation test can need wider slots
         error = f"packed-size-cost: {exc}" if isinstance(exc, PackedSizeError) else str(exc)
@@ -423,7 +466,7 @@ def _run_one(path: Path, args) -> tuple[int, str]:
         report = {
             "command": args.command,
             "path": str(path),
-            "sha256": _sha256(path),
+            "sha256": "" if data is None else hashlib.sha256(data).hexdigest(),
             "timing_us": elapsed_us,
             "exit_code": code,
         }
@@ -432,13 +475,6 @@ def _run_one(path: Path, args) -> tuple[int, str]:
     else:
         text = "".join(line + "\n" for line in out)
     return code, text
-
-
-def _sha256(path: Path) -> str:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return ""
 
 
 def _collect_inputs(raw: str) -> list[Path]:

@@ -545,6 +545,12 @@ def local_contribution(cfg: ResolutionConfig, *, formula: str = "closed") -> Str
     so local = E_st - (ambient - H(union of components)).  Requires the
     config to carry the singular locus polynomial, since the number is
     reported alongside it and is meaningless without a designated locus.
+
+    No table is converted: the union is a signed sum of the stored tables
+    (:func:`resolution.exceptional_union_hd`).  With E_st = N/D canonical,
+    the difference is (N - away D)/D, away multiplied by D one factor
+    (uv)^m - 1 at a time; it is canonical as it stands, since every Phi_k
+    dividing D divides away D, so N - away D = N mod Phi_k.
     """
     if cfg.singular_locus is None:
         raise ValueError("local contribution needs the config's singular_locus")

@@ -275,11 +275,17 @@ def component_closed_hd(cfg: ResolutionConfig, label: str) -> HodgeDelignePolyno
 
 
 def exceptional_union_hd(cfg: ResolutionConfig) -> HodgeDelignePolynomial:
-    """H of the union of all components, by inclusion-exclusion over the
-    stored closed strata."""
-    closed = convert_strata(cfg, "closed")
-    return HodgeDelignePolynomial(signed_sum([(1 if len(key) % 2 else -1, value.poly)
-                                              for key, value in closed.strata.items()]))
+    """H of the union of all components, a signed sum of the stored tables
+    in either convention, with no table converted: the open strata D_J^o
+    partition the union, so each open table counts once, and by
+    inclusion-exclusion each closed table D_J counts (-1)^(|J|+1) times.
+    The two agree: a stored open table at J is in the closed tables of its
+    2^|J| - 1 nonempty subsets I, whose signs (-1)^(|I|+1) add up to 1."""
+    if cfg.convention == "open":
+        parts = [(1, value.poly) for value in cfg.strata.values()]
+    else:
+        parts = [(1 if len(key) % 2 else -1, value.poly) for key, value in cfg.strata.items()]
+    return HodgeDelignePolynomial(signed_sum(parts))
 
 
 def validate(cfg: ResolutionConfig, mode: str = "lenient") -> ValidationReport:
@@ -358,14 +364,11 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
             findings.append(Finding("warning", "unused-component",
                                     f"component {comp.label!r} appears in no stratum", comp.label))
 
-    named = [("ambient", cfg.ambient)] + [(",".join(k), v) for k, v in sorted(cfg.strata.items())]
-    if cfg.singular_locus is not None:
-        named.append(("singular_locus", cfg.singular_locus))
-    for name, h in named:
-        if not h.poly.is_uv_symmetric():
+    for name, symmetric, top in _table_scan(cfg)[0]:
+        if not symmetric:
             findings.append(Finding("error", "uv-asymmetry",
                                     f"polynomial of {name} is not symmetric in u and v", name))
-        if max(h.poly.degree_u(), h.poly.degree_v()) > EXPONENT_BUDGET:
+        if top > EXPONENT_BUDGET:
             findings.append(Finding("error", "exponent-cost",
                                     f"polynomial of {name} has an exponent over the budget of "
                                     f"{EXPONENT_BUDGET}", name))
@@ -377,15 +380,55 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
                                     f"the formulas' packed numerators take up to {bits} bits, over the "
                                     f"budget of {PACKED_BIT_BUDGET}", ""))
 
-    if cfg.singular_locus is not None and not cfg.singular_locus.poly.is_zero:
-        if cfg.singular_locus.poly != BivariatePolynomial.constant(
-                cfg.singular_locus.poly.coefficient(0, 0)):
-            findings.append(Finding("warning", "nonisolated-locus",
-                                    "singular locus is not a finite set of points; local-contribution "
-                                    "reporting follows the isolated-case convention only",
-                                    "singular_locus"))
+    locus = cfg.singular_locus
+    if locus is not None and locus.poly and (len(locus.poly) > 1 or not locus.poly.coefficient(0, 0)):
+        findings.append(Finding("warning", "nonisolated-locus",
+                                "singular locus is not a finite set of points; local-contribution "
+                                "reporting follows the isolated-case convention only",
+                                "singular_locus"))
 
     return tuple(findings)
+
+
+def _table_scan(cfg: ResolutionConfig) -> tuple[list[tuple[str, bool, int]], set[int], int, int]:
+    """One pass over the terms of every table, made once per config:
+
+    * per table, in the order of the findings (the ambient, the strata by
+      key, the singular locus), its name, whether it is u<->v symmetric,
+      and its largest exponent;
+    * over the ambient and the strata, the offsets i - j, the largest
+      power of uv, min(i, j), and |ambient|_1 + 2 sum_keys 2^|key|
+      |H_key|_1, which bound the formula sums (:func:`_packed_sum_bits`).
+    """
+    def scan():
+        tables = [("ambient", 0, cfg.ambient.poly)]
+        tables += [(",".join(key), len(key), h.poly) for key, h in sorted(cfg.strata.items())]
+        if cfg.singular_locus is not None:
+            tables.append(("singular_locus", None, cfg.singular_locus.poly))
+        named, offsets = [], set()
+        rows = norm = 0
+        for name, size, p in tables:
+            terms = p._terms
+            # the singular locus's offsets go to a set that is dropped
+            get, add = terms.get, (offsets if size is not None else set()).add
+            symmetric, top, low, l1 = True, 0, 0, 0
+            for (i, j), c in terms.items():
+                if i != j and symmetric and get((j, i)) != c:
+                    symmetric = False
+                add(i - j)
+                if i > j:
+                    i, j = j, i
+                if j > top:
+                    top = j
+                if i > low:
+                    low = i
+                l1 += c if c > 0 else -c
+            named.append((name, symmetric, top))
+            if size is not None:
+                rows = max(rows, low)
+                norm += l1 << (size + 1 if size else 0)
+        return named, offsets, rows, norm
+    return cfg._derive("table scan", scan)
 
 
 def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
@@ -399,14 +442,11 @@ def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
     terms of either formula have sum_terms |num|_1 <= |ambient|_1 +
     2 sum_keys 2^|key| |H_key|_1; every term is multiplied by at most
     ``factors`` factors (uv)^m - 1 in the sum and as many more in the
-    agreement check, each doubling that bound.
+    agreement check, each doubling that bound.  The figures come from
+    :func:`_table_scan`.
     """
-    tables = [(0, cfg.ambient.poly)] + [(len(key), h.poly) for key, h in cfg.strata.items()]
-    norm = sum(sum(abs(c) for _, c in p.items()) << (size + 1 if size else 0) for size, p in tables)
-    pairs = [pair for _, p in tables for pair in p.support()]
-    offsets = len({i - j for i, j in pairs})
-    powers = max((min(pair) for pair in pairs), default=0) + degree + 1
-    return packed_bits(offsets * powers, norm << 2 * factors)
+    _, offsets, rows, norm = _table_scan(cfg)
+    return packed_bits(len(offsets) * (rows + degree + 1), norm << 2 * factors)
 
 
 def _strict_findings(cfg: ResolutionConfig, lenient: ValidationReport) -> tuple[Finding, ...]:
@@ -476,16 +516,24 @@ def _poly_to_triples(p: BivariatePolynomial) -> list:
     return [[i, j, encode_json_int(c)] for (i, j), c in p.sorted_items()]
 
 
-def load_config(source: Union[str, Path, Mapping]) -> ResolutionConfig:
-    """Build a ResolutionConfig from the interchange format: a JSON file path
-    or an already-decoded mapping.  Parsing is strict; unknown fields and
-    malformed shapes raise ConfigFormatError so typos cannot pass silently.
-    So does a file that cannot be decoded at all: bytes that are not UTF-8,
-    invalid JSON, or JSON nested too deeply for the parser.
+def load_config(source: Union[str, Path, bytes, Mapping]) -> ResolutionConfig:
+    """Build a ResolutionConfig from the interchange format: a JSON file
+    path, the bytes of such a file, or an already-decoded mapping.  Parsing
+    is strict; unknown fields and malformed shapes raise ConfigFormatError
+    so typos cannot pass silently.  So does a file that cannot be decoded at
+    all: bytes that are not UTF-8, invalid JSON, or JSON nested too deeply
+    for the parser.  Bytes are read as text the way ``Path.read_text``
+    reads a file, with \\r\\n and \\r taken for \\n, so the positions in
+    JSON errors are the same whichever is given.
     """
     if isinstance(source, (str, Path)):
+        source = Path(source).read_bytes()
+    if isinstance(source, bytes):
         try:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
+            text = source.decode("utf-8")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            data = json.loads(text)
         except UnicodeDecodeError as exc:
             raise ConfigFormatError(f"config is not UTF-8 text: {exc}") from None
         except RecursionError:
@@ -494,7 +542,8 @@ def load_config(source: Union[str, Path, Mapping]) -> ResolutionConfig:
             raise ConfigFormatError(f"invalid JSON: {exc}") from None
     else:
         data = source
-    if not isinstance(data, Mapping):
+    # type() first: isinstance against typing's Mapping is the slow path
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise ConfigFormatError("config must be a JSON object")
 
     unknown = set(data) - _CONFIG_FIELDS
@@ -517,7 +566,7 @@ def load_config(source: Union[str, Path, Mapping]) -> ResolutionConfig:
         raise ConfigFormatError("components must be a list")
     components: list[Component] = []
     for idx, raw in enumerate(raw_components):
-        if not isinstance(raw, Mapping):
+        if type(raw) is not dict and not isinstance(raw, Mapping):
             raise ConfigFormatError(f"components[{idx}] must be an object")
         extra = set(raw) - _COMPONENT_FIELDS
         if extra:
@@ -533,7 +582,7 @@ def load_config(source: Union[str, Path, Mapping]) -> ResolutionConfig:
         components.append(Component(label, a))
 
     raw_strata = data["strata"]
-    if not isinstance(raw_strata, Mapping):
+    if type(raw_strata) is not dict and not isinstance(raw_strata, Mapping):
         raise ConfigFormatError("strata must be an object keyed by comma-joined sorted labels")
     strata: dict[StratumKey, HodgeDelignePolynomial] = {}
     for raw_key, triples in raw_strata.items():

@@ -339,3 +339,108 @@ def fermat_cone_config(N, k):
         "strata": {"E": [[i, j, c] for (i, j), c in sorted(fermat.items())]},
         "singular_locus": [[0, 0, 1]],
     }
+
+
+def lenient_findings_multipass(cfg):
+    """Lenient validation findings of a ``stringy.resolution.ResolutionConfig``
+    as the package computed them before it scanned each table once: every
+    table is walked separately for its u<->v symmetry, its degree in u, its
+    degree in v, its support, its offsets and its norm.  The budgets are
+    read from ``stringy.resolution`` at call time, so a test may lower them.
+    """
+    from stringy import resolution
+    from stringy.exact_poly import BivariatePolynomial, packed_bits
+    from stringy.validation import Finding
+
+    findings = []
+    seen_labels = set()
+    degree = factors = 0
+    for comp in cfg.components:
+        label = comp.label
+        if not isinstance(label, str) or not label or "," in label:
+            findings.append(Finding("error", "bad-label",
+                                    f"label must be a nonempty string without commas, got {label!r}",
+                                    repr(label)))
+            continue
+        if label in seen_labels:
+            findings.append(Finding("error", "duplicate-label",
+                                    f"component label {label!r} declared twice", label))
+        seen_labels.add(label)
+        a = comp.discrepancy
+        if isinstance(a, bool) or not isinstance(a, int) or a < 0:
+            findings.append(Finding("error", "bad-discrepancy",
+                                    f"discrepancy of {label!r} must be an integer >= 0, got {a!r}",
+                                    label))
+        elif a and degree <= resolution.DISCREPANCY_BUDGET:
+            degree += a + 1
+            factors += 1
+            if degree > resolution.DISCREPANCY_BUDGET:
+                findings.append(Finding("error", "discrepancy-cost",
+                                        f"the sum of a + 1 over the components with a != 0 passes "
+                                        f"the budget of {resolution.DISCREPANCY_BUDGET} at {label!r}", label))
+
+    if len(cfg.components) > resolution.DEFAULT_COMPONENT_CAP:
+        findings.append(Finding("error", "too-many-components",
+                                f"{len(cfg.components)} components exceed the cap of "
+                                f"{resolution.DEFAULT_COMPONENT_CAP} (subset enumeration cost)", ""))
+
+    walk = sum(2 ** len(key) for key in cfg.strata)
+    if walk > resolution.SUBSET_WALK_BUDGET:
+        findings.append(Finding("error", "subset-walk-cost",
+                                f"the stored strata keys span {walk} label subsets, over the budget "
+                                f"of {resolution.SUBSET_WALK_BUDGET}", ""))
+
+    used_labels = set()
+    for key in cfg.strata:
+        used_labels.update(key)
+        unknown = [label for label in key if label not in seen_labels]
+        if unknown:
+            findings.append(Finding("error", "unknown-label",
+                                    f"stratum key {','.join(key)} references undeclared {unknown}",
+                                    ",".join(key)))
+    for comp in cfg.components:
+        if comp.label in seen_labels and comp.label not in used_labels:
+            findings.append(Finding("warning", "unused-component",
+                                    f"component {comp.label!r} appears in no stratum", comp.label))
+
+    named = [("ambient", cfg.ambient)] + [(",".join(k), v) for k, v in sorted(cfg.strata.items())]
+    if cfg.singular_locus is not None:
+        named.append(("singular_locus", cfg.singular_locus))
+    for name, h in named:
+        if not h.poly.is_uv_symmetric():
+            findings.append(Finding("error", "uv-asymmetry",
+                                    f"polynomial of {name} is not symmetric in u and v", name))
+        if max(h.poly.degree_u(), h.poly.degree_v()) > resolution.EXPONENT_BUDGET:
+            findings.append(Finding("error", "exponent-cost",
+                                    f"polynomial of {name} has an exponent over the budget of "
+                                    f"{resolution.EXPONENT_BUDGET}", name))
+
+    if not any(f.code in ("exponent-cost", "discrepancy-cost") for f in findings):
+        bits = packed_sum_bits_multipass(cfg, degree, factors)
+        if bits > resolution.PACKED_BIT_BUDGET:
+            findings.append(Finding("error", "packed-size-cost",
+                                    f"the formulas' packed numerators take up to {bits} bits, over the "
+                                    f"budget of {resolution.PACKED_BIT_BUDGET}", ""))
+
+    if cfg.singular_locus is not None and not cfg.singular_locus.poly.is_zero:
+        if cfg.singular_locus.poly != BivariatePolynomial.constant(
+                cfg.singular_locus.poly.coefficient(0, 0)):
+            findings.append(Finding("warning", "nonisolated-locus",
+                                    "singular locus is not a finite set of points; local-contribution "
+                                    "reporting follows the isolated-case convention only",
+                                    "singular_locus"))
+
+    return tuple(findings)
+
+
+def packed_sum_bits_multipass(cfg, degree, factors):
+    """``stringy.resolution._packed_sum_bits`` as it was computed before the
+    one-scan validation, from the tables' supports."""
+    from stringy.exact_poly import packed_bits
+
+    tables = [(0, cfg.ambient.poly)] + [(len(key), h.poly) for key, h in cfg.strata.items()]
+    norm = sum(sum(abs(c) for _, c in p.items()) << (size + 1 if size else 0) for size, p in tables)
+    pairs = [pair for _, p in tables for pair in p.support()]
+    offsets = len({i - j for i, j in pairs})
+    powers = max((min(pair) for pair in pairs), default=0) + degree + 1
+    return packed_bits(offsets * powers, norm << 2 * factors)

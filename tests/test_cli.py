@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -252,11 +253,18 @@ class TestPreparedConfig:
         assert "local contribution = 1 + uv" in out
         assert len(merges) == 2  # E_open and E_closed
 
-    @pytest.mark.parametrize("argv", [("compute", E6), ("compute", NODE, "--local"), ("compute", D4)])
-    def test_compute_converts_nothing(self, run, monkeypatch, argv):
-        # a closed-convention file: the open tables are packed sums of the
-        # stored ones, and both formulas and the agreement check share one
-        # layout, so no table is converted and no value is laid out again
+    @pytest.mark.parametrize("argv", [("compute", E6), ("compute", NODE, "--local"), ("compute", D4),
+                                      ("compute", "node_open.json", "--local")])
+    def test_compute_converts_nothing(self, run, monkeypatch, tmp_path, argv):
+        # the tables of the other convention are packed sums of the stored
+        # ones, and both formulas and the agreement check share one layout,
+        # so no table is converted and no value is laid out again; the
+        # local contribution takes the union from the stored tables, in
+        # either convention
+        if "node_open.json" in argv:
+            opened = resolution.convert_strata(resolution.load_config(NODE), "open")
+            (tmp_path / "node_open.json").write_text(json.dumps(resolution.config_to_dict(opened)))
+            argv = tuple(str(tmp_path / arg) if arg == "node_open.json" else arg for arg in argv)
         calls = []
         for module, name in ((resolution, "_converted"), (exact_poly, "_relayout")):
             def counting(*args, _real=getattr(module, name), _name=name):
@@ -590,6 +598,38 @@ class TestErrors:
         code, out, _ = run("compute", "/nonexistent/config.json")
         assert code == 2
         assert out.startswith("error: ")
+
+    def test_unreadable_path_has_no_digest(self, run, tmp_path):
+        # a directory named like a config cannot be read: the error is the
+        # one reading it raises, and the report has an empty sha256
+        (tmp_path / "dir.json").mkdir()
+        try:
+            (tmp_path / "dir.json").read_bytes()
+        except OSError as exc:
+            want = str(exc)
+        shutil.copy(NODE, tmp_path)
+        code, out, _ = run("compute", str(tmp_path), "--format", "json")
+        bad, good = parse_json_documents(out)
+        assert code == 2 and bad["error"] == want and bad["sha256"] == ""
+        assert good["exit_code"] == 0 and len(good["sha256"]) == 64
+
+    @pytest.mark.parametrize("command", [("compute", "--local"), ("check",), ("validate",),
+                                         ("decompose", "--pairs", "1,1")])
+    def test_each_file_is_opened_once(self, run, monkeypatch, command):
+        # the bytes read for the config are the ones hashed for sha256
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self.name)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        code, out, _ = run(command[0], NODE, "--format", "json", *command[1:])
+        assert code == 0
+        with open(NODE, "rb") as fh:
+            assert json.loads(out)["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+        assert opened == ["node_a1.json"]
 
     def test_invalid_json(self, run, tmp_path):
         path = tmp_path / "broken.json"
@@ -953,6 +993,18 @@ def _as_lists(value):
 @given(_writer_value)
 def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(_as_lists(value), sort_keys=True, indent=2)
+
+
+def test_json_writer_pieces_start_over_past_their_cap(monkeypatch):
+    # the kept text pieces of the triples are bounded: past the cap they are
+    # dropped and made again, and the bytes stay those of json.dumps
+    monkeypatch.setattr(cli, "_TRIPLE_PARTS_CAP", 2)
+    monkeypatch.setattr(cli, "_TRIPLE_PARTS", {})
+    terms = [((i, 7 - i), i - 3) for i in range(8)]
+    value = {"a": cli._Triples(lambda: terms), "b": [cli._Triples(lambda: terms[::-1])]}
+    assert cli._json_text(value) == json.dumps(_as_lists(value), sort_keys=True, indent=2)
+    assert len(cli._TRIPLE_PARTS) == 2
+    assert all(len(pieces) <= 2 for parts in cli._TRIPLE_PARTS.values() for pieces in parts)
 
 
 def test_json_writer_quotes_coefficients_beyond_64_bits():

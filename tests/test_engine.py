@@ -48,7 +48,16 @@ from conftest import (
     random_lenient_config,
     random_strict_config,
 )
-from oracles import exact_fraction_eval, exact_fraction_pair, same_fraction, stringy_series_oracle
+from oracles import (
+    cyclo_dict,
+    dict_add,
+    dict_mul,
+    dict_scale,
+    exact_fraction_eval,
+    exact_fraction_pair,
+    same_fraction,
+    stringy_series_oracle,
+)
 
 
 _POINT = (Fraction(2, 3), Fraction(5, 7))
@@ -511,6 +520,33 @@ class TestFormulaEquivalence:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exact_poly, "_relayout", None)  # a call would raise
             assert exact_poly.same_value(*mine)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_configs())
+    def test_local_contribution_from_stored_tables(self, cfg):
+        # the union is a signed sum of the stored tables in either
+        # convention, equal to inclusion-exclusion over the closed ones; the
+        # local contribution subtracts the part away from it from E_st
+        closed = convert_strata(cfg, "closed")
+        union = {}
+        for key, value in closed.strata.items():
+            union = dict_add(union, dict_scale(dict(value.poly.items()), 1 if len(key) % 2 else -1))
+        cfg = cfg.replace(singular_locus=HodgeDelignePolynomial(P({(0, 0): 1})))
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in ((resolution, "convert_strata"), (resolution, "_converted")):
+                patch.setattr(module, name, None)  # a call would raise
+            assert dict(resolution.exceptional_union_hd(cfg).poly.items()) == union
+            local = {formula: local_contribution(cfg, formula=formula) for formula in ("open", "closed")}
+        away = dict_add(dict(cfg.ambient.poly.items()), dict_scale(union, -1))
+        for formula, e in (("open", stringy_e_open(cfg)), ("closed", stringy_e_closed(cfg))):
+            away_times_den = away
+            for m in e.denominator:
+                away_times_den = dict_mul(away_times_den, cyclo_dict(m))
+            # reduced from scratch: the value and its canonical form
+            want = StringyRational(P(dict_add(dict(e.numerator.items()), dict_scale(away_times_den, -1))),
+                                   e.denominator)
+            assert local[formula] == want
+            assert local[formula] == e - StringyRational(P(away))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))

@@ -530,6 +530,22 @@ class TestPackedKernel:
     def test_sparse_pack_round_trip(self, terms):
         _assert_round_trip(terms)
 
+    @pytest.mark.parametrize("size", [exact_poly._FEW_TERMS, exact_poly._FEW_TERMS + 1])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_pack_either_side_of_the_few_terms_rule(self, size, data):
+        # a table of at most _FEW_TERMS terms is packed as a sum of shifted
+        # digits, a larger one through bytes: both read back, and the other
+        # way gives the same value
+        terms = data.draw(st.dictionaries(st.tuples(exponents, exponents), signed_coeffs,
+                                          min_size=size, max_size=size))
+        _assert_round_trip(terms)
+        packed = common_denominator_sum([(P(terms), ())])[0].value
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_poly, "_FEW_TERMS", size - 1 if size <= exact_poly._FEW_TERMS else size)
+            assert common_denominator_sum([(P(terms), ())])[0].value == packed
+            _assert_round_trip(terms)
+
     def test_sparse_values_read_only_their_rows(self, digit_reads):
         # 1 + (uv)^(2^20) packs 2^20 + 1 slots; the zero rows between its
         # two terms are skipped, not read

@@ -31,6 +31,8 @@ from oracles import (
     dict_scale,
     full_lattice_closed_from_open,
     full_lattice_open_from_closed,
+    lenient_findings_multipass,
+    packed_sum_bits_multipass,
 )
 
 
@@ -257,7 +259,54 @@ class TestDerivedPolynomials:
         assert exceptional_union_hd(cfg).poly == exceptional_union_hd(other).poly
 
 
+@st.composite
+def scan_configs(draw):
+    """Configs for the one scan of lenient validation: tables that may be
+    u<->v asymmetric, also with both pairs (i, j) and (j, i) present, with exponents up to 12 (a lowered exponent budget of
+    8 sits among them), zero to three components, and a singular locus that
+    is absent, a number of points or a table."""
+    labels = ["A", "B", "C"][:draw(st.integers(min_value=0, max_value=3))]
+    components = [Component(label, draw(st.integers(min_value=0, max_value=3))) for label in labels]
+
+    def table():
+        exponent = st.integers(min_value=0, max_value=12)
+        coefficient = st.integers(min_value=-9, max_value=9).filter(bool)
+        terms = draw(st.dictionaries(st.tuples(exponent, exponent), coefficient, min_size=1, max_size=5))
+        shape = draw(st.sampled_from(["any", "symmetric", "one mirror off"]))
+        if shape != "any":
+            terms = {pair: c for (i, j), c in terms.items() for pair in ((i, j), (j, i))}
+            if shape == "one mirror off":  # both pairs present, their coefficients apart
+                pair = draw(st.sampled_from(sorted(terms)))
+                terms[pair] += draw(st.sampled_from([-1, 1]))
+        return HodgeDelignePolynomial(P(terms))
+
+    keys = draw(st.sets(st.frozensets(st.sampled_from(labels), min_size=1), max_size=4)) if labels else set()
+    strata = {tuple(sorted(key)): table() for key in keys}
+    locus = draw(st.sampled_from([None, "points", "table"]))
+    singular = table() if locus == "table" else hd({(0, 0): 2}) if locus else None
+    return ResolutionConfig(draw(st.integers(min_value=1, max_value=4)), table(), components,
+                            draw(st.sampled_from(["open", "closed"])), strata, singular)
+
+
 class TestValidateLenient:
+    @settings(max_examples=200, deadline=None)
+    @given(scan_configs(), st.sampled_from([-8, -1, 0, 1, 8]))
+    def test_one_scan_matches_multipass(self, cfg, margin):
+        # the findings and the packed-size bound read from one scan per
+        # table equal those of a walk per figure, on both sides of the
+        # exponent and packed-size budgets
+        nonzero = [comp.discrepancy for comp in cfg.components if comp.discrepancy]
+        degree, factors = sum(a + 1 for a in nonzero), len(nonzero)
+        bits = packed_sum_bits_multipass(cfg, degree, factors)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resolution, "EXPONENT_BUDGET", 8)
+            patch.setattr(resolution, "PACKED_BIT_BUDGET", bits + margin)
+            want = lenient_findings_multipass(cfg)
+            for name in ("support", "is_uv_symmetric", "degree_u", "degree_v"):
+                patch.setattr(BivariatePolynomial, name, None)  # a call would raise
+            assert resolution._lenient_findings(cfg) == want
+            assert resolution._packed_sum_bits(cfg, degree, factors) == bits
+
     def test_accepted_clean_config(self):
         report = validate(node_config())
         assert report.accepted and report.mode == "lenient"
@@ -512,6 +561,33 @@ class TestInterchange:
         path.write_bytes(b'{"dimension": 3, "label": "\xe9"}')
         with pytest.raises(ConfigFormatError, match="not UTF-8"):
             load_config(path)
+
+    @pytest.mark.parametrize("blob", [
+        b'{\r\n  "dimension": 3,\r\n  "ambient": [[0, 0, 1]],\r\n  oops\r\n}\r\n',  # CRLF line ends
+        b'{\r  "dimension": 3,\r  oops\r}',  # CR line ends
+        b'{\r\n  "dimension": 3,\r  "x": "a\rb"\n}',  # mixed, and a CR inside a string
+        b'\xef\xbb\xbf{"dimension": 3}',  # a UTF-8 byte order mark
+        b'{"dimension": 3,\r\n "label": "\xe9"}',  # not UTF-8
+        b'{"label": "\xe2\x82',  # UTF-8 cut short
+        b"[" * 100000,
+    ], ids=["crlf", "cr", "mixed", "bom", "latin1", "truncated", "deep"])
+    def test_bytes_fail_as_the_file_text_does(self, tmp_path, blob):
+        # the loader reads a file's bytes once, and decodes them as
+        # Path.read_text would: every error names the same position
+        path = tmp_path / "bad.json"
+        path.write_bytes(blob)
+        try:
+            json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            want = f"config is not UTF-8 text: {exc}"
+        except RecursionError:
+            want = "invalid JSON: nested too deeply"
+        except ValueError as exc:
+            want = f"invalid JSON: {exc}"
+        for source in (path, str(path), blob):
+            with pytest.raises(ConfigFormatError) as info:
+                load_config(source)
+            assert str(info.value) == want
 
     def test_deeply_nested_json_file(self, tmp_path):
         path = tmp_path / "deep.json"
