@@ -7,9 +7,12 @@ For every seed given (default 7 and 11), writes the inputs of the
 into a temporary directory, runs every pass through ``stringy.cli.main`` in
 this process with stdout captured, masks ``timing_us`` and the temporary
 path, and prints one line per pass: workload, seed, command, pass name,
-options, exit code and the sha256 of stdout.  Run it at two commits and
-compare the printed lines: equal lines mean byte-identical output.  It only
-reads ``perfbench/``; pytest does not collect it.
+options, exit code and the sha256 of stdout.  The workloads render text
+only, so two more passes over the ``series`` inputs follow, after every
+seed's workload lines: ``compute --format latex --horizon 200`` and
+``check --format json --horizon 800``.  Run it at two commits and compare
+the printed lines: equal lines mean byte-identical output.  It only reads
+``perfbench/``; pytest does not collect it.
 
 ``tests/workload_digests.txt`` holds the lines for seeds 7 and 11, and CI
 fails when the output differs from it:
@@ -38,24 +41,39 @@ from stringy.cli import main  # noqa: E402
 
 _TIMING = re.compile(r'"timing_us": \d+')
 
+# the series inputs again, through the LaTeX and JSON renderers
+_SERIES_FORMATS = (("compute", ("--format", "latex", "--horizon", "200")),
+                   ("check", ("--format", "json", "--horizon", "800")))
 
-def digests(seed: int) -> list[str]:
+
+def _digests(workload: str, seed: int, passes) -> list[str]:
+    """One line per pass of ``passes(generated passes)`` over the workload's inputs."""
     lines = []
-    for workload in sorted(gen.WORKLOADS):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            for p in gen.generate(workload, seed, root):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(p.argv(root / p.name))
-                text = _TIMING.sub('"timing_us": 0', out.getvalue()).replace(str(root), "<root>")
-                digest = hashlib.sha256(text.encode()).hexdigest()
-                lines.append(f"{workload} {seed} {p.command} {p.name} {' '.join(p.options)} "
-                             f"exit={code} sha256={digest}")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for p in passes(gen.generate(workload, seed, root)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(p.argv(root / p.name))
+            text = _TIMING.sub('"timing_us": 0', out.getvalue()).replace(str(root), "<root>")
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            lines.append(f"{workload} {seed} {p.command} {p.name} {' '.join(p.options)} "
+                         f"exit={code} sha256={digest}")
     return lines
 
 
+def digests(seed: int) -> list[str]:
+    return [line for workload in sorted(gen.WORKLOADS) for line in _digests(workload, seed, list)]
+
+
+def format_digests(seed: int) -> list[str]:
+    return _digests("series", seed, lambda passes: [gen.Pass(passes[0].name, command, options)
+                                                    for command, options in _SERIES_FORMATS])
+
+
 if __name__ == "__main__":
-    for seed in [int(s) for s in sys.argv[1:]] or [7, 11]:
-        for line in digests(seed):
-            print(line, flush=True)
+    seeds = [int(s) for s in sys.argv[1:]] or [7, 11]
+    for produce in (digests, format_digests):
+        for seed in seeds:
+            for line in produce(seed):
+                print(line, flush=True)
