@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from itertools import compress
 from typing import NamedTuple, Union
 
 from .exact_poly import (
@@ -330,12 +331,24 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
     if x.is_polynomial:
         return Polynomial(x.numerator)
     horizon = 2 * d + x.denominator.degree_uv()
-    series = expand_rational(x, horizon)
-    for (i, j), c in series.items():
-        if c and (i > d or j > d):
-            return NotPolynomial((i, j), f"series coefficient {decimal_str(c)} at ({i},{j}) "
-                                         f"exceeds degree ({d},{d})")
-    candidate = BivariatePolynomial({(i, j): c for (i, j), c in series.items() if i <= d and j <= d})
+    values, layout = expand_rational(x, horizon)._flat  # x has a denominator: a flat series
+    # max(i, j) = k + |s| <= d inside the box, so each column is a head in
+    # it and a tail out of it; the first nonzero of the tails, in position
+    # order, is the first in output order
+    R, size = len(layout.offsets), layout.size
+    heads = []
+    witness = size
+    for r, s in enumerate(layout.offsets):
+        start = layout.start(r)
+        tail = start + max(d - abs(s) + 1, 0) * R
+        heads.append((start, tail))
+        witness = min(witness, next(compress(range(tail, size, R), values[tail::R]), size))
+    if witness < size:
+        (i, j), c = layout.pair(witness), values[witness]
+        return NotPolynomial((i, j), f"series coefficient {decimal_str(c)} at ({i},{j}) "
+                                     f"exceeds degree ({d},{d})")
+    candidate = BivariatePolynomial({layout.pair(pos): values[pos] for start, tail in heads
+                                     for pos in compress(range(start, tail, R), values[start:tail:R])})
     residual = candidate * x.denominator.polynomial() - x.numerator
     (i, j), c = residual.sorted_items()[0]
     return NotPolynomial((i, j), f"division residual {decimal_str(c)} at ({i},{j})")
@@ -392,15 +405,27 @@ def check_nonnegativity(series: TruncatedBiseries, d: int) -> NonnegativityRepor
     checked_int(d, "dimension")
     if series.horizon < d:
         raise ValueError(f"series horizon {series.horizon} is below the dimension {d}")
-    violations = []
-    notes = []
-    for (i, j), b in series.items():
-        if (-1 if (i + j) % 2 else 1) * b < 0:
-            if i + j <= d:
-                violations.append((i, j, b))
-            else:
-                notes.append((i, j, b))
-    return NonnegativityReport(d, series.horizon, tuple(violations), tuple(notes))
+    if series._flat is None:
+        wrong = [(i, j, b) for (i, j), b in series.items() if (-1 if (i + j) % 2 else 1) * b < 0]
+    else:
+        # a column's degrees i + j = 2 (row + first) + |s| mod 2 share one
+        # parity, so one min or max tells whether it holds a wrong sign; its
+        # wrong entries go back to their positions, whose order is output order
+        values, layout = series._flat
+        R = len(layout.offsets)
+        wrong = [None] * layout.size
+        for r, s in enumerate(layout.offsets):
+            column = values[r::R]
+            i, j = layout.pair(r)  # row 0's pair, which the column may not reach
+            if s & 1:
+                if max(column, default=0) > 0:
+                    wrong[r::R] = [(q + i, q + j, b) if b > 0 else None for q, b in enumerate(column)]
+            elif min(column, default=0) < 0:
+                wrong[r::R] = [(q + i, q + j, b) if b < 0 else None for q, b in enumerate(column)]
+        wrong = list(filter(None, wrong))
+    # in output order, so the violations are a prefix
+    cut = next((n for n, (i, j, _) in enumerate(wrong) if i + j > d), len(wrong))
+    return NonnegativityReport(d, series.horizon, tuple(wrong[:cut]), tuple(wrong[cut:]))
 
 
 def correction_factor_series(a: int, horizon: int) -> dict[int, int]:

@@ -40,7 +40,11 @@ The central representation choices:
   one over ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
   it is made.  Values with an empty denominator stay sparse.
 * ``TruncatedBiseries`` holds exact coefficients for all total degrees
-  i + j <= horizon, in output order, and claims nothing beyond it.
+  i + j <= horizon, in output order, and claims nothing beyond it.  An
+  expanded rational value stays on the skewed flat list of its expansion
+  (:class:`_Layout`), which the renderer and the verdict scans read as it
+  is; its term map is built only when something asks for pairs.  A
+  polynomial's truncation, and a series built from a term map, stay sparse.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 import sys
 from itertools import accumulate, compress, takewhile
 from operator import add
-from typing import ItemsView, Iterable, Iterator, Mapping, Union
+from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .validation import checked_int
 
@@ -767,7 +771,7 @@ def _unpack(p: PackedNumerator) -> BivariatePolynomial:
         size = (p.degree + 1) * row
         bias = int.from_bytes(_repeated(1 << (p.width - 1), nb, size // nb), "little")
         data = ((p.value + bias) ^ bias).to_bytes(size, "little")
-        ranked, first, _ = _skewed_layout(p.offsets, 0)  # the rank order and the first row
+        ranked, first = _skewed_layout(p.offsets, 0)[:2]  # the rank order and the first row
         skew = max(map(abs, ranked)) // 2 - first
         place = {s: (abs(s) // 2 - first) * R + q for q, s in enumerate(ranked)}
         columns = [(r, s, place[s]) for r, s in enumerate(p.offsets)]
@@ -1137,20 +1141,28 @@ def _coerce_rational(value) -> Union[StringyRational, None]:
 
 
 class TruncatedBiseries:
-    """Exact series coefficients for every (i, j) with i + j <= horizon,
-    held as the polynomial of those coefficients.
+    """Exact series coefficients for every (i, j) with i + j <= horizon.
 
-    The coefficients are held in output order: by total degree i + j, then
-    j, then i (the order of :meth:`BivariatePolynomial.sorted_items`).  The
-    public constructor sorts once and :func:`expand_rational` builds them
-    in that order, so ``items()`` and ``sorted_items()`` hand them out as
-    they stand.
+    The coefficients are handed out in output order: by total degree i + j,
+    then j, then i (the order of :meth:`BivariatePolynomial.sorted_items`).
+    They are held in one of two forms:
+
+    * sparse, as the polynomial of those coefficients, in output order.
+      The public constructor sorts once, and :func:`expand_rational` keeps
+      a polynomial's truncation this way, so the size is bounded by terms.
+    * flat, as :func:`expand_rational` computes a rational value: the list
+      of every coefficient of its skewed layout (:class:`_Layout`), zeros
+      included, whose position order is output order.  The term map is
+      built from it on first use (:meth:`_term_map`) by whatever asks for
+      pairs: ``coefficient``, ``items``, ``sorted_items``, ``==``, ``hash``
+      and ``repr``.  The renderer and the verdict scans of the engine read
+      the list (``_flat``) and build no term map.
 
     Asking for a coefficient beyond the horizon raises: nothing out there is
     claimed, not even zero.
     """
 
-    __slots__ = ("_horizon", "_poly")
+    __slots__ = ("_horizon", "_poly", "_flat")
 
     def __init__(self, horizon: int, coeffs: Union[Mapping, Iterable, None] = None):
         checked_int(horizon, "horizon")
@@ -1160,14 +1172,23 @@ class TruncatedBiseries:
                 raise ValueError(f"coefficient at {(i, j)} lies beyond horizon {horizon}")
         self._horizon = horizon
         self._poly = _polynomial(dict(poly.sorted_items()))
+        self._flat = None
 
     @classmethod
-    def _in_order(cls, horizon: int, terms: dict[ExponentPair, int]) -> "TruncatedBiseries":
-        """The series of a term map already within the horizon, free of
-        zeros and in output order, which it takes over as it stands."""
+    def _on_layout(cls, values: list[int], layout: "_Layout") -> "TruncatedBiseries":
+        """The flat series of the coefficients at the positions of the
+        layout, which it takes over as they stand."""
         out = cls.__new__(cls)
-        out._horizon, out._poly = horizon, _polynomial(terms)
+        out._horizon, out._poly, out._flat = layout.horizon, None, (values, layout)
         return out
+
+    def _term_map(self) -> BivariatePolynomial:
+        """The polynomial of the coefficients, in output order; a flat
+        series builds it on first use and keeps it."""
+        if self._poly is None:
+            values, layout = self._flat
+            self._poly = _polynomial(dict(compress(zip(layout.pairs(), values), values)))
+        return self._poly
 
     @property
     def horizon(self) -> int:
@@ -1177,23 +1198,23 @@ class TruncatedBiseries:
         pair = _check_exponent_pair((i, j))
         if pair[0] + pair[1] > self._horizon:
             raise ValueError(f"coefficient at {pair} lies beyond horizon {self._horizon}")
-        return self._poly.coefficient(*pair)
+        return self._term_map().coefficient(*pair)
 
     def items(self) -> Iterator[tuple[ExponentPair, int]]:
         """The terms in output order."""
-        return self._poly.items()
+        return self._term_map().items()
 
     def sorted_items(self) -> ItemsView[ExponentPair, int]:
         """The terms in output order, as held: no sort and no copy."""
-        return self._poly._terms.items()
+        return self._term_map()._terms.items()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedBiseries):
-            return self._horizon == other._horizon and self._poly == other._poly
+            return self._horizon == other._horizon and self._term_map() == other._term_map()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._horizon, self._poly))
+        return hash((self._horizon, self._term_map()))
 
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}): {decimal_str(c)}" for (i, j), c in self.items())
@@ -1215,20 +1236,58 @@ def _running_sums(values: list[int], stride: int) -> None:
             values[at:at + stride] = map(add, values[at:at + stride], values[at - stride:at])
 
 
-def _skewed_layout(offsets: Iterable[int], horizon: int) -> tuple[list[int], int, int]:
+class _Layout(NamedTuple):
     """The skewed flat layout of :func:`expand_rational` for the offsets
-    present: the offsets in rank order, by (|s| mod 2, -s); the first flat
-    row, the least |s| // 2; and the number of positions, R per row up to
-    horizon // 2, less the odd offsets' slots in the last row when the
-    horizon is even (their degrees 2 row + 1 pass it)."""
-    ranked = sorted(offsets, key=lambda s: (s & 1, -s))  # s & 1 is |s| mod 2
+    s = i - j present, to a horizon.
+
+    The offsets are ranked by (|s| mod 2, -s); first is the least |s| // 2.
+    The coefficient at k = min(i, j) of offset s sits at position
+    (k + |s| // 2 - first) R + rank(s), R the number of offsets: R positions
+    per row up to horizon // 2, less the odd offsets' slots in the last row
+    when the horizon is even (their degrees 2 row + 1 pass it), which is
+    ``size`` positions.  As i + j = 2 (row + first) + |s| mod 2 and
+    j = (i + j - s) / 2, position order is output order.  A column starts
+    |s| // 2 - first rows down, after positions that hold no pair.
+    """
+
+    offsets: tuple[int, ...]
+    first: int
+    size: int
+    horizon: int
+
+    def start(self, rank: int) -> int:
+        """The position of k = 0 in the column of the offset of that rank."""
+        return (abs(self.offsets[rank]) // 2 - self.first) * len(self.offsets) + rank
+
+    def pair(self, position: int) -> ExponentPair:
+        """The exponent pair at a position that holds one."""
+        row, rank = divmod(position, len(self.offsets))
+        s = self.offsets[rank]
+        k = row + self.first - abs(s) // 2
+        return (k + s, k) if s >= 0 else (k, k - s)
+
+    def pairs(self) -> list:
+        """The exponent pair at every position, None where there is none:
+        one strided slice assignment per offset."""
+        out: list = [None] * self.size
+        R = len(self.offsets)
+        for r, s in enumerate(self.offsets):
+            n = (self.horizon - abs(s)) // 2 + 1
+            at = self.start(r)
+            out[at:at + n * R:R] = zip(range(s, s + n), range(n)) if s >= 0 else zip(range(n), range(-s, n - s))
+        return out
+
+
+def _skewed_layout(offsets: Iterable[int], horizon: int) -> _Layout:
+    """The :class:`_Layout` of the offsets present, to the horizon."""
+    ranked = tuple(sorted(offsets, key=lambda s: (s & 1, -s)))  # s & 1 is |s| mod 2
     if not ranked:
-        return ranked, 0, 0
+        return _Layout(ranked, 0, 0, horizon)
     first = min(map(abs, ranked)) // 2
     size = (horizon // 2 + 1 - first) * len(ranked)
     if horizon % 2 == 0:
         size -= sum(s & 1 for s in ranked)
-    return ranked, first, size
+    return _Layout(ranked, first, size, horizon)
 
 
 def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
@@ -1240,7 +1299,7 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     them sit in one skewed flat list: the coefficient at k of offset s is
     at position (k + |s| // 2 - first) R + rank(s), with R the number of
     offsets present, ranked by (|s| mod 2, -s), and first the least
-    |s| // 2 (:func:`_skewed_layout`).  As i + j = 2k + |s| and
+    |s| // 2 (:class:`_Layout`).  As i + j = 2k + |s| and
     j = (i + j - s) / 2, position order is output order.  An offset's
     column starts |s| // 2 - first rows down, after positions that stay 0.
 
@@ -1254,34 +1313,27 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     numerator goes in with the sign of all the factors' -1s at once.  A
     factor costs O(horizon) per offset, so the whole expansion is
     O(offsets * factors * horizon), and the result is independent of factor
-    order.  Then each offset's exponent pairs go in by one strided slice
-    assignment into a list of the same layout, and the nonzero positions,
-    read in order, are the terms.  Only the numerator's terms within the
-    horizon are read (:func:`_inside`); a polynomial is only truncated and
-    sorted once.
+    order.  The list and its layout are the series as it stands
+    (:meth:`TruncatedBiseries._on_layout`): no pair is made until something
+    asks for the term map.  Only the numerator's terms within the horizon
+    are read (:func:`_inside`); a polynomial is only truncated and sorted
+    once, and stays sparse.
     """
     checked_int(horizon, "horizon")
     inside = _inside(x.numerator, horizon)
     if not x.denominator:
         return TruncatedBiseries(horizon, inside)
-    offsets, first, size = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
-    if not size:
-        return TruncatedBiseries(horizon)
-    R = len(offsets)
-    rank = {s: r for r, s in enumerate(offsets)}
+    layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
+    R = len(layout.offsets)
+    rank = {s: r for r, s in enumerate(layout.offsets)}
     factors = x.denominator.factors
     sign = -1 if len(factors) % 2 else 1
-    values = [0] * size
+    values = [0] * layout.size
     for (i, j), c in inside:
-        values[((i + j) // 2 - first) * R + rank[i - j]] = sign * c
-    for m in factors:
+        values[((i + j) // 2 - layout.first) * R + rank[i - j]] = sign * c
+    for m in factors if R else ():  # no offsets: the empty layout
         _running_sums(values, m * R)
-    pairs: list = [None] * size
-    for r, s in enumerate(offsets):
-        n = (horizon - abs(s)) // 2 + 1
-        at = (abs(s) // 2 - first) * R + r
-        pairs[at:at + n * R:R] = zip(range(s, s + n), range(n)) if s >= 0 else zip(range(n), range(-s, n - s))
-    return TruncatedBiseries._in_order(horizon, dict(compress(zip(pairs, values), values)))
+    return TruncatedBiseries._on_layout(values, layout)
 
 
 def series_size(x: StringyRational, horizon: int) -> int:
@@ -1293,7 +1345,7 @@ def series_size(x: StringyRational, horizon: int) -> int:
     inside = _inside(x.numerator, horizon)
     if not x.denominator:
         return len(inside)
-    return _skewed_layout({i - j for (i, j), _ in inside}, horizon)[2]
+    return _skewed_layout({i - j for (i, j), _ in inside}, horizon).size
 
 
 def _inside(p: BivariatePolynomial, horizon: int) -> list[tuple[ExponentPair, int]]:

@@ -21,12 +21,17 @@ fraction strings.
 Terms are read in the order their holder gives them: a series holds its
 coefficients in output order, so it renders without a sort.  The monomial
 strings are memoized per exponent pair and style in a bounded LRU cache,
-since every series of a batch repeats the same pairs near the diagonal.
+since every series of a batch repeats the same pairs near the diagonal.  An
+expanded series on its skewed flat layout renders by zipping its nonzero
+coefficients with a tuple of those strings kept per layout and style
+(:class:`_LayoutMonomials`, bounded in positions), with no term map, no
+pair and no cache lookup per term.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import compress, starmap
 from typing import NamedTuple
 
 from .exact_poly import (
@@ -77,22 +82,67 @@ def _monomial(i: int, j: int, uv: str, sup: str, end: str) -> str:
     return " ".join(parts)
 
 
+class _LayoutMonomials(dict):
+    """The monomial string at every position of a skewed flat layout
+    (:class:`exact_poly._Layout`), None where it holds no pair, as a tuple
+    per offsets, first row and style: a flat series renders by zipping its
+    values with it.  Positions below a layout's size hold the same pairs at
+    every horizon, so one tuple, made for the highest horizon asked, serves
+    the lower ones as a prefix.  Each is made from ``_monomial``, so layouts
+    share their strings.  Past ``_LAYOUT_MONOMIALS_CAP`` positions over all
+    tuples it starts over, so a batch of wide layouts holds no more than
+    that."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self):
+        super().__init__()
+        self.positions = 0
+
+    def of(self, layout, uv: str, sup: str, end: str) -> tuple:
+        key = (layout.offsets, layout.first, uv, sup, end)
+        monos = self.get(key, ())
+        if len(monos) < layout.size:
+            self.positions -= len(monos)
+            if self.positions + layout.size > _LAYOUT_MONOMIALS_CAP:
+                self.clear()
+                self.positions = 0
+            self.positions += layout.size
+            monos = self[key] = tuple(None if pair is None else _monomial(*pair, uv, sup, end)
+                                      for pair in layout.pairs())
+        return monos
+
+
+_LAYOUT_MONOMIALS_CAP = 1 << 16
+_LAYOUT_MONOMIALS = _LayoutMonomials()
+
+
+def _piece(mono: str, c: int) -> str:
+    """One term with its sign in front: "+ 3u^2", "- v", "+ 1"."""
+    mag = abs(c)
+    return ("+ " if c > 0 else "- ") + (mono if mag == 1 and mono else decimal_str(mag) + mono)
+
+
 def _terms(p: BivariatePolynomial | TruncatedBiseries, style: _Style) -> str:
     uv, sup, end = style[:3]
-    pieces = []
-    for (i, j), c in p.sorted_items():
-        mono = _monomial(i, j, uv, sup, end)
-        mag = abs(c)
-        if mag == 1 and mono:
-            body = mono
-        else:
-            # decimal_str's own test, inlined: str for all but huge values
-            body = (str(mag) if mag < _DECIMAL_PIECE_BOUND else decimal_str(mag)) + mono
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces) if pieces else "0"
+    flat = p._flat if isinstance(p, TruncatedBiseries) else None
+    if flat is None:
+        terms = [(_monomial(i, j, uv, sup, end), c) for (i, j), c in p.sorted_items()]
+        values = [c for _, c in terms]
+    else:
+        values, layout = flat
+        terms = compress(zip(_LAYOUT_MONOMIALS.of(layout, uv, sup, end), values), values)
+    if values and -_DECIMAL_PIECE_BOUND < min(values) and max(values) < _DECIMAL_PIECE_BOUND:
+        # every coefficient formats as str (decimal_str's own test): _piece, inlined
+        pieces = [(f"+ {c}{mono}" if c != 1 or not mono else "+ " + mono) if c > 0 else
+                  (f"- {-c}{mono}" if c != -1 or not mono else "- " + mono) for mono, c in terms]
+    else:
+        pieces = list(starmap(_piece, terms))
+    if not pieces:
+        return "0"
+    head = pieces[0]
+    pieces[0] = head[2:] if head[0] == "+" else "-" + head[2:]
+    return " ".join(pieces)
 
 
 def _denominator(den: CycloProduct, style: _Style) -> str:

@@ -880,6 +880,36 @@ def test_deep_series_stays_linear(run, tmp_path, argv):
         assert code in (0, 1) and out.startswith("nonneg: ")
 
 
+@pytest.mark.parametrize("argv", [("compute",), ("check", "--nonneg"), ("check",)])
+def test_deep_series_reads_the_flat_layout(run, tmp_path, monkeypatch, argv):
+    # text output and every verdict read E_st's expansion on its flat
+    # layout: they never build its term map, and print what the sparse
+    # series of the same terms prints
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(_series_shaped_config(3200)))
+    argv = (argv[0], str(path), *argv[1:], "--horizon", "3200")
+
+    def sparse(result):
+        flat = exact_poly.expand_rational(result.e_open, result.horizon)
+        assert flat._flat is not None
+        return exact_poly.TruncatedBiseries(result.horizon, dict(flat.items()))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine.StringyResult, "series", property(sparse))
+        want = run(*argv)
+
+    def no_term_map(series):
+        raise AssertionError("the term map of an expanded E_st was built")
+
+    monkeypatch.setattr(exact_poly.TruncatedBiseries, "_term_map", no_term_map)
+    started = time.perf_counter()
+    got = run(*argv)
+    elapsed = time.perf_counter() - started
+    assert got == want
+    assert got[0] in (0, 1) and got[1].count("\n") > (1 if argv[0] == "compute" else 100)
+    assert elapsed < 0.5, f"{argv[0]} to horizon 3200 took {elapsed:.3f}s"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stringy.cli", "compute", NODE],
@@ -1019,3 +1049,11 @@ def test_json_writer_quotes_coefficients_beyond_64_bits():
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+def test_json_writer_writes_an_empty_flat_series_as_empty_list():
+    # no numerator term within the horizon: an expansion on an empty layout
+    series = exact_poly.expand_rational(StringyRational(BivariatePolynomial({(9, 9): 1}), (1,)), 3)
+    assert series._flat is not None
+    assert cli._json_text(cli._series_json(series, True)) == json.dumps(
+        {"horizon": 3, "truncated": True, "coefficients": []}, sort_keys=True, indent=2)

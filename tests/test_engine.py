@@ -696,6 +696,33 @@ class TestPolynomiality:
         assert "division residual" in verdict.reason
         assert verdict.witness == (3, 3)
 
+    @given(st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                           st.integers(-4, 4).filter(bool), max_size=8),
+           st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(0, 6))
+    @example({(0, 0): 1}, [1], 2)  # the residual path
+    @example({(9, 9): 1, (9, 0): 2}, [1], 0)  # nothing within the horizon
+    @example({(0, 0): 1, (7, 0): -1, (0, 2): 3}, [2, 3], 3)  # a column wholly out of the box
+    @settings(max_examples=80, deadline=None)
+    def test_witness_from_the_flat_layout_matches_the_term_walk(self, num, dens, d):
+        # the flat reading gives the witness and reason of a walk over the
+        # expansion's terms in output order
+        x = StringyRational(BivariatePolynomial(num), dens)
+        verdict = is_polynomial(x, d)
+        if x.is_polynomial:
+            assert verdict == Polynomial(x.numerator)
+            return
+        terms = list(expand_rational(x, 2 * d + x.denominator.degree_uv()).items())
+        outside = [(pair, c) for pair, c in terms if max(pair) > d]
+        if outside:
+            (i, j), c = outside[0]
+            want = NotPolynomial((i, j), f"series coefficient {c} at ({i},{j}) exceeds degree ({d},{d})")
+        else:
+            candidate = BivariatePolynomial(terms)
+            residual = candidate * x.denominator.polynomial() - x.numerator
+            (i, j), c = residual.sorted_items()[0]
+            want = NotPolynomial((i, j), f"division residual {c} at ({i},{j})")
+        assert verdict == want
+
     def test_all_crepant_config_gives_ambient(self):
         cfg = ResolutionConfig(
             3, projective_space(3),

@@ -24,6 +24,8 @@ from stringy.exact_poly import (
     expand_rational,
     same_value,
 )
+from stringy.engine import check_nonnegativity
+from stringy.render import polynomial_latex, polynomial_text, series_latex, series_text
 
 from oracles import (
     binomial_series_check,
@@ -882,6 +884,68 @@ class TestOutputOrder:
         assert exact_poly.series_size(x, 10) == 11
         assert exact_poly.series_size(x, 11) == 12
         assert exact_poly.series_size(StringyRational(P({(9, 0): 1}), (1,)), 10) == 1
+
+
+def _report(series, d):
+    """check_nonnegativity's violations and notes, or the error it raises."""
+    try:
+        report = check_nonnegativity(series, d)
+    except ValueError as exc:
+        return str(exc)
+    return report.violations, report.beyond_notes
+
+
+class TestFlatSeries:
+    """An expanded rational value stays on its skewed flat list; a series
+    built from its terms by the public constructor is sparse.  The two must
+    be indistinguishable through every reader."""
+
+    @given(deep_terms, deep_dens, st.integers(min_value=0, max_value=150))
+    # offsets of both parities at an even and an odd horizon
+    @example({(0, 3): 1, (0, 2): -2, (1, 0): 5, (4, 2): 1, (1, 1): -1, (7, 8): 2}, [1, 2], 30)
+    @example({(0, 3): 1, (0, 2): -2, (1, 0): 5, (4, 2): 1, (1, 1): -1, (7, 8): 2}, [1, 2], 31)
+    @example({(9, 0): 3, (0, 12): -1}, [2], 8)  # the horizon below the least |s|: an empty layout
+    @example({}, [3, 4], 40)  # the zero numerator: an empty layout
+    @example({(0, 0): 1, (3, 0): 2, (0, 3): -1, (5, 1): 4, (9, 9): 7}, [], 9)  # a polynomial, truncated
+    @example({(0, 0): -(10 ** 5000), (2, 1): -1, (1, 1): 1}, [1, 3], 12)  # past the digit limit
+    @example({(0, 0): -1, (1, 0): 1}, [1], 6)  # units, at (0, 0) too
+    @settings(max_examples=60, deadline=None)
+    def test_flat_and_sparse_agree(self, num, dens, horizon):
+        x = StringyRational(BivariatePolynomial(num), dens)
+        flat = expand_rational(x, horizon)
+        assert (flat._flat is not None) == bool(x.denominator)
+        want = series_expand(dict(x.numerator.items()), list(x.denominator.factors), horizon)
+        sparse = TruncatedBiseries(horizon, want)
+        assert sparse._flat is None
+        # the readers that do not build the term map come first
+        for render in (polynomial_text, polynomial_latex):
+            assert render(flat) == render(sparse)
+        for continues in (False, True):
+            assert series_text(flat, continues) == series_text(sparse, continues)
+            assert series_latex(flat, continues) == series_latex(sparse, continues)
+        for d in sorted({0, 1, horizon // 2, horizon - 1, horizon, horizon + 1} - {-1}):
+            assert _report(flat, d) == _report(sparse, d)
+        assert list(flat.items()) == list(sparse.items())
+        assert list(flat.sorted_items()) == list(sparse.sorted_items())
+        for i in range(horizon + 1):
+            for j in range(horizon + 1 - i):
+                assert flat.coefficient(i, j) == sparse.coefficient(i, j)
+        with pytest.raises(ValueError):
+            flat.coefficient(horizon + 1, 0)
+        assert repr(flat) == repr(sparse)
+        assert flat == sparse and sparse == flat
+        assert hash(flat) == hash(sparse)
+        assert flat != TruncatedBiseries(horizon + 1, want) != flat
+
+    def test_layout_positions_hold_their_pairs(self):
+        # offsets 0 and 9 to horizon 10: the odd column starts four rows
+        # down and loses its slot in the last row
+        layout = exact_poly._skewed_layout({0, 9}, 10)
+        assert layout == exact_poly._Layout((0, 9), 0, 11, 10)
+        pairs = layout.pairs()
+        assert pairs == [(0, 0), None, (1, 1), None, (2, 2), None, (3, 3), None,
+                         (4, 4), (9, 0), (5, 5)]
+        assert all(layout.pair(at) == pair for at, pair in enumerate(pairs) if pair)
 
 
 class TestJsonInts:

@@ -230,3 +230,20 @@ class TestMonomialMemo:
             assert parse_polynomial(ser_text, latex=latex) == want_series
         assert (polynomial_text(p), series_text(series, False)) == first
         assert render._monomial.cache_info().hits > 0
+
+    def test_layout_monomials_start_over_past_their_cap(self, monkeypatch):
+        # per-layout tuples are kept up to a number of positions over all of
+        # them; past it the cache starts over.  A lower horizon reads a
+        # prefix of a higher one's tuple.  Rendering is unchanged
+        monkeypatch.setattr(render, "_LAYOUT_MONOMIALS", render._LayoutMonomials())
+        monkeypatch.setattr(render, "_LAYOUT_MONOMIALS_CAP", 40)
+        x = StringyRational(P({(0, 0): 1, (2, 0): -3, (0, 1): 2}), (1, 2))
+        texts = []
+        for horizon in (6, 7, 8, 9, 10, 6, 7):
+            series = expand_rational(x, horizon)
+            texts.append(series_text(series, True))
+            assert texts[-1] == polynomial_text(BivariatePolynomial(dict(series.items()))) + " + ..."
+            kept = render._LAYOUT_MONOMIALS
+            assert kept.positions == sum(map(len, kept.values())) <= max(40, series._flat[1].size)
+        assert texts[:2] == texts[5:]
+        assert len(kept) == 1 and kept.positions == expand_rational(x, 10)._flat[1].size
