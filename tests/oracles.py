@@ -341,6 +341,27 @@ def fermat_cone_config(N, k):
     }
 
 
+# the deep-cancellation probes: (components, ambient reach, largest a + 1)
+DEEP_PROBES = {"11x9-offsets": (11, 4, 2 ** 14 - 1), "16x5-offsets": (16, 2, 2 ** 14 - 1),
+               "24x3-offsets": (24, 1, 10879)}
+
+
+def deep_cancellation_config(components, reach, below):
+    """A closed-convention curve config whose components have the largest
+    distinct prime a + 1 <= below, each with the table (uv)^(a+1) - 1, over
+    an ambient 1 + sum_{k <= reach} (u^k + v^k).  E_st is a polynomial with
+    small coefficients, and every stratum lacks the others' factors, so the
+    formula sums merge many terms of distinct denominators at full size."""
+    primes = [m for m in range(below, 128, -1) if all(m % d for d in range(2, 128))][:components]
+    fan = [[0, 0, 1]] + [[k, 0, 1] for k in range(1, reach + 1)] + [[0, k, 1] for k in range(1, reach + 1)]
+    return {
+        "dimension": 1, "ambient": fan,
+        "components": [{"label": f"E{k}", "discrepancy": m - 1} for k, m in enumerate(primes)],
+        "strata_convention": "closed",
+        "strata": {f"E{k}": [[0, 0, -1], [m, m, 1]] for k, m in enumerate(primes)},
+    }
+
+
 def lenient_findings_multipass(cfg):
     """Lenient validation findings of a ``stringy.resolution.ResolutionConfig``
     as the package computed them before it scanned each table once: every

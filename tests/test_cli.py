@@ -22,6 +22,7 @@ from stringy.exact_poly import BivariatePolynomial, StringyRational
 from stringy.hodge import HodgeDelignePolynomial
 
 from conftest import FIXTURES
+from oracles import DEEP_PROBES, deep_cancellation_config
 
 E6 = str(FIXTURES / "e6_fixture.json")
 NODE = str(FIXTURES / "node_a1.json")
@@ -758,19 +759,14 @@ class TestErrors:
         doc = json.loads(out)
         assert doc["agree"] is True and doc["e_st"]["den"] == []
 
-    @pytest.mark.parametrize("components, reach", [(11, 4), (16, 2)], ids=["11x9-offsets", "16x5-offsets"])
-    def test_lenient_accepted_deep_cancellation_computes(self, run, tmp_path, components, reach):
-        # prime a + 1 just below 2^14 and tables (uv)^(a+1) - 1: validation
-        # accepts them, and E_st is a polynomial with small coefficients, so
-        # the cancellation has no reason to refuse them after the sums
-        primes = [m for m in range(2 ** 14 - 1, 2 ** 13, -1) if all(m % d for d in range(2, 128))][:components]
-        fan = [[0, 0, 1]] + [[k, 0, 1] for k in range(1, reach + 1)] + [[0, k, 1] for k in range(1, reach + 1)]
-        config = {
-            "dimension": 1, "ambient": fan,
-            "components": [{"label": f"E{k}", "discrepancy": m - 1} for k, m in enumerate(primes)],
-            "strata_convention": "closed",
-            "strata": {f"E{k}": [[0, 0, -1], [m, m, 1]] for k, m in enumerate(primes)},
-        }
+    @pytest.mark.parametrize("probe", sorted(DEEP_PROBES))
+    def test_lenient_accepted_deep_cancellation_computes(self, run, tmp_path, probe):
+        # distinct prime a + 1 near the largest that validation accepts and
+        # tables (uv)^(a+1) - 1: E_st is a polynomial with small
+        # coefficients, so the cancellation has no reason to refuse them
+        # after the sums; each stratum lacks the others' factors, so the
+        # sums merge many full-size terms of distinct denominators
+        config = deep_cancellation_config(*DEEP_PROBES[probe])
         path = tmp_path / "deep.json"
         path.write_text(json.dumps(config))
         assert run("validate", str(path))[0] == 0

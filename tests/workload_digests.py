@@ -10,7 +10,10 @@ path, and prints one line per pass: workload, seed, command, pass name,
 options, exit code and the sha256 of stdout.  The workloads render text
 only, so two more passes over the ``series`` inputs follow, after every
 seed's workload lines: ``compute --format latex --horizon 200`` and
-``check --format json --horizon 800``.  Run it at two commits and compare
+``check --format json --horizon 800``.  Last come the deep-cancellation
+probes of ``tests/oracles.py`` (``DEEP_PROBES``), one ``compute --format
+json`` line each, whatever the seeds: their formula sums are the largest
+merges that validation accepts.  Run it at two commits and compare
 the printed lines: equal lines mean byte-identical output.  It only reads
 ``perfbench/``; pytest does not collect it.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -37,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
+from oracles import DEEP_PROBES, deep_cancellation_config  # noqa: E402
 from stringy.cli import main  # noqa: E402
 
 _TIMING = re.compile(r'"timing_us": \d+')
@@ -46,17 +51,22 @@ _SERIES_FORMATS = (("compute", ("--format", "latex", "--horizon", "200")),
                    ("check", ("--format", "json", "--horizon", "800")))
 
 
+def _digest(argv: list[str], root: Path) -> tuple[int, str]:
+    """The exit code and the sha256 of the masked stdout of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    text = _TIMING.sub('"timing_us": 0', out.getvalue()).replace(str(root), "<root>")
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digests(workload: str, seed: int, passes) -> list[str]:
     """One line per pass of ``passes(generated passes)`` over the workload's inputs."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for p in passes(gen.generate(workload, seed, root)):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main(p.argv(root / p.name))
-            text = _TIMING.sub('"timing_us": 0', out.getvalue()).replace(str(root), "<root>")
-            digest = hashlib.sha256(text.encode()).hexdigest()
+            code, digest = _digest(p.argv(root / p.name), root)
             lines.append(f"{workload} {seed} {p.command} {p.name} {' '.join(p.options)} "
                          f"exit={code} sha256={digest}")
     return lines
@@ -71,9 +81,23 @@ def format_digests(seed: int) -> list[str]:
                                                     for command, options in _SERIES_FORMATS])
 
 
+def deep_digests() -> list[str]:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, probe in sorted(DEEP_PROBES.items()):
+            path = root / f"{name}.json"
+            path.write_text(json.dumps(deep_cancellation_config(*probe)))
+            code, digest = _digest(["compute", str(path), "--format", "json"], root)
+            lines.append(f"deep - compute {name} --format json exit={code} sha256={digest}")
+    return lines
+
+
 if __name__ == "__main__":
     seeds = [int(s) for s in sys.argv[1:]] or [7, 11]
     for produce in (digests, format_digests):
         for seed in seeds:
             for line in produce(seed):
                 print(line, flush=True)
+    for line in deep_digests():
+        print(line, flush=True)
