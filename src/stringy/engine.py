@@ -176,11 +176,13 @@ def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
         if len(parts) == 1 and parts[0][0] == 1:
             converted[key] = parts[0][1]
             continue
-        value = 0
-        for sign, (part, _) in parts:
+        value = top = 0
+        for sign, (part, high) in parts:
             value = value + part if sign > 0 else value - part
+            if high > top:
+                top = high
         if value:
-            converted[key] = (value, max(top for _, (_, top) in parts))
+            converted[key] = (value, top)
     (ambient, ambient_top), (empty, empty_top) = packed[0], converted.pop((), (0, 0))
     complement = (ambient + empty if target == "open" else ambient - empty, max(ambient_top, empty_top))
     opened, closed = (converted, stored) if target == "open" else (stored, converted)

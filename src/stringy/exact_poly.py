@@ -28,6 +28,9 @@ The central representation choices:
   packed onto one layout (:func:`_pack_tables`) and summed over a common
   denominator by one merge (:func:`_merge`): the engine's formula sums,
   from tables packed once per config, and :func:`common_denominator_sum`.
+  The merge multiplies each term by the factors it lacks level by level,
+  one distinct factor at a time, while the sum is small, and pairwise, as
+  in a subproduct tree, once its packed size passes ``_PAIRWISE_BITS``.
   The agreement check (:func:`same_value`) and the cancellation
   (:func:`_reduce`) run on the packed sums; the canonical numerator is
   unpacked once, in output order.  A sum's slots are as wide as a bound
@@ -419,7 +422,7 @@ class StringyRational:
     constructor or from a sum over two denominators.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_cut")
 
     def __init__(self, numerator, denominator: Union[CycloProduct, Iterable[int]] = ()):
         num = numerator if isinstance(numerator, PackedNumerator) else _coerce_poly(numerator)
@@ -427,11 +430,12 @@ class StringyRational:
             raise TypeError(f"numerator must be a BivariatePolynomial or int, got {type(numerator).__name__}")
         den = _coerce_cyclo(denominator)
         self._num, self._den = _reduce(num, den)
+        self._cut = None  # the last _Cut asked for (:func:`_cut`)
 
     @classmethod
     def _from_canonical(cls, num: BivariatePolynomial, den: CycloProduct) -> "StringyRational":
         out = cls.__new__(cls)
-        out._num, out._den = num, den
+        out._num, out._den, out._cut = num, den, None
         return out
 
     @property
@@ -1006,33 +1010,36 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
         num = PackedNumerator(_relayout(num, width, num.offsets), width, num.offsets, num.degree, num.norm)
 
 
-def _needs(keys: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
-           ) -> tuple[CycloProduct, list[int], dict[tuple, tuple[tuple[int, ...], int, int]]]:
-    """For terms whose (factors, gains) are these keys: their common
-    denominator, which takes every m with its largest multiplicity in any
-    key's factors; the distinct m among all factors and gains, sorted; and
-    per key what its numerator is multiplied by, its gains and the factors
-    its own denominator lacks, as (how often each distinct m, their number,
-    their degree)."""
-    distinct = sorted({m for key in keys for part in key for m in part})
-    largest = dict.fromkeys(distinct, 0)
+# the packed size, in bits, of a formula sum past which _merge merges it
+# pairwise, not level by level (measured in its docstring)
+_PAIRWISE_BITS = 1 << 20
+
+
+def _largest(keys: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> dict[int, int]:
+    """For terms whose (factors, gains) are these keys, the multiplicities
+    of their common denominator: every m with its largest multiplicity in
+    any key's factors."""
+    largest: dict[int, int] = {}
     for factors, _ in keys:
         for m in factors:
-            largest[m] = max(largest[m], factors.count(m))
-    common = CycloProduct._from_sorted(tuple(m for m in distinct for _ in range(largest[m])))
-    index = {m: k for k, m in enumerate(distinct)}
-    base = list(largest.values())  # in the order of distinct
-    size, degree = len(common), common.degree_uv()
-    needs = {}
-    for factors, gains in keys:
-        need = base[:]
-        for m in factors:
-            need[index[m]] -= 1
-        for m in gains:
-            need[index[m]] += 1
-        needs[factors, gains] = (tuple(need), size - len(factors) + len(gains),
-                                 degree - sum(factors) + sum(gains))
-    return common, distinct, needs
+            n = factors.count(m)
+            if n > largest.get(m, 0):
+                largest[m] = n
+    return largest
+
+
+def _times(value: int, need: int, shifts: list[int], bits: int) -> int:
+    """value times T^m - 1 as often as need counts m, need holding one
+    count of ``bits`` bits per level, the first lowest, and T^m being a
+    shift by that level's entry of shifts."""
+    mask = (1 << bits) - 1
+    for shift in shifts:
+        if not need:
+            break
+        for _ in range(need & mask):
+            value = (value << shift) - value
+        need >>= bits
+    return value
 
 
 def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[int, int, CycloProduct]:
@@ -1042,30 +1049,134 @@ def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[in
     no power of t past top, as (packed numerator, a bound on its degree,
     common denominator), not cancelled.
 
-    Every term's factors count towards the common denominator
-    (:func:`_needs`), whether its value is zero or not.  (-uv)^lift moves a
-    value lift rows up, negated when lift is odd.  Each value is multiplied
-    by what it needs one distinct m at a time, merging first the partial
-    sums that still need the same factors among the m to come, so a factor
-    shared by many terms is multiplied once into their sum.
+    The terms are grouped by their (factors, gains) key once, and every
+    key's factors count towards the common denominator, whether its values
+    are zero or not.  (-uv)^lift moves a value lift rows up, negated when
+    lift is odd.  Each key's sum is multiplied by what it needs, one count
+    per distinct m among all factors and gains: its gains and the factors
+    of the common denominator its own lacks.  Sums that need the same are
+    added first.  Then one of two orders multiplies them out; both make
+    the same int, since every step is exact.
+
+    * Level by level, while the sum's packed size, (degree + 1) width R
+      bits, is at most ``_PAIRWISE_BITS``: one distinct m at a time,
+      merging first the partial sums that still need the same factors
+      among the m to come, so a factor shared by many terms is multiplied
+      once into their sum.  When n terms each lack the others' factors,
+      their sums merge only at the end, after about n^2/2 shift-subtracts
+      at full size.
+    * Pairwise above it, as in a subproduct tree (D. J. Bernstein, "Fast
+      multiplication and its applications", 2008): the sums sorted by
+      need, each adjacent pair multiplied by what it needs beyond the
+      pair's elementwise minimum and added, round after round, and the
+      last sum by the need all of them share.  The n^2/2 full-size
+      shift-subtracts become about n/2 per round over log2 n rounds, on
+      partial sums that double in size each round.
+
+    Pairwise costs more on small sums: it multiplies partial sums by
+    factors that the level order applies once to a merged sum, and each
+    pair costs Python overhead.  Replaying every merge of the benchmark
+    workloads and of deep-cancellation probes (many strata that each lack
+    the others' factors; CPython 3.11, x86-64), pairwise took 1.2-1.9
+    times the level order's time on every sum of ``corpus``, ``ladder``
+    and ``series``, all under 2^17 bits.  On the probes it took 0.8-1.0
+    times as long from 2^16 to 2^19 bits, 0.6 up to 2^20 and 0.35-0.6
+    above, where the 11- to 24-component probes of 2^25 bits merge 2-3
+    times faster.  2^20 bits keeps every benchmark sum on the level order,
+    with room for sums eight times as large.
     """
-    common, distinct, needs = _needs({(factors, gains) for _, _, factors, gains, _ in terms})
     step = width * len(offsets)
-    pending: dict[tuple[int, ...], int] = {}
-    degree = 0
+    # per key, [the sum of its lifted values, their largest top + lift], or [0, -1] when every value is 0
+    sums: dict[tuple, list] = {}
     for value, top, factors, gains, lift in terms:
+        key = (factors, gains)
+        group = sums.get(key)
         if value:
-            need, _, gained = needs[factors, gains]
-            degree = max(degree, top + lift + gained)
-            pending[need] = pending.get(need, 0) + ((-value if lift & 1 else value) << lift * step)
-    for m in distinct:
-        merged: dict[tuple[int, ...], int] = {}
-        for at, part in pending.items():
-            for _ in range(at[0]):
-                part = (part << step * m) - part
-            merged[at[1:]] = merged.get(at[1:], 0) + part
-        pending = merged
-    return pending.get((), 0), degree, common
+            if lift:
+                value = (-value if lift & 1 else value) << lift * step
+                top += lift
+            if group is None:
+                sums[key] = [value, top]
+            else:
+                group[0] += value
+                if top > group[1]:
+                    group[1] = top
+        elif group is None:
+            sums[key] = [0, -1]
+    largest = _largest(sums)
+    ordered = sorted(largest)
+    common = CycloProduct._from_sorted(tuple([m for m in ordered for _ in range(largest[m])]))
+    gained: set[int] = set()
+    longest = 0
+    for _, gains in sums:
+        if gains:
+            gained.update(gains)
+            if len(gains) > longest:
+                longest = len(gains)
+    distinct = sorted(gained.union(ordered)) if gained else ordered
+    # a need is one int, a field of bits per distinct m, the first m
+    # lowest: no count passes the common denominator's length plus the
+    # longest gains
+    bits = (len(common) + longest).bit_length()
+    unit = {m: 1 << bits * k for k, m in enumerate(distinct)}
+    base = sum([largest[m] * unit[m] for m in ordered])
+    full = common.degree_uv()
+    pending: dict[int, int] = {}
+    degree = 0
+    for (factors, gains), (value, high) in sums.items():
+        if high < 0:
+            continue
+        need = base
+        for m in factors:
+            need -= unit[m]
+        if gains:
+            high += sum(gains)
+            for m in gains:
+                need += unit[m]
+        high += full - sum(factors)
+        if high > degree:
+            degree = high
+        if need in pending:
+            pending[need] += value
+        else:
+            pending[need] = value
+    shifts = [step * m for m in distinct]
+    mask = (1 << bits) - 1
+    if (degree + 1) * step > _PAIRWISE_BITS:
+        fields = [bits * k for k in range(len(distinct))]
+        entries = sorted(pending.items())
+        while len(entries) > 1:
+            paired = []
+            for (a_need, a), (b_need, b) in zip(entries[::2], entries[1::2]):
+                low = sum(min(a_need >> at & mask, b_need >> at & mask) << at for at in fields)
+                a = _times(a, a_need - low, shifts, bits)
+                paired.append((low, a + _times(b, b_need - low, shifts, bits)))
+            if len(entries) & 1:
+                paired.append(entries[-1])
+            entries = paired
+        pending = dict(entries)
+    else:
+        done = 0
+        while len(pending) > 1:
+            shift = shifts[done]
+            merged: dict[int, int] = {}
+            for at, part in pending.items():
+                n = at & mask
+                while n:
+                    part = (part << shift) - part
+                    n -= 1
+                rest = at >> bits
+                if rest in merged:
+                    merged[rest] += part
+                else:
+                    merged[rest] = part
+            pending = merged
+            done += 1
+        shifts = shifts[done:]
+    if not pending:
+        return 0, degree, common
+    (need, value), = pending.items()
+    return _times(value, need, shifts, bits), degree, common
 
 
 def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, CycloProduct]:
@@ -1078,13 +1189,16 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     Every m is checked once, in the order met, and every lift with its
     term's factors, whether num is zero or not.  Then each num is packed as
     it is, on one layout (:func:`_pack_tables`), and the packed values go
-    through the one merge of the formula sums (:func:`_merge`).  The layout
-    has the offsets of every term, and a width that holds
-    norm = sum over terms of |num|_1 2^(number of factors multiplied in)
-    plus a sign bit.  norm bounds |sum|_1 and every partial sum's, so this
-    width holds every digit of the sum.  A sum whose packed value would
-    pass ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before any
-    term is packed.
+    through the one merge of the formula sums (:func:`_merge`), which
+    derives what each term is multiplied by.  Only its count and degree are
+    needed here, from the common denominator's multiplicities
+    (:func:`_largest`): a term gains its gains and the common factors its
+    own denominator lacks.  The layout has the offsets of every term, and a
+    width that holds norm = sum over terms of |num|_1 2^(number of factors
+    multiplied in) plus a sign bit.  norm bounds |sum|_1 and every partial
+    sum's in either order of the merge, so this width holds every digit of
+    the sum.  A sum whose packed value would pass ``PACKED_BIT_BUDGET`` bits
+    raises ``PackedSizeError`` before any term is packed.
     """
     keys: dict[tuple, None] = {}
     checked: set[int] = set()
@@ -1097,9 +1211,11 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
                 if type(m) is not int or m not in checked:
                     checked.add(checked_int(m, "denominator factor", 1))
         entries.append((num, key, checked_int(rest[1], "lift") if len(rest) > 1 else 0))
-    _, _, needs = _needs(keys)
-    width, offsets, norm, packed = _pack_tables([(num, needs[key][1], lift + needs[key][2])
-                                                 for num, key, lift in entries])
+    largest = _largest(keys)
+    size, full = sum(largest.values()), sum(m * n for m, n in largest.items())
+    width, offsets, norm, packed = _pack_tables([(num, size - len(factors) + len(gains),
+                                                  lift + full - sum(factors) + sum(gains))
+                                                 for num, (factors, gains), lift in entries])
     value, degree, common = _merge([(value, top, *key, lift) for (value, top), (_, key, lift)
                                     in zip(packed, entries)], width, offsets)
     return PackedNumerator(value, width, offsets, degree, norm), common
@@ -1316,14 +1432,13 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     order.  The list and its layout are the series as it stands
     (:meth:`TruncatedBiseries._on_layout`): no pair is made until something
     asks for the term map.  Only the numerator's terms within the horizon
-    are read (:func:`_inside`); a polynomial is only truncated and sorted
-    once, and stays sparse.
+    are read, through the cut that :func:`series_size` made before it, if
+    any (:func:`_cut`); a polynomial is only truncated and sorted once, and
+    stays sparse.
     """
-    checked_int(horizon, "horizon")
-    inside = _inside(x.numerator, horizon)
-    if not x.denominator:
+    _, inside, layout = _cut(x, horizon)
+    if layout is None:
         return TruncatedBiseries(horizon, inside)
-    layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
     R = len(layout.offsets)
     rank = {s: r for r, s in enumerate(layout.offsets)}
     factors = x.denominator.factors
@@ -1340,21 +1455,46 @@ def series_size(x: StringyRational, horizon: int) -> int:
     """How many coefficients :func:`expand_rational` computes for x to the
     horizon: the positions of its skewed layout, about
     horizon // 2 + 1 - min |s| // 2 for every offset s = i - j of the
-    numerator's terms within the horizon (:func:`_inside`), or one per such
-    term when x is a polynomial."""
-    inside = _inside(x.numerator, horizon)
-    if not x.denominator:
-        return len(inside)
-    return _skewed_layout({i - j for (i, j), _ in inside}, horizon).size
+    numerator's terms within the horizon, or one per such term when x is a
+    polynomial.  x keeps the cut (:func:`_cut`) for the expansion."""
+    _, inside, layout = _cut(x, horizon)
+    return len(inside) if layout is None else layout.size
+
+
+class _Cut(NamedTuple):
+    """The terms of a value's numerator within a horizon, in the
+    numerator's order, and the skewed layout of their expansion, or None
+    for a polynomial."""
+
+    horizon: int
+    inside: list[tuple[ExponentPair, int]]
+    layout: Union[_Layout, None]
+
+
+def _cut(x: StringyRational, horizon: int) -> _Cut:
+    """x's cut at the horizon.  x keeps the last one made, so the budget
+    check of :func:`series_size` and the expansion after it read the
+    numerator once."""
+    checked_int(horizon, "horizon")
+    cut = x._cut
+    if cut is None or cut.horizon != horizon:
+        inside = _inside(x._num, horizon)
+        layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon) if x._den else None
+        x._cut = cut = _Cut(horizon, inside, layout)
+    return cut
 
 
 def _inside(p: BivariatePolynomial, horizon: int) -> list[tuple[ExponentPair, int]]:
     """The terms of p with i + j <= horizon.  When p holds its terms in
-    output order (:func:`_unpack`), they are a prefix: the scan stops at
-    the first term past the horizon."""
+    output order (:func:`_unpack`), they are a prefix: all of them when the
+    last term is within the horizon, copied at once, or else those before
+    the first term past it."""
+    items = p._terms.items()
     if p._ordered:
-        return list(takewhile(lambda item: item[0][0] + item[0][1] <= horizon, p._terms.items()))
-    return [((i, j), c) for (i, j), c in p._terms.items() if i + j <= horizon]
+        if not items or sum(next(reversed(p._terms))) <= horizon:
+            return list(items)
+        return list(takewhile(lambda item: item[0][0] + item[0][1] <= horizon, items))
+    return [((i, j), c) for (i, j), c in items if i + j <= horizon]
 
 
 # Python refuses int <-> decimal str conversions past a digit limit (4300 by

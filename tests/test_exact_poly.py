@@ -517,6 +517,49 @@ def _oracle_value(num, den, factors):
     return out
 
 
+merge_keys = st.tuples(st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=4),
+                       st.lists(st.sampled_from([1, 2, 3, 5]), max_size=4))
+
+
+@st.composite
+def merge_terms(draw):
+    """(num, factors, gains, lift) terms that share keys, with repeated
+    factors and gains, lifts and zero numerators."""
+    keys = draw(st.lists(merge_keys, min_size=1, max_size=4))
+    return [(P(num), factors, gains, lift) for num, (factors, gains), lift
+            in draw(st.lists(st.tuples(term_dicts, st.sampled_from(keys), st.integers(0, 3)), max_size=7))]
+
+
+class TestMerge:
+    @given(merge_terms())
+    @settings(max_examples=100, deadline=None)
+    def test_level_and_pairwise_orders_agree(self, terms):
+        # the crossover forced each way: both orders make the same packed
+        # value, degree bound and common denominator, and the sum's value
+        expected = StringyRational(0)
+        for num, factors, gains, lift in terms:
+            expected = expected + StringyRational(
+                num * CycloProduct(gains).polynomial() * P({(lift, lift): (-1) ** lift}), factors)
+        sums = []
+        for crossover in (2 ** 64, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exact_poly, "_PAIRWISE_BITS", crossover)
+                num, den = common_denominator_sum(terms)
+            assert StringyRational(num, den) == expected
+            sums.append((num.value, num.degree, num.width, num.offsets, den.factors))
+        assert sums[0] == sums[1]
+
+    def test_need_counts_past_one_key(self):
+        # the need at m = 2 of the second key is the first key's four
+        # factors plus its own four gains
+        terms = [(P({(0, 0): 1}), (2, 2, 2, 2)), (P({(1, 0): 1}), (), (2, 2, 2, 2))]
+        num, den = common_denominator_sum(terms)
+        assert den.factors == (2, 2, 2, 2)
+        u = P({(1, 0): 1})
+        assert StringyRational(num, den) == (StringyRational(1, (2, 2, 2, 2))
+                                             + StringyRational(u * CycloProduct((2, 2, 2, 2)).polynomial()))
+
+
 class TestPackedKernel:
     # The packed arithmetic against the dict oracles, on inputs that stress
     # the layout: negative digits, the top slot, digits next to the slot

@@ -510,6 +510,35 @@ class TestInterchange:
             load_config({"dimension": 3, "ambient": triples, "components": [],
                          "strata_convention": "closed", "strata": {}})
 
+    @pytest.mark.parametrize("bad, message", [
+        ([True, 0, 1], "exponents must be integers, got [True, 0, 1]"),
+        ([0, -1, 1], "exponents must be nonnegative, got [0, -1, 1]"),
+        ([0.0, 1, 1], "exponents must be integers, got [0.0, 1, 1]"),
+        ([0, 1, 1.0], "expected an integer or decimal string, got 1.0"),
+        ([0, 1, 0], "zero coefficient at (0,1) must be omitted"),
+        ([1, 0, -2], "duplicate exponent pair (1,0)"),
+        ([0, 1], "each term must be a triple [i, j, c], got [0, 1]"),
+        ([0, 1, False], "expected an integer, got False"),
+        ((0, 1, 1), "each term must be a triple [i, j, c], got (0, 1, 1)"),
+    ], ids=["bool-exponent", "negative-exponent", "float-exponent", "float-coefficient", "zero-coefficient",
+            "duplicate-pair", "two-elements", "bool-coefficient", "tuple"])
+    def test_bad_triple_after_good_ones_keeps_its_message(self, bad, message):
+        # the entries before it are stored without the checks; the bad one
+        # meets them in their order, with the same text
+        with pytest.raises(ConfigFormatError) as info:
+            load_config({"dimension": 3, "ambient": [[1, 0, 2], [2, 2, 1], bad], "components": [],
+                         "strata_convention": "closed", "strata": {}})
+        assert str(info.value) == f"ambient: {message}"
+
+    def test_triples_accept_decimal_strings_and_int_subclasses(self):
+        class Exact(int):
+            pass
+
+        big = 10 ** 40
+        cfg = load_config({"dimension": 3, "components": [], "strata_convention": "closed", "strata": {},
+                           "ambient": [[0, 0, "-7"], [1, 0, str(big)], [Exact(2), 1, Exact(3)], [1, 1, 4]]})
+        assert dict(cfg.ambient.poly.items()) == {(0, 0): -7, (1, 0): big, (2, 1): 3, (1, 1): 4}
+
     @pytest.mark.parametrize("component", [
         {"label": "A"},
         {"label": "A", "discrepancy": 1, "extra": 2},
