@@ -28,9 +28,9 @@ The central representation choices:
   packed onto one layout (:func:`_pack_tables`) and summed over a common
   denominator by one merge (:func:`_merge`): the engine's formula sums,
   from tables packed once per config, and :func:`common_denominator_sum`.
-  The merge multiplies each term by the factors it lacks level by level,
-  one distinct factor at a time, while the sum is small, and pairwise, as
-  in a subproduct tree, once its packed size passes ``_PAIRWISE_BITS``.
+  The merge multiplies each term by the factors it lacks one distinct
+  factor at a time, so a factor shared by many terms is multiplied once
+  into their sum.
   The agreement check (:func:`same_value`) and the cancellation
   (:func:`_reduce`) run on the packed sums; the canonical numerator is
   unpacked once, in output order.  A sum's slots are as wide as a bound
@@ -53,7 +53,7 @@ The central representation choices:
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, compress, takewhile
+from itertools import accumulate, compress, islice
 from operator import add
 from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -422,7 +422,7 @@ class StringyRational:
     constructor or from a sum over two denominators.
     """
 
-    __slots__ = ("_num", "_den", "_cut")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, numerator, denominator: Union[CycloProduct, Iterable[int]] = ()):
         num = numerator if isinstance(numerator, PackedNumerator) else _coerce_poly(numerator)
@@ -430,12 +430,11 @@ class StringyRational:
             raise TypeError(f"numerator must be a BivariatePolynomial or int, got {type(numerator).__name__}")
         den = _coerce_cyclo(denominator)
         self._num, self._den = _reduce(num, den)
-        self._cut = None  # the last _Cut asked for (:func:`_cut`)
 
     @classmethod
     def _from_canonical(cls, num: BivariatePolynomial, den: CycloProduct) -> "StringyRational":
         out = cls.__new__(cls)
-        out._num, out._den, out._cut = num, den, None
+        out._num, out._den = num, den
         return out
 
     @property
@@ -1010,11 +1009,6 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
         num = PackedNumerator(_relayout(num, width, num.offsets), width, num.offsets, num.degree, num.norm)
 
 
-# the packed size, in bits, of a formula sum past which _merge merges it
-# pairwise, not level by level (measured in its docstring)
-_PAIRWISE_BITS = 1 << 20
-
-
 def _largest(keys: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> dict[int, int]:
     """For terms whose (factors, gains) are these keys, the multiplicities
     of their common denominator: every m with its largest multiplicity in
@@ -1028,62 +1022,35 @@ def _largest(keys: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> dict[in
     return largest
 
 
-def _times(value: int, need: int, shifts: list[int], bits: int) -> int:
-    """value times T^m - 1 as often as need counts m, need holding one
-    count of ``bits`` bits per level, the first lowest, and T^m being a
-    shift by that level's entry of shifts."""
-    mask = (1 << bits) - 1
-    for shift in shifts:
-        if not need:
-            break
-        for _ in range(need & mask):
-            value = (value << shift) - value
-        need >>= bits
-    return value
-
-
 def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[int, int, CycloProduct]:
-    """The sum of value (-uv)^lift prod_{g in gains} ((uv)^g - 1) /
-    prod_{m in factors} ((uv)^m - 1) over (value, top, factors, gains,
-    lift) terms, each value packed on the layout of width and offsets with
-    no power of t past top, as (packed numerator, a bound on its degree,
-    common denominator), not cancelled.
+    """Sum packed terms (value, top, factors, gains, lift), each standing
+    for value (-uv)^lift prod_{m in gains} (t^m - 1) / prod_{m in factors}
+    (t^m - 1) with value on the layout (width, offsets) and top a bound on
+    its degree, as (packed numerator, a bound on its degree, common
+    denominator), not cancelled.
 
     The terms are grouped by their (factors, gains) key once, and every
-    key's factors count towards the common denominator, whether its values
-    are zero or not.  (-uv)^lift moves a value lift rows up, negated when
-    lift is odd.  Each key's sum is multiplied by what it needs, one count
-    per distinct m among all factors and gains: its gains and the factors
-    of the common denominator its own lacks.  Sums that need the same are
-    added first.  Then one of two orders multiplies them out; both make
-    the same int, since every step is exact.
+    key's factors count towards the common denominator (:func:`_largest`),
+    whether its values are zero or not.  (-uv)^lift moves a value lift rows
+    up, negated when lift is odd.  Each key's sum is multiplied by what it
+    needs: its gains and the factors of the common denominator its own
+    lacks, held as one int with a field of bits per distinct m among all
+    factors and gains, the first m lowest.  Sums that need the same are
+    added first.  Then they are multiplied out one distinct m at a time,
+    merging first the partial sums that still need the same factors among
+    the m to come, so a factor shared by many terms is multiplied once into
+    their sum; once one partial sum is left, it takes the rest of its need
+    alone.
 
-    * Level by level, while the sum's packed size, (degree + 1) width R
-      bits, is at most ``_PAIRWISE_BITS``: one distinct m at a time,
-      merging first the partial sums that still need the same factors
-      among the m to come, so a factor shared by many terms is multiplied
-      once into their sum.  When n terms each lack the others' factors,
-      their sums merge only at the end, after about n^2/2 shift-subtracts
-      at full size.
-    * Pairwise above it, as in a subproduct tree (D. J. Bernstein, "Fast
-      multiplication and its applications", 2008): the sums sorted by
-      need, each adjacent pair multiplied by what it needs beyond the
-      pair's elementwise minimum and added, round after round, and the
-      last sum by the need all of them share.  The n^2/2 full-size
-      shift-subtracts become about n/2 per round over log2 n rounds, on
-      partial sums that double in size each round.
-
-    Pairwise costs more on small sums: it multiplies partial sums by
-    factors that the level order applies once to a merged sum, and each
-    pair costs Python overhead.  Replaying every merge of the benchmark
-    workloads and of deep-cancellation probes (many strata that each lack
-    the others' factors; CPython 3.11, x86-64), pairwise took 1.2-1.9
-    times the level order's time on every sum of ``corpus``, ``ladder``
-    and ``series``, all under 2^17 bits.  On the probes it took 0.8-1.0
-    times as long from 2^16 to 2^19 bits, 0.6 up to 2^20 and 0.35-0.6
-    above, where the 11- to 24-component probes of 2^25 bits merge 2-3
-    times faster.  2^20 bits keeps every benchmark sum on the level order,
-    with room for sums eight times as large.
+    When n terms each lack the others' factors, their sums merge only at
+    the end, after about n^2/2 shift-subtracts at full size.  A pairwise
+    merge, as in a subproduct tree (D. J. Bernstein, "Fast multiplication
+    and its applications", 2008), makes about n log n, but it multiplies
+    partial sums by factors that this order applies once to a merged sum,
+    and each pair costs Python overhead: replaying every merge of the
+    benchmark workloads (CPython 3.11, x86-64), it took 1.2-1.9 times as
+    long on every sum, all under 2^17 bits, and it only gained past that
+    size, on sums of strata with distinct factors.
     """
     step = width * len(offsets)
     # per key, [the sum of its lifted values, their largest top + lift], or [0, -1] when every value is 0
@@ -1114,8 +1081,7 @@ def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[in
             if len(gains) > longest:
                 longest = len(gains)
     distinct = sorted(gained.union(ordered)) if gained else ordered
-    # a need is one int, a field of bits per distinct m, the first m
-    # lowest: no count passes the common denominator's length plus the
+    # no count in a need passes the common denominator's length plus the
     # longest gains
     bits = (len(common) + longest).bit_length()
     unit = {m: 1 << bits * k for k, m in enumerate(distinct)}
@@ -1142,41 +1108,32 @@ def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[in
             pending[need] = value
     shifts = [step * m for m in distinct]
     mask = (1 << bits) - 1
-    if (degree + 1) * step > _PAIRWISE_BITS:
-        fields = [bits * k for k in range(len(distinct))]
-        entries = sorted(pending.items())
-        while len(entries) > 1:
-            paired = []
-            for (a_need, a), (b_need, b) in zip(entries[::2], entries[1::2]):
-                low = sum(min(a_need >> at & mask, b_need >> at & mask) << at for at in fields)
-                a = _times(a, a_need - low, shifts, bits)
-                paired.append((low, a + _times(b, b_need - low, shifts, bits)))
-            if len(entries) & 1:
-                paired.append(entries[-1])
-            entries = paired
-        pending = dict(entries)
-    else:
-        done = 0
-        while len(pending) > 1:
-            shift = shifts[done]
-            merged: dict[int, int] = {}
-            for at, part in pending.items():
-                n = at & mask
-                while n:
-                    part = (part << shift) - part
-                    n -= 1
-                rest = at >> bits
-                if rest in merged:
-                    merged[rest] += part
-                else:
-                    merged[rest] = part
-            pending = merged
-            done += 1
-        shifts = shifts[done:]
+    done = 0
+    while len(pending) > 1:
+        shift = shifts[done]
+        merged: dict[int, int] = {}
+        for at, part in pending.items():
+            n = at & mask
+            while n:
+                part = (part << shift) - part
+                n -= 1
+            rest = at >> bits
+            if rest in merged:
+                merged[rest] += part
+            else:
+                merged[rest] = part
+        pending = merged
+        done += 1
     if not pending:
         return 0, degree, common
     (need, value), = pending.items()
-    return _times(value, need, shifts, bits), degree, common
+    for shift in shifts[done:]:
+        if not need:
+            break
+        for _ in range(need & mask):
+            value = (value << shift) - value
+        need >>= bits
+    return value, degree, common
 
 
 def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, CycloProduct]:
@@ -1196,8 +1153,7 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     own denominator lacks.  The layout has the offsets of every term, and a
     width that holds norm = sum over terms of |num|_1 2^(number of factors
     multiplied in) plus a sign bit.  norm bounds |sum|_1 and every partial
-    sum's in either order of the merge, so this width holds every digit of
-    the sum.  A sum whose packed value would pass ``PACKED_BIT_BUDGET`` bits
+    sum's, so this width holds every digit of the sum.  A sum whose packed value would pass ``PACKED_BIT_BUDGET`` bits
     raises ``PackedSizeError`` before any term is packed.
     """
     keys: dict[tuple, None] = {}
@@ -1432,13 +1388,14 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     order.  The list and its layout are the series as it stands
     (:meth:`TruncatedBiseries._on_layout`): no pair is made until something
     asks for the term map.  Only the numerator's terms within the horizon
-    are read, through the cut that :func:`series_size` made before it, if
-    any (:func:`_cut`); a polynomial is only truncated and sorted once, and
-    stays sparse.
+    are read (:func:`_inside`); a polynomial is only truncated and sorted
+    once, and stays sparse.
     """
-    _, inside, layout = _cut(x, horizon)
-    if layout is None:
+    checked_int(horizon, "horizon")
+    inside = _inside(x.numerator, horizon)
+    if not x.denominator:
         return TruncatedBiseries(horizon, inside)
+    layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
     R = len(layout.offsets)
     rank = {s: r for r, s in enumerate(layout.offsets)}
     factors = x.denominator.factors
@@ -1455,46 +1412,30 @@ def series_size(x: StringyRational, horizon: int) -> int:
     """How many coefficients :func:`expand_rational` computes for x to the
     horizon: the positions of its skewed layout, about
     horizon // 2 + 1 - min |s| // 2 for every offset s = i - j of the
-    numerator's terms within the horizon, or one per such term when x is a
-    polynomial.  x keeps the cut (:func:`_cut`) for the expansion."""
-    _, inside, layout = _cut(x, horizon)
-    return len(inside) if layout is None else layout.size
-
-
-class _Cut(NamedTuple):
-    """The terms of a value's numerator within a horizon, in the
-    numerator's order, and the skewed layout of their expansion, or None
-    for a polynomial."""
-
-    horizon: int
-    inside: list[tuple[ExponentPair, int]]
-    layout: Union[_Layout, None]
-
-
-def _cut(x: StringyRational, horizon: int) -> _Cut:
-    """x's cut at the horizon.  x keeps the last one made, so the budget
-    check of :func:`series_size` and the expansion after it read the
-    numerator once."""
-    checked_int(horizon, "horizon")
-    cut = x._cut
-    if cut is None or cut.horizon != horizon:
-        inside = _inside(x._num, horizon)
-        layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon) if x._den else None
-        x._cut = cut = _Cut(horizon, inside, layout)
-    return cut
+    numerator's terms within the horizon (:func:`_inside`), or one per such
+    term when x is a polynomial."""
+    inside = _inside(x.numerator, horizon)
+    if not x.denominator:
+        return len(inside)
+    return _skewed_layout({i - j for (i, j), _ in inside}, horizon).size
 
 
 def _inside(p: BivariatePolynomial, horizon: int) -> list[tuple[ExponentPair, int]]:
     """The terms of p with i + j <= horizon.  When p holds its terms in
     output order (:func:`_unpack`), they are a prefix: all of them when the
-    last term is within the horizon, copied at once, or else those before
-    the first term past it."""
-    items = p._terms.items()
+    last term is within the horizon, copied at once, or else as many as the
+    scan meets before the first term past it."""
+    terms = p._terms
     if p._ordered:
-        if not items or sum(next(reversed(p._terms))) <= horizon:
-            return list(items)
-        return list(takewhile(lambda item: item[0][0] + item[0][1] <= horizon, items))
-    return [((i, j), c) for (i, j), c in items if i + j <= horizon]
+        if not terms or sum(next(reversed(terms))) <= horizon:
+            return list(terms.items())
+        n = 0
+        for i, j in terms:
+            if i + j > horizon:
+                break
+            n += 1
+        return list(islice(terms.items(), n))
+    return [((i, j), c) for (i, j), c in terms.items() if i + j <= horizon]
 
 
 # Python refuses int <-> decimal str conversions past a digit limit (4300 by

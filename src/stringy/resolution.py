@@ -493,26 +493,20 @@ def _poly_from_triples(raw, where: str) -> BivariatePolynomial:
         raise ConfigFormatError(f"{where}: expected a list of [i, j, c] triples")
     terms: dict[tuple[int, int], int] = {}
     for entry in raw:
-        # the common case, exactly [int, int, int] of a new pair, is stored
-        # at once; anything else goes through the checks below, in order
-        if type(entry) is list and len(entry) == 3:
-            i, j, c = entry
-            if type(i) is int and type(j) is int and type(c) is int and i >= 0 and j >= 0 and c:
-                pair = (i, j)
-                if pair not in terms:
-                    terms[pair] = c
-                    continue
         if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigFormatError(f"{where}: each term must be a triple [i, j, c], got {entry!r}")
         i, j, c = entry
-        if isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int):
+        # exact ints, the common case, skip the isinstance tests and the decoding
+        if (type(i) is not int or type(j) is not int) and (
+                isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int)):
             raise ConfigFormatError(f"{where}: exponents must be integers, got {entry!r}")
         if i < 0 or j < 0:
             raise ConfigFormatError(f"{where}: exponents must be nonnegative, got {entry!r}")
-        try:
-            c = decode_json_int(c)
-        except ValueError as exc:
-            raise ConfigFormatError(f"{where}: {exc}") from None
+        if type(c) is not int:
+            try:
+                c = decode_json_int(c)
+            except ValueError as exc:
+                raise ConfigFormatError(f"{where}: {exc}") from None
         if c == 0:
             raise ConfigFormatError(f"{where}: zero coefficient at ({i},{j}) must be omitted")
         if (i, j) in terms:

@@ -465,3 +465,42 @@ def packed_sum_bits_multipass(cfg, degree, factors):
     offsets = len({i - j for i, j in pairs})
     powers = max((min(pair) for pair in pairs), default=0) + degree + 1
     return packed_bits(offsets * powers, norm << 2 * factors)
+
+
+def merge_by_levels_tuples(terms, width, offsets):
+    """``stringy.exact_poly._merge`` as it was computed before it grouped
+    the terms by key, with every need a tuple of counts: packed terms
+    (value, top, factors, gains, lift) multiplied out one distinct m at a
+    time, as (value, degree bound, the common denominator's factors)."""
+    keys = {(factors, gains) for _, _, factors, gains, _ in terms}
+    distinct = sorted({m for key in keys for part in key for m in part})
+    largest = dict.fromkeys(distinct, 0)
+    for factors, _ in keys:
+        for m in factors:
+            largest[m] = max(largest[m], factors.count(m))
+    common = tuple(m for m in distinct for _ in range(largest[m]))
+    index = {m: k for k, m in enumerate(distinct)}
+    needs = {}
+    for factors, gains in keys:
+        need = list(largest.values())
+        for m in factors:
+            need[index[m]] -= 1
+        for m in gains:
+            need[index[m]] += 1
+        needs[factors, gains] = (tuple(need), sum(common) - sum(factors) + sum(gains))
+    step = width * len(offsets)
+    pending = {}
+    degree = 0
+    for value, top, factors, gains, lift in terms:
+        if value:
+            need, gained = needs[factors, gains]
+            degree = max(degree, top + lift + gained)
+            pending[need] = pending.get(need, 0) + ((-value if lift & 1 else value) << lift * step)
+    for m in distinct:
+        merged = {}
+        for at, part in pending.items():
+            for _ in range(at[0]):
+                part = (part << step * m) - part
+            merged[at[1:]] = merged.get(at[1:], 0) + part
+        pending = merged
+    return pending.get((), 0), degree, common

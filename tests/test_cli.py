@@ -876,24 +876,24 @@ def test_deep_series_stays_linear(run, tmp_path, argv):
         assert code in (0, 1) and out.startswith("nonneg: ")
 
 
-def test_series_cost_and_expansion_share_one_cut(run, tmp_path, monkeypatch):
-    # the series-cost check reads the numerator's terms within the horizon
-    # once, and the expansion after it reuses them; the boundary and the
-    # refusal are those of the expansion's size
+def test_series_cost_boundary_is_the_expansion_size(run, tmp_path, monkeypatch):
+    # the series-cost check counts what the expansion computes: a budget of
+    # exactly that size expands, one less refuses before any expansion
     path = tmp_path / "series.json"
     path.write_text(json.dumps(_series_shaped_config(200)))
     size = exact_poly.series_size(engine.compute(resolution.load_config(path), 10).e_open, 200)
-    cuts = []
-    real_inside = exact_poly._inside
-    monkeypatch.setattr(exact_poly, "_inside", lambda p, horizon: cuts.append(horizon) or real_inside(p, horizon))
+    expansions = []
+    real_expand = engine.expand_rational
+    monkeypatch.setattr(engine, "expand_rational", lambda x, horizon: expansions.append(horizon) or real_expand(x, horizon))
     monkeypatch.setattr(cli, "SERIES_BUDGET", size)
     assert run("compute", str(path), "--horizon", "200")[0] == 0
-    assert cuts == [200]
+    assert expansions == [200]
     monkeypatch.setattr(cli, "SERIES_BUDGET", size - 1)
     code, out, _ = run("compute", str(path), "--horizon", "200", "--format", "json")
     assert code == 2
     assert json.loads(out)["error"] == (f"series-cost: expanding to horizon 200 computes {size} coefficients, "
                                         f"over the budget of {size - 1}")
+    assert expansions == [200]
 
 
 @pytest.mark.parametrize("argv", [("compute",), ("check", "--nonneg"), ("check",)])

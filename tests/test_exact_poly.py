@@ -35,6 +35,7 @@ from oracles import (
     dict_mul,
     divide_by_t_poly,
     long_divide_by_cyclo,
+    merge_by_levels_tuples,
     rational_equal,
     series_expand,
     truncate_total_degree,
@@ -536,21 +537,22 @@ class TestMerge:
     # factors and its own four gains, past either key's own counts
     @example([(P({(0, 0): 1}), (2, 2, 2, 2), (), 0), (P({(1, 0): 1}), (), (2, 2, 2, 2), 0)])
     @settings(max_examples=100, deadline=None)
-    def test_level_and_pairwise_orders_agree(self, terms):
-        # the crossover forced each way: both orders make the same packed
-        # value, degree bound and common denominator, and the sum's value
+    def test_merge_matches_the_tuple_need_merge(self, terms):
+        # the merge makes the packed value, degree bound and common
+        # denominator of the level order with a tuple per need, and the
+        # sum's value
         expected = StringyRational(0)
         for num, factors, gains, lift in terms:
             expected = expected + StringyRational(
                 num * CycloProduct(gains).polynomial() * P({(lift, lift): (-1) ** lift}), factors)
-        sums = []
-        for crossover in (2 ** 64, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(exact_poly, "_PAIRWISE_BITS", crossover)
-                num, den = common_denominator_sum(terms)
-            assert StringyRational(num, den) == expected
-            sums.append((num.value, num.degree, num.width, num.offsets, den.factors))
-        assert sums[0] == sums[1]
+        calls = []
+        real_merge = exact_poly._merge
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_poly, "_merge", lambda *args: calls.append(args) or real_merge(*args))
+            num, den = common_denominator_sum(terms)
+        assert StringyRational(num, den) == expected
+        (packed, width, offsets), = calls
+        assert (num.value, num.degree, den.factors) == merge_by_levels_tuples(packed, width, offsets)
 
 
 class TestPackedKernel:

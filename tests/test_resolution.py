@@ -523,8 +523,8 @@ class TestInterchange:
     ], ids=["bool-exponent", "negative-exponent", "float-exponent", "float-coefficient", "zero-coefficient",
             "duplicate-pair", "two-elements", "bool-coefficient", "tuple"])
     def test_bad_triple_after_good_ones_keeps_its_message(self, bad, message):
-        # the entries before it are stored without the checks; the bad one
-        # meets them in their order, with the same text
+        # the entries before it are exact ints, the common case; the bad one
+        # meets the checks in their order, with the same text
         with pytest.raises(ConfigFormatError) as info:
             load_config({"dimension": 3, "ambient": [[1, 0, 2], [2, 2, 1], bad], "components": [],
                          "strata_convention": "closed", "strata": {}})
