@@ -31,14 +31,14 @@ The central representation choices:
   The merge multiplies each term by the factors it lacks one distinct
   factor at a time, so a factor shared by many terms is multiplied once
   into their sum.
-  The agreement check (:func:`same_value`) and the cancellation
-  (:func:`_reduce`) run on the packed sums; the canonical numerator is
-  unpacked once, in output order.  A sum's slots are as wide as a bound
-  on sum_terms |num|_1 2^(factors multiplied in) needs, plus a sign bit,
-  in whole bytes.  The cancellation bounds nothing ahead: it runs at that
-  width and confirms its answer after the fact, and only a failed
-  confirmation doubles the width and runs it again (proofs in
-  :func:`_reduce`).
+  The agreement check (:func:`same_value`) compares the two formula sums
+  on the config's one layout, and the cancellation (:func:`_reduce`) runs
+  on a packed sum; the canonical numerator is unpacked once, in output
+  order.  A sum's slots are as wide as a bound on sum_terms |num|_1
+  2^(factors multiplied in) needs, plus a sign bit, in whole bytes.  The
+  cancellation bounds nothing ahead: it runs at that width and confirms
+  its answer after the fact, and only a failed confirmation widens the
+  slots (:func:`_relayout`) and runs it again (proofs in :func:`_reduce`).
   A packed value costs its slots times its width in time and memory, so
   one over ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
   it is made.  Values with an empty denominator stay sparse.
@@ -132,20 +132,9 @@ class BivariatePolynomial:
         return cls({(i, j): c} if c else None)
 
     @classmethod
-    def uv_power(cls, k: int, c: int = 1) -> "BivariatePolynomial":
-        """c * (uv)^k."""
-        return cls.monomial(k, k, c)
-
-    @classmethod
     def from_diagonal(cls, coeffs: Mapping[int, int]) -> "BivariatePolynomial":
         """Build a polynomial in t = uv from a map {k: coefficient of t^k}."""
         return cls({(k, k): c for k, c in coeffs.items()})
-
-    @classmethod
-    def cyclo_factor(cls, m: int) -> "BivariatePolynomial":
-        """(uv)^m - 1."""
-        checked_int(m, "cyclotomic-product exponent", 1)
-        return cls({(m, m): 1, (0, 0): -1})
 
     # -- inspection ---------------------------------------------------------
 
@@ -173,15 +162,6 @@ class BivariatePolynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def degree_u(self) -> int:
-        return max((i for i, _ in self._terms), default=0)
-
-    def degree_v(self) -> int:
-        return max((j for _, j in self._terms), default=0)
-
-    def is_uv_symmetric(self) -> bool:
-        return all(self._terms.get((j, i), 0) == c for (i, j), c in self._terms.items())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -257,24 +237,14 @@ class BivariatePolynomial:
         """Divide by (uv)^m - 1, returning the quotient or None when the
         division is not exact.
 
-        On the packed polynomial (:class:`PackedNumerator`) every row is
-        divisible by t^m - 1 exactly when the value is divisible by
-        2^(width R m) - 1, and the quotient is the exact integer quotient
-        (:func:`_exact_quotient`).  The width holds the sum of |c|, which
-        bounds every residue-class sum and every quotient coefficient.
-        The packed value has a slot per power of uv up to the degree, so
-        a polynomial whose packed value would pass ``PACKED_BIT_BUDGET``
-        bits raises ``PackedSizeError``.
+        This is the verdict of the canonical form: self / ((uv)^m - 1)
+        cancels to a polynomial (:class:`StringyRational`) exactly when the
+        division is exact, and that polynomial is the quotient.  A
+        polynomial whose packed value would pass ``PACKED_BIT_BUDGET`` bits
+        raises ``PackedSizeError``.
         """
-        checked_int(m, "cyclotomic-product exponent", 1)
-        if not self._terms:
-            return BivariatePolynomial()
-        p = common_denominator_sum([(self, ())])[0]
-        w = p.width * len(p.offsets) * m
-        if not _vanishes(p.value, w, ()):
-            return None
-        return _unpack(PackedNumerator(_exact_quotient(p.value, w), p.width, p.offsets,
-                                       p.degree - m, p.norm))
+        x = StringyRational(self, (checked_int(m, "cyclotomic-product exponent", 1),))
+        return x.numerator if x.is_polynomial else None
 
 
 def _polynomial(terms: dict[ExponentPair, int]) -> BivariatePolynomial:
@@ -668,24 +638,21 @@ def _pack_tables(tables: list[tuple[BivariatePolynomial, int, int]], spare: int 
                                   for (p, _, _), span in zip(tables, rows)]
 
 
-def _relayout(p: PackedNumerator, width: int, offsets: tuple[int, ...]) -> int:
-    """p's value with slots of ``width`` bits over ``offsets``, which contain
-    p's own.  The biased digits move as bytes, by strided slice assignment."""
+def _relayout(p: PackedNumerator, width: int) -> int:
+    """p's value with slots widened to ``width`` bits, on p's own offsets.
+    The biased digits move as bytes, by one strided slice assignment per
+    byte of p's slots."""
     if not p.value:
         return 0
     nb, wide = p.width // 8, width // 8
-    R, wide_R = len(p.offsets), len(offsets)
-    rows = p.degree + 1
-    _check_size(rows * wide_R, width)
+    slots = (p.degree + 1) * len(p.offsets)
+    _check_size(slots, width)
     half = 1 << (p.width - 1)  # added to every slot, it makes each digit nonnegative
-    data = (p.value + int.from_bytes(_repeated(half, nb, rows * R), "little")).to_bytes(rows * R * nb, "little")
-    fill = _repeated(half, wide, rows * wide_R)
+    data = (p.value + int.from_bytes(_repeated(half, nb, slots), "little")).to_bytes(slots * nb, "little")
+    fill = _repeated(half, wide, slots)
     out = bytearray(fill)
-    rank = {s: r for r, s in enumerate(offsets)}
-    for r, s in enumerate(p.offsets):
-        at = rank[s] * wide
-        for b in range(nb):
-            out[at + b::wide * wide_R] = data[r * nb + b::R * nb]
+    for b in range(nb):
+        out[b::wide] = data[b::nb]
     return int.from_bytes(out, "little") - int.from_bytes(fill, "little")
 
 
@@ -863,7 +830,7 @@ def _write_back(num: PackedNumerator, den: CycloProduct, reduced: CycloProduct
     degree = num.degree + gained.degree_uv()
     width = max(num.width, _width(num.norm << len(gained)))
     _check_size((degree + 1) * len(num.offsets), width)
-    value = num.value if width == num.width else _relayout(num, width, num.offsets)
+    value = num.value if width == num.width else _relayout(num, width)
     step = width * len(num.offsets)
     for m in gained:
         value = (value << step * m) - value
@@ -1006,7 +973,7 @@ def _reduce(num: Union[BivariatePolynomial, PackedNumerator], den: CycloProduct
         if out is not None and _fits(out, 1 + len(reduced.union(den)) - len(reduced)):
             return _unpack(out), reduced
         width = 2 * num.width
-        num = PackedNumerator(_relayout(num, width, num.offsets), width, num.offsets, num.degree, num.norm)
+        num = PackedNumerator(_relayout(num, width), width, num.offsets, num.degree, num.norm)
 
 
 def _largest(keys: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> dict[int, int]:
@@ -1039,8 +1006,7 @@ def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[in
     added first.  Then they are multiplied out one distinct m at a time,
     merging first the partial sums that still need the same factors among
     the m to come, so a factor shared by many terms is multiplied once into
-    their sum; once one partial sum is left, it takes the rest of its need
-    alone.
+    their sum.
 
     When n terms each lack the others' factors, their sums merge only at
     the end, after about n^2/2 shift-subtracts at full size.  A pairwise
@@ -1106,11 +1072,8 @@ def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[in
             pending[need] += value
         else:
             pending[need] = value
-    shifts = [step * m for m in distinct]
     mask = (1 << bits) - 1
-    done = 0
-    while len(pending) > 1:
-        shift = shifts[done]
+    for shift in [step * m for m in distinct]:
         merged: dict[int, int] = {}
         for at, part in pending.items():
             n = at & mask
@@ -1123,17 +1086,7 @@ def _merge(terms: list[tuple], width: int, offsets: tuple[int, ...]) -> tuple[in
             else:
                 merged[rest] = part
         pending = merged
-        done += 1
-    if not pending:
-        return 0, degree, common
-    (need, value), = pending.items()
-    for shift in shifts[done:]:
-        if not need:
-            break
-        for _ in range(need & mask):
-            value = (value << shift) - value
-        need >>= bits
-    return value, degree, common
+    return pending.get(0, 0), degree, common
 
 
 def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, CycloProduct]:
@@ -1153,8 +1106,9 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     own denominator lacks.  The layout has the offsets of every term, and a
     width that holds norm = sum over terms of |num|_1 2^(number of factors
     multiplied in) plus a sign bit.  norm bounds |sum|_1 and every partial
-    sum's, so this width holds every digit of the sum.  A sum whose packed value would pass ``PACKED_BIT_BUDGET`` bits
-    raises ``PackedSizeError`` before any term is packed.
+    sum's, so this width holds every digit of the sum.  A sum whose packed
+    value would pass ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError``
+    before any term is packed.
     """
     keys: dict[tuple, None] = {}
     checked: set[int] = set()
@@ -1177,26 +1131,22 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     return PackedNumerator(value, width, offsets, degree, norm), common
 
 
-def same_value(x: tuple, y: tuple) -> bool:
-    """Whether (numerator, denominator) pairs x and y, cancelled or not, are
-    one rational function: each numerator times the factors of the union of
-    the denominators that its own lacks, compared as ints over one packed
-    layout wide enough for both products."""
-    packed = []
-    for num, den in (x, y):
-        if not isinstance(num, PackedNumerator):
-            num = common_denominator_sum([(num, ())])[0]
-        packed.append((num, _coerce_cyclo(den)))
-    (a, da), (b, db) = packed
-    both = da.union(db)
-    ga, gb = both.minus(da), both.minus(db)
-    width = max(a.width, b.width, _width(a.norm << len(ga)), _width(b.norm << len(gb)))
-    offsets = a.offsets if a.offsets == b.offsets else tuple(sorted(set(a.offsets) | set(b.offsets)))
-    step = width * len(offsets)
+def same_value(x: tuple[PackedNumerator, CycloProduct], y: tuple[PackedNumerator, CycloProduct]) -> bool:
+    """Whether the packed sums x and y, (numerator, denominator) pairs not
+    cancelled, are one rational function: each numerator times the factors
+    of the union of the denominators that its own lacks, compared as ints.
+
+    Both numerators must be on one layout, whose width holds every digit of
+    both products: the engine's two formula sums are, on the config's
+    layout (``engine._packed_strata``), as
+    ``test_packed_sums_match_converted_tables`` asserts."""
+    both = x[1].union(y[1])
     values = []
-    for p, gain in ((a, ga), (b, gb)):
-        _check_size((p.degree + gain.degree_uv() + 1) * len(offsets), width)
-        value = p.value if (p.width, p.offsets) == (width, offsets) else _relayout(p, width, offsets)
+    for p, den in (x, y):
+        gain = both.minus(den)
+        _check_size((p.degree + gain.degree_uv() + 1) * len(p.offsets), p.width)
+        step = p.width * len(p.offsets)
+        value = p.value
         for m in gain:
             value = (value << step * m) - value
         values.append(value)
@@ -1479,8 +1429,9 @@ def encode_json_int(value: int) -> Union[int, str]:
 
 
 def decode_json_int(value) -> int:
-    """Accept either encoding produced by :func:`encode_json_int`; a decimal
-    string may have any number of digits."""
+    """Accept either encoding produced by :func:`encode_json_int`: a decimal
+    string is an optional sign and ASCII digits, any number of them, with
+    surrounding whitespace stripped."""
     if isinstance(value, bool):
         raise ValueError(f"expected an integer, got {value!r}")
     if isinstance(value, int):
@@ -1491,8 +1442,5 @@ def decode_json_int(value) -> int:
         if digits.isascii() and digits.isdigit():
             n = _int_from_digits(digits)
             return -n if stripped[0] == "-" else n
-        try:
-            return int(stripped, 10)
-        except ValueError:
-            raise ValueError(f"not a decimal integer: {_excerpt(value)}") from None
+        raise ValueError(f"not a decimal integer: {_excerpt(value)}")
     raise ValueError(f"expected an integer or decimal string, got {value!r}")

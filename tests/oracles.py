@@ -428,10 +428,11 @@ def lenient_findings_multipass(cfg):
     if cfg.singular_locus is not None:
         named.append(("singular_locus", cfg.singular_locus))
     for name, h in named:
-        if not h.poly.is_uv_symmetric():
+        terms = dict(h.poly.items())
+        if any(terms.get((j, i), 0) != c for (i, j), c in terms.items()):
             findings.append(Finding("error", "uv-asymmetry",
                                     f"polynomial of {name} is not symmetric in u and v", name))
-        if max(h.poly.degree_u(), h.poly.degree_v()) > resolution.EXPONENT_BUDGET:
+        if max((max(pair) for pair in terms), default=0) > resolution.EXPONENT_BUDGET:
             findings.append(Finding("error", "exponent-cost",
                                     f"polynomial of {name} has an exponent over the budget of "
                                     f"{resolution.EXPONENT_BUDGET}", name))

@@ -51,8 +51,6 @@ GUARDED = {
     "check_nonnegativity": ("dimension", lambda n: check_nonnegativity(TruncatedBiseries(4), n), 0),
     "correction_factor_series.a": ("discrepancy", lambda n: correction_factor_series(n, 3), 0),
     "correction_factor_series.horizon": ("horizon", lambda n: correction_factor_series(1, n), 0),
-    "BivariatePolynomial.cyclo_factor":
-        ("cyclotomic-product exponent", BivariatePolynomial.cyclo_factor, 1),
     "BivariatePolynomial.exact_cyclo_quotient":
         ("cyclotomic-product exponent", ONE.exact_cyclo_quotient, 1),
     "CycloProduct": ("denominator factor", lambda n: CycloProduct([2, n]), 1),

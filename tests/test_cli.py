@@ -639,6 +639,18 @@ class TestErrors:
         assert code == 2
         assert out.startswith("error: ")
 
+    @pytest.mark.parametrize("digits", ["1_000", "\u0663", "\uff11\uff12"])
+    def test_decimal_strings_are_ascii_digits(self, run, tmp_path, digits):
+        # int() would read these as 1000, 3 and 12, and compute would exit 0
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "ambient": [[0, 0, digits]], "components": [],
+            "strata_convention": "closed", "strata": {},
+        }))
+        code, out, _ = run("compute", str(path))
+        assert code == 2
+        assert out == f"error: ambient: not a decimal integer: {digits!r}\n"
+
     @pytest.mark.parametrize("name, blob", [
         ("latin1.json", b'{"dimension": 3, "label": "\xe9"}'),
         ("deep.json", b"[" * 100000),

@@ -26,6 +26,8 @@ from stringy.engine import (
 )
 from stringy.exact_poly import (
     BivariatePolynomial,
+    CycloProduct,
+    PackedNumerator,
     StringyRational,
     TruncatedBiseries,
     expand_rational,
@@ -150,7 +152,7 @@ class TestE6:
     def test_perturbed_duality_fails_with_witness(self):
         x = stringy_e_open(e6_config())
         bent = StringyRational(
-            x.numerator + BivariatePolynomial.uv_power(1), x.denominator.factors
+            x.numerator + BivariatePolynomial.monomial(1, 1), x.denominator.factors
         )
         outcome = check_duality(bent, 3)
         assert not outcome.passed
@@ -291,7 +293,7 @@ class TestDuality:
 
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 6])
     def test_perturbed_projective_spaces_fail(self, n):
-        bent = StringyRational(projective_space(n).poly + BivariatePolynomial.uv_power(1))
+        bent = StringyRational(projective_space(n).poly + BivariatePolynomial.monomial(1, 1))
         outcome = check_duality(bent, n)
         assert not outcome.passed
         assert outcome.witness == ((0, 0) if n == 1 else (1, 1))
@@ -299,7 +301,7 @@ class TestDuality:
     def test_perturbed_p2_stays_self_dual(self):
         # 1 + 2uv + (uv)^2 is palindromic about uv, so the +uv perturbation
         # is invisible to the functional equation in dimension 2
-        bent = StringyRational(projective_space(2).poly + BivariatePolynomial.uv_power(1))
+        bent = StringyRational(projective_space(2).poly + BivariatePolynomial.monomial(1, 1))
         assert check_duality(bent, 2).passed
 
     def test_representation_independent(self):
@@ -407,7 +409,7 @@ def near_budget_configs(draw):
         poly = BivariatePolynomial(terms)
         for comp in components:
             if comp.label in key and comp.discrepancy and draw(st.booleans()):
-                poly = poly * BivariatePolynomial.cyclo_factor(comp.discrepancy + 1)
+                poly = poly * CycloProduct([comp.discrepancy + 1]).polynomial()
         return HodgeDelignePolynomial(poly)
 
     keys = draw(st.sets(st.frozensets(st.sampled_from(labels), min_size=1), min_size=1, max_size=4))
@@ -506,20 +508,30 @@ class TestFormulaEquivalence:
         mine = engine._open_sum(cfg), engine._closed_sum(cfg)
         for (num, den), (their_num, their_den) in zip(mine, _sums_over_converted_tables(cfg)):
             assert den.factors == their_den.factors
-            assert exact_poly.same_value((num, den), (their_num, their_den))
             assert StringyRational(num, den) == StringyRational(their_num, their_den)
-        # one layout serves the agreement check, within the bound validation sets
+        # one layout serves the agreement check: its width holds the norm
+        # of both products, and its size is within the bound validation sets
         strata = engine._packed_strata(cfg)
         (x, dx), (y, dy) = mine
         assert (x.width, x.offsets) == (y.width, y.offsets) == (strata.width, strata.offsets)
         both = dx.union(dy)
+        assert all(exact_poly._width(p.norm << len(both.minus(den))) <= p.width for p, den in mine)
         rows = max(p.degree + both.minus(den).degree_uv() for p, den in mine) + 1
         nonzero = [comp.discrepancy for comp in cfg.components if comp.discrepancy]
         bound = resolution._packed_sum_bits(cfg, sum(a + 1 for a in nonzero), len(nonzero))
         assert rows * len(strata.offsets) * strata.width <= bound
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exact_poly, "_relayout", None)  # a call would raise
-            assert exact_poly.same_value(*mine)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_configs(), st.booleans())
+    def test_same_value_on_the_formula_sums(self, cfg, bent_open):
+        # the agreement check holds on the two formula sums, and one unit
+        # added to either sum's packed value breaks it
+        sums = [engine._open_sum(cfg), engine._closed_sum(cfg)]
+        assert exact_poly.same_value(*sums)
+        at = 0 if bent_open else 1
+        p, den = sums[at]
+        sums[at] = (PackedNumerator(p.value + 1, p.width, p.offsets, p.degree, p.norm), den)
+        assert not exact_poly.same_value(*sums)
 
     @settings(max_examples=80, deadline=None)
     @given(lattice_configs())
