@@ -22,8 +22,7 @@ layout; E_st is cancelled once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import compress
 from typing import NamedTuple, Union
 
@@ -224,19 +223,41 @@ def _closed_sum(cfg: ResolutionConfig):
     return _formula_sum(strata, terms)
 
 
-@dataclass(frozen=True)
 class StringyResult:
-    e_open: StringyRational
-    e_closed: StringyRational
-    agree: bool
-    horizon: int
-    dimension: int
+    """Both formulas' E_st, whether they agree, and the horizon to expand
+    it to; immutable by contract, equal to another exactly when all five
+    fields are."""
 
-    @cached_property
+    __slots__ = ("e_open", "e_closed", "agree", "horizon", "dimension", "_series")
+
+    def __init__(self, e_open: StringyRational, e_closed: StringyRational, agree: bool, horizon: int,
+                 dimension: int):
+        self.e_open, self.e_closed, self.agree, self.horizon, self.dimension = (
+            e_open, e_closed, agree, horizon, dimension)
+        self._series = None
+
+    def _key(self) -> tuple:
+        return self.e_open, self.e_closed, self.agree, self.horizon, self.dimension
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"StringyResult(e_open={self.e_open!r}, e_closed={self.e_closed!r}, agree={self.agree!r}, "
+                f"horizon={self.horizon!r}, dimension={self.dimension!r})")
+
+    @property
     def series(self) -> TruncatedBiseries:
         """E_st expanded to the horizon, on first access only: a caller that
         reads nothing but the formulas pays for no expansion."""
-        return expand_rational(self.e_open, self.horizon)
+        if self._series is None:
+            self._series = expand_rational(self.e_open, self.horizon)
+        return self._series
 
 
 def compute(cfg: ResolutionConfig, horizon: Union[int, None] = None) -> StringyResult:
@@ -256,8 +277,7 @@ def compute(cfg: ResolutionConfig, horizon: Union[int, None] = None) -> StringyR
     return StringyResult(e_open, e_closed, agree, horizon, cfg.dimension)
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     passed: bool
     witness: Union[tuple[int, int], None] = None
     detail: str = ""
@@ -305,13 +325,11 @@ def check_symmetry(x: StringyRational) -> CheckOutcome:
     return CheckOutcome(True)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     value: BivariatePolynomial
 
 
-@dataclass(frozen=True)
-class NotPolynomial:
+class NotPolynomial(NamedTuple):
     witness: tuple[int, int]
     reason: str
 
@@ -388,8 +406,7 @@ def generalized_stringy_hodge_numbers(series: TruncatedBiseries, d: int
     return diamond_from_polynomial(BivariatePolynomial(lower + reflected), d)
 
 
-@dataclass(frozen=True)
-class NonnegativityReport:
+class NonnegativityReport(NamedTuple):
     dimension: int
     horizon: int
     violations: tuple[tuple[int, int, int], ...]  # (i, j, b) with i+j <= d and wrong sign
@@ -452,8 +469,7 @@ def correction_factor_series(a: int, horizon: int) -> dict[int, int]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
+class DecompositionRow(NamedTuple):
     i: int
     j: int
     direct: int           # b_{i,j} from the expansion
@@ -469,10 +485,9 @@ class DecompositionRow:
         return self.c_term + self.alternating_sum + self.r_term
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     rows: tuple[DecompositionRow, ...]
-    rejected: tuple[tuple[tuple[int, int], str], ...] = field(default_factory=tuple)
+    rejected: tuple[tuple[tuple[int, int], str], ...] = ()
 
 
 def decompose_coefficients(cfg: ResolutionConfig, pairs) -> DecompositionResult:

@@ -13,8 +13,7 @@ report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .exact_poly import BivariatePolynomial, decimal_str
 from .validation import Finding, ValidationReport, checked_int
@@ -30,16 +29,29 @@ def _combine_same(a: Union[int, None], b: Union[int, None]) -> Union[int, None]:
     return a if a == b else None
 
 
-@dataclass(frozen=True)
 class HodgeDelignePolynomial:
-    poly: BivariatePolynomial
-    claimed_dimension: Union[int, None] = None
+    """A polynomial and its claimed dimension; immutable by contract, equal
+    to another exactly when both fields are."""
 
-    def __post_init__(self):
-        if not isinstance(self.poly, BivariatePolynomial):
+    __slots__ = ("poly", "claimed_dimension")
+
+    def __init__(self, poly: BivariatePolynomial, claimed_dimension: Union[int, None] = None):
+        if not isinstance(poly, BivariatePolynomial):
             raise TypeError("poly must be a BivariatePolynomial")
-        if self.claimed_dimension is not None:
-            checked_int(self.claimed_dimension, "claimed dimension")
+        if claimed_dimension is not None:
+            checked_int(claimed_dimension, "claimed dimension")
+        self.poly, self.claimed_dimension = poly, claimed_dimension
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.poly == other.poly and self.claimed_dimension == other.claimed_dimension
+
+    def __hash__(self) -> int:
+        return hash((self.poly, self.claimed_dimension))
+
+    def __repr__(self) -> str:
+        return f"HodgeDelignePolynomial(poly={self.poly!r}, claimed_dimension={self.claimed_dimension!r})"
 
     @property
     def is_zero(self) -> bool:
@@ -182,8 +194,7 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
     return ValidationReport(mode="smooth-projective", findings=tuple(findings))
 
 
-@dataclass(frozen=True)
-class DiamondViolation:
+class DiamondViolation(NamedTuple):
     """A failed Hodge-diamond identity: the offending position and value."""
 
     location: tuple[int, int]

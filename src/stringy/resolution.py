@@ -10,11 +10,10 @@ lattice walk enumerates only stored keys and their subsets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .exact_poly import (
     PACKED_BIT_BUDGET,
@@ -68,8 +67,7 @@ DISCREPANCY_BUDGET = 2 ** 18
 SERIES_BUDGET = 2 ** 18
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     label: str
     discrepancy: int  # validated, not enforced: see validate()
 

@@ -3,8 +3,7 @@ and the one guard for integer arguments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class ConfigFormatError(ValueError):
@@ -22,8 +21,7 @@ class ConfigValidationError(ValueError):
         super().__init__(f"config rejected: {lines}")
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     severity: str  # "error" or "warning"
     code: str
     message: str
@@ -34,10 +32,9 @@ class Finding:
         return f"{self.severity}: {self.code}{where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     mode: str  # "lenient" or "strict"
-    findings: tuple[Finding, ...] = field(default_factory=tuple)
+    findings: tuple[Finding, ...] = ()
 
     @property
     def accepted(self) -> bool:

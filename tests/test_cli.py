@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -427,7 +426,8 @@ class TestCheck:
         def skewed_compute(cfg, horizon):
             result = real_compute(cfg, horizon)
             skew = StringyRational(BivariatePolynomial({(2, 1): 5}))
-            return dataclasses.replace(result, e_open=result.e_open + skew)
+            return engine.StringyResult(result.e_open + skew, result.e_closed, result.agree,
+                                        result.horizon, result.dimension)
 
         monkeypatch.setattr(cli, "compute", skewed_compute)
         code, out, _ = run("check", SMOOTH, "--symmetry")
@@ -945,6 +945,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("E_st = ")
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses, and the inspect, ast and dis it imports, would cost every
+    # run several milliseconds of start-up; -S keeps site's imports out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import stringy.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # -- robustness: no input file may raise out of the CLI -----------------------

@@ -146,6 +146,19 @@ class TestE6:
         assert series_dict(got) == want
         assert got.horizon == horizon
 
+    def test_series_expanded_on_first_read_only(self, monkeypatch):
+        calls = []
+        real_expand = engine.expand_rational
+        monkeypatch.setattr(engine, "expand_rational", lambda x, h: calls.append(h) or real_expand(x, h))
+        result = compute(e6_config(), 12)
+        assert calls == []
+        series = result.series
+        assert result.series is series and calls == [12]
+        assert result == compute(e6_config(), 12) and hash(result) == hash(compute(e6_config(), 12))
+        assert result != compute(e6_config(), 11)
+        assert repr(result) == (f"StringyResult(e_open={result.e_open!r}, e_closed={result.e_closed!r}, "
+                                f"agree=True, horizon=12, dimension=3)")
+
     def test_duality_passes(self):
         assert check_duality(stringy_e_open(e6_config()), 3)
 

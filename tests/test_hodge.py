@@ -48,6 +48,24 @@ class TestHodgeDelignePolynomial:
         assert prod.claimed_dimension == 5
         assert prod.poly == a.poly * b.poly
 
+    def test_equality_and_hash_over_both_fields(self):
+        a = hd({(1, 1): 1, (0, 0): 1}, 1)
+        assert a == hd({(0, 0): 1, (1, 1): 1}, 1) and hash(a) == hash(hd({(0, 0): 1, (1, 1): 1}, 1))
+        assert a != hd({(1, 1): 1, (0, 0): 1}) and a != hd({(1, 1): 1}, 1)
+        assert a != (a.poly, a.claimed_dimension)
+        assert len({a, hd({(0, 0): 1, (1, 1): 1}, 1), hd({(1, 1): 1, (0, 0): 1}, 2)}) == 2
+        assert repr(a) == f"HodgeDelignePolynomial(poly={a.poly!r}, claimed_dimension=1)"
+
+    @pytest.mark.parametrize("combine", [lambda h: h * 3, lambda h: 3 * h, lambda h: h + ()],
+                             ids=["hdp*3", "3*hdp", "hdp+()"])
+    def test_arithmetic_with_other_types_raises(self, combine):
+        with pytest.raises(TypeError):
+            combine(projective_space(1))
+
+    def test_poly_must_be_a_polynomial(self):
+        with pytest.raises(TypeError, match="poly must be a BivariatePolynomial"):
+            HodgeDelignePolynomial({(0, 0): 1})
+
     def test_no_symmetry_enforcement(self):
         # open strata legitimately violate Serre duality; the type must not reject them
         h = hd({(1, 0): 2})
