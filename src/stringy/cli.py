@@ -10,8 +10,11 @@ The json format is loss-free and byte-stable: keys are sorted, indentation
 is fixed, timings are integer microseconds, and any integer beyond signed
 64-bit range is a decimal string.  Each report is exactly the standard
 ``json`` module's ``dumps(report, sort_keys=True, indent=2) + "\n"``,
-written by one writer (:func:`_json_text`) that emits polynomial terms
-straight from ``sorted_items()``, read only when a report is written.
+written by one writer (:func:`_json_text`), which reads polynomial terms
+only when a report is written.  A flat numerator or series (one on its
+skewed layout, see ``exact_poly``) is written from its nonzero values and
+the text of a triple up to its coefficient kept per layout position, with
+no term map; any other polynomial from ``sorted_items()``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .exact_poly import (
     series_size,
 )
 from .render import (
+    _LayoutStrings,
     polynomial_latex,
     polynomial_text,
     rational_latex,
@@ -72,16 +76,22 @@ class _Triples:
     """Terms ((i, j), c) in output order, written as [[i, j, c], ...] with
     encode_json_int's rule for c.  Holds the function that gives them and
     calls it only when the writer writes them, so a text run, which writes
-    no report, neither orders nor copies any terms."""
+    no report, neither orders nor copies any terms.  The terms of a flat
+    polynomial or series are written from its values and layout (``flat``)
+    instead, with no term map and no pair."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "flat")
 
-    def __init__(self, terms):
-        self.terms = terms
+    def __init__(self, terms, flat=None):
+        self.terms, self.flat = terms, flat
 
 
 def _triples(poly) -> _Triples:
-    return _Triples(poly.sorted_items)
+    return _Triples(poly.sorted_items, poly._flat)
+
+
+def _triple_head(i: int, j: int, template: str) -> str:
+    return template % (i, j)
 
 
 def _quoted(c: int) -> str:
@@ -94,9 +104,10 @@ class _TripleParts(dict):
     exponent: the text up to j for i, or from j up to the coefficient for
     j.  Each is made on first use and kept, so a term costs two lookups,
     one int format and one concatenation.  Kept per exponent, not per pair
-    (i, j), the pieces stay few: a seed-7 ``ladder`` round writes 3392
-    distinct pairs but a few hundred distinct exponents.  Past
-    ``_TRIPLE_PARTS_CAP`` exponents it starts over, like
+    (i, j), the pieces stay few whatever pairs the terms have.  Flat values
+    do not come here; what does is the sparse rest: singular loci, local
+    contributions, violation lists and numerators read back into a map.
+    Past ``_TRIPLE_PARTS_CAP`` exponents it starts over, like
     ``render._monomial``'s bounded cache."""
 
     __slots__ = ("template",)
@@ -114,6 +125,9 @@ class _TripleParts(dict):
 _TRIPLE_PARTS_CAP = 1 << 12
 # per indentation, of which a report has a handful: the pieces for i and for j
 _TRIPLE_PARTS: dict[str, tuple[_TripleParts, _TripleParts]] = {}
+# per layout and indentation: the text of a triple up to its coefficient at
+# every position, bounded like the renderer's monomials
+_LAYOUT_TRIPLES = _LayoutStrings()
 
 
 def _write_json(value, pad: str, out: list) -> None:
@@ -132,21 +146,25 @@ def _write_json(value, pad: str, out: list) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, _Triples):
-        items = value.terms()
-        if not items:
+        row = "\n" + pad + "  "  # pad is spaces only, so no % in the templates
+        cell = row + "  "
+        lo, hi = _I64_MIN, _I64_MAX  # encode_json_int's rule, inlined
+        if value.flat is None:
+            parts = _TRIPLE_PARTS.get(pad)
+            if parts is None:
+                parts = _TRIPLE_PARTS[pad] = (_TripleParts(row + "[" + cell + "%d,"),
+                                              _TripleParts(cell + "%d," + cell))
+            heads, mids = parts
+            texts = [f"{heads[i]}{mids[j]}{c if lo <= c <= hi else _quoted(c)}" for (i, j), c in value.terms()]
+        else:
+            template = row + "[" + cell + "%d," + cell + "%d," + cell
+            texts = [f"{piece}{c if lo <= c <= hi else _quoted(c)}"
+                     for piece, c in _LAYOUT_TRIPLES.terms(*value.flat, _triple_head, template)]
+        if not texts:
             out.append("[]")
             return
-        row = "\n" + pad + "  "  # pad is spaces only, so no % in the templates
-        parts = _TRIPLE_PARTS.get(pad)
-        if parts is None:
-            cell = row + "  "
-            parts = _TRIPLE_PARTS[pad] = (_TripleParts(row + "[" + cell + "%d,"),
-                                          _TripleParts(cell + "%d," + cell))
-        heads, mids = parts
         end = row + "]"
-        lo, hi = _I64_MIN, _I64_MAX  # encode_json_int's rule, inlined
-        out.append("[" + (end + ",").join([f"{heads[i]}{mids[j]}{c if lo <= c <= hi else _quoted(c)}"
-                                           for (i, j), c in items]) + end + "\n" + pad + "]")
+        out.append("[" + (end + ",").join(texts) + end + "\n" + pad + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -246,9 +264,7 @@ def _cmd_compute(data: bytes, args, out: list[str]) -> tuple[int, dict]:
     horizon = args.horizon if args.horizon is not None else 2 * cfg.dimension
     result = compute(cfg, horizon)
     polynomial = result.e_open.is_polynomial
-    truncated = not polynomial or any(
-        i + j > horizon for (i, j) in result.e_open.as_polynomial().support()
-    )
+    truncated = not polynomial or result.e_open.numerator.total_degree() > horizon
     series = _series(result)
 
     payload: dict = {

@@ -10,7 +10,11 @@ factors (uv)^m - 1.
 The central representation choices:
 
 * ``BivariatePolynomial`` is a sparse map from exponent pairs (i, j) to
-  nonzero integer coefficients.  The zero polynomial is the empty map.
+  nonzero integer coefficients.  The zero polynomial is the empty map.  A
+  canonical numerator dense enough is read back flat instead: the list of
+  every coefficient of its skewed layout (:class:`_Layout`), zeros
+  included, whose position order is output order.  It builds its map only
+  when something asks for pairs.
 * ``CycloProduct`` is a multiset of positive integers m, each denoting one
   factor (uv)^m - 1.
 * ``StringyRational`` is a numerator over a CycloProduct in canonical form:
@@ -33,28 +37,31 @@ The central representation choices:
   into their sum.
   The agreement check (:func:`same_value`) compares the two formula sums
   on the config's one layout, and the cancellation (:func:`_reduce`) runs
-  on a packed sum; the canonical numerator is unpacked once, in output
-  order.  A sum's slots are as wide as a bound on sum_terms |num|_1
-  2^(factors multiplied in) needs, plus a sign bit, in whole bytes.  The
-  cancellation bounds nothing ahead: it runs at that width and confirms
-  its answer after the fact, and only a failed confirmation widens the
-  slots (:func:`_relayout`) and runs it again (proofs in :func:`_reduce`).
+  on a packed sum; the canonical numerator is read back once, in output
+  order (:func:`_unpack`): flat when dense, else into a map.  A sum's
+  slots are as wide as a bound on sum_terms |num|_1 2^(factors multiplied
+  in) needs, plus a sign bit, in whole bytes.  The cancellation bounds
+  nothing ahead: it runs at that width and confirms its answer after the
+  fact, and only a failed confirmation widens the slots
+  (:func:`_relayout`) and runs it again (proofs in :func:`_reduce`).
   A packed value costs its slots times its width in time and memory, so
   one over ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
   it is made.  Values with an empty denominator stay sparse.
 * ``TruncatedBiseries`` holds exact coefficients for all total degrees
   i + j <= horizon, in output order, and claims nothing beyond it.  An
   expanded rational value stays on the skewed flat list of its expansion
-  (:class:`_Layout`), which the renderer and the verdict scans read as it
-  is; its term map is built only when something asks for pairs.  A
-  polynomial's truncation, and a series built from a term map, stay sparse.
+  (:class:`_Layout`), which the renderer, the CLI's JSON writer and the
+  verdict scans read as it is; its term map is built only when something
+  asks for pairs.  A flat numerator's columns go into the expansion as
+  strided slices.  A polynomial's truncation, and a series built from a
+  term map, stay sparse.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import accumulate, compress, islice
-from operator import add
+from operator import add, neg
 from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .validation import checked_int
@@ -96,9 +103,19 @@ class BivariatePolynomial:
     internal term map is never handed out directly.  A canonical numerator
     read back from its packed value (:func:`_unpack`) holds its terms in
     output order already, and ``sorted_items()`` hands them out unsorted.
+
+    A dense one is read back flat: as the list of every coefficient of its
+    skewed layout (:class:`_Layout`), zeros included, whose position order
+    is output order, held in ``_flat``.  Its term map is built from that
+    list on first request (``_terms`` stays unset until then, see
+    ``__getattr__``) by whatever asks for pairs.  ``len``, ``bool``,
+    ``is_zero``, :meth:`total_degree`, the renderer, the CLI's JSON writer
+    and the expansion (:func:`expand_rational`) read the list and build
+    none, and adding a polynomial whose terms all have positions on the
+    layout gives a flat sum (:func:`_flat_sum`).
     """
 
-    __slots__ = ("_terms", "_ordered")
+    __slots__ = ("_terms", "_ordered", "_flat")
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
         data: dict[ExponentPair, int] = {}
@@ -113,7 +130,15 @@ class BivariatePolynomial:
                 else:
                     data.pop(pair, None)
         self._terms = data
-        self._ordered = False  # set by _unpack alone
+        self._ordered = False  # True only for terms read back or laid out in output order
+        self._flat = None
+
+    def __getattr__(self, name: str):
+        # called only for a slot left unset: the term map of a flat polynomial
+        if name != "_terms" or self._flat is None:
+            raise AttributeError(name)
+        self._terms = terms = _flat_terms(*self._flat)
+        return terms
 
     @classmethod
     def zero(cls) -> "BivariatePolynomial":
@@ -153,14 +178,27 @@ class BivariatePolynomial:
     def support(self) -> frozenset[ExponentPair]:
         return frozenset(self._terms)
 
+    def total_degree(self) -> int:
+        """The largest total degree i + j of a term, -1 for zero."""
+        if self._flat is not None:
+            values, layout = self._flat
+            last = next(compress(range(len(values) - 1, -1, -1), reversed(values)), None)
+            return -1 if last is None else sum(layout.pair(last))
+        return max(map(sum, self._terms), default=-1)
+
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
     def __bool__(self) -> bool:
+        if self._flat is not None:
+            return any(self._flat[0])
         return bool(self._terms)
 
     def __len__(self) -> int:
+        if self._flat is not None:
+            values = self._flat[0]
+            return len(values) - values.count(0)
         return len(self._terms)
 
     # -- arithmetic ---------------------------------------------------------
@@ -182,6 +220,10 @@ class BivariatePolynomial:
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
+        if self._flat is not None:
+            out = _flat_sum(*self._flat, other._terms)
+            if out is not None:
+                return out
         data = dict(self._terms)
         for pair, c in other._terms.items():
             acc = data.get(pair, 0) + c
@@ -253,6 +295,39 @@ def _polynomial(terms: dict[ExponentPair, int]) -> BivariatePolynomial:
     out = BivariatePolynomial()
     out._terms = terms
     return out
+
+
+def _flat_polynomial(values: list[int], layout: "_Layout") -> BivariatePolynomial:
+    """The flat polynomial of the coefficients at the positions of the
+    layout, which it takes over as they stand; its term map is built on
+    first request."""
+    out = BivariatePolynomial.__new__(BivariatePolynomial)
+    out._ordered, out._flat = True, (values, layout)
+    return out
+
+
+def _flat_terms(values: list[int], layout: "_Layout") -> dict[ExponentPair, int]:
+    """The term map of coefficients on a skewed layout, in output order."""
+    return dict(compress(zip(layout.pairs(), values), values))
+
+
+def _flat_sum(values: list[int], layout: "_Layout", terms: dict[ExponentPair, int]
+              ) -> Union[BivariatePolynomial, None]:
+    """The flat polynomial of values on the layout plus a term map, on that
+    layout, or None when a term has no position in it.  The term at (i, j)
+    sits at ((i + j) // 2 - first) R + rank(i - j) (:class:`_Layout`)."""
+    R, first = len(layout.offsets), layout.first
+    rank = {s: r for r, s in enumerate(layout.offsets)}
+    out = values[:]
+    for (i, j), c in terms.items():
+        r = rank.get(i - j)
+        if r is None:
+            return None
+        at = ((i + j) // 2 - first) * R + r
+        if at >= len(out):
+            return None
+        out[at] += c
+    return _flat_polynomial(out, layout)
 
 
 def _coerce_poly(value) -> Union[BivariatePolynomial, None]:
@@ -716,57 +791,73 @@ def _unpack(p: PackedNumerator) -> BivariatePolynomial:
     terms in output order (see :meth:`BivariatePolynomial.sorted_items`).
 
     Adding 2^(width - 1) to every slot and flipping that bit back leaves
-    each digit in two's complement in its own bytes.  The digits are read
-    in blocks of whole rows (one power of t), and ``find`` over the nonzero
-    marks skips the zero runs between blocks at C speed.  The skewed order
-    of :func:`expand_rational` puts the term at t^n of offset s in row
+    each digit in two's complement in its own bytes.  The skewed order of
+    :func:`expand_rational` puts the term at t^n of offset s in row
     n + |s| // 2, offsets ranked by (|s| mod 2, -s), so position order is
     output order.  That moves a column at most skew = max |s| // 2 -
-    min |s| // 2 rows down, so blocks cut only at skew + 1 whole zero rows
-    fill disjoint, ascending stretches of the output order, and their terms
-    are read out block after block.
+    min |s| // 2 rows down, so rows a to b span (b - a + skew) R positions
+    of that order.
 
-    A block of rows a to b spans (b - a + skew) R positions of that order.
-    When they are at most ``_SKEWED_READ`` times its nonzero bytes, its
-    digits are read at once (:func:`_digits`) and each offset's column is
-    moved there by one strided slice.  A sparser block, or one of few rows
-    beside a wide skew, is read as runs of nonzero slots and its terms are
-    sorted (:func:`_sparse_terms`), so no read outgrows the nonzero bytes
-    by more than that factor.
+    When the rows up to the last nonzero one span at most ``_SKEWED_READ``
+    times the value's nonzero bytes, their digits are read at once
+    (:func:`_digits`), each offset's column is moved into the skewed order
+    by one strided slice, and the list is the flat polynomial on its
+    :class:`_Layout`: no pair is made.  A sparser value is read in blocks
+    of whole rows, and ``find`` over the nonzero marks skips the zero runs
+    between blocks at C speed.  Blocks cut only at skew + 1 whole zero rows
+    fill disjoint, ascending stretches of the output order, and their terms
+    are read into a term map block after block, each by the same rule: a
+    block dense enough is moved into the skewed order, and a sparser block,
+    or one of few rows beside a wide skew, is read as runs of nonzero slots
+    and its terms are sorted (:func:`_sparse_terms`), so no read outgrows
+    the nonzero bytes by more than that factor.
     """
+    if not p.value:
+        return _polynomial({})
+    nb, R = p.width // 8, len(p.offsets)
+    row = R * nb
+    size = (p.degree + 1) * row
+    bias = int.from_bytes(_repeated(1 << (p.width - 1), nb, size // nb), "little")
+    data = ((p.value + bias) ^ bias).to_bytes(size, "little")
+    ranked, first = _skewed_layout(p.offsets, 0)[:2]  # the rank order and the first row
+    skew = max(map(abs, ranked)) // 2 - first
+    place = {s: (abs(s) // 2 - first) * R + q for q, s in enumerate(ranked)}
+    columns = [(r, s, place[s]) for r, s in enumerate(p.offsets)]
+
+    def skewed(a: int, b: int) -> list[int]:
+        # the digits of rows a to b in the skewed order, from row a on
+        digits = _digits(data[a * row:b * row], nb)
+        values = [0] * ((b - a + skew) * R)
+        span = (b - a) * R
+        for r, _, at in columns:
+            values[at:at + span:R] = digits[r::R]
+        return values
+
+    marks = data.translate(_NONZERO_MARKS)
+    rows = marks.rfind(1) // row + 1
+    if (rows + skew) * R <= _SKEWED_READ * marks.count(1):
+        # 2 (rows - 1 + max |s| // 2) + 1 is the horizon whose layout ends
+        # every column in the last row read
+        return _flat_polynomial(skewed(0, rows), _ranked_layout(ranked, 2 * (rows + skew + first) - 1))
     terms: dict[ExponentPair, int] = {}
-    if p.value:
-        nb, R = p.width // 8, len(p.offsets)
-        row = R * nb
-        size = (p.degree + 1) * row
-        bias = int.from_bytes(_repeated(1 << (p.width - 1), nb, size // nb), "little")
-        data = ((p.value + bias) ^ bias).to_bytes(size, "little")
-        ranked, first = _skewed_layout(p.offsets, 0)[:2]  # the rank order and the first row
-        skew = max(map(abs, ranked)) // 2 - first
-        place = {s: (abs(s) // 2 - first) * R + q for q, s in enumerate(ranked)}
-        columns = [(r, s, place[s]) for r, s in enumerate(p.offsets)]
-        marks = data.translate(_NONZERO_MARKS)
-        reach = (skew + 2) * row - 1  # bytes that hold skew + 1 whole zero rows wherever they start
-        gap = bytes(reach) if reach < size else None  # none fits in a shorter value
-        start = marks.find(1)
-        while start >= 0:
-            end = marks.find(gap, start) if gap else -1
-            if end < 0:
-                end = size
-            a, b = start // row, -(-end // row)
-            stretch = (b - a + skew) * R
-            if stretch > _SKEWED_READ * marks.count(1, start, end):
-                terms.update(_sparse_terms(data, marks, start, end, nb, p.offsets))
-            else:
-                digits = _digits(data[a * row:b * row], nb)
-                values = [0] * stretch
-                pairs: list = [None] * stretch
-                n, span = range(a, b), (b - a) * R
-                for r, s, at in columns:
-                    values[at:at + span:R] = digits[r::R]
-                    pairs[at:at + span:R] = zip(range(a + s, b + s), n) if s >= 0 else zip(n, range(a - s, b - s))
-                terms.update(compress(zip(pairs, values), values))
-            start = marks.find(1, end)
+    reach = (skew + 2) * row - 1  # bytes that hold skew + 1 whole zero rows wherever they start
+    gap = bytes(reach) if reach < size else None  # none fits in a shorter value
+    start = marks.find(1)
+    while start >= 0:
+        end = marks.find(gap, start) if gap else -1
+        if end < 0:
+            end = size
+        a, b = start // row, -(-end // row)
+        if (b - a + skew) * R > _SKEWED_READ * marks.count(1, start, end):
+            terms.update(_sparse_terms(data, marks, start, end, nb, p.offsets))
+        else:
+            values = skewed(a, b)
+            pairs: list = [None] * len(values)
+            n, span = range(a, b), (b - a) * R
+            for _, s, at in columns:
+                pairs[at:at + span:R] = zip(range(a + s, b + s), n) if s >= 0 else zip(n, range(a - s, b - s))
+            terms.update(compress(zip(pairs, values), values))
+        start = marks.find(1, end)
     out = _polynomial(terms)
     out._ordered = True
     return out
@@ -1167,24 +1258,26 @@ class TruncatedBiseries:
 
     The coefficients are handed out in output order: by total degree i + j,
     then j, then i (the order of :meth:`BivariatePolynomial.sorted_items`).
-    They are held in one of two forms:
+    They are held as the polynomial of those coefficients, in output
+    order, in one of its two forms:
 
-    * sparse, as the polynomial of those coefficients, in output order.
-      The public constructor sorts once, and :func:`expand_rational` keeps
-      a polynomial's truncation this way, so the size is bounded by terms.
+    * sparse, a term map.  The public constructor sorts once, and
+      :func:`expand_rational` keeps a polynomial's truncation this way, so
+      the size is bounded by terms.
     * flat, as :func:`expand_rational` computes a rational value: the list
       of every coefficient of its skewed layout (:class:`_Layout`), zeros
-      included, whose position order is output order.  The term map is
-      built from it on first use (:meth:`_term_map`) by whatever asks for
-      pairs: ``coefficient``, ``items``, ``sorted_items``, ``==``, ``hash``
-      and ``repr``.  The renderer and the verdict scans of the engine read
-      the list (``_flat``) and build no term map.
+      included, whose position order is output order
+      (:class:`BivariatePolynomial`).  The term map is built from it on
+      first request by whatever asks for pairs through :meth:`_term_map`:
+      ``coefficient``, ``items``, ``sorted_items``, ``==``, ``hash`` and
+      ``repr``.  The renderer, the JSON writer and the verdict scans of the
+      engine read the list (``_flat``) and build no term map.
 
     Asking for a coefficient beyond the horizon raises: nothing out there is
     claimed, not even zero.
     """
 
-    __slots__ = ("_horizon", "_poly", "_flat")
+    __slots__ = ("_horizon", "_poly")
 
     def __init__(self, horizon: int, coeffs: Union[Mapping, Iterable, None] = None):
         checked_int(horizon, "horizon")
@@ -1194,22 +1287,23 @@ class TruncatedBiseries:
                 raise ValueError(f"coefficient at {(i, j)} lies beyond horizon {horizon}")
         self._horizon = horizon
         self._poly = _polynomial(dict(poly.sorted_items()))
-        self._flat = None
 
     @classmethod
     def _on_layout(cls, values: list[int], layout: "_Layout") -> "TruncatedBiseries":
         """The flat series of the coefficients at the positions of the
         layout, which it takes over as they stand."""
         out = cls.__new__(cls)
-        out._horizon, out._poly, out._flat = layout.horizon, None, (values, layout)
+        out._horizon, out._poly = layout.horizon, _flat_polynomial(values, layout)
         return out
 
+    @property
+    def _flat(self) -> Union[tuple[list[int], "_Layout"], None]:
+        """The values and layout of a flat series, None for a sparse one."""
+        return self._poly._flat
+
     def _term_map(self) -> BivariatePolynomial:
-        """The polynomial of the coefficients, in output order; a flat
-        series builds it on first use and keeps it."""
-        if self._poly is None:
-            values, layout = self._flat
-            self._poly = _polynomial(dict(compress(zip(layout.pairs(), values), values)))
+        """The polynomial of the coefficients, for whatever asks for pairs:
+        a flat one builds its term map then, once."""
         return self._poly
 
     @property
@@ -1302,7 +1396,12 @@ class _Layout(NamedTuple):
 
 def _skewed_layout(offsets: Iterable[int], horizon: int) -> _Layout:
     """The :class:`_Layout` of the offsets present, to the horizon."""
-    ranked = tuple(sorted(offsets, key=lambda s: (s & 1, -s)))  # s & 1 is |s| mod 2
+    return _ranked_layout(tuple(sorted(offsets, key=lambda s: (s & 1, -s))), horizon)  # s & 1 is |s| mod 2
+
+
+def _ranked_layout(ranked: tuple[int, ...], horizon: int) -> _Layout:
+    """The :class:`_Layout` of offsets already in its rank order, to the
+    horizon: a layout's own offsets, or some of them in their order."""
     if not ranked:
         return _Layout(ranked, 0, 0, horizon)
     first = min(map(abs, ranked)) // 2
@@ -1338,21 +1437,33 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     order.  The list and its layout are the series as it stands
     (:meth:`TruncatedBiseries._on_layout`): no pair is made until something
     asks for the term map.  Only the numerator's terms within the horizon
-    are read (:func:`_inside`); a polynomial is only truncated and sorted
-    once, and stays sparse.
+    are read: a flat numerator's columns are sliced from the head of its
+    list (:func:`_inside_columns`), a sparse one's terms are placed one by
+    one (:func:`_inside`).  A polynomial is only truncated and sorted once,
+    and stays sparse.
     """
     checked_int(horizon, "horizon")
-    inside = _inside(x.numerator, horizon)
-    if not x.denominator:
-        return TruncatedBiseries(horizon, inside)
-    layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
-    R = len(layout.offsets)
-    rank = {s: r for r, s in enumerate(layout.offsets)}
     factors = x.denominator.factors
-    sign = -1 if len(factors) % 2 else 1
-    values = [0] * layout.size
-    for (i, j), c in inside:
-        values[((i + j) // 2 - layout.first) * R + rank[i - j]] = sign * c
+    flat = x.numerator._flat
+    if flat is not None and factors:
+        columns = _inside_columns(*flat, horizon)
+        layout = _ranked_layout(tuple(columns), horizon)
+        R = len(layout.offsets)
+        values = [0] * layout.size
+        for r, s in enumerate(layout.offsets):
+            at, column = layout.start(r), columns[s]
+            values[at:at + len(column) * R:R] = map(neg, column) if len(factors) % 2 else column
+    else:
+        inside = _inside(x.numerator, horizon)
+        if not factors:
+            return TruncatedBiseries(horizon, inside)
+        layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
+        R = len(layout.offsets)
+        rank = {s: r for r, s in enumerate(layout.offsets)}
+        sign = -1 if len(factors) % 2 else 1
+        values = [0] * layout.size
+        for (i, j), c in inside:
+            values[((i + j) // 2 - layout.first) * R + rank[i - j]] = sign * c
     for m in factors if R else ():  # no offsets: the empty layout
         _running_sums(values, m * R)
     return TruncatedBiseries._on_layout(values, layout)
@@ -1362,19 +1473,44 @@ def series_size(x: StringyRational, horizon: int) -> int:
     """How many coefficients :func:`expand_rational` computes for x to the
     horizon: the positions of its skewed layout, about
     horizon // 2 + 1 - min |s| // 2 for every offset s = i - j of the
-    numerator's terms within the horizon (:func:`_inside`), or one per such
-    term when x is a polynomial."""
+    numerator's terms within the horizon, or one per such term when x is a
+    polynomial."""
+    flat = x.numerator._flat
+    if flat is not None and x.denominator:
+        return _ranked_layout(tuple(_inside_columns(*flat, horizon)), horizon).size
     inside = _inside(x.numerator, horizon)
     if not x.denominator:
         return len(inside)
     return _skewed_layout({i - j for (i, j), _ in inside}, horizon).size
 
 
+def _inside_columns(values: list[int], layout: _Layout, horizon: int) -> dict[int, list[int]]:
+    """Per offset s of a flat value's terms with i + j <= horizon, in rank
+    order, its column's coefficients from k = 0 to the horizon or the
+    list's end.  On a layout's offsets the positions of a lower horizon
+    are a prefix, those with i + j up to it, so each column is one strided
+    slice."""
+    R = len(layout.offsets)
+    end = _ranked_layout(layout.offsets, horizon).size
+    columns = {}
+    for r, s in enumerate(layout.offsets):
+        at = layout.start(r)
+        if at < end and any(column := values[at:end:R]):
+            columns[s] = column
+    return columns
+
+
 def _inside(p: BivariatePolynomial, horizon: int) -> list[tuple[ExponentPair, int]]:
     """The terms of p with i + j <= horizon.  When p holds its terms in
-    output order (:func:`_unpack`), they are a prefix: all of them when the
-    last term is within the horizon, copied at once, or else as many as the
-    scan meets before the first term past it."""
+    output order (:func:`_unpack`), they are a prefix: of a flat p's list,
+    paired with the positions of its layout to that horizon (to the list's
+    end at most); of a term map, all of them when the last term is within
+    the horizon, copied at once, or else as many as the scan meets before
+    the first term past it."""
+    if p._flat is not None:
+        values, layout = p._flat
+        pairs = _ranked_layout(layout.offsets, min(horizon, layout.horizon)).pairs()
+        return list(compress(zip(pairs, values), values))
     terms = p._terms
     if p._ordered:
         if not terms or sum(next(reversed(terms))) <= horizon:

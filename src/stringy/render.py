@@ -22,10 +22,10 @@ Terms are read in the order their holder gives them: a series holds its
 coefficients in output order, so it renders without a sort.  The monomial
 strings are memoized per exponent pair and style in a bounded LRU cache,
 since every series of a batch repeats the same pairs near the diagonal.  An
-expanded series on its skewed flat layout renders by zipping its nonzero
-coefficients with a tuple of those strings kept per layout and style
-(:class:`_LayoutMonomials`, bounded in positions), with no term map, no
-pair and no cache lookup per term.
+expanded series, or a canonical numerator read back flat, on its skewed
+flat layout renders by zipping its nonzero coefficients with a tuple of
+those strings kept per layout and style (:class:`_LayoutStrings`, bounded
+in positions), with no term map, no pair and no cache lookup per term.
 """
 
 from __future__ import annotations
@@ -82,16 +82,17 @@ def _monomial(i: int, j: int, uv: str, sup: str, end: str) -> str:
     return " ".join(parts)
 
 
-class _LayoutMonomials(dict):
-    """The monomial string at every position of a skewed flat layout
+class _LayoutStrings(dict):
+    """A string at every position of a skewed flat layout
     (:class:`exact_poly._Layout`), None where it holds no pair, as a tuple
-    per offsets, first row and style: a flat series renders by zipping its
-    values with it.  Positions below a layout's size hold the same pairs at
-    every horizon, so one tuple, made for the highest horizon asked, serves
-    the lower ones as a prefix.  Each is made from ``_monomial``, so layouts
-    share their strings.  Past ``_LAYOUT_MONOMIALS_CAP`` positions over all
-    tuples it starts over, so a batch of wide layouts holds no more than
-    that."""
+    per offsets, first row and kind: a flat value is written by zipping
+    its values with it.  Positions below a layout's size hold the same
+    pairs at every horizon, so one tuple, made for the highest horizon
+    asked, serves the lower ones as a prefix.  Past
+    ``_LAYOUT_MONOMIALS_CAP`` positions over all tuples it starts over, and
+    a layout wider than that on its own is not kept: its strings are made
+    for its nonzero values alone, so a wide, sparse layout costs what its
+    terms do."""
 
     __slots__ = ("positions",)
 
@@ -99,22 +100,33 @@ class _LayoutMonomials(dict):
         super().__init__()
         self.positions = 0
 
-    def of(self, layout, uv: str, sup: str, end: str) -> tuple:
-        key = (layout.offsets, layout.first, uv, sup, end)
-        monos = self.get(key, ())
-        if len(monos) < layout.size:
-            self.positions -= len(monos)
+    def terms(self, values: list[int], layout, text, *kind):
+        """(``text(i, j, *kind)``, c) for every nonzero value c of a flat
+        list on the layout, in position order."""
+        if layout.size > _LAYOUT_MONOMIALS_CAP:
+            strings: list = [None] * len(values)
+            R = len(layout.offsets)
+            for r, s in enumerate(layout.offsets):
+                at = layout.start(r)
+                column = values[at::R]
+                for k in compress(range(len(column)), column):
+                    strings[at + k * R] = text(k + s, k, *kind) if s >= 0 else text(k, k - s, *kind)
+            return compress(zip(strings, values), values)
+        key = (layout.offsets, layout.first, *kind)
+        strings = self.get(key, ())
+        if len(strings) < layout.size:
+            self.positions -= len(strings)
             if self.positions + layout.size > _LAYOUT_MONOMIALS_CAP:
                 self.clear()
                 self.positions = 0
             self.positions += layout.size
-            monos = self[key] = tuple(None if pair is None else _monomial(*pair, uv, sup, end)
-                                      for pair in layout.pairs())
-        return monos
+            strings = self[key] = tuple(None if pair is None else text(*pair, *kind) for pair in layout.pairs())
+        return compress(zip(strings, values), values)
 
 
 _LAYOUT_MONOMIALS_CAP = 1 << 16
-_LAYOUT_MONOMIALS = _LayoutMonomials()
+# the monomials, made from ``_monomial``, so layouts share their strings
+_LAYOUT_MONOMIALS = _LayoutStrings()
 
 
 def _piece(mono: str, c: int) -> str:
@@ -125,13 +137,13 @@ def _piece(mono: str, c: int) -> str:
 
 def _terms(p: BivariatePolynomial | TruncatedBiseries, style: _Style) -> str:
     uv, sup, end = style[:3]
-    flat = p._flat if isinstance(p, TruncatedBiseries) else None
+    flat = p._flat
     if flat is None:
         terms = [(_monomial(i, j, uv, sup, end), c) for (i, j), c in p.sorted_items()]
         values = [c for _, c in terms]
     else:
         values, layout = flat
-        terms = compress(zip(_LAYOUT_MONOMIALS.of(layout, uv, sup, end), values), values)
+        terms = _LAYOUT_MONOMIALS.terms(values, layout, _monomial, uv, sup, end)
     if values and -_DECIMAL_PIECE_BOUND < min(values) and max(values) < _DECIMAL_PIECE_BOUND:
         # every coefficient formats as str (decimal_str's own test): _piece, inlined
         pieces = [(f"+ {c}{mono}" if c != 1 or not mono else "+ " + mono) if c > 0 else

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stringy import cli, engine, exact_poly, resolution
+from stringy import cli, engine, exact_poly, render, resolution
 from stringy.cli import main
 from stringy.exact_poly import BivariatePolynomial, StringyRational
 from stringy.hodge import HodgeDelignePolynomial
@@ -1096,3 +1096,41 @@ def test_json_writer_writes_an_empty_flat_series_as_empty_list():
     assert series._flat is not None
     assert cli._json_text(cli._series_json(series, True)) == json.dumps(
         {"horizon": 3, "truncated": True, "coefficients": []}, sort_keys=True, indent=2)
+
+
+def test_json_writer_writes_flat_values_at_the_64_bit_edges(monkeypatch):
+    # a flat numerator and a flat series, written from their values and the
+    # kept position pieces, give json.dumps' bytes: -2^63 and 2^63 - 1 bare,
+    # 2^63 and -2^63 - 1 quoted
+    edges = {(0, 0): -(2 ** 63), (1, 0): 2 ** 63 - 1, (0, 1): 2 ** 63, (2, 1): 3, (1, 2): -(2 ** 63) - 1}
+    x = StringyRational(BivariatePolynomial(edges), (2,))
+    series = exact_poly.expand_rational(x, 4)
+    assert x.numerator._flat is not None and series._flat is not None
+    assert {c for _, c in series.items()} >= {2 ** 63, -(2 ** 63), 2 ** 63 + 1}
+    report = {"e_st": cli._rational_json(x), "local": [cli._rational_json(x)],
+              "series": cli._series_json(series, True)}
+    want = json.dumps(_as_lists(report), sort_keys=True, indent=2)
+    for _ in range(2):  # the second time from the kept pieces
+        assert cli._json_text(report) == want
+    monkeypatch.setattr(render, "_LAYOUT_MONOMIALS_CAP", 0)  # every layout too wide to keep: term by term
+    assert cli._json_text(report) == want
+
+
+@pytest.mark.parametrize("path", [E6, NODE], ids=["rational", "polynomial"])
+def test_compute_json_builds_no_term_map(run, monkeypatch, path):
+    # the numerator of a dense E_st is read back flat, and it and its
+    # expansion are written from their values: neither builds a term map,
+    # nor does the truncation flag of a polynomial E_st
+    flat = []
+    real_unpack = exact_poly._unpack
+    monkeypatch.setattr(exact_poly, "_unpack", lambda packed: flat.append(real_unpack(packed)) or flat[-1])
+    builds = []
+    real_flat_terms = exact_poly._flat_terms
+    monkeypatch.setattr(exact_poly, "_flat_terms", lambda *values: builds.append(1) or real_flat_terms(*values))
+    code, out, _ = run("compute", path, "--format", "json", "--horizon", "5")
+    assert code == 0 and builds == []
+    (e_st,) = flat
+    assert e_st._flat is not None and e_st.sorted_items() and builds == [1]
+    doc = json.loads(out)
+    assert doc["e_st"]["num"] == [[i, j, c] for (i, j), c in e_st.sorted_items()]
+    assert doc["series"]["truncated"] is True and doc["series"]["coefficients"]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stringy import exact_poly
+from stringy import exact_poly, render
 from stringy.exact_poly import (
     BivariatePolynomial,
     CycloProduct,
@@ -915,6 +915,80 @@ def _report(series, d):
     except ValueError as exc:
         return str(exc)
     return report.violations, report.beyond_notes
+
+
+@st.composite
+def packed_at_width(draw):
+    """(terms, their packed value) with slots of 1, 2, 3, 8 or 9 bytes:
+    dense terms, or terms in rows hundreds apart or at offsets far apart.
+    Coefficients are clipped so that their sum fits the slot, so the
+    largest ones sit next to its width."""
+    nb = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    terms = draw(st.one_of(kernel_dicts(max_size=8), sparse_dicts(), wide_dicts()))
+    cap = (2 ** (8 * nb - 1) - 1) // len(terms)
+    terms = {pair: max(-cap, min(cap, c)) for pair, c in terms.items()}
+    packed = common_denominator_sum([(P(terms), ())])[0]
+    assert packed.width <= 8 * nb
+    return terms, exact_poly.PackedNumerator(exact_poly._relayout(packed, 8 * nb), 8 * nb, packed.offsets,
+                                             packed.degree, packed.norm)
+
+
+class TestFlatNumerator:
+    """A canonical numerator dense enough is read back flat, on its skewed
+    layout; a sparser one into a term map.  The two must be
+    indistinguishable through every reader, and the flat one builds its
+    term map only for the readers that ask for pairs."""
+
+    @given(packed_at_width(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_flat_read_back_matches_the_term_map(self, case, data):
+        terms, packed = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_poly, "_SKEWED_READ", 0)  # every stretch is too sparse: a term map
+            mapped = exact_poly._unpack(packed)
+            patch.setattr(exact_poly, "_SKEWED_READ", 2 ** 62)  # the whole value is dense enough: flat
+            flat = exact_poly._unpack(packed)
+        assert mapped._flat is None and flat._flat is not None
+        builds = []
+        real_flat_terms = exact_poly._flat_terms
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_poly, "_flat_terms", lambda *flat: builds.append(1) or real_flat_terms(*flat))
+            # the readers that build no term map come first
+            assert len(flat) == len(mapped) == len(terms)
+            assert bool(flat) and not flat.is_zero
+            assert flat.total_degree() == mapped.total_degree() == max(map(sum, terms))
+            assert polynomial_text(flat) == polynomial_text(mapped)
+            # a layout wider than the kept strings' cap is written term by term
+            patch.setattr(render, "_LAYOUT_MONOMIALS_CAP", 0)
+            assert polynomial_latex(flat) == polynomial_latex(mapped)
+            horizon = data.draw(st.integers(min_value=0, max_value=flat.total_degree() + 2))
+            for den in ((), (1,), (2, 3)):
+                x, y = (StringyRational._from_canonical(p, CycloProduct(den)) for p in (flat, mapped))
+                assert exact_poly.series_size(x, horizon) == exact_poly.series_size(y, horizon)
+                if den:
+                    assert expand_rational(x, horizon)._flat == expand_rational(y, horizon)._flat
+            assert builds == []
+            assert list(flat.items()) == list(mapped.items()) == P(terms).sorted_items()
+            assert flat.sorted_items() == mapped.sorted_items()
+            assert builds == [1]
+        assert exact_poly._inside(flat, horizon) == exact_poly._inside(mapped, horizon)
+        assert flat == mapped and mapped == flat and hash(flat) == hash(mapped)
+        assert flat.support() == mapped.support()
+        for i, j in list(terms) + [(i + 1, j) for i, j in terms] + [(0, 0), (99, 0)]:
+            assert flat.coefficient(i, j) == mapped.coefficient(i, j) == terms.get((i, j), 0)
+        assert repr(flat) == repr(mapped)
+        # a sum stays on the flat layout when every term of the other
+        # polynomial sits at a position of it, as the value's own terms do
+        other = P({pair: data.draw(coeffs) for pair in data.draw(st.lists(st.sampled_from(sorted(terms))))})
+        i, j = max(terms)
+        # a term with no position there: a new offset, or a row past the last one read
+        for far, stays in (({}, True), ({(10 ** 6, 0): 1}, False), ({(i + 10 ** 6, j + 10 ** 6): 1}, False)):
+            total, want = flat + (other + P(far)), mapped + (other + P(far))
+            assert (total._flat is not None) == stays
+            assert total == want and total.sorted_items() == want.sorted_items()
+        # the value's own rule reads it one way or the other, to the same terms
+        assert exact_poly._unpack(packed) == mapped
+        assert P({}).total_degree() == -1
 
 
 class TestFlatSeries:

@@ -235,7 +235,7 @@ class TestMonomialMemo:
         # per-layout tuples are kept up to a number of positions over all of
         # them; past it the cache starts over.  A lower horizon reads a
         # prefix of a higher one's tuple.  Rendering is unchanged
-        monkeypatch.setattr(render, "_LAYOUT_MONOMIALS", render._LayoutMonomials())
+        monkeypatch.setattr(render, "_LAYOUT_MONOMIALS", render._LayoutStrings())
         monkeypatch.setattr(render, "_LAYOUT_MONOMIALS_CAP", 40)
         x = StringyRational(P({(0, 0): 1, (2, 0): -3, (0, 1): 2}), (1, 2))
         texts = []
