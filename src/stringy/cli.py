@@ -99,32 +99,6 @@ def _quoted(c: int) -> str:
     return '"' + decimal_str(c) + '"'
 
 
-class _TripleParts(dict):
-    """Pieces of the text of triples [i, j, c] at one indentation, one per
-    exponent: the text up to j for i, or from j up to the coefficient for
-    j.  Each is made on first use and kept, so a term costs two lookups,
-    one int format and one concatenation.  Kept per exponent, not per pair
-    (i, j), the pieces stay few whatever pairs the terms have.  Flat values
-    do not come here; what does is the sparse rest: singular loci, local
-    contributions, violation lists and numerators read back into a map.
-    Past ``_TRIPLE_PARTS_CAP`` exponents it starts over, like
-    ``render._monomial``'s bounded cache."""
-
-    __slots__ = ("template",)
-
-    def __init__(self, template: str):
-        self.template = template
-
-    def __missing__(self, exponent: int) -> str:
-        if len(self) >= _TRIPLE_PARTS_CAP:
-            self.clear()
-        text = self[exponent] = self.template % exponent
-        return text
-
-
-_TRIPLE_PARTS_CAP = 1 << 12
-# per indentation, of which a report has a handful: the pieces for i and for j
-_TRIPLE_PARTS: dict[str, tuple[_TripleParts, _TripleParts]] = {}
 # per layout and indentation: the text of a triple up to its coefficient at
 # every position, bounded like the renderer's monomials
 _LAYOUT_TRIPLES = _LayoutStrings()
@@ -150,12 +124,8 @@ def _write_json(value, pad: str, out: list) -> None:
         cell = row + "  "
         lo, hi = _I64_MIN, _I64_MAX  # encode_json_int's rule, inlined
         if value.flat is None:
-            parts = _TRIPLE_PARTS.get(pad)
-            if parts is None:
-                parts = _TRIPLE_PARTS[pad] = (_TripleParts(row + "[" + cell + "%d,"),
-                                              _TripleParts(cell + "%d," + cell))
-            heads, mids = parts
-            texts = [f"{heads[i]}{mids[j]}{c if lo <= c <= hi else _quoted(c)}" for (i, j), c in value.terms()]
+            texts = [f"{row}[{cell}{i:d},{cell}{j:d},{cell}{c if lo <= c <= hi else _quoted(c)}"
+                     for (i, j), c in value.terms()]
         else:
             template = row + "[" + cell + "%d," + cell + "%d," + cell
             texts = [f"{piece}{c if lo <= c <= hi else _quoted(c)}"

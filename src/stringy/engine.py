@@ -50,6 +50,7 @@ from .resolution import (
     ResolutionConfig,
     StratumKey,
     _subset_walk,
+    _table_scan,
     convert_strata,
     exceptional_union_hd,
     validate,
@@ -161,13 +162,16 @@ def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
     factor = {comp.label: comp.discrepancy + 1 if comp.discrepancy else 0 for comp in cfg.components}
     most: dict[int, int] = {}  # K: per m, the most factors (uv)^m - 1 the labels of one stored key give
     for key in cfg.strata:
-        here = [factor[label] for label in key if factor[label]]
+        here = list(map(factor.__getitem__, key))
         for m in here:
-            most[m] = max(most.get(m, 0), here.count(m))
-    reach = sum(m * n for m, n in most.items())
-    width, offsets, norm, packed = _pack_tables(
-        [(cfg.ambient.poly, 0, reach)] + [(value.poly, len(key), reach) for key, value in cfg.strata.items()],
-        sum(most.values()))
+            if m and most.get(m, 0) < here.count(m):
+                most[m] = here.count(m)
+    scan = _table_scan(cfg)
+    norm = (scan.ambient[2] if scan.ambient else 0) + scan.norm
+    width, offsets, packed = _pack_tables(
+        [(cfg.ambient.poly._terms, scan.ambient)]
+        + [(value.poly._terms, figures) for value, figures in zip(cfg.strata.values(), scan.strata)],
+        scan.offsets, norm, scan.rows + sum(m * n for m, n in most.items()), sum(most.values()))
     stored = dict(zip(cfg.strata, packed[1:]))
     target = "open" if cfg.convention == "closed" else "closed"
     converted = {}

@@ -292,8 +292,8 @@ class BivariatePolynomial:
 def _polynomial(terms: dict[ExponentPair, int]) -> BivariatePolynomial:
     """The polynomial of a term map already free of zero coefficients, which
     it takes over without copying or checking."""
-    out = BivariatePolynomial()
-    out._terms = terms
+    out = BivariatePolynomial.__new__(BivariatePolynomial)
+    out._terms, out._ordered, out._flat = terms, False, None
     return out
 
 
@@ -643,10 +643,40 @@ def _repeated(digit: int, nb: int, slots: int) -> bytes:
 _FEW_TERMS = 16
 
 
-def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int,
-          rows: tuple[int, int]) -> int:
-    """The packed value of a nonempty {(i, j): c} over the offset ranks.
-    rows are the least and the largest power of t among the terms.
+def _scan(terms: Mapping[ExponentPair, int], offsets: set[int]) -> tuple[int, int, int, bool, int]:
+    """One pass over a nonempty {(i, j): c}, which adds its offsets i - j to
+    ``offsets`` and gives its figures (low, high, norm, symmetric, top): the
+    least and the largest power of t among its terms, min(i, j); its sum
+    of |c|; whether it is u<->v symmetric; and its largest exponent.  Its
+    mirror is tested from one side: every term with i > j must have a
+    mirror (j, i) of the same coefficient, and as many terms must have
+    i < j, so that none of those is left without one."""
+    get, add = terms.get, offsets.add
+    low = high = min(next(iter(terms)))
+    top = norm = skew = 0
+    symmetric = True
+    for (i, j), c in terms.items():
+        add(i - j)
+        if i > j:
+            skew += 1
+            if symmetric and get((j, i)) != c:
+                symmetric = False
+            i, j = j, i
+        elif i < j:
+            skew -= 1
+        if j > top:
+            top = j
+        if i > high:
+            high = i
+        elif i < low:
+            low = i
+        norm += c if c > 0 else -c
+    return low, high, norm, symmetric and not skew, top
+
+
+def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int, low: int, high: int) -> int:
+    """The packed value of a nonempty {(i, j): c} over the offset ranks,
+    whose least and largest power of t among the terms are low and high.
 
     One rule picks how.  A table of at most ``_FEW_TERMS`` terms is the sum
     of its digits shifted into their slots, c << slot width: each addition
@@ -658,14 +688,13 @@ def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int
     offsets and 2-byte slots: 4 terms pack in 1.6 against 4.9 us, 16 in
     6.8 against 15.9 us; past a few hundred dense terms, or tens of terms
     spread over many rows, the bytes win.)"""
-    R, nb = len(rank), width // 8
-    low, high = rows
-    base = low * R
+    R = len(rank)
     if len(terms) <= _FEW_TERMS:
         value = 0
         for (i, j), c in terms.items():
-            value += c << ((i if i < j else j) * R + rank[i - j] - base) * width
-        return value << base * width
+            value += c << ((i if i < j else j) * R + rank[i - j]) * width
+        return value
+    nb, base = width // 8, low * R
     pos = bytearray((high - low + 1) * R * nb)
     neg = bytearray(len(pos))
     for (i, j), c in terms.items():
@@ -674,43 +703,26 @@ def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int
             pos[at:at + nb] = c.to_bytes(nb, "little")
         else:
             neg[at:at + nb] = (-c).to_bytes(nb, "little")
-    return (int.from_bytes(pos, "little") - int.from_bytes(neg, "little")) << low * R * width
+    return (int.from_bytes(pos, "little") - int.from_bytes(neg, "little")) << base * width
 
 
-def _pack_tables(tables: list[tuple[BivariatePolynomial, int, int]], spare: int = 0
-                 ) -> tuple[int, tuple[int, ...], int, list[tuple[int, int]]]:
-    """(polynomial, shift, reach) tables packed on one layout, as (width,
-    offsets, norm, [(value, top)]): the offsets of all of them; norm, the
-    sum of |p|_1 2^shift; slots as wide as signed digits up to norm 2^spare
-    need; and per table its packed value and its largest power of t, (0, 0)
-    for a zero table.  reach is the degree in t a table may yet be
-    multiplied by, and a layout whose values could then pass
-    ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before any table
-    is packed."""
-    present: set[int] = set()
-    rows = []
-    norm = degree = 0
-    for p, shift, reach in tables:
-        if not p._terms:
-            rows.append(None)
-            continue
-        low = high = min(next(iter(p._terms)))
-        for i, j in p._terms:
-            present.add(i - j)
-            n = i if i < j else j
-            if n > high:
-                high = n
-            elif n < low:
-                low = n
-        rows.append((low, high))
-        norm += sum(map(abs, p._terms.values())) << shift
-        degree = max(degree, high + reach)
-    offsets = tuple(sorted(present))
-    rank = {s: r for r, s in enumerate(offsets)}
+def _pack_tables(tables: list[tuple[Mapping[ExponentPair, int], Union[tuple, None]]], offsets: set[int],
+                 norm: int, degree: int, spare: int = 0) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
+    """(terms, figures) tables packed on one layout, as (width, offsets,
+    [(value, top)]): the figures are the table's from :func:`_scan`, None
+    for a zero table, which packs as (0, 0); offsets are the union of
+    theirs; slots are as wide as signed digits up to norm 2^spare need; and
+    top is a table's largest power of t.  degree is the largest power of t
+    the values may reach once multiplied, and a layout whose values could
+    then pass ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
+    any table is packed.  Nothing here walks the terms again but the
+    packing itself."""
+    ordered = tuple(sorted(offsets))
+    rank = {s: r for r, s in enumerate(ordered)}
     width = _width(norm << spare)
-    _check_size((degree + 1) * len(offsets), width)
-    return width, offsets, norm, [(_pack(p._terms, rank, width, span), span[1]) if span else (0, 0)
-                                  for (p, _, _), span in zip(tables, rows)]
+    _check_size((degree + 1) * len(ordered), width)
+    return width, ordered, [(_pack(terms, rank, width, figures[0], figures[1]), figures[1]) if figures else (0, 0)
+                            for terms, figures in tables]
 
 
 def _relayout(p: PackedNumerator, width: int) -> int:
@@ -1188,8 +1200,9 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     (``StringyRational(*sum)``), not after every addition.
 
     Every m is checked once, in the order met, and every lift with its
-    term's factors, whether num is zero or not.  Then each num is packed as
-    it is, on one layout (:func:`_pack_tables`), and the packed values go
+    term's factors, whether num is zero or not.  Then each num is scanned
+    once for its figures (:func:`_scan`) and packed as it is, on one layout
+    (:func:`_pack_tables`), and the packed values go
     through the one merge of the formula sums (:func:`_merge`), which
     derives what each term is multiplied by.  Only its count and degree are
     needed here, from the common denominator's multiplicities
@@ -1214,9 +1227,17 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
         entries.append((num, key, checked_int(rest[1], "lift") if len(rest) > 1 else 0))
     largest = _largest(keys)
     size, full = sum(largest.values()), sum(m * n for m, n in largest.items())
-    width, offsets, norm, packed = _pack_tables([(num, size - len(factors) + len(gains),
-                                                  lift + full - sum(factors) + sum(gains))
-                                                 for num, (factors, gains), lift in entries])
+    present: set[int] = set()
+    tables = []
+    norm = degree = 0
+    for num, (factors, gains), lift in entries:
+        terms = num._terms
+        figures = _scan(terms, present) if terms else None
+        if figures:
+            norm += figures[2] << (size - len(factors) + len(gains))
+            degree = max(degree, figures[1] + lift + full - sum(factors) + sum(gains))
+        tables.append((terms, figures))
+    width, offsets, packed = _pack_tables(tables, present, norm, degree)
     value, degree, common = _merge([(value, top, *key, lift) for (value, top), (_, key, lift)
                                     in zip(packed, entries)], width, offsets)
     return PackedNumerator(value, width, offsets, degree, norm), common

@@ -10,6 +10,7 @@ lattice walk enumerates only stored keys and their subsets.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
@@ -19,6 +20,7 @@ from .exact_poly import (
     PACKED_BIT_BUDGET,
     BivariatePolynomial,
     _polynomial,
+    _scan,
     decode_json_int,
     encode_json_int,
     packed_bits,
@@ -166,18 +168,6 @@ class ResolutionConfig:
             value = self._derived[key] = produce()
         return value
 
-    def _with_strata(self, convention: str, strata: dict) -> "ResolutionConfig":
-        """This config in the other convention, with a table whose keys are
-        sorted tuples of checked labels and whose values are nonzero
-        HodgeDelignePolynomials, taken over as it is: nothing is checked
-        or canonicalised again.  Package-internal: the producer is
-        :func:`convert_strata`."""
-        out = ResolutionConfig.__new__(ResolutionConfig)
-        out._dimension, out._ambient, out._components = self._dimension, self._ambient, self._components
-        out._convention, out._strata = convention, MappingProxyType(strata)
-        out._singular_locus, out._derived = self._singular_locus, {}
-        return out
-
     def replace(self, **changes) -> "ResolutionConfig":
         fields = {
             "dimension": self._dimension,
@@ -189,6 +179,22 @@ class ResolutionConfig:
         }
         fields.update(changes)
         return ResolutionConfig(**fields)
+
+
+def _checked_config(dimension: int, ambient: HodgeDelignePolynomial, components: tuple[Component, ...],
+                    convention: str, strata: dict, singular_locus: Union[HodgeDelignePolynomial, None]
+                    ) -> ResolutionConfig:
+    """A config of fields that are checked already, taken over as they are:
+    nothing is checked or canonicalised again.  The table's keys are sorted
+    tuples of checked labels, and its values nonzero HodgeDelignePolynomials.
+    Package-internal: the producers are :func:`load_config`, which has
+    checked every field, and :func:`convert_strata`, whose walk makes such
+    keys."""
+    out = ResolutionConfig.__new__(ResolutionConfig)
+    out._dimension, out._ambient, out._components = dimension, ambient, components
+    out._convention, out._strata = convention, MappingProxyType(strata)
+    out._singular_locus, out._derived = singular_locus, {}
+    return out
 
 
 def _canonical_key(key) -> StratumKey:
@@ -219,16 +225,16 @@ def _subset_walk(strata: Mapping[StratumKey, object], target: str
     polynomials here (:func:`convert_strata`), packed ints in the engine.
     The empty subset gathers every stored key, the ambient left out.
     """
-    parts: dict[StratumKey, list[tuple[int, object]]] = {}
+    parts: dict[StratumKey, list[tuple[int, object]]] = defaultdict(list)
+    flip = target == "open"
     for key, value in strata.items():
         n = len(key)
+        plus = (1, value)
+        minus = (-1, value) if flip else plus
         for size in range(n + 1):
-            part = (-1 if target == "open" and (n - size) % 2 else 1, value)
+            part = minus if (n - size) % 2 else plus
             for sub in combinations(key, size):  # sorted, as key is
-                if sub in parts:
-                    parts[sub].append(part)
-                else:
-                    parts[sub] = [part]
+                parts[sub].append(part)
     return parts
 
 
@@ -261,7 +267,7 @@ def _converted(cfg: ResolutionConfig, target: str) -> ResolutionConfig:
                                            claims.pop() if len(claims) == 1 else None)
         if value.poly:
             table[key] = value
-    return cfg._with_strata(target, table)
+    return _checked_config(cfg.dimension, cfg.ambient, cfg.components, target, table, cfg.singular_locus)
 
 
 def component_closed_hd(cfg: ResolutionConfig, label: str) -> HodgeDelignePolynomial:
@@ -343,30 +349,41 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
                                 f"{len(cfg.components)} components exceed the cap of {DEFAULT_COMPONENT_CAP} "
                                 f"(subset enumeration cost)", ""))
 
-    walk = sum(2 ** len(key) for key in cfg.strata)
-    if walk > SUBSET_WALK_BUDGET:
+    scan = _table_scan(cfg)
+    if scan.walk > SUBSET_WALK_BUDGET:
         findings.append(Finding("error", "subset-walk-cost",
-                                f"the stored strata keys span {walk} label subsets, over the budget "
+                                f"the stored strata keys span {scan.walk} label subsets, over the budget "
                                 f"of {SUBSET_WALK_BUDGET}", ""))
 
-    used_labels: set[str] = set()
-    for key in cfg.strata:
-        used_labels.update(key)
-        unknown = [label for label in key if label not in seen_labels]
-        if unknown:
-            findings.append(Finding("error", "unknown-label",
-                                    f"stratum key {','.join(key)} references undeclared {unknown}",
-                                    ",".join(key)))
+    used_labels = set().union(*cfg.strata)
+    if not used_labels <= seen_labels:
+        for key in cfg.strata:
+            unknown = [label for label in key if label not in seen_labels]
+            if unknown:
+                findings.append(Finding("error", "unknown-label",
+                                        f"stratum key {','.join(key)} references undeclared {unknown}",
+                                        ",".join(key)))
     for comp in cfg.components:
         if comp.label in seen_labels and comp.label not in used_labels:
             findings.append(Finding("warning", "unused-component",
                                     f"component {comp.label!r} appears in no stratum", comp.label))
 
-    for name, symmetric, top in _table_scan(cfg)[0]:
-        if not symmetric:
+    # per table, from its figures (low, high, norm, symmetric, top): the
+    # ambient, the strata by key, the singular locus
+    tables = [("ambient", scan.ambient)] + sorted(
+        (key, figures) for key, figures in zip(cfg.strata, scan.strata)
+        if not figures[3] or figures[4] > EXPONENT_BUDGET)
+    if cfg.singular_locus is not None:
+        tables.append(("singular_locus", scan.locus))
+    for name, figures in tables:
+        if figures is None:
+            continue  # a zero table
+        if not isinstance(name, str):
+            name = ",".join(name)
+        if not figures[3]:
             findings.append(Finding("error", "uv-asymmetry",
                                     f"polynomial of {name} is not symmetric in u and v", name))
-        if top > EXPONENT_BUDGET:
+        if figures[4] > EXPONENT_BUDGET:
             findings.append(Finding("error", "exponent-cost",
                                     f"polynomial of {name} has an exponent over the budget of "
                                     f"{EXPONENT_BUDGET}", name))
@@ -388,44 +405,45 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
     return tuple(findings)
 
 
-def _table_scan(cfg: ResolutionConfig) -> tuple[list[tuple[str, bool, int]], set[int], int, int]:
-    """One pass over the terms of every table, made once per config:
+class _Scan(NamedTuple):
+    """The figures of a config's tables, each walked once (:func:`_table_scan`)."""
 
-    * per table, in the order of the findings (the ambient, the strata by
-      key, the singular locus), its name, whether it is u<->v symmetric,
-      and its largest exponent;
-    * over the ambient and the strata, the offsets i - j, the largest
-      power of uv, min(i, j), and |ambient|_1 + 2 sum_keys 2^|key|
-      |H_key|_1, which bound the formula sums (:func:`_packed_sum_bits`).
-    """
+    ambient: Union[tuple, None]  # exact_poly._scan's figures, None for a zero table
+    strata: list[tuple]  # per stored table, in stored order
+    locus: Union[tuple, None]  # the singular locus's, None when absent or zero
+    offsets: set[int]  # i - j over the ambient and the strata
+    rows: int  # the largest min(i, j) there
+    norm: int  # sum over stored keys J of 2^|J| |H_J|_1
+    walk: int  # sum over stored keys J of 2^|J|, the subsets the walk enumerates
+
+
+def _table_scan(cfg: ResolutionConfig) -> _Scan:
+    """One pass over the terms of every table (:func:`exact_poly._scan`),
+    made once per config.  Its figures serve both the lenient findings and
+    the packed layout: u<->v symmetry and the largest exponent, per table,
+    for the findings; the row span and |H|_1, per table, and the offsets
+    over the ambient and the strata, for ``engine._packed_strata``, which
+    walks no term but to pack it; and the offsets, the largest power of t
+    and the norms of the bound on the formula sums
+    (:func:`_packed_sum_bits`)."""
     def scan():
-        tables = [("ambient", 0, cfg.ambient.poly)]
-        tables += [(",".join(key), len(key), h.poly) for key, h in sorted(cfg.strata.items())]
-        if cfg.singular_locus is not None:
-            tables.append(("singular_locus", None, cfg.singular_locus.poly))
-        named, offsets = [], set()
-        rows = norm = 0
-        for name, size, p in tables:
-            terms = p._terms
-            # the singular locus's offsets go to a set that is dropped
-            get, add = terms.get, (offsets if size is not None else set()).add
-            symmetric, top, low, l1 = True, 0, 0, 0
-            for (i, j), c in terms.items():
-                if i != j and symmetric and get((j, i)) != c:
-                    symmetric = False
-                add(i - j)
-                if i > j:
-                    i, j = j, i
-                if j > top:
-                    top = j
-                if i > low:
-                    low = i
-                l1 += c if c > 0 else -c
-            named.append((name, symmetric, top))
-            if size is not None:
-                rows = max(rows, low)
-                norm += l1 << (size + 1 if size else 0)
-        return named, offsets, rows, norm
+        offsets: set[int] = set()
+        terms = cfg.ambient.poly._terms
+        ambient = _scan(terms, offsets) if terms else None
+        strata = []
+        rows = ambient[1] if ambient else 0
+        norm = walk = 0
+        for key, h in cfg.strata.items():  # stored tables are nonzero
+            figures = _scan(h.poly._terms, offsets)
+            strata.append(figures)
+            if figures[1] > rows:
+                rows = figures[1]
+            size = len(key)
+            norm += figures[2] << size
+            walk += 2 ** size
+        locus = cfg.singular_locus
+        locus = _scan(locus.poly._terms, set()) if locus is not None and locus.poly else None
+        return _Scan(ambient, strata, locus, offsets, rows, norm, walk)
     return cfg._derive("table scan", scan)
 
 
@@ -443,8 +461,9 @@ def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
     agreement check, each doubling that bound.  The figures come from
     :func:`_table_scan`.
     """
-    _, offsets, rows, norm = _table_scan(cfg)
-    return packed_bits(len(offsets) * (rows + degree + 1), norm << 2 * factors)
+    scan = _table_scan(cfg)
+    norm = (scan.ambient[2] if scan.ambient else 0) + 2 * scan.norm
+    return packed_bits(len(scan.offsets) * (scan.rows + degree + 1), norm << 2 * factors)
 
 
 def _strict_findings(cfg: ResolutionConfig, lenient: ValidationReport) -> tuple[Finding, ...]:
@@ -486,29 +505,40 @@ _REQUIRED_FIELDS = {"dimension", "ambient", "components", "strata_convention", "
 _COMPONENT_FIELDS = {"label", "discrepancy"}
 
 
-def _poly_from_triples(raw, where: str) -> BivariatePolynomial:
+def _poly_from_triples(raw) -> BivariatePolynomial:
+    """The polynomial of a list of [i, j, c] triples, or a ValueError that
+    says what is wrong with them: the caller puts the table's location in
+    front, so that its text is made only for an error."""
+    if type(raw) is list:
+        # exact ints, the common case, pass with one test per field; a table
+        # that fails any goes through the checks below, in their order
+        terms: dict[tuple[int, int], int] = {}
+        for entry in raw:
+            if type(entry) is not list or len(entry) != 3:
+                break
+            i, j, c = entry
+            if type(i) is not int or type(j) is not int or type(c) is not int or i < 0 or j < 0 or not c:
+                break
+            terms[i, j] = c
+        else:
+            if len(terms) == len(raw):  # no pair twice
+                return _polynomial(terms)
     if not isinstance(raw, list):
-        raise ConfigFormatError(f"{where}: expected a list of [i, j, c] triples")
-    terms: dict[tuple[int, int], int] = {}
+        raise ValueError("expected a list of [i, j, c] triples")
+    terms = {}
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 3:
-            raise ConfigFormatError(f"{where}: each term must be a triple [i, j, c], got {entry!r}")
+            raise ValueError(f"each term must be a triple [i, j, c], got {entry!r}")
         i, j, c = entry
-        # exact ints, the common case, skip the isinstance tests and the decoding
-        if (type(i) is not int or type(j) is not int) and (
-                isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int)):
-            raise ConfigFormatError(f"{where}: exponents must be integers, got {entry!r}")
+        if isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int):
+            raise ValueError(f"exponents must be integers, got {entry!r}")
         if i < 0 or j < 0:
-            raise ConfigFormatError(f"{where}: exponents must be nonnegative, got {entry!r}")
-        if type(c) is not int:
-            try:
-                c = decode_json_int(c)
-            except ValueError as exc:
-                raise ConfigFormatError(f"{where}: {exc}") from None
+            raise ValueError(f"exponents must be nonnegative, got {entry!r}")
+        c = decode_json_int(c)
         if c == 0:
-            raise ConfigFormatError(f"{where}: zero coefficient at ({i},{j}) must be omitted")
+            raise ValueError(f"zero coefficient at ({i},{j}) must be omitted")
         if (i, j) in terms:
-            raise ConfigFormatError(f"{where}: duplicate exponent pair ({i},{j})")
+            raise ValueError(f"duplicate exponent pair ({i},{j})")
         terms[(i, j)] = c
     return _polynomial(terms)  # every triple is checked above
 
@@ -585,27 +615,38 @@ def load_config(source: Union[str, Path, bytes, Mapping]) -> ResolutionConfig:
     raw_strata = data["strata"]
     if type(raw_strata) is not dict and not isinstance(raw_strata, Mapping):
         raise ConfigFormatError("strata must be an object keyed by comma-joined sorted labels")
+    # every key and table is checked here once, and the config takes them
+    # over as they are (_checked_config)
     strata: dict[StratumKey, HodgeDelignePolynomial] = {}
     for raw_key, triples in raw_strata.items():
         if not isinstance(raw_key, str) or not raw_key:
             raise ConfigFormatError(f"stratum key must be a nonempty string, got {raw_key!r}")
         labels = raw_key.split(",")
-        if any(not lab for lab in labels):
+        if "" in labels:
             raise ConfigFormatError(f"stratum key {raw_key!r} has an empty label")
-        if labels != sorted(labels):
-            raise ConfigFormatError(f"stratum key {raw_key!r} is not sorted")
-        if len(set(labels)) != len(labels):
+        if len(labels) > 1 and labels != sorted(set(labels)):
+            if labels != sorted(labels):
+                raise ConfigFormatError(f"stratum key {raw_key!r} is not sorted")
             raise ConfigFormatError(f"stratum key {raw_key!r} repeats a label")
-        poly = _poly_from_triples(triples, f"strata[{raw_key!r}]")
-        strata[tuple(labels)] = HodgeDelignePolynomial(poly)
+        try:
+            poly = _poly_from_triples(triples)
+        except ValueError as exc:
+            raise ConfigFormatError(f"strata[{raw_key!r}]: {exc}") from None
+        if poly._terms:  # an empty table is an absent stratum, as in the constructor
+            strata[tuple(labels)] = HodgeDelignePolynomial(poly)
 
-    ambient = HodgeDelignePolynomial(_poly_from_triples(data["ambient"], "ambient"),
-                                     claimed_dimension=dimension)
+    try:
+        ambient = HodgeDelignePolynomial(_poly_from_triples(data["ambient"]), claimed_dimension=dimension)
+    except ValueError as exc:
+        raise ConfigFormatError(f"ambient: {exc}") from None
     singular = None
     if "singular_locus" in data:
-        singular = HodgeDelignePolynomial(_poly_from_triples(data["singular_locus"], "singular_locus"))
+        try:
+            singular = HodgeDelignePolynomial(_poly_from_triples(data["singular_locus"]))
+        except ValueError as exc:
+            raise ConfigFormatError(f"singular_locus: {exc}") from None
 
-    return ResolutionConfig(dimension, ambient, components, convention, strata, singular)
+    return _checked_config(dimension, ambient, tuple(components), convention, strata, singular)
 
 
 def config_to_dict(cfg: ResolutionConfig) -> dict:

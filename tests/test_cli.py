@@ -1064,18 +1064,6 @@ def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(_as_lists(value), sort_keys=True, indent=2)
 
 
-def test_json_writer_pieces_start_over_past_their_cap(monkeypatch):
-    # the kept text pieces of the triples are bounded: past the cap they are
-    # dropped and made again, and the bytes stay those of json.dumps
-    monkeypatch.setattr(cli, "_TRIPLE_PARTS_CAP", 2)
-    monkeypatch.setattr(cli, "_TRIPLE_PARTS", {})
-    terms = [((i, 7 - i), i - 3) for i in range(8)]
-    value = {"a": cli._Triples(lambda: terms), "b": [cli._Triples(lambda: terms[::-1])]}
-    assert cli._json_text(value) == json.dumps(_as_lists(value), sort_keys=True, indent=2)
-    assert len(cli._TRIPLE_PARTS) == 2
-    assert all(len(pieces) <= 2 for parts in cli._TRIPLE_PARTS.values() for pieces in parts)
-
-
 def test_json_writer_quotes_coefficients_beyond_64_bits():
     terms = [((0, 0), c) for c in (2 ** 63 - 1, -(2 ** 63), 2 ** 63, -(2 ** 63) - 1, 10 ** 5000)]
     doc = json.loads(cli._json_text({"num": cli._Triples(lambda: terms)}))

@@ -39,7 +39,7 @@ from stringy.hodge import (
     projective_space,
     validate_smooth_projective,
 )
-from stringy.resolution import Component, ResolutionConfig, convert_strata, load_config, validate
+from stringy.resolution import Component, ResolutionConfig, config_to_dict, convert_strata, load_config, validate
 from stringy.validation import ConfigValidationError
 
 from conftest import (
@@ -533,6 +533,19 @@ class TestFormulaEquivalence:
         nonzero = [comp.discrepancy for comp in cfg.components if comp.discrepancy]
         bound = resolution._packed_sum_bits(cfg, sum(a + 1 for a in nonzero), len(nonzero))
         assert rows * len(strata.offsets) * strata.width <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_configs())
+    def test_loaded_config_packs_as_the_built_one(self, cfg):
+        # the loader's checked path and the public constructor give one
+        # config, in either convention: the same strata and components, and
+        # the same packed layout and values
+        for built in (cfg, convert_strata(cfg, "open" if cfg.convention == "closed" else "closed")):
+            loaded = load_config(config_to_dict(built))
+            assert loaded.strata == built.strata and loaded.components == built.components
+            mine, theirs = engine._packed_strata(loaded), engine._packed_strata(built)
+            assert (mine.width, mine.offsets, mine.norm) == (theirs.width, theirs.offsets, theirs.norm)
+            assert mine == theirs
 
     @settings(max_examples=80, deadline=None)
     @given(lattice_configs(), st.booleans())

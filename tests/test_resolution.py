@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringy import resolution
+from stringy import exact_poly, resolution
 from stringy.exact_poly import BivariatePolynomial
 from stringy.hodge import HodgeDelignePolynomial, projective_space
 from stringy.resolution import (
@@ -199,6 +199,29 @@ class TestPreparedConfig:
         assert opened.components == cfg.components and opened.singular_locus is cfg.singular_locus
         assert convert_strata(opened, "closed").strata == cfg.strata
 
+    def test_loading_checks_no_key_again(self, monkeypatch):
+        # the loader checks every key and table once and builds the config
+        # from them as they are, as the conversion does; an empty table is
+        # an absent stratum, as the constructor has it
+        canonicalised = []
+        real = resolution._canonical_key
+
+        def counting(key):
+            canonicalised.append(key)
+            return real(key)
+
+        monkeypatch.setattr(resolution, "_canonical_key", counting)
+        cfg = load_config({"dimension": 3, "ambient": [[0, 0, 1], [1, 1, 1]], "strata_convention": "closed",
+                           "components": [{"label": "A", "discrepancy": 1}, {"label": "B", "discrepancy": 2}],
+                           "strata": {"A": [[0, 0, 1]], "A,B": [], "B": [[0, 0, 2]]}})
+        assert canonicalised == []
+        assert dict(cfg.strata) == {("A",): hd({(0, 0): 1}), ("B",): hd({(0, 0): 2})}
+        assert cfg.components == (Component("A", 1), Component("B", 2))
+        built = ResolutionConfig(3, hd({(0, 0): 1, (1, 1): 1}, 3), list(cfg.components), "closed",
+                                 {("A",): hd({(0, 0): 1}), ("A", "B"): hd({}), ("B",): hd({(0, 0): 2})})
+        assert config_to_dict(cfg) == config_to_dict(built)
+        assert validate(cfg) == validate(built)
+
     def test_conversion_makes_no_reference_cycle(self):
         # a cycle would be freed only by the cycle collector, so a batch
         # would hold several files' tables at once
@@ -262,9 +285,11 @@ class TestDerivedPolynomials:
 @st.composite
 def scan_configs(draw):
     """Configs for the one scan of lenient validation: tables that may be
-    u<->v asymmetric, also with both pairs (i, j) and (j, i) present, with exponents up to 12 (a lowered exponent budget of
-    8 sits among them), zero to three components, and a singular locus that
-    is absent, a number of points or a table."""
+    u<->v asymmetric, also with both pairs (i, j) and (j, i) present, or with
+    every i > j term matched and one i < j term not, with exponents up to 12
+    (a lowered exponent budget of 8 sits among them), zero to three
+    components, and a singular locus that is absent, a number of points or a
+    table."""
     labels = ["A", "B", "C"][:draw(st.integers(min_value=0, max_value=3))]
     components = [Component(label, draw(st.integers(min_value=0, max_value=3))) for label in labels]
 
@@ -272,12 +297,17 @@ def scan_configs(draw):
         exponent = st.integers(min_value=0, max_value=12)
         coefficient = st.integers(min_value=-9, max_value=9).filter(bool)
         terms = draw(st.dictionaries(st.tuples(exponent, exponent), coefficient, min_size=1, max_size=5))
-        shape = draw(st.sampled_from(["any", "symmetric", "one mirror off"]))
+        shape = draw(st.sampled_from(["any", "symmetric", "one mirror off", "one mirror missing"]))
         if shape != "any":
             terms = {pair: c for (i, j), c in terms.items() for pair in ((i, j), (j, i))}
             if shape == "one mirror off":  # both pairs present, their coefficients apart
                 pair = draw(st.sampled_from(sorted(terms)))
                 terms[pair] += draw(st.sampled_from([-1, 1]))
+            if shape == "one mirror missing":  # every i > j term matched, one i < j term not
+                i = draw(st.integers(min_value=0, max_value=11))
+                j = draw(st.integers(min_value=i + 1, max_value=12))
+                terms[(i, j)] = draw(coefficient)
+                terms.pop((j, i), None)
         return HodgeDelignePolynomial(P(terms))
 
     keys = draw(st.sets(st.frozensets(st.sampled_from(labels), min_size=1), max_size=4)) if labels else set()
@@ -286,6 +316,19 @@ def scan_configs(draw):
     singular = table() if locus == "table" else hd({(0, 0): 2}) if locus else None
     return ResolutionConfig(draw(st.integers(min_value=1, max_value=4)), table(), components,
                             draw(st.sampled_from(["open", "closed"])), strata, singular)
+
+
+def _figures_multipass(poly):
+    """A table's figures (least and largest min(i, j), |p|_1, u<->v
+    symmetry, largest exponent) and its offsets i - j, a walk each; None
+    for the zero table."""
+    terms = dict(poly.items())
+    if not terms:
+        return None
+    rows = [min(pair) for pair in terms]
+    return (min(rows), max(rows), sum(abs(c) for c in terms.values()),
+            all(terms.get((j, i)) == c for (i, j), c in terms.items()),
+            max(max(pair) for pair in terms), {i - j for i, j in terms})
 
 
 class TestValidateLenient:
@@ -305,6 +348,24 @@ class TestValidateLenient:
             patch.setattr(BivariatePolynomial, "support", None)  # a call would raise
             assert resolution._lenient_findings(cfg) == want
             assert resolution._packed_sum_bits(cfg, degree, factors) == bits
+        # and each table's figures, which the packed layout reads too, equal
+        # those of a walk per figure
+        scan = resolution._table_scan(cfg)
+        stored = [h.poly for h in cfg.strata.values()]
+        locus = cfg.singular_locus
+        for poly, figures in [(cfg.ambient.poly, scan.ambient), *zip(stored, scan.strata),
+                              (locus.poly if locus is not None else P({}), scan.locus)]:
+            want = _figures_multipass(poly)
+            assert figures == (want[:5] if want else None)
+            if want:
+                offsets = set()
+                exact_poly._scan(dict(poly.items()), offsets)
+                assert offsets == want[5]
+        tables = [cfg.ambient.poly, *stored]
+        assert scan.offsets == set().union(*(_figures_multipass(p)[5] for p in tables if p))
+        assert scan.rows == max((_figures_multipass(p)[1] for p in tables if p), default=0)
+        assert scan.norm == sum(_figures_multipass(p)[2] << len(key) for key, p in zip(cfg.strata, stored))
+        assert scan.walk == sum(2 ** len(key) for key in cfg.strata)
 
     def test_accepted_clean_config(self):
         report = validate(node_config())
@@ -459,6 +520,22 @@ class TestValidateStrict:
         assert not validate(cfg, "strict").accepted
 
 
+# a bad triple after good ones, and the loader's text for it
+BAD_TRIPLES = [
+    ([True, 0, 1], "exponents must be integers, got [True, 0, 1]"),
+    ([0, -1, 1], "exponents must be nonnegative, got [0, -1, 1]"),
+    ([0.0, 1, 1], "exponents must be integers, got [0.0, 1, 1]"),
+    ([0, 1, 1.0], "expected an integer or decimal string, got 1.0"),
+    ([0, 1, 0], "zero coefficient at (0,1) must be omitted"),
+    ([1, 0, -2], "duplicate exponent pair (1,0)"),
+    ([0, 1], "each term must be a triple [i, j, c], got [0, 1]"),
+    ([0, 1, False], "expected an integer, got False"),
+    ((0, 1, 1), "each term must be a triple [i, j, c], got (0, 1, 1)"),
+]
+BAD_TRIPLE_IDS = ["bool-exponent", "negative-exponent", "float-exponent", "float-coefficient", "zero-coefficient",
+                  "duplicate-pair", "two-elements", "bool-coefficient", "tuple"]
+
+
 class TestInterchange:
     def test_file_round_trip(self, e6_path):
         cfg = load_config(e6_path)
@@ -509,18 +586,7 @@ class TestInterchange:
             load_config({"dimension": 3, "ambient": triples, "components": [],
                          "strata_convention": "closed", "strata": {}})
 
-    @pytest.mark.parametrize("bad, message", [
-        ([True, 0, 1], "exponents must be integers, got [True, 0, 1]"),
-        ([0, -1, 1], "exponents must be nonnegative, got [0, -1, 1]"),
-        ([0.0, 1, 1], "exponents must be integers, got [0.0, 1, 1]"),
-        ([0, 1, 1.0], "expected an integer or decimal string, got 1.0"),
-        ([0, 1, 0], "zero coefficient at (0,1) must be omitted"),
-        ([1, 0, -2], "duplicate exponent pair (1,0)"),
-        ([0, 1], "each term must be a triple [i, j, c], got [0, 1]"),
-        ([0, 1, False], "expected an integer, got False"),
-        ((0, 1, 1), "each term must be a triple [i, j, c], got (0, 1, 1)"),
-    ], ids=["bool-exponent", "negative-exponent", "float-exponent", "float-coefficient", "zero-coefficient",
-            "duplicate-pair", "two-elements", "bool-coefficient", "tuple"])
+    @pytest.mark.parametrize("bad, message", BAD_TRIPLES, ids=BAD_TRIPLE_IDS)
     def test_bad_triple_after_good_ones_keeps_its_message(self, bad, message):
         # the entries before it are exact ints, the common case; the bad one
         # meets the checks in their order, with the same text
@@ -528,6 +594,20 @@ class TestInterchange:
             load_config({"dimension": 3, "ambient": [[1, 0, 2], [2, 2, 1], bad], "components": [],
                          "strata_convention": "closed", "strata": {}})
         assert str(info.value) == f"ambient: {message}"
+
+    @pytest.mark.parametrize("key, where", [
+        ("A,B", "strata['A,B']"),
+        ("A,it's", 'strata["A,it\'s"]'),  # the key is shown as its repr
+    ], ids=["plain", "quote"])
+    @pytest.mark.parametrize("bad, message", BAD_TRIPLES, ids=BAD_TRIPLE_IDS)
+    def test_bad_triple_in_a_stratum_keeps_its_message(self, bad, message, key, where):
+        # the same texts at a stratum, after a good stratum and good entries
+        with pytest.raises(ConfigFormatError) as info:
+            load_config({"dimension": 3, "ambient": [[0, 0, 1]],
+                         "components": [{"label": label, "discrepancy": 1} for label in ("A", "B", "it's")],
+                         "strata_convention": "closed",
+                         "strata": {"A": [[0, 0, 1]], key: [[1, 0, 2], [2, 2, 1], bad]}})
+        assert str(info.value) == f"{where}: {message}"
 
     def test_triples_accept_decimal_strings_and_int_subclasses(self):
         class Exact(int):
@@ -551,9 +631,17 @@ class TestInterchange:
             load_config({"dimension": 3, "ambient": [[0, 0, 1]], "components": [component],
                          "strata_convention": "closed", "strata": {}})
 
-    @pytest.mark.parametrize("key", ["", "B,A", "A,,B", "A,A"])
+    @pytest.mark.parametrize("key", ["", "B,A", "A,,B", "A,A", "B,A,A", "A,B,B"])
     def test_bad_stratum_keys(self, key):
-        with pytest.raises(ConfigFormatError):
+        message = {
+            "": "stratum key must be a nonempty string, got ''",
+            "B,A": "stratum key 'B,A' is not sorted",
+            "A,,B": "stratum key 'A,,B' has an empty label",
+            "A,A": "stratum key 'A,A' repeats a label",
+            "B,A,A": "stratum key 'B,A,A' is not sorted",  # the order is checked first
+            "A,B,B": "stratum key 'A,B,B' repeats a label",
+        }[key]
+        with pytest.raises(ConfigFormatError) as info:
             load_config({
                 "dimension": 3, "ambient": [[0, 0, 1]],
                 "components": [{"label": "A", "discrepancy": 1},
@@ -561,6 +649,7 @@ class TestInterchange:
                 "strata_convention": "closed",
                 "strata": {key: [[0, 0, 1]]},
             })
+        assert str(info.value) == message
 
     def test_big_coefficients_round_trip(self, tmp_path):
         big = 2 ** 80
