@@ -117,13 +117,15 @@ class _PackedStrata(NamedTuple):
 @_once_per_config
 def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
     """Every stored table packed once, on one layout shared by both
-    formulas and the agreement check; the other convention's tables are
-    signed sums of those packed ints, by the subset walk of
-    :func:`convert_strata` (:func:`resolution._subset_walk`), and a sum that
-    is 0 is dropped.  Each value comes with top, the largest power of t it
-    can hold.  The walk's empty subset gives the open complement: the
-    ambient plus the walk to the open convention there, or less the walk to
-    the closed one.
+    formulas and the agreement check, from the figures (row span, |H|_1,
+    offsets, N) of the scan that lenient validation made
+    (:func:`resolution._table_scan`), so no term is walked again but to
+    pack it.  The other convention's tables are signed sums of those
+    packed ints, by the subset walk of :func:`convert_strata`
+    (:func:`resolution._subset_walk`), and a sum that is 0 is dropped.
+    Each value comes with top, the largest power of t it can hold.  The
+    walk's empty subset gives the open complement: the ambient plus the
+    walk to the open convention there, or less the walk to the closed one.
 
     The layout has the offsets of the ambient and the stored tables; every
     value above is a signed sum of those, and so is every formula sum.  Its
@@ -167,11 +169,9 @@ def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
             if m and most.get(m, 0) < here.count(m):
                 most[m] = here.count(m)
     scan = _table_scan(cfg)
-    norm = (scan.ambient[2] if scan.ambient else 0) + scan.norm
     width, offsets, packed = _pack_tables(
-        [(cfg.ambient.poly._terms, scan.ambient)]
-        + [(value.poly._terms, figures) for value, figures in zip(cfg.strata.values(), scan.strata)],
-        scan.offsets, norm, scan.rows + sum(m * n for m, n in most.items()), sum(most.values()))
+        [(cfg.ambient.poly._terms, scan.ambient), *zip([h.poly._terms for h in cfg.strata.values()], scan.strata)],
+        scan.offsets, scan.norm, scan.rows + sum(m * n for m, n in most.items()), sum(most.values()))
     stored = dict(zip(cfg.strata, packed[1:]))
     target = "open" if cfg.convention == "closed" else "closed"
     converted = {}
@@ -189,7 +189,7 @@ def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
     (ambient, ambient_top), (empty, empty_top) = packed[0], converted.pop((), (0, 0))
     complement = (ambient + empty if target == "open" else ambient - empty, max(ambient_top, empty_top))
     opened, closed = (converted, stored) if target == "open" else (stored, converted)
-    return _PackedStrata(width, offsets, norm, factor, packed[0], complement, opened, closed)
+    return _PackedStrata(width, offsets, scan.norm, factor, packed[0], complement, opened, closed)
 
 
 def _formula_sum(strata: _PackedStrata, terms: list[tuple]) -> tuple[PackedNumerator, CycloProduct]:

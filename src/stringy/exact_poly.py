@@ -29,7 +29,8 @@ The central representation choices:
   c u^i v^j is a signed digit in slot min(i, j) R + r, r the rank of i - j
   among the R offsets present, so t = uv is a shift by width R bits and
   multiplying by t^m - 1 is one shift and one subtraction.  Tables are
-  packed onto one layout (:func:`_pack_tables`) and summed over a common
+  scanned once each for their figures (:func:`_scan`), packed onto one
+  layout from them (:func:`_pack_tables`) and summed over a common
   denominator by one merge (:func:`_merge`): the engine's formula sums,
   from tables packed once per config, and :func:`common_denominator_sum`.
   The merge multiplies each term by the factors it lacks one distinct
@@ -645,12 +646,10 @@ _FEW_TERMS = 16
 
 def _scan(terms: Mapping[ExponentPair, int], offsets: set[int]) -> tuple[int, int, int, bool, int]:
     """One pass over a nonempty {(i, j): c}, which adds its offsets i - j to
-    ``offsets`` and gives its figures (low, high, norm, symmetric, top): the
-    least and the largest power of t among its terms, min(i, j); its sum
-    of |c|; whether it is u<->v symmetric; and its largest exponent.  Its
-    mirror is tested from one side: every term with i > j must have a
-    mirror (j, i) of the same coefficient, and as many terms must have
-    i < j, so that none of those is left without one."""
+    ``offsets``, for its figures (low, high, norm, symmetric, top): the
+    least and the largest min(i, j), the sum of |c|, u<->v symmetry and the
+    largest exponent.  Symmetry is tested from one side: each term with
+    i > j has its mirror, and as many terms have i < j."""
     get, add = terms.get, offsets.add
     low = high = min(next(iter(terms)))
     top = norm = skew = 0
@@ -709,14 +708,12 @@ def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int
 def _pack_tables(tables: list[tuple[Mapping[ExponentPair, int], Union[tuple, None]]], offsets: set[int],
                  norm: int, degree: int, spare: int = 0) -> tuple[int, tuple[int, ...], list[tuple[int, int]]]:
     """(terms, figures) tables packed on one layout, as (width, offsets,
-    [(value, top)]): the figures are the table's from :func:`_scan`, None
-    for a zero table, which packs as (0, 0); offsets are the union of
-    theirs; slots are as wide as signed digits up to norm 2^spare need; and
-    top is a table's largest power of t.  degree is the largest power of t
-    the values may reach once multiplied, and a layout whose values could
-    then pass ``PACKED_BIT_BUDGET`` bits raises ``PackedSizeError`` before
-    any table is packed.  Nothing here walks the terms again but the
-    packing itself."""
+    [(value, top)]), from the figures of :func:`_scan` (None for a zero
+    table, packed as (0, 0)) and the union of their offsets, with no other
+    walk of the terms; slots as wide as signed digits up to norm 2^spare
+    need.  A layout whose values could pass ``PACKED_BIT_BUDGET`` bits at
+    degree, the largest power of t they may reach once multiplied, raises
+    ``PackedSizeError`` before any table is packed."""
     ordered = tuple(sorted(offsets))
     rank = {s: r for r, s in enumerate(ordered)}
     width = _width(norm << spare)
@@ -1228,15 +1225,12 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
     largest = _largest(keys)
     size, full = sum(largest.values()), sum(m * n for m, n in largest.items())
     present: set[int] = set()
-    tables = []
-    norm = degree = 0
+    tables, norm, degree = [], 0, 0
     for num, (factors, gains), lift in entries:
-        terms = num._terms
-        figures = _scan(terms, present) if terms else None
+        tables.append((num._terms, figures := _scan(num._terms, present) if num._terms else None))
         if figures:
             norm += figures[2] << (size - len(factors) + len(gains))
             degree = max(degree, figures[1] + lift + full - sum(factors) + sum(gains))
-        tables.append((terms, figures))
     width, offsets, packed = _pack_tables(tables, present, norm, degree)
     value, degree, common = _merge([(value, top, *key, lift) for (value, top), (_, key, lift)
                                     in zip(packed, entries)], width, offsets)

@@ -114,13 +114,9 @@ class ResolutionConfig:
                 table[key] = value
         if singular_locus is not None and not isinstance(singular_locus, HodgeDelignePolynomial):
             raise TypeError("singular_locus must be a HodgeDelignePolynomial or None")
-        self._dimension = dimension
-        self._ambient = ambient
-        self._components = comps
-        self._convention = convention
-        self._strata = MappingProxyType(table)
-        self._singular_locus = singular_locus
-        self._derived: dict = {}
+        self._dimension, self._ambient, self._components = dimension, ambient, comps
+        self._convention, self._strata = convention, MappingProxyType(table)
+        self._singular_locus, self._derived = singular_locus, {}
 
     @property
     def dimension(self) -> int:
@@ -184,12 +180,9 @@ class ResolutionConfig:
 def _checked_config(dimension: int, ambient: HodgeDelignePolynomial, components: tuple[Component, ...],
                     convention: str, strata: dict, singular_locus: Union[HodgeDelignePolynomial, None]
                     ) -> ResolutionConfig:
-    """A config of fields that are checked already, taken over as they are:
-    nothing is checked or canonicalised again.  The table's keys are sorted
-    tuples of checked labels, and its values nonzero HodgeDelignePolynomials.
-    Package-internal: the producers are :func:`load_config`, which has
-    checked every field, and :func:`convert_strata`, whose walk makes such
-    keys."""
+    """A config of checked fields taken over as they are, the table's keys
+    sorted tuples of checked labels and its values nonzero.  Package-internal:
+    the producers are :func:`load_config` and :func:`convert_strata`."""
     out = ResolutionConfig.__new__(ResolutionConfig)
     out._dimension, out._ambient, out._components = dimension, ambient, components
     out._convention, out._strata = convention, MappingProxyType(strata)
@@ -198,10 +191,7 @@ def _checked_config(dimension: int, ambient: HodgeDelignePolynomial, components:
 
 
 def _canonical_key(key) -> StratumKey:
-    if isinstance(key, str):
-        parts = [key]
-    else:
-        parts = list(key)
+    parts = [key] if isinstance(key, str) else list(key)
     for label in parts:
         if not isinstance(label, str) or not label:
             raise ValueError(f"stratum key labels must be nonempty strings, got {key!r}")
@@ -226,11 +216,9 @@ def _subset_walk(strata: Mapping[StratumKey, object], target: str
     The empty subset gathers every stored key, the ambient left out.
     """
     parts: dict[StratumKey, list[tuple[int, object]]] = defaultdict(list)
-    flip = target == "open"
     for key, value in strata.items():
         n = len(key)
-        plus = (1, value)
-        minus = (-1, value) if flip else plus
+        plus, minus = (1, value), (-1 if target == "open" else 1, value)
         for size in range(n + 1):
             part = minus if (n - size) % 2 else plus
             for sub in combinations(key, size):  # sorted, as key is
@@ -369,17 +357,13 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
                                     f"component {comp.label!r} appears in no stratum", comp.label))
 
     # per table, from its figures (low, high, norm, symmetric, top): the
-    # ambient, the strata by key, the singular locus
-    tables = [("ambient", scan.ambient)] + sorted(
-        (key, figures) for key, figures in zip(cfg.strata, scan.strata)
-        if not figures[3] or figures[4] > EXPONENT_BUDGET)
-    if cfg.singular_locus is not None:
-        tables.append(("singular_locus", scan.locus))
-    for name, figures in tables:
-        if figures is None:
-            continue  # a zero table
-        if not isinstance(name, str):
-            name = ",".join(name)
+    # ambient, the strata by key, the singular locus; a zero table has none
+    flagged = sorted((key, figures) for key, figures in zip(cfg.strata, scan.strata)
+                     if not figures[3] or figures[4] > EXPONENT_BUDGET)
+    for name, figures in [("ambient", scan.ambient), *((",".join(key), figures) for key, figures in flagged),
+                          ("singular_locus", scan.locus)]:
+        if not figures:
+            continue
         if not figures[3]:
             findings.append(Finding("error", "uv-asymmetry",
                                     f"polynomial of {name} is not symmetric in u and v", name))
@@ -413,35 +397,27 @@ class _Scan(NamedTuple):
     locus: Union[tuple, None]  # the singular locus's, None when absent or zero
     offsets: set[int]  # i - j over the ambient and the strata
     rows: int  # the largest min(i, j) there
-    norm: int  # sum over stored keys J of 2^|J| |H_J|_1
+    norm: int  # N = |ambient|_1 + sum over stored keys J of 2^|J| |H_J|_1
     walk: int  # sum over stored keys J of 2^|J|, the subsets the walk enumerates
 
 
 def _table_scan(cfg: ResolutionConfig) -> _Scan:
     """One pass over the terms of every table (:func:`exact_poly._scan`),
-    made once per config.  Its figures serve both the lenient findings and
-    the packed layout: u<->v symmetry and the largest exponent, per table,
-    for the findings; the row span and |H|_1, per table, and the offsets
-    over the ambient and the strata, for ``engine._packed_strata``, which
-    walks no term but to pack it; and the offsets, the largest power of t
-    and the norms of the bound on the formula sums
-    (:func:`_packed_sum_bits`)."""
+    made once per config, whose figures serve the lenient findings, the
+    bound on the formula sums (:func:`_packed_sum_bits`) and the packed
+    layout (``engine._packed_strata``, which walks no term but to pack it)."""
     def scan():
         offsets: set[int] = set()
-        terms = cfg.ambient.poly._terms
-        ambient = _scan(terms, offsets) if terms else None
-        strata = []
-        rows = ambient[1] if ambient else 0
-        norm = walk = 0
+        ambient, locus, strata = cfg.ambient.poly, cfg.singular_locus, []
+        ambient = _scan(ambient._terms, offsets) if ambient else None
+        rows, norm = ambient[1:3] if ambient else (0, 0)
+        walk = 0
         for key, h in cfg.strata.items():  # stored tables are nonzero
-            figures = _scan(h.poly._terms, offsets)
-            strata.append(figures)
+            strata.append(figures := _scan(h.poly._terms, offsets))
             if figures[1] > rows:
                 rows = figures[1]
-            size = len(key)
-            norm += figures[2] << size
-            walk += 2 ** size
-        locus = cfg.singular_locus
+            norm += figures[2] << len(key)
+            walk += 2 ** len(key)
         locus = _scan(locus.poly._terms, set()) if locus is not None and locus.poly else None
         return _Scan(ambient, strata, locus, offsets, rows, norm, walk)
     return cfg._derive("table scan", scan)
@@ -456,13 +432,13 @@ def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
     largest in the tables plus the degree.  Width: the open strata are
     signed sums of the closed ones over supersets and the reverse, so the
     terms of either formula have sum_terms |num|_1 <= |ambient|_1 +
-    2 sum_keys 2^|key| |H_key|_1; every term is multiplied by at most
-    ``factors`` factors (uv)^m - 1 in the sum and as many more in the
-    agreement check, each doubling that bound.  The figures come from
-    :func:`_table_scan`.
+    2 sum_keys 2^|key| |H_key|_1 = 2 N - |ambient|_1; every term is
+    multiplied by at most ``factors`` factors (uv)^m - 1 in the sum and as
+    many more in the agreement check, each doubling that bound.  The
+    figures come from :func:`_table_scan`.
     """
     scan = _table_scan(cfg)
-    norm = (scan.ambient[2] if scan.ambient else 0) + 2 * scan.norm
+    norm = 2 * scan.norm - (scan.ambient[2] if scan.ambient else 0)
     return packed_bits(len(scan.offsets) * (scan.rows + degree + 1), norm << 2 * factors)
 
 
@@ -505,10 +481,10 @@ _REQUIRED_FIELDS = {"dimension", "ambient", "components", "strata_convention", "
 _COMPONENT_FIELDS = {"label", "discrepancy"}
 
 
-def _poly_from_triples(raw) -> BivariatePolynomial:
-    """The polynomial of a list of [i, j, c] triples, or a ValueError that
-    says what is wrong with them: the caller puts the table's location in
-    front, so that its text is made only for an error."""
+def _poly_from_triples(raw, where: str, key: Union[str, None] = None) -> BivariatePolynomial:
+    """The polynomial of a list of [i, j, c] triples.  An error names the
+    table ``where``, or the stratum ``key`` in it, whose text is made only
+    then."""
     if type(raw) is list:
         # exact ints, the common case, pass with one test per field; a table
         # that fails any goes through the checks below, in their order
@@ -523,23 +499,26 @@ def _poly_from_triples(raw) -> BivariatePolynomial:
         else:
             if len(terms) == len(raw):  # no pair twice
                 return _polynomial(terms)
-    if not isinstance(raw, list):
-        raise ValueError("expected a list of [i, j, c] triples")
-    terms = {}
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValueError(f"each term must be a triple [i, j, c], got {entry!r}")
-        i, j, c = entry
-        if isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int):
-            raise ValueError(f"exponents must be integers, got {entry!r}")
-        if i < 0 or j < 0:
-            raise ValueError(f"exponents must be nonnegative, got {entry!r}")
-        c = decode_json_int(c)
-        if c == 0:
-            raise ValueError(f"zero coefficient at ({i},{j}) must be omitted")
-        if (i, j) in terms:
-            raise ValueError(f"duplicate exponent pair ({i},{j})")
-        terms[(i, j)] = c
+    try:
+        if not isinstance(raw, list):
+            raise ValueError("expected a list of [i, j, c] triples")
+        terms = {}
+        for entry in raw:
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValueError(f"each term must be a triple [i, j, c], got {entry!r}")
+            i, j, c = entry
+            if isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int):
+                raise ValueError(f"exponents must be integers, got {entry!r}")
+            if i < 0 or j < 0:
+                raise ValueError(f"exponents must be nonnegative, got {entry!r}")
+            c = decode_json_int(c)
+            if c == 0:
+                raise ValueError(f"zero coefficient at ({i},{j}) must be omitted")
+            if (i, j) in terms:
+                raise ValueError(f"duplicate exponent pair ({i},{j})")
+            terms[(i, j)] = c
+    except ValueError as exc:
+        raise ConfigFormatError(f"{where}: {exc}" if key is None else f"{where}[{key!r}]: {exc}") from None
     return _polynomial(terms)  # every triple is checked above
 
 
@@ -628,23 +607,15 @@ def load_config(source: Union[str, Path, bytes, Mapping]) -> ResolutionConfig:
             if labels != sorted(labels):
                 raise ConfigFormatError(f"stratum key {raw_key!r} is not sorted")
             raise ConfigFormatError(f"stratum key {raw_key!r} repeats a label")
-        try:
-            poly = _poly_from_triples(triples)
-        except ValueError as exc:
-            raise ConfigFormatError(f"strata[{raw_key!r}]: {exc}") from None
+        poly = _poly_from_triples(triples, "strata", raw_key)
         if poly._terms:  # an empty table is an absent stratum, as in the constructor
             strata[tuple(labels)] = HodgeDelignePolynomial(poly)
 
-    try:
-        ambient = HodgeDelignePolynomial(_poly_from_triples(data["ambient"]), claimed_dimension=dimension)
-    except ValueError as exc:
-        raise ConfigFormatError(f"ambient: {exc}") from None
+    ambient = HodgeDelignePolynomial(_poly_from_triples(data["ambient"], "ambient"),
+                                     claimed_dimension=dimension)
     singular = None
     if "singular_locus" in data:
-        try:
-            singular = HodgeDelignePolynomial(_poly_from_triples(data["singular_locus"]))
-        except ValueError as exc:
-            raise ConfigFormatError(f"singular_locus: {exc}") from None
+        singular = HodgeDelignePolynomial(_poly_from_triples(data["singular_locus"], "singular_locus"))
 
     return _checked_config(dimension, ambient, tuple(components), convention, strata, singular)
 

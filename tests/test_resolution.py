@@ -361,10 +361,10 @@ class TestValidateLenient:
                 offsets = set()
                 exact_poly._scan(dict(poly.items()), offsets)
                 assert offsets == want[5]
-        tables = [cfg.ambient.poly, *stored]
-        assert scan.offsets == set().union(*(_figures_multipass(p)[5] for p in tables if p))
-        assert scan.rows == max((_figures_multipass(p)[1] for p in tables if p), default=0)
-        assert scan.norm == sum(_figures_multipass(p)[2] << len(key) for key, p in zip(cfg.strata, stored))
+        tables = [(0, cfg.ambient.poly), *zip(map(len, cfg.strata), stored)]
+        assert scan.offsets == set().union(*(_figures_multipass(p)[5] for _, p in tables if p))
+        assert scan.rows == max((_figures_multipass(p)[1] for _, p in tables if p), default=0)
+        assert scan.norm == sum(_figures_multipass(p)[2] << size for size, p in tables if p)
         assert scan.walk == sum(2 ** len(key) for key in cfg.strata)
 
     def test_accepted_clean_config(self):
