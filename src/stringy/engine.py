@@ -168,10 +168,10 @@ def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
         for m in here:
             if m and most.get(m, 0) < here.count(m):
                 most[m] = here.count(m)
-    scan = _table_scan(cfg)
+    scan, terms = _table_scan(cfg), [h.poly._terms for h in cfg.strata.values()]
     width, offsets, packed = _pack_tables(
-        [(cfg.ambient.poly._terms, scan.ambient), *zip([h.poly._terms for h in cfg.strata.values()], scan.strata)],
-        scan.offsets, scan.norm, scan.rows + sum(m * n for m, n in most.items()), sum(most.values()))
+        [(cfg.ambient.poly._terms, scan.ambient), *zip(terms, scan.strata)], scan.offsets, scan.norm,
+        scan.rows + sum(m * n for m, n in most.items()), sum(most.values()))
     stored = dict(zip(cfg.strata, packed[1:]))
     target = "open" if cfg.convention == "closed" else "closed"
     converted = {}

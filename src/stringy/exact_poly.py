@@ -673,9 +673,9 @@ def _scan(terms: Mapping[ExponentPair, int], offsets: set[int]) -> tuple[int, in
     return low, high, norm, symmetric and not skew, top
 
 
-def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int, low: int, high: int) -> int:
+def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int, figures: tuple) -> int:
     """The packed value of a nonempty {(i, j): c} over the offset ranks,
-    whose least and largest power of t among the terms are low and high.
+    given its figures from :func:`_scan`.
 
     One rule picks how.  A table of at most ``_FEW_TERMS`` terms is the sum
     of its digits shifted into their slots, c << slot width: each addition
@@ -693,6 +693,7 @@ def _pack(terms: Mapping[ExponentPair, int], rank: Mapping[int, int], width: int
         for (i, j), c in terms.items():
             value += c << ((i if i < j else j) * R + rank[i - j]) * width
         return value
+    low, high = figures[:2]
     nb, base = width // 8, low * R
     pos = bytearray((high - low + 1) * R * nb)
     neg = bytearray(len(pos))
@@ -718,7 +719,7 @@ def _pack_tables(tables: list[tuple[Mapping[ExponentPair, int], Union[tuple, Non
     rank = {s: r for r, s in enumerate(ordered)}
     width = _width(norm << spare)
     _check_size((degree + 1) * len(ordered), width)
-    return width, ordered, [(_pack(terms, rank, width, figures[0], figures[1]), figures[1]) if figures else (0, 0)
+    return width, ordered, [(_pack(terms, rank, width, figures), figures[1]) if figures else (0, 0)
                             for terms, figures in tables]
 
 
@@ -1224,8 +1225,7 @@ def common_denominator_sum(terms: Iterable[tuple]) -> tuple[PackedNumerator, Cyc
         entries.append((num, key, checked_int(rest[1], "lift") if len(rest) > 1 else 0))
     largest = _largest(keys)
     size, full = sum(largest.values()), sum(m * n for m, n in largest.items())
-    present: set[int] = set()
-    tables, norm, degree = [], 0, 0
+    present, tables, norm, degree = set(), [], 0, 0
     for num, (factors, gains), lift in entries:
         tables.append((num._terms, figures := _scan(num._terms, present) if num._terms else None))
         if figures:

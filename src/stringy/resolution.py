@@ -191,7 +191,10 @@ def _checked_config(dimension: int, ambient: HodgeDelignePolynomial, components:
 
 
 def _canonical_key(key) -> StratumKey:
-    parts = [key] if isinstance(key, str) else list(key)
+    if isinstance(key, str):
+        parts = [key]
+    else:
+        parts = list(key)
     for label in parts:
         if not isinstance(label, str) or not label:
             raise ValueError(f"stratum key labels must be nonempty strings, got {key!r}")
@@ -362,12 +365,10 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
                      if not figures[3] or figures[4] > EXPONENT_BUDGET)
     for name, figures in [("ambient", scan.ambient), *((",".join(key), figures) for key, figures in flagged),
                           ("singular_locus", scan.locus)]:
-        if not figures:
-            continue
-        if not figures[3]:
+        if figures and not figures[3]:
             findings.append(Finding("error", "uv-asymmetry",
                                     f"polynomial of {name} is not symmetric in u and v", name))
-        if figures[4] > EXPONENT_BUDGET:
+        if figures and figures[4] > EXPONENT_BUDGET:
             findings.append(Finding("error", "exponent-cost",
                                     f"polynomial of {name} has an exponent over the budget of "
                                     f"{EXPONENT_BUDGET}", name))
@@ -486,8 +487,7 @@ def _poly_from_triples(raw, where: str, key: Union[str, None] = None) -> Bivaria
     table ``where``, or the stratum ``key`` in it, whose text is made only
     then."""
     if type(raw) is list:
-        # exact ints, the common case, pass with one test per field; a table
-        # that fails any goes through the checks below, in their order
+        # exact ints, the common case; anything else meets the checks below
         terms: dict[tuple[int, int], int] = {}
         for entry in raw:
             if type(entry) is not list or len(entry) != 3:
@@ -594,8 +594,7 @@ def load_config(source: Union[str, Path, bytes, Mapping]) -> ResolutionConfig:
     raw_strata = data["strata"]
     if type(raw_strata) is not dict and not isinstance(raw_strata, Mapping):
         raise ConfigFormatError("strata must be an object keyed by comma-joined sorted labels")
-    # every key and table is checked here once, and the config takes them
-    # over as they are (_checked_config)
+    # each key and table is checked once, here: the config takes them as they are
     strata: dict[StratumKey, HodgeDelignePolynomial] = {}
     for raw_key, triples in raw_strata.items():
         if not isinstance(raw_key, str) or not raw_key:
