@@ -53,7 +53,7 @@ The central representation choices:
   expanded rational value stays on the skewed flat list of its expansion
   (:class:`_Layout`), which the renderer, the CLI's JSON writer and the
   verdict scans read as it is; its term map is built only when something
-  asks for pairs.  A flat numerator's columns go into the expansion as
+  asks for pairs.  The numerator's columns go into the expansion as
   strided slices.  A polynomial's truncation, and a series built from a
   term map, stay sparse.
 """
@@ -61,7 +61,7 @@ The central representation choices:
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from operator import add, neg
 from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -102,8 +102,8 @@ class BivariatePolynomial:
 
     Instances are immutable by convention: no method mutates ``self`` and the
     internal term map is never handed out directly.  A canonical numerator
-    read back from its packed value (:func:`_unpack`) holds its terms in
-    output order already, and ``sorted_items()`` hands them out unsorted.
+    read back from its packed value (:func:`_unpack`) builds its term map in
+    output order, so the sort of ``sorted_items()`` meets one run.
 
     A dense one is read back flat: as the list of every coefficient of its
     skewed layout (:class:`_Layout`), zeros included, whose position order
@@ -116,7 +116,7 @@ class BivariatePolynomial:
     layout gives a flat sum (:func:`_flat_sum`).
     """
 
-    __slots__ = ("_terms", "_ordered", "_flat")
+    __slots__ = ("_terms", "_flat")
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
         data: dict[ExponentPair, int] = {}
@@ -131,7 +131,6 @@ class BivariatePolynomial:
                 else:
                     data.pop(pair, None)
         self._terms = data
-        self._ordered = False  # True only for terms read back or laid out in output order
         self._flat = None
 
     def __getattr__(self, name: str):
@@ -169,8 +168,6 @@ class BivariatePolynomial:
 
     def sorted_items(self) -> list[tuple[ExponentPair, int]]:
         """The terms in output order: by total degree i + j, then j."""
-        if self._ordered:
-            return list(self._terms.items())
         return sorted(self._terms.items(), key=_term_order)
 
     def coefficient(self, i: int, j: int) -> int:
@@ -294,7 +291,7 @@ def _polynomial(terms: dict[ExponentPair, int]) -> BivariatePolynomial:
     """The polynomial of a term map already free of zero coefficients, which
     it takes over without copying or checking."""
     out = BivariatePolynomial.__new__(BivariatePolynomial)
-    out._terms, out._ordered, out._flat = terms, False, None
+    out._terms, out._flat = terms, None
     return out
 
 
@@ -303,7 +300,7 @@ def _flat_polynomial(values: list[int], layout: "_Layout") -> BivariatePolynomia
     layout, which it takes over as they stand; its term map is built on
     first request."""
     out = BivariatePolynomial.__new__(BivariatePolynomial)
-    out._ordered, out._flat = True, (values, layout)
+    out._flat = (values, layout)
     return out
 
 
@@ -790,9 +787,9 @@ def _sparse_terms(data: bytes, marks: bytes, start: int, end: int, nb: int,
     return found
 
 
-# a block is moved into the skewed order when its stretch of that order, in
-# slots, is at most this many times its nonzero bytes; a sparser block is
-# read term by term and sorted (see :func:`_unpack`)
+# a value is moved into the skewed order when its stretch of that order, in
+# slots, is at most this many times its nonzero bytes; a sparser value is
+# read as its runs of nonzero slots (see :func:`_unpack`)
 _SKEWED_READ = 16
 
 
@@ -805,22 +802,17 @@ def _unpack(p: PackedNumerator) -> BivariatePolynomial:
     :func:`expand_rational` puts the term at t^n of offset s in row
     n + |s| // 2, offsets ranked by (|s| mod 2, -s), so position order is
     output order.  That moves a column at most skew = max |s| // 2 -
-    min |s| // 2 rows down, so rows a to b span (b - a + skew) R positions
-    of that order.
+    min |s| // 2 rows down, so rows 0 to b span (b + skew) R positions of
+    that order.
 
     When the rows up to the last nonzero one span at most ``_SKEWED_READ``
     times the value's nonzero bytes, their digits are read at once
     (:func:`_digits`), each offset's column is moved into the skewed order
     by one strided slice, and the list is the flat polynomial on its
-    :class:`_Layout`: no pair is made.  A sparser value is read in blocks
-    of whole rows, and ``find`` over the nonzero marks skips the zero runs
-    between blocks at C speed.  Blocks cut only at skew + 1 whole zero rows
-    fill disjoint, ascending stretches of the output order, and their terms
-    are read into a term map block after block, each by the same rule: a
-    block dense enough is moved into the skewed order, and a sparser block,
-    or one of few rows beside a wide skew, is read as runs of nonzero slots
-    and its terms are sorted (:func:`_sparse_terms`), so no read outgrows
-    the nonzero bytes by more than that factor.
+    :class:`_Layout`: no pair is made.  A sparser value is read as its runs
+    of nonzero slots, found by ``find`` over the nonzero marks at C speed,
+    into a term map in output order (:func:`_sparse_terms`), so no read
+    outgrows the nonzero bytes by more than that factor.
     """
     if not p.value:
         return _polynomial({})
@@ -829,48 +821,22 @@ def _unpack(p: PackedNumerator) -> BivariatePolynomial:
     size = (p.degree + 1) * row
     bias = int.from_bytes(_repeated(1 << (p.width - 1), nb, size // nb), "little")
     data = ((p.value + bias) ^ bias).to_bytes(size, "little")
+    marks = data.translate(_NONZERO_MARKS)
     ranked, first = _skewed_layout(p.offsets, 0)[:2]  # the rank order and the first row
     skew = max(map(abs, ranked)) // 2 - first
-    place = {s: (abs(s) // 2 - first) * R + q for q, s in enumerate(ranked)}
-    columns = [(r, s, place[s]) for r, s in enumerate(p.offsets)]
-
-    def skewed(a: int, b: int) -> list[int]:
-        # the digits of rows a to b in the skewed order, from row a on
-        digits = _digits(data[a * row:b * row], nb)
-        values = [0] * ((b - a + skew) * R)
-        span = (b - a) * R
-        for r, _, at in columns:
-            values[at:at + span:R] = digits[r::R]
-        return values
-
-    marks = data.translate(_NONZERO_MARKS)
     rows = marks.rfind(1) // row + 1
-    if (rows + skew) * R <= _SKEWED_READ * marks.count(1):
-        # 2 (rows - 1 + max |s| // 2) + 1 is the horizon whose layout ends
-        # every column in the last row read
-        return _flat_polynomial(skewed(0, rows), _ranked_layout(ranked, 2 * (rows + skew + first) - 1))
-    terms: dict[ExponentPair, int] = {}
-    reach = (skew + 2) * row - 1  # bytes that hold skew + 1 whole zero rows wherever they start
-    gap = bytes(reach) if reach < size else None  # none fits in a shorter value
-    start = marks.find(1)
-    while start >= 0:
-        end = marks.find(gap, start) if gap else -1
-        if end < 0:
-            end = size
-        a, b = start // row, -(-end // row)
-        if (b - a + skew) * R > _SKEWED_READ * marks.count(1, start, end):
-            terms.update(_sparse_terms(data, marks, start, end, nb, p.offsets))
-        else:
-            values = skewed(a, b)
-            pairs: list = [None] * len(values)
-            n, span = range(a, b), (b - a) * R
-            for _, s, at in columns:
-                pairs[at:at + span:R] = zip(range(a + s, b + s), n) if s >= 0 else zip(n, range(a - s, b - s))
-            terms.update(compress(zip(pairs, values), values))
-        start = marks.find(1, end)
-    out = _polynomial(terms)
-    out._ordered = True
-    return out
+    if (rows + skew) * R > _SKEWED_READ * marks.count(1):
+        return _polynomial(dict(_sparse_terms(data, marks, marks.find(1), size, nb, p.offsets)))
+    digits = _digits(data[:rows * row], nb)
+    values = [0] * ((rows + skew) * R)
+    span = rows * R
+    place = {s: (abs(s) // 2 - first) * R + q for q, s in enumerate(ranked)}
+    for r, s in enumerate(p.offsets):
+        at = place[s]
+        values[at:at + span:R] = digits[r::R]
+    # 2 (rows - 1 + max |s| // 2) + 1 is the horizon whose layout ends every
+    # column in the last row read
+    return _flat_polynomial(values, _ranked_layout(ranked, 2 * (rows + skew + first) - 1))
 
 
 def _fold(x: int, w: int) -> int:
@@ -1451,34 +1417,21 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     O(offsets * factors * horizon), and the result is independent of factor
     order.  The list and its layout are the series as it stands
     (:meth:`TruncatedBiseries._on_layout`): no pair is made until something
-    asks for the term map.  Only the numerator's terms within the horizon
-    are read: a flat numerator's columns are sliced from the head of its
-    list (:func:`_inside_columns`), a sparse one's terms are placed one by
-    one (:func:`_inside`).  A polynomial is only truncated and sorted once,
-    and stays sparse.
+    asks for the term map.  The layout and the numerator's columns within
+    the horizon come from :func:`_expansion`, and each column goes in as
+    one strided slice.  A polynomial is only truncated and sorted once, and
+    stays sparse.
     """
     checked_int(horizon, "horizon")
+    layout, columns = _expansion(x, horizon)
+    if layout is None:
+        return TruncatedBiseries(horizon, columns)
     factors = x.denominator.factors
-    flat = x.numerator._flat
-    if flat is not None and factors:
-        columns = _inside_columns(*flat, horizon)
-        layout = _ranked_layout(tuple(columns), horizon)
-        R = len(layout.offsets)
-        values = [0] * layout.size
-        for r, s in enumerate(layout.offsets):
-            at, column = layout.start(r), columns[s]
-            values[at:at + len(column) * R:R] = map(neg, column) if len(factors) % 2 else column
-    else:
-        inside = _inside(x.numerator, horizon)
-        if not factors:
-            return TruncatedBiseries(horizon, inside)
-        layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
-        R = len(layout.offsets)
-        rank = {s: r for r, s in enumerate(layout.offsets)}
-        sign = -1 if len(factors) % 2 else 1
-        values = [0] * layout.size
-        for (i, j), c in inside:
-            values[((i + j) // 2 - layout.first) * R + rank[i - j]] = sign * c
+    R = len(layout.offsets)
+    values = [0] * layout.size
+    for r, s in enumerate(layout.offsets):
+        at, column = layout.start(r), columns[s]
+        values[at:at + len(column) * R:R] = map(neg, column) if len(factors) % 2 else column
     for m in factors if R else ():  # no offsets: the empty layout
         _running_sums(values, m * R)
     return TruncatedBiseries._on_layout(values, layout)
@@ -1486,17 +1439,32 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
 
 def series_size(x: StringyRational, horizon: int) -> int:
     """How many coefficients :func:`expand_rational` computes for x to the
-    horizon: the positions of its skewed layout, about
+    horizon: the positions of its layout from :func:`_expansion`, about
     horizon // 2 + 1 - min |s| // 2 for every offset s = i - j of the
     numerator's terms within the horizon, or one per such term when x is a
     polynomial."""
-    flat = x.numerator._flat
-    if flat is not None and x.denominator:
-        return _ranked_layout(tuple(_inside_columns(*flat, horizon)), horizon).size
-    inside = _inside(x.numerator, horizon)
+    layout, inside = _expansion(x, horizon)
+    return len(inside) if layout is None else layout.size
+
+
+def _expansion(x: StringyRational, horizon: int) -> tuple[Union[_Layout, None], Union[list, dict]]:
+    """What :func:`expand_rational` lays out for x to the horizon: for a
+    polynomial, (None, its terms with i + j <= horizon); otherwise the
+    skewed layout of the offsets of those terms and, per offset in rank
+    order, its column's coefficients from k = 0.  A flat numerator's
+    columns are sliced from the head of its list (:func:`_inside_columns`);
+    a term map's are filled term by term."""
     if not x.denominator:
-        return len(inside)
-    return _skewed_layout({i - j for (i, j), _ in inside}, horizon).size
+        return None, _inside(x.numerator, horizon)
+    if x.numerator._flat is not None:
+        columns = _inside_columns(*x.numerator._flat, horizon)
+        return _ranked_layout(tuple(columns), horizon), columns
+    inside = _inside(x.numerator, horizon)
+    layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
+    columns = {s: [0] * ((horizon - abs(s)) // 2 + 1) for s in layout.offsets}
+    for (i, j), c in inside:
+        columns[i - j][min(i, j)] = c
+    return layout, columns
 
 
 def _inside_columns(values: list[int], layout: _Layout, horizon: int) -> dict[int, list[int]]:
@@ -1516,27 +1484,14 @@ def _inside_columns(values: list[int], layout: _Layout, horizon: int) -> dict[in
 
 
 def _inside(p: BivariatePolynomial, horizon: int) -> list[tuple[ExponentPair, int]]:
-    """The terms of p with i + j <= horizon.  When p holds its terms in
-    output order (:func:`_unpack`), they are a prefix: of a flat p's list,
-    paired with the positions of its layout to that horizon (to the list's
-    end at most); of a term map, all of them when the last term is within
-    the horizon, copied at once, or else as many as the scan meets before
-    the first term past it."""
+    """The terms of p with i + j <= horizon, in p's order: of a flat p, a
+    prefix of its list, paired with the positions of its layout to that
+    horizon (to the list's end at most)."""
     if p._flat is not None:
         values, layout = p._flat
         pairs = _ranked_layout(layout.offsets, min(horizon, layout.horizon)).pairs()
         return list(compress(zip(pairs, values), values))
-    terms = p._terms
-    if p._ordered:
-        if not terms or sum(next(reversed(terms))) <= horizon:
-            return list(terms.items())
-        n = 0
-        for i, j in terms:
-            if i + j > horizon:
-                break
-            n += 1
-        return list(islice(terms.items(), n))
-    return [((i, j), c) for (i, j), c in terms.items() if i + j <= horizon]
+    return [((i, j), c) for (i, j), c in p._terms.items() if i + j <= horizon]
 
 
 # Python refuses int <-> decimal str conversions past a digit limit (4300 by

@@ -587,10 +587,14 @@ class TestPackedKernel:
         # offsets -800, 0 and 800 (a skew of 400 rows) every 150 rows up to
         # row 29850: one block with all but 600 of its 89,553 slots zero
         {pair: 1 for n in range(0, 30000, 150) for pair in [(n + 800, n), (n, n), (n, n + 800)]},
-    ], ids=["one-row", "rows-150-apart"])
+        # offsets -1, 0 and 1 on rows 0-499 and 100,000-100,499: two fully
+        # dense blocks, 99,500 zero rows apart
+        {pair: 1 for n in [*range(500), *range(100000, 100500)] for pair in [(n + 1, n), (n, n), (n, n + 1)]},
+    ], ids=["one-row", "rows-150-apart", "two-dense-blocks"])
     def test_wide_skews_read_only_their_terms(self, digit_reads, terms):
-        # the skewed order of a block this sparse beside its skew would
-        # span far more positions than it has terms: it is read term by term
+        # the skewed order of a value this sparse would span far more
+        # positions than it has terms: only its runs of nonzero slots are
+        # read, so the zeros between them cost no read
         poly = P(terms)
         packed = common_denominator_sum([(poly, ())])[0]
         tracemalloc.start()
@@ -889,8 +893,8 @@ class TestOutputOrder:
     @given(deep_terms, deep_dens, st.integers(min_value=0, max_value=150))
     @settings(max_examples=60, deadline=None)
     def test_terms_inside_the_horizon_are_a_prefix(self, num, dens, horizon):
-        # a numerator read back in output order is cut at the first term
-        # past the horizon; any other is scanned whole, with the same terms
+        # a numerator read back in output order keeps that order within
+        # the horizon; any other gives the same terms
         x = StringyRational(BivariatePolynomial(num), dens)
         want = [(pair, c) for pair, c in x.numerator.sorted_items() if sum(pair) <= horizon]
         if x.denominator:  # the numerator is read back in output order
@@ -944,7 +948,7 @@ class TestFlatNumerator:
     def test_flat_read_back_matches_the_term_map(self, case, data):
         terms, packed = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exact_poly, "_SKEWED_READ", 0)  # every stretch is too sparse: a term map
+            patch.setattr(exact_poly, "_SKEWED_READ", 0)  # the value is too sparse: a term map
             mapped = exact_poly._unpack(packed)
             patch.setattr(exact_poly, "_SKEWED_READ", 2 ** 62)  # the whole value is dense enough: flat
             flat = exact_poly._unpack(packed)
@@ -967,6 +971,11 @@ class TestFlatNumerator:
                 assert exact_poly.series_size(x, horizon) == exact_poly.series_size(y, horizon)
                 if den:
                     assert expand_rational(x, horizon)._flat == expand_rational(y, horizon)._flat
+                # the cost check counts what the expansion fills: the positions
+                # of its layout, or the terms of a polynomial's truncation
+                for z in (x, y):
+                    want = len(expand_rational(z, horizon)._flat[0]) if den else sum(i + j <= horizon for i, j in terms)
+                    assert exact_poly.series_size(z, horizon) == want
             assert builds == []
             assert list(flat.items()) == list(mapped.items()) == P(terms).sorted_items()
             assert flat.sorted_items() == mapped.sorted_items()
