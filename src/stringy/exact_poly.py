@@ -1450,21 +1450,23 @@ def series_size(x: StringyRational, horizon: int) -> int:
 def _expansion(x: StringyRational, horizon: int) -> tuple[Union[_Layout, None], Union[list, dict]]:
     """What :func:`expand_rational` lays out for x to the horizon: for a
     polynomial, (None, its terms with i + j <= horizon); otherwise the
-    skewed layout of the offsets of those terms and, per offset in rank
-    order, its column's coefficients from k = 0.  A flat numerator's
-    columns are sliced from the head of its list (:func:`_inside_columns`);
-    a term map's are filled term by term."""
+    skewed layout of the offsets of those terms and, per offset, its
+    column's coefficients from k = 0.  A flat numerator's columns are
+    sliced from the head of its list (:func:`_inside_columns`); a term
+    map's are filled term by term and end at the offset's last term.  So
+    no column outgrows the numerator's degree, whatever the horizon, and
+    the cost check in :func:`series_size` stays cheap on a refused one."""
     if not x.denominator:
         return None, _inside(x.numerator, horizon)
     if x.numerator._flat is not None:
         columns = _inside_columns(*x.numerator._flat, horizon)
         return _ranked_layout(tuple(columns), horizon), columns
-    inside = _inside(x.numerator, horizon)
-    layout = _skewed_layout({i - j for (i, j), _ in inside}, horizon)
-    columns = {s: [0] * ((horizon - abs(s)) // 2 + 1) for s in layout.offsets}
-    for (i, j), c in inside:
-        columns[i - j][min(i, j)] = c
-    return layout, columns
+    columns: dict[int, list[int]] = {}
+    for (i, j), c in _inside(x.numerator, horizon):
+        column, k = columns.setdefault(i - j, []), min(i, j)
+        column += [0] * (k + 1 - len(column))
+        column[k] = c
+    return _skewed_layout(columns, horizon), columns
 
 
 def _inside_columns(values: list[int], layout: _Layout, horizon: int) -> dict[int, list[int]]:

@@ -794,14 +794,8 @@ class TestErrors:
     def test_far_apart_offsets_stay_cheap(self, run, tmp_path):
         # terms at (2^14, 0), (0, 2^14) and (2^14, 2^14): the packed layout
         # keeps one slot per offset present, not one per offset in between
-        at = resolution.EXPONENT_BUDGET
-        table = [[0, 0, 1], [at, 0, 1], [0, at, 1], [at, at, 1]]
         path = tmp_path / "far.json"
-        path.write_text(json.dumps({
-            "dimension": 1, "ambient": table,
-            "components": [{"label": "A", "discrepancy": 1}, {"label": "B", "discrepancy": 2}],
-            "strata_convention": "closed", "strata": {"A": table, "B": [[0, 0, 1]], "A,B": [[0, 0, 1]]},
-        }))
+        path.write_text(json.dumps(_far_apart_config()))
         started = time.perf_counter()
         code, out, _ = run("compute", str(path), "--format", "json")
         assert time.perf_counter() - started < 0.5
@@ -822,6 +816,22 @@ class TestErrors:
         assert bad["exit_code"] == 2 and bad["error"].startswith("series-cost: ")
         assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
 
+    @pytest.mark.parametrize("argv", [("compute",), ("check", "--nonneg")])
+    def test_costly_sparse_series_is_refused_up_front(self, run, tmp_path, argv):
+        # E_st's numerator is too sparse to read back flat: a term map, whose
+        # expansion columns end at its last term of each offset, so the cost
+        # check costs nothing like the refused expansion
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(_far_apart_config()))
+        x = engine.compute(resolution.load_config(path), 0).e_open
+        assert x.denominator and x.numerator._flat is None
+        started = time.perf_counter()
+        code, out, _ = run(argv[0], str(path), *argv[1:], "--horizon", str(10 ** 9), "--format", "json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["exit_code"] == 2 and doc["error"].startswith("series-cost: ")
+
     def test_negative_horizon(self, run):
         code, _, err = run("compute", NODE, "--horizon", "-3")
         assert code == 2
@@ -839,6 +849,19 @@ class TestErrors:
         doc = json.loads(out)
         assert doc["exit_code"] == 2
         assert doc["error"] == "--local needs the config's singular_locus"
+
+
+def _far_apart_config():
+    """A config whose tables have terms at (2^14, 0), (0, 2^14) and
+    (2^14, 2^14): E_st is rational, with a numerator too sparse for the
+    flat read-back."""
+    at = resolution.EXPONENT_BUDGET
+    table = [[0, 0, 1], [at, 0, 1], [0, at, 1], [at, at, 1]]
+    return {
+        "dimension": 1, "ambient": table,
+        "components": [{"label": "A", "discrepancy": 1}, {"label": "B", "discrepancy": 2}],
+        "strata_convention": "closed", "strata": {"A": table, "B": [[0, 0, 1]], "A,B": [[0, 0, 1]]},
+    }
 
 
 def _series_shaped_config(seed):
