@@ -10,7 +10,10 @@ path, and prints one line per pass: workload, seed, command, pass name,
 options, exit code and the sha256 of stdout.  The workloads render text
 only, so two more passes over the ``series`` inputs follow, after every
 seed's workload lines: ``compute --format latex --horizon 200`` and
-``check --format json --horizon 800``.  Last come the deep-cancellation
+``check --format json --horizon 800``.  Then one ``validate --strict
+--format json`` pass over the ``corpus`` lenient inputs per seed, which
+pins the strict findings: most of those files fail the Serre reflection
+somewhere, and a few pass it.  Last come the deep-cancellation
 probes of ``tests/oracles.py`` (``DEEP_PROBES``), one ``compute --format
 json`` line each, whatever the seeds: their formula sums are the largest
 merges that validation accepts.  Run it at two commits and compare
@@ -81,6 +84,11 @@ def format_digests(seed: int) -> list[str]:
                                                     for command, options in _SERIES_FORMATS])
 
 
+def strict_digests(seed: int) -> list[str]:
+    return _digests("corpus", seed, lambda passes: [gen.Pass(passes[0].name, "validate",
+                                                             ("--strict", "--format", "json"))])
+
+
 def deep_digests() -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,7 +103,7 @@ def deep_digests() -> list[str]:
 
 if __name__ == "__main__":
     seeds = [int(s) for s in sys.argv[1:]] or [7, 11]
-    for produce in (digests, format_digests):
+    for produce in (digests, format_digests, strict_digests):
         for seed in seeds:
             for line in produce(seed):
                 print(line, flush=True)
