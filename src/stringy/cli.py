@@ -45,7 +45,6 @@ from .exact_poly import (
     StringyRational,
     decimal_str,
     encode_json_int,
-    series_size,
 )
 from .render import (
     _LayoutStrings,
@@ -198,7 +197,7 @@ def _render_series(series, continues: bool, fmt: str) -> str:
 def _series(result):
     """The expansion of E_st, refused up front when it would compute more
     coefficients than the budget allows."""
-    size = series_size(result.e_open, result.horizon)
+    size = result.series_size
     if size > SERIES_BUDGET:
         raise _InputError(f"series-cost: expanding to horizon {result.horizon} computes {size} "
                           f"coefficients, over the budget of {SERIES_BUDGET}")

@@ -32,11 +32,14 @@ from .exact_poly import (
     PackedNumerator,
     StringyRational,
     TruncatedBiseries,
+    _expansion,
+    _filled,
     _merge,
     _pack_tables,
     decimal_str,
     expand_rational,
     same_value,
+    signed_sum,
 )
 from .hodge import (
     DiamondViolation,
@@ -51,8 +54,8 @@ from .resolution import (
     StratumKey,
     _subset_walk,
     _table_scan,
+    _union_parts,
     convert_strata,
-    exceptional_union_hd,
     validate,
 )
 from .validation import ConfigValidationError, checked_int
@@ -232,13 +235,13 @@ class StringyResult:
     it to; immutable by contract, equal to another exactly when all five
     fields are."""
 
-    __slots__ = ("e_open", "e_closed", "agree", "horizon", "dimension", "_series")
+    __slots__ = ("e_open", "e_closed", "agree", "horizon", "dimension", "_expansion", "_series")
 
     def __init__(self, e_open: StringyRational, e_closed: StringyRational, agree: bool, horizon: int,
                  dimension: int):
         self.e_open, self.e_closed, self.agree, self.horizon, self.dimension = (
             e_open, e_closed, agree, horizon, dimension)
-        self._series = None
+        self._expansion = self._series = None
 
     def _key(self) -> tuple:
         return self.e_open, self.e_closed, self.agree, self.horizon, self.dimension
@@ -255,12 +258,24 @@ class StringyResult:
         return (f"StringyResult(e_open={self.e_open!r}, e_closed={self.e_closed!r}, agree={self.agree!r}, "
                 f"horizon={self.horizon!r}, dimension={self.dimension!r})")
 
+    def _laid_out(self) -> tuple:
+        """E_st's expansion to the horizon laid out, once for both readers below (:func:`exact_poly._expansion`)."""
+        if self._expansion is None:
+            self._expansion = _expansion(self.e_open, checked_int(self.horizon, "horizon"))
+        return self._expansion
+
+    @property
+    def series_size(self) -> int:
+        """How many coefficients :attr:`series` computes (:func:`exact_poly.series_size`), computing none."""
+        layout, inside = self._laid_out()
+        return len(inside) if layout is None else layout.size
+
     @property
     def series(self) -> TruncatedBiseries:
         """E_st expanded to the horizon, on first access only: a caller that
         reads nothing but the formulas pays for no expansion."""
         if self._series is None:
-            self._series = expand_rational(self.e_open, self.horizon)
+            self._series = _filled(self.e_open, self.horizon, *self._laid_out())
         return self._series
 
 
@@ -592,11 +607,11 @@ def local_contribution(cfg: ResolutionConfig, *, formula: str = "closed") -> Str
     config to carry the singular locus polynomial, since the number is
     reported alongside it and is meaningless without a designated locus.
 
-    No table is converted: the union is a signed sum of the stored tables
-    (:func:`resolution.exceptional_union_hd`).  With E_st = N/D canonical,
-    the difference is (N - away D)/D, away multiplied by D one factor
-    (uv)^m - 1 at a time; it is canonical as it stands, since every Phi_k
-    dividing D divides away D, so N - away D = N mod Phi_k.
+    No table is converted: away is one signed sum, of the ambient and the
+    stored tables with the union's signs negated (:func:`resolution._union_parts`).
+    With E_st = N/D canonical, the difference is (N - away D)/D, canonical
+    as it stands, since every Phi_k dividing D divides away D, so
+    N - away D = N mod Phi_k (``StringyRational.__add__``).
     """
     if cfg.singular_locus is None:
         raise ValueError("local contribution needs the config's singular_locus")
@@ -606,5 +621,5 @@ def local_contribution(cfg: ResolutionConfig, *, formula: str = "closed") -> Str
         e = stringy_e_open(cfg)
     else:
         raise ValueError(f"formula must be 'open' or 'closed', got {formula!r}")
-    away = cfg.ambient.poly - exceptional_union_hd(cfg).poly
+    away = signed_sum([(1, cfg.ambient.poly), *((-sign, poly) for sign, poly in _union_parts(cfg))])
     return e - StringyRational(away)

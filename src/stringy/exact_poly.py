@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import sys
 from itertools import accumulate, compress
-from operator import add, neg
+from operator import add, neg, sub
 from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .validation import checked_int
@@ -309,22 +309,31 @@ def _flat_terms(values: list[int], layout: "_Layout") -> dict[ExponentPair, int]
     return dict(compress(zip(layout.pairs(), values), values))
 
 
-def _flat_sum(values: list[int], layout: "_Layout", terms: dict[ExponentPair, int]
-              ) -> Union[BivariatePolynomial, None]:
-    """The flat polynomial of values on the layout plus a term map, on that
-    layout, or None when a term has no position in it.  The term at (i, j)
-    sits at ((i + j) // 2 - first) R + rank(i - j) (:class:`_Layout`)."""
+def _flat_sum(values: list[int], layout: "_Layout", terms: dict[ExponentPair, int],
+              den: Iterable[int] = ()) -> Union[BivariatePolynomial, None]:
+    """The flat polynomial of values on the layout plus a term map times the
+    factors (uv)^m - 1 of den, on that layout, or None when a term of the
+    product has no position in it.  The term at (i, j) sits at
+    ((i + j) // 2 - first) R + rank(i - j) (:class:`_Layout`), and t^k moves
+    it k R positions down its column, so each term adds c times den's
+    coefficients in t, built once, along its column from there."""
     R, first = len(layout.offsets), layout.first
     rank = {s: r for r, s in enumerate(layout.offsets)}
+    times = [1]  # den's coefficients in t
+    for m in den:  # times t^m - 1: shifted m up, less itself
+        times = list(map(sub, [0] * m + times, times + [0] * m))
+    steps = [(k * R, d) for k, d in enumerate(times) if d]
     out = values[:]
+    end = len(out) - (len(times) - 1) * R  # from here on, a term's product ends past the list
     for (i, j), c in terms.items():
         r = rank.get(i - j)
         if r is None:
             return None
         at = ((i + j) // 2 - first) * R + r
-        if at >= len(out):
+        if at >= end:
             return None
-        out[at] += c
+        for step, d in steps:
+            out[at + step] += c * d
     return _flat_polynomial(out, layout)
 
 
@@ -513,9 +522,12 @@ class StringyRational:
             return NotImplemented
         if not other._den:
             # N/D + P = (N + P D)/D keeps the reduced denominator, so the
-            # canonical D stays canonical and needs no reduction
-            return StringyRational._from_canonical(self._num + _times_denominator(other._num, self._den),
-                                                   self._den)
+            # canonical D stays canonical and needs no reduction; P D goes
+            # into a flat N's list where it has positions (:func:`_flat_sum`)
+            out = self._num._flat and _flat_sum(*self._num._flat, other._num._terms, self._den._factors)
+            if out is None:
+                out = self._num + _times_denominator(other._num, self._den)
+            return StringyRational._from_canonical(out, self._den)
         if not self._den:
             return other + self
         return StringyRational(*common_denominator_sum([(self._num, self._den), (other._num, other._den)]))
@@ -1418,12 +1430,16 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     order.  The list and its layout are the series as it stands
     (:meth:`TruncatedBiseries._on_layout`): no pair is made until something
     asks for the term map.  The layout and the numerator's columns within
-    the horizon come from :func:`_expansion`, and each column goes in as
-    one strided slice.  A polynomial is only truncated and sorted once, and
-    stays sparse.
+    the horizon come from :func:`_expansion`, and :func:`_filled` puts each
+    column in as one strided slice.  A polynomial is only truncated and
+    sorted once, and stays sparse.
     """
-    checked_int(horizon, "horizon")
-    layout, columns = _expansion(x, horizon)
+    return _filled(x, horizon, *_expansion(x, checked_int(horizon, "horizon")))
+
+
+def _filled(x: StringyRational, horizon: int, layout: Union[_Layout, None], columns: Union[list, dict]
+            ) -> TruncatedBiseries:
+    """:func:`expand_rational`'s series, from what :func:`_expansion` laid out."""
     if layout is None:
         return TruncatedBiseries(horizon, columns)
     factors = x.denominator.factors

@@ -167,16 +167,9 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
     """
     checked_int(d, "dimension")
     p = h.poly
-
-    def coefficient(ij):
-        return p.coefficient(*ij)  # 0 off the support and at negative points
-
-    def serre(ij):
-        return d - ij[0], d - ij[1]
-
     findings: list[Finding] = []
     # the support only: adding the swapped points would reorder the findings
-    for (i, j), _, _, _ in mirror_mismatches(coefficient, sorted(p.support(), key=degree_order), swap):
+    for (i, j), _, _, _ in mirror_mismatches(lambda ij: p.coefficient(*ij), sorted(p._terms, key=degree_order), swap):
         a, b = max(i, j), min(i, j)
         findings.append(Finding(
             "error", "uv-asymmetry",
@@ -184,14 +177,28 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
             f"{decimal_str(p.coefficient(b, a))} at ({b},{a})",
             f"({a},{b}) vs ({b},{a})",
         ))
-    for (i, j), (mi, mj), here, there in mirror_mismatches(coefficient, with_mirrors(p.support(), serre), serre):
-        findings.append(Finding(
-            "error", "serre-reflection",
-            f"coefficient {decimal_str(here)} at ({i},{j}) vs {decimal_str(there)} at ({mi},{mj}) "
-            f"for dimension {d}",
-            f"({i},{j}) vs ({mi},{mj})",
-        ))
+    findings += serre_findings(p, d)
     return ValidationReport(mode="smooth-projective", findings=tuple(findings))
+
+
+def serre_findings(p: BivariatePolynomial, d: int) -> list[Finding]:
+    """The ``serre-reflection`` findings of :func:`validate_smooth_projective`:
+    one per pair {(i,j), (d-i,d-j)} whose coefficients differ, in
+    :func:`degree_order` of the pair's first member.  The terms are compared
+    with their reflection first, as one map, and walked for the witnesses
+    only when the two differ."""
+    terms = p._terms
+    if {(d - i, d - j): c for (i, j), c in terms.items()} == terms:
+        return []
+
+    def serre(ij):
+        return d - ij[0], d - ij[1]
+
+    # a coefficient is 0 off the support and at negative points
+    return [Finding("error", "serre-reflection", f"coefficient {decimal_str(here)} at ({i},{j}) vs "
+                    f"{decimal_str(there)} at ({mi},{mj}) for dimension {d}", f"({i},{j}) vs ({mi},{mj})")
+            for (i, j), (mi, mj), here, there in mirror_mismatches(lambda ij: p.coefficient(*ij),
+                                                                   with_mirrors(terms, serre), serre)]
 
 
 class DiamondViolation(NamedTuple):

@@ -26,7 +26,7 @@ from .exact_poly import (
     packed_bits,
     signed_sum,
 )
-from .hodge import HodgeDelignePolynomial, validate_smooth_projective
+from .hodge import HodgeDelignePolynomial, serre_findings
 from .validation import ConfigFormatError, Finding, ValidationReport, checked_int
 
 StratumKey = tuple[str, ...]
@@ -270,17 +270,20 @@ def component_closed_hd(cfg: ResolutionConfig, label: str) -> HodgeDelignePolyno
 
 
 def exceptional_union_hd(cfg: ResolutionConfig) -> HodgeDelignePolynomial:
-    """H of the union of all components, a signed sum of the stored tables
-    in either convention, with no table converted: the open strata D_J^o
-    partition the union, so each open table counts once, and by
-    inclusion-exclusion each closed table D_J counts (-1)^(|J|+1) times.
+    """H of the union of all components: :func:`_union_parts`, summed."""
+    return HodgeDelignePolynomial(signed_sum(_union_parts(cfg)))
+
+
+def _union_parts(cfg: ResolutionConfig) -> list[tuple[int, BivariatePolynomial]]:
+    """The (sign, table) parts whose sum is H of the union of all
+    components, in either convention, with no table converted: the open
+    strata D_J^o partition the union, so each open table counts once, and
+    by inclusion-exclusion each closed table D_J counts (-1)^(|J|+1) times.
     The two agree: a stored open table at J is in the closed tables of its
     2^|J| - 1 nonempty subsets I, whose signs (-1)^(|I|+1) add up to 1."""
     if cfg.convention == "open":
-        parts = [(1, value.poly) for value in cfg.strata.values()]
-    else:
-        parts = [(1 if len(key) % 2 else -1, value.poly) for key, value in cfg.strata.items()]
-    return HodgeDelignePolynomial(signed_sum(parts))
+        return [(1, value.poly) for value in cfg.strata.values()]
+    return [(1 if len(key) % 2 else -1, value.poly) for key, value in cfg.strata.items()]
 
 
 def validate(cfg: ResolutionConfig, mode: str = "lenient") -> ValidationReport:
@@ -444,6 +447,10 @@ def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
 
 
 def _strict_findings(cfg: ResolutionConfig, lenient: ValidationReport) -> tuple[Finding, ...]:
+    """The findings strict mode adds to the lenient ones; of the smooth
+    projective identities, the Serre reflection alone (:func:`hodge.serre_findings`):
+    lenient acceptance makes the ambient and the stored tables u<->v
+    symmetric, and so the closed strata, their signed sums."""
     findings: list[Finding] = []
     d = cfg.dimension
     if d < 3:
@@ -466,12 +473,8 @@ def _strict_findings(cfg: ResolutionConfig, lenient: ValidationReport) -> tuple[
                                         f"stratum {name} is an intersection deeper than the dimension",
                                         name))
                 continue
-            report = validate_smooth_projective(h, dim)
-            for f in report.findings:
-                if f.code == "serre-reflection":
-                    findings.append(Finding("error", "serre-reflection",
-                                            f"closed stratum {name} at dimension {dim}: {f.message}",
-                                            name))
+            findings += [Finding("error", "serre-reflection", f"closed stratum {name} at dimension {dim}: "
+                                 f"{f.message}", name) for f in serre_findings(h.poly, dim)]
     return tuple(findings)
 
 

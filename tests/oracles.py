@@ -455,6 +455,69 @@ def lenient_findings_multipass(cfg):
     return tuple(findings)
 
 
+def strict_findings_both_walks(cfg, lenient):
+    """``stringy.resolution._strict_findings`` as the package computed it
+    before strict validation checked the Serre reflection alone: the whole
+    of ``validate_smooth_projective`` as it was then, its u<->v walk and its
+    Serre walk with no comparison ahead, on the ambient and every closed
+    stratum, keeping the Serre findings."""
+    from stringy.exact_poly import decimal_str
+    from stringy.hodge import degree_order, mirror_mismatches, swap, with_mirrors
+    from stringy.resolution import convert_strata
+    from stringy.validation import Finding
+
+    def validate_smooth_projective(h, d):
+        p = h.poly
+
+        def coefficient(ij):
+            return p.coefficient(*ij)
+
+        def serre(ij):
+            return d - ij[0], d - ij[1]
+
+        out = []
+        for (i, j), _, _, _ in mirror_mismatches(coefficient, sorted(p.support(), key=degree_order), swap):
+            a, b = max(i, j), min(i, j)
+            out.append(Finding("error", "uv-asymmetry",
+                               f"coefficient {decimal_str(p.coefficient(a, b))} at ({a},{b}) vs "
+                               f"{decimal_str(p.coefficient(b, a))} at ({b},{a})", f"({a},{b}) vs ({b},{a})"))
+        for (i, j), (mi, mj), here, there in mirror_mismatches(coefficient, with_mirrors(p.support(), serre),
+                                                               serre):
+            out.append(Finding("error", "serre-reflection",
+                               f"coefficient {decimal_str(here)} at ({i},{j}) vs {decimal_str(there)} at "
+                               f"({mi},{mj}) for dimension {d}", f"({i},{j}) vs ({mi},{mj})"))
+        return out
+
+    findings = []
+    d = cfg.dimension
+    if d < 3:
+        findings.append(Finding("error", "dimension-too-small",
+                                f"strict mode requires dimension >= 3, got {d}", ""))
+    bound = (d - 4) // 2
+    for comp in cfg.components:
+        a = comp.discrepancy
+        if isinstance(a, int) and not isinstance(a, bool) and a >= 0 and a <= bound:
+            findings.append(Finding("error", "discrepancy-bound",
+                                    f"discrepancy {a} of {comp.label!r} violates the bound "
+                                    f"> floor((d-4)/2) = {bound} at dimension {d}", comp.label))
+    if lenient.accepted and d >= 3:
+        closed = convert_strata(cfg, "closed")
+        for name, h, dim in [("ambient", cfg.ambient, d)] + [
+            (",".join(k), v, d - len(k)) for k, v in sorted(closed.strata.items())
+        ]:
+            if dim < 0:
+                findings.append(Finding("error", "serre-reflection",
+                                        f"stratum {name} is an intersection deeper than the dimension",
+                                        name))
+                continue
+            for f in validate_smooth_projective(h, dim):
+                if f.code == "serre-reflection":
+                    findings.append(Finding("error", "serre-reflection",
+                                            f"closed stratum {name} at dimension {dim}: {f.message}",
+                                            name))
+    return tuple(findings)
+
+
 def packed_sum_bits_multipass(cfg, degree, factors):
     """``stringy.resolution._packed_sum_bits`` as it was computed before the
     one-scan validation, from the tables' supports."""

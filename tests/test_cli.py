@@ -329,17 +329,30 @@ class TestPreparedConfig:
         assert result.e_closed == StringyRational(result.e_closed.numerator, result.e_closed.denominator)
 
     def test_decompose_walks_serre_once(self, run, monkeypatch):
-        walked = []
-        real_walk = resolution.validate_smooth_projective
+        # one Serre decision per table and run, through strict validation
+        decided = []
+        real_findings = resolution.serre_findings
 
-        def counting_walk(h, d):
-            walked.append(d)
-            return real_walk(h, d)
+        def counting_findings(p, d):
+            decided.append(d)
+            return real_findings(p, d)
 
-        monkeypatch.setattr(resolution, "validate_smooth_projective", counting_walk)
+        monkeypatch.setattr(resolution, "serre_findings", counting_findings)
         code, _, _ = run("decompose", NODE, "--pairs", "1,1", "--format", "json")
         assert code == 0
-        assert walked == [3, 2]  # the ambient, then the closed stratum E1
+        assert decided == [3, 2]  # the ambient, then the closed stratum E1
+
+    def test_compute_lays_the_expansion_out_once(self, run, monkeypatch):
+        # the series-cost check and the series read one layout of E_st
+        calls = []
+        real_expansion = exact_poly._expansion
+        for module in (engine, exact_poly):
+            monkeypatch.setattr(module, "_expansion", lambda x, h: calls.append(h) or real_expansion(x, h))
+        assert not engine.compute(resolution.load_config(E6)).e_open.is_polynomial
+        for fmt in ("text", "json"):
+            calls.clear()
+            assert run("compute", E6, "--format", fmt)[0] == 0
+            assert calls == [6]
 
     def test_json_mode_renders_no_text(self, run, monkeypatch):
         rendered = []
@@ -440,14 +453,16 @@ class TestCheck:
         assert doc["checks"] == {"symmetry": {"passed": False, "witness": [2, 1]}}
 
     def test_series_expanded_only_for_nonneg(self, run, monkeypatch):
+        # every expansion starts by laying E_st out to its horizon
         calls = []
-        real_expand = engine.expand_rational
+        real_expansion = exact_poly._expansion
 
-        def counting_expand(x, horizon):
+        def counting_expansion(x, horizon):
             calls.append(horizon)
-            return real_expand(x, horizon)
+            return real_expansion(x, horizon)
 
-        monkeypatch.setattr(engine, "expand_rational", counting_expand)
+        for module in (engine, exact_poly):
+            monkeypatch.setattr(module, "_expansion", counting_expansion)
         code, out, _ = run("check", SMOOTH, "--duality", "--symmetry", "--polynomial")
         assert code == 0
         assert "polynomial: POLYNOMIAL = 1 + uv + (uv)^2 + (uv)^3" in out
@@ -913,13 +928,15 @@ def test_deep_series_stays_linear(run, tmp_path, argv):
 
 def test_series_cost_boundary_is_the_expansion_size(run, tmp_path, monkeypatch):
     # the series-cost check counts what the expansion computes: a budget of
-    # exactly that size expands, one less refuses before any expansion
+    # exactly that size expands, one less refuses before any coefficient is
+    # filled in
     path = tmp_path / "series.json"
     path.write_text(json.dumps(_series_shaped_config(200)))
     size = exact_poly.series_size(engine.compute(resolution.load_config(path), 10).e_open, 200)
     expansions = []
-    real_expand = engine.expand_rational
-    monkeypatch.setattr(engine, "expand_rational", lambda x, horizon: expansions.append(horizon) or real_expand(x, horizon))
+    real_fill = engine._filled
+    monkeypatch.setattr(engine, "_filled",
+                        lambda x, horizon, *laid_out: expansions.append(horizon) or real_fill(x, horizon, *laid_out))
     monkeypatch.setattr(cli, "SERIES_BUDGET", size)
     assert run("compute", str(path), "--horizon", "200")[0] == 0
     assert expansions == [200]

@@ -39,7 +39,16 @@ from stringy.hodge import (
     projective_space,
     validate_smooth_projective,
 )
-from stringy.resolution import Component, ResolutionConfig, config_to_dict, convert_strata, load_config, validate
+from stringy.render import rational_text
+from stringy.resolution import (
+    Component,
+    ResolutionConfig,
+    config_to_dict,
+    convert_strata,
+    exceptional_union_hd,
+    load_config,
+    validate,
+)
 from stringy.validation import ConfigValidationError
 
 from conftest import (
@@ -147,13 +156,16 @@ class TestE6:
         assert got.horizon == horizon
 
     def test_series_expanded_on_first_read_only(self, monkeypatch):
+        # an expansion is laid out, then filled in
         calls = []
-        real_expand = engine.expand_rational
-        monkeypatch.setattr(engine, "expand_rational", lambda x, h: calls.append(h) or real_expand(x, h))
+        real_expansion, real_fill = engine._expansion, engine._filled
+        monkeypatch.setattr(engine, "_expansion", lambda x, h: calls.append(("layout", h)) or real_expansion(x, h))
+        monkeypatch.setattr(engine, "_filled",
+                            lambda x, h, *laid_out: calls.append(("fill", h)) or real_fill(x, h, *laid_out))
         result = compute(e6_config(), 12)
         assert calls == []
         series = result.series
-        assert result.series is series and calls == [12]
+        assert result.series is series and calls == [("layout", 12), ("fill", 12)]
         assert result == compute(e6_config(), 12) and hash(result) == hash(compute(e6_config(), 12))
         assert result != compute(e6_config(), 11)
         assert repr(result) == (f"StringyResult(e_open={result.e_open!r}, e_closed={result.e_closed!r}, "
@@ -585,6 +597,21 @@ class TestFormulaEquivalence:
                                    e.denominator)
             assert local[formula] == want
             assert local[formula] == e - StringyRational(P(away))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_configs())
+    def test_local_contribution_equals_the_union_route(self, cfg):
+        # away as one signed sum, taken into a flat E_st's list, against the
+        # ambient less the union's H, subtracted through a term map
+        other = "closed" if cfg.convention == "open" else "open"
+        for each in (cfg, convert_strata(cfg, other)):
+            each = each.replace(singular_locus=HodgeDelignePolynomial(P({(0, 0): 1})))
+            away = StringyRational(each.ambient.poly - exceptional_union_hd(each).poly)
+            for formula, e in (("open", stringy_e_open(each)), ("closed", stringy_e_closed(each))):
+                local = local_contribution(each, formula=formula)
+                mapped = StringyRational._from_canonical(P(dict(e.numerator.items())), e.denominator) - away
+                assert local == e - away == mapped
+                assert rational_text(local) == rational_text(mapped)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))

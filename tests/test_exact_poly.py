@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stringy import exact_poly, render
+from stringy import cli, exact_poly, render
 from stringy.exact_poly import (
     BivariatePolynomial,
     CycloProduct,
@@ -24,7 +24,7 @@ from stringy.exact_poly import (
     expand_rational,
 )
 from stringy.engine import check_nonnegativity
-from stringy.render import polynomial_latex, polynomial_text, series_latex, series_text
+from stringy.render import polynomial_latex, polynomial_text, rational_text, series_latex, series_text
 
 from oracles import (
     binomial_series_check,
@@ -998,6 +998,41 @@ class TestFlatNumerator:
         # the value's own rule reads it one way or the other, to the same terms
         assert exact_poly._unpack(packed) == mapped
         assert P({}).total_degree() == -1
+
+
+    @given(packed_at_width(), st.lists(st.integers(min_value=1, max_value=4), max_size=3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_flat_plus_polynomial_matches_the_term_map_route(self, case, den, data):
+        # N/D + P = (N + P D)/D: a flat N takes P D into a copy of its list
+        # when every term of P D has a position there, else P D is a term
+        # map, as it always is for a term-map N
+        terms, packed = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_poly, "_SKEWED_READ", 0)
+            mapped = exact_poly._unpack(packed)
+            patch.setattr(exact_poly, "_SKEWED_READ", 2 ** 62)
+            flat = exact_poly._unpack(packed)
+        values, layout = flat._flat
+        end = max(len(values) - sum(den) * len(layout.offsets), 0)  # P D of a term from here on passes the list
+        pairs = layout.pairs()
+        inside, edge = [pair for pair in pairs[:end] if pair], [pair for pair in pairs[end:] if pair]
+        on = {pair: data.draw(coeffs) for pair in data.draw(st.lists(st.sampled_from(inside), max_size=6))} \
+            if inside else {}
+        i, j = max(terms)
+        cases = [(on, True), ({**on, (10 ** 6, 0): 1}, False), ({**on, (i + 10 ** 6, j + 10 ** 6): 1}, False)]
+        if edge:  # P D's last term one row past the list, or more
+            cases.append(({**on, data.draw(st.sampled_from(edge)): 1}, False))
+        real_times = exact_poly._times_denominator
+        for p_terms, stays in cases:
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exact_poly, "_times_denominator", lambda *args: calls.append(1) or real_times(*args))
+                total = StringyRational._from_canonical(flat, CycloProduct(den)) + P(p_terms)
+            want = StringyRational._from_canonical(mapped, CycloProduct(den)) + P(p_terms)
+            assert (total.numerator._flat is not None) == stays and (calls == []) == stays
+            assert total == want and total.numerator.sorted_items() == want.numerator.sorted_items()
+            assert rational_text(total) == rational_text(want)
+            assert cli._json_text(cli._rational_json(total)) == cli._json_text(cli._rational_json(want))
 
 
 class TestFlatSeries:

@@ -25,7 +25,7 @@ from stringy.resolution import (
 )
 from stringy.validation import ConfigFormatError
 
-from conftest import node_config, random_lenient_config
+from conftest import LABELS, node_config, random_lenient_config, random_strict_config
 from oracles import (
     dict_add,
     dict_scale,
@@ -33,6 +33,7 @@ from oracles import (
     full_lattice_open_from_closed,
     lenient_findings_multipass,
     packed_sum_bits_multipass,
+    strict_findings_both_walks,
 )
 
 
@@ -510,6 +511,36 @@ class TestValidateStrict:
         codes = {f.code for f in validate(cfg, "strict").errors}
         assert "duplicate-label" in codes
         assert "serre-reflection" not in codes
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9), st.data())
+    def test_serre_findings_match_both_walks(self, seed, data):
+        # strict-valid configs, then terms that break the Serre reflection
+        # at one or more points or lie past the dimension, in stored tables
+        # or new ones, and asymmetric terms that lenient validation rejects
+        cfg = random_strict_config(random.Random(seed))
+        d = cfg.dimension
+        tables = {(): dict(cfg.ambient.poly.items()), **{k: dict(v.poly.items()) for k, v in cfg.strata.items()}}
+        keys = [(), *sorted(cfg.strata), *(tuple(LABELS[:n]) for n in range(1, len(cfg.components) + 1))]
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            key = data.draw(st.sampled_from(keys))
+            dim = d - len(key)
+            kind = data.draw(st.sampled_from(["break", "past", "asymmetric"]))
+            top = max(dim, 0) + (3 if kind == "past" else 0)
+            i = data.draw(st.integers(min_value=top - 2 if kind == "past" else 0, max_value=top))
+            j = data.draw(st.integers(min_value=0, max_value=top))
+            c = data.draw(st.integers(min_value=-3, max_value=3).filter(bool))
+            table = tables.setdefault(key, {})
+            for pair in {(i, j)} if kind == "asymmetric" else {(i, j), (j, i)}:
+                table[pair] = table.get(pair, 0) + c
+        strata = {k: hd(terms) for k, terms in tables.items() if k and any(terms.values())}
+        mutated = ResolutionConfig(d, hd(tables[()], d), list(cfg.components), "closed", strata)
+        opened = convert_strata(mutated, "open")
+        for each in (mutated, ResolutionConfig(d, mutated.ambient, list(cfg.components), "open", opened.strata)):
+            lenient = validate(each)
+            want = strict_findings_both_walks(each, lenient)
+            assert resolution._strict_findings(each, lenient) == want
+            assert validate(each, "strict").findings == lenient.findings + want
 
     def test_deep_intersection_rejected(self):
         labels = ["A", "B", "C", "D"]
