@@ -517,13 +517,14 @@ class StringyRational:
         return hash((self._den, self._num))
 
     def __add__(self, other) -> "StringyRational":
+        """The canonical sum: over the union of two denominators, reduced; with
+        P a polynomial, (N + P D)/D, whose D stays canonical, P D put into a
+        copy of a flat N's list when all its terms have positions there
+        (:func:`_flat_sum`), else into a term map."""
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
         if not other._den:
-            # N/D + P = (N + P D)/D keeps the reduced denominator, so the
-            # canonical D stays canonical and needs no reduction; P D goes
-            # into a flat N's list where it has positions (:func:`_flat_sum`)
             out = self._num._flat and _flat_sum(*self._num._flat, other._num._terms, self._den._factors)
             if out is None:
                 out = self._num + _times_denominator(other._num, self._den)

@@ -182,11 +182,10 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
 
 
 def serre_findings(p: BivariatePolynomial, d: int) -> list[Finding]:
-    """The ``serre-reflection`` findings of :func:`validate_smooth_projective`:
-    one per pair {(i,j), (d-i,d-j)} whose coefficients differ, in
-    :func:`degree_order` of the pair's first member.  The terms are compared
-    with their reflection first, as one map, and walked for the witnesses
-    only when the two differ."""
+    """The ``serre-reflection`` findings of :func:`validate_smooth_projective`,
+    one per pair {(i,j), (d-i,d-j)} of unequal coefficients, in
+    :func:`degree_order` of its first member: walked for only when the terms
+    differ from their reflection, which one comparison of maps decides."""
     terms = p._terms
     if {(d - i, d - j): c for (i, j), c in terms.items()} == terms:
         return []
