@@ -447,10 +447,10 @@ def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
 
 
 def _strict_findings(cfg: ResolutionConfig, lenient: ValidationReport) -> tuple[Finding, ...]:
-    """The findings strict mode adds to the lenient ones; of the smooth
-    projective identities, the Serre reflection alone (:func:`hodge.serre_findings`):
-    lenient acceptance makes the ambient and the stored tables u<->v
-    symmetric, and so the closed strata, their signed sums."""
+    """The findings strict mode adds to the lenient ones.  Of the smooth
+    projective identities it checks the Serre reflection alone
+    (:func:`hodge.serre_findings`): once lenient validation accepts, the
+    ambient, the stored tables and their signed sums are u<->v symmetric."""
     findings: list[Finding] = []
     d = cfg.dimension
     if d < 3:
