@@ -121,7 +121,7 @@ class _PackedStrata(NamedTuple):
 def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
     """Every stored table packed once, on one layout shared by both
     formulas and the agreement check, from the figures (row span, |H|_1,
-    offsets, N) of the scan that lenient validation made
+    offsets, N, K) of the scan that lenient validation made
     (:func:`resolution._table_scan`), so no term is walked again but to
     pack it.  The other convention's tables are signed sums of those
     packed ints, by the subset walk of :func:`convert_strata`
@@ -137,7 +137,8 @@ def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
         N = |ambient|_1 + sum over stored J of 2^|J| |H_J|_1
 
     and K is the multiset that takes every m = a + 1 (a != 0) with the
-    largest multiplicity it has among the labels of one stored key.
+    largest multiplicity it has among the labels of one stored key
+    (``resolution._Scan.most``).
 
     * N bounds sum_terms |num|_1 of either formula.  A converted table at I
       has |num|_1 <= sum over stored J >= I of |H_J|_1, and J has 2^|J| - 1
@@ -157,24 +158,15 @@ def _packed_strata(cfg: ResolutionConfig) -> _PackedStrata:
     * The same products have no power of t past the largest top plus the
       degree of K, which bounds the slots.
 
-    This is within ``resolution._packed_sum_bits``: it counts the same
-    offsets, powers up to the same top plus the sum of a + 1 over all
-    components with a != 0, which K's degree is at most, and digits up to
-    (|ambient|_1 + 2 sum_J 2^|J| |H_J|_1) 2^(2 factors), with factors at
-    least |K|.  So lenient acceptance also accepts this layout.
+    Lenient validation refuses exactly the layouts over the budget, from
+    the same figures.
     """
     _require(cfg, "lenient")
     factor = {comp.label: comp.discrepancy + 1 if comp.discrepancy else 0 for comp in cfg.components}
-    most: dict[int, int] = {}  # K: per m, the most factors (uv)^m - 1 the labels of one stored key give
-    for key in cfg.strata:
-        here = list(map(factor.__getitem__, key))
-        for m in here:
-            if m and most.get(m, 0) < here.count(m):
-                most[m] = here.count(m)
     scan, terms = _table_scan(cfg), [h.poly._terms for h in cfg.strata.values()]
     width, offsets, packed = _pack_tables(
         [(cfg.ambient.poly._terms, scan.ambient), *zip(terms, scan.strata)], scan.offsets, scan.norm,
-        scan.rows + sum(m * n for m, n in most.items()), sum(most.values()))
+        scan.degree, scan.factors)
     stored = dict(zip(cfg.strata, packed[1:]))
     target = "open" if cfg.convention == "closed" else "closed"
     converted = {}
@@ -266,7 +258,9 @@ class StringyResult:
 
     @property
     def series_size(self) -> int:
-        """How many coefficients :attr:`series` computes (:func:`exact_poly.series_size`), computing none."""
+        """How many coefficients :attr:`series` computes, computing none: the
+        positions of the expansion's layout, or the terms of a polynomial
+        within the horizon (:func:`exact_poly._expansion`)."""
         layout, inside = self._laid_out()
         return len(inside) if layout is None else layout.size
 

@@ -1454,16 +1454,6 @@ def _filled(x: StringyRational, horizon: int, layout: Union[_Layout, None], colu
     return TruncatedBiseries._on_layout(values, layout)
 
 
-def series_size(x: StringyRational, horizon: int) -> int:
-    """How many coefficients :func:`expand_rational` computes for x to the
-    horizon: the positions of its layout from :func:`_expansion`, about
-    horizon // 2 + 1 - min |s| // 2 for every offset s = i - j of the
-    numerator's terms within the horizon, or one per such term when x is a
-    polynomial."""
-    layout, inside = _expansion(x, horizon)
-    return len(inside) if layout is None else layout.size
-
-
 def _expansion(x: StringyRational, horizon: int) -> tuple[Union[_Layout, None], Union[list, dict]]:
     """What :func:`expand_rational` lays out for x to the horizon: for a
     polynomial, (None, its terms with i + j <= horizon); otherwise the
@@ -1472,7 +1462,10 @@ def _expansion(x: StringyRational, horizon: int) -> tuple[Union[_Layout, None], 
     sliced from the head of its list (:func:`_inside_columns`); a term
     map's are filled term by term and end at the offset's last term.  So
     no column outgrows the numerator's degree, whatever the horizon, and
-    the cost check in :func:`series_size` stays cheap on a refused one."""
+    the cost check (``StringyResult.series_size``) stays cheap on a refused
+    one.  The coefficients it computes are the positions of the layout,
+    about horizon // 2 + 1 - min |s| // 2 for every offset s, or one per
+    term of a polynomial."""
     if not x.denominator:
         return None, _inside(x.numerator, horizon)
     if x.numerator._flat is not None:

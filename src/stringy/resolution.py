@@ -47,25 +47,26 @@ SUBSET_WALK_BUDGET = 2 ** 12
 EXPONENT_BUDGET = 2 ** 14
 
 # A discrepancy a != 0 puts the factor (uv)^{a+1} - 1 into the formulas'
-# denominators, so the sum of a + 1 over those components bounds the degree
-# of either formula's common denominator.  The formulas run on numerators
-# packed densely in the powers of uv, so time and memory grow with that
-# degree; tables whose sum exceeds this budget are refused with a
-# ``discrepancy-cost`` finding.
+# denominators, as often as the labels of one stored key bring m = a + 1
+# together: the multiset K of those factors (``_Scan.most``) holds either
+# formula's common denominator, so its degree bounds theirs.  The formulas
+# run on numerators packed densely in the powers of uv, so time and memory
+# grow with that degree; tables whose K has a degree over this budget are
+# refused with a ``discrepancy-cost`` finding.
 DISCREPANCY_BUDGET = 2 ** 18
 
 # The formula sums are packed on one layout per config, with one slot per
 # offset i - j present in the tables and per power of uv up to the largest
-# one in them plus the denominator's degree, each slot as wide as their
-# digits need (``engine._packed_strata``); tables whose sums could pass
-# ``exact_poly.PACKED_BIT_BUDGET`` bits (see ``_packed_sum_bits``) are
-# refused with a ``packed-size-cost`` finding.
+# one in them plus the degree of K, each slot as wide as their digits need
+# (``engine._packed_strata``); tables whose layout would pass
+# ``exact_poly.PACKED_BIT_BUDGET`` bits are refused with a
+# ``packed-size-cost`` finding.
 
 # Expanding E_st to a horizon h computes about h // 2 + 1 - min |s| // 2
 # coefficients for every offset s = i - j of its numerator, one per position
-# of its skewed layout (``exact_poly.series_size``), and prints the nonzero
-# ones; a series over this many coefficients is refused as an input error
-# before any is computed.
+# of its skewed layout (``StringyResult.series_size``), and prints the
+# nonzero ones; a series over this many coefficients is refused as an input
+# error before any is computed.
 SERIES_BUDGET = 2 ** 18
 
 
@@ -312,8 +313,9 @@ def validate(cfg: ResolutionConfig, mode: str = "lenient") -> ValidationReport:
 def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
     findings: list[Finding] = []
     seen_labels: set[str] = set()
-    degree = 0  # of the common denominators, at most
-    factors = 0  # in the common denominators, at most
+    scan = _table_scan(cfg)
+    unmet = dict(scan.most)  # the m of K not met yet in the walk below
+    degree = 0  # of K, over the m met so far
     for comp in cfg.components:
         label = comp.label
         if not isinstance(label, str) or not label or "," in label:
@@ -330,20 +332,19 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
             findings.append(Finding("error", "bad-discrepancy",
                                     f"discrepancy of {label!r} must be an integer >= 0, got {a!r}",
                                     label))
-        elif a and degree <= DISCREPANCY_BUDGET:
-            degree += a + 1
-            factors += 1
+        elif a + 1 in unmet and degree <= DISCREPANCY_BUDGET:
+            degree += (a + 1) * unmet.pop(a + 1)
             if degree > DISCREPANCY_BUDGET:
                 findings.append(Finding("error", "discrepancy-cost",
-                                        f"the sum of a + 1 over the components with a != 0 passes "
-                                        f"the budget of {DISCREPANCY_BUDGET} at {label!r}", label))
+                                        f"the factors (uv)^(a+1) - 1 that the labels of one stored key "
+                                        f"bring together pass the degree budget of {DISCREPANCY_BUDGET} "
+                                        f"at {label!r}", label))
 
     if len(cfg.components) > DEFAULT_COMPONENT_CAP:
         findings.append(Finding("error", "too-many-components",
                                 f"{len(cfg.components)} components exceed the cap of {DEFAULT_COMPONENT_CAP} "
                                 f"(subset enumeration cost)", ""))
 
-    scan = _table_scan(cfg)
     if scan.walk > SUBSET_WALK_BUDGET:
         findings.append(Finding("error", "subset-walk-cost",
                                 f"the stored strata keys span {scan.walk} label subsets, over the budget "
@@ -377,7 +378,7 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
                                     f"{EXPONENT_BUDGET}", name))
 
     if not any(f.code in ("exponent-cost", "discrepancy-cost") for f in findings):
-        bits = _packed_sum_bits(cfg, degree, factors)
+        bits = packed_bits(len(scan.offsets) * (scan.degree + 1), scan.norm << scan.factors)
         if bits > PACKED_BIT_BUDGET:
             findings.append(Finding("error", "packed-size-cost",
                                     f"the formulas' packed numerators take up to {bits} bits, over the "
@@ -394,56 +395,56 @@ def _lenient_findings(cfg: ResolutionConfig) -> tuple[Finding, ...]:
 
 
 class _Scan(NamedTuple):
-    """The figures of a config's tables, each walked once (:func:`_table_scan`)."""
+    """The figures of a config's tables, each walked once, and of its
+    stored keys (:func:`_table_scan`)."""
 
     ambient: Union[tuple, None]  # exact_poly._scan's figures, None for a zero table
     strata: list[tuple]  # per stored table, in stored order
     locus: Union[tuple, None]  # the singular locus's, None when absent or zero
     offsets: set[int]  # i - j over the ambient and the strata
-    rows: int  # the largest min(i, j) there
     norm: int  # N = |ambient|_1 + sum over stored keys J of 2^|J| |H_J|_1
     walk: int  # sum over stored keys J of 2^|J|, the subsets the walk enumerates
+    most: dict[int, int]  # K: per m = a + 1 (a != 0), the most factors (uv)^m - 1 the labels of one stored key give
+    degree: int  # the largest min(i, j) in the ambient and the strata, plus the degree of K
+    factors: int  # |K|
 
 
 def _table_scan(cfg: ResolutionConfig) -> _Scan:
-    """One pass over the terms of every table (:func:`exact_poly._scan`),
-    made once per config, whose figures serve the lenient findings, the
-    bound on the formula sums (:func:`_packed_sum_bits`) and the packed
-    layout (``engine._packed_strata``, which walks no term but to pack it)."""
+    """One pass over the terms of every table (:func:`exact_poly._scan`)
+    and over the labels of every stored key, made once per config, whose
+    figures serve the lenient findings and the packed layout
+    (``engine._packed_strata``, which walks no term but to pack it).  Both
+    budgets read K: ``discrepancy-cost`` its degree, ``packed-size-cost``
+    the size of that layout, len(offsets) (degree + 1) slots as wide as
+    digits up to N 2^|K| need.  A label takes part in K when it is well
+    formed and its discrepancy a valid a != 0, at its first declaration."""
     def scan():
+        factor: dict[str, int] = {}
+        for comp in cfg.components:
+            label, a = comp.label, comp.discrepancy
+            if (isinstance(label, str) and "," not in label
+                    and isinstance(a, int) and not isinstance(a, bool) and a > 0):
+                factor.setdefault(label, a + 1)
         offsets: set[int] = set()
         ambient, locus, strata = cfg.ambient.poly, cfg.singular_locus, []
         ambient = _scan(ambient._terms, offsets) if ambient else None
         rows, norm = ambient[1:3] if ambient else (0, 0)
         walk = 0
+        most: dict[int, int] = {}
         for key, h in cfg.strata.items():  # stored tables are nonzero
             strata.append(figures := _scan(h.poly._terms, offsets))
             if figures[1] > rows:
                 rows = figures[1]
             norm += figures[2] << len(key)
             walk += 2 ** len(key)
+            here = [factor[label] for label in key if label in factor]
+            for m in here:
+                if most.get(m, 0) < (n := here.count(m)):
+                    most[m] = n
         locus = _scan(locus.poly._terms, set()) if locus is not None and locus.poly else None
-        return _Scan(ambient, strata, locus, offsets, rows, norm, walk)
+        return _Scan(ambient, strata, locus, offsets, norm, walk, most,
+                     rows + sum(m * n for m, n in most.items()), sum(most.values()))
     return cfg._derive("table scan", scan)
-
-
-def _packed_sum_bits(cfg: ResolutionConfig, degree: int, factors: int) -> int:
-    """A bound on the size of the formula sums and of the agreement check
-    (``engine._packed_strata``, ``exact_poly.same_value``), given a common
-    denominator of at most this degree and this many factors.
-
-    Slots: the offsets i - j present times the powers of uv up to the
-    largest in the tables plus the degree.  Width: the open strata are
-    signed sums of the closed ones over supersets and the reverse, so the
-    terms of either formula have sum_terms |num|_1 <= |ambient|_1 +
-    2 sum_keys 2^|key| |H_key|_1 = 2 N - |ambient|_1; every term is
-    multiplied by at most ``factors`` factors (uv)^m - 1 in the sum and as
-    many more in the agreement check, each doubling that bound.  The
-    figures come from :func:`_table_scan`.
-    """
-    scan = _table_scan(cfg)
-    norm = 2 * scan.norm - (scan.ambient[2] if scan.ambient else 0)
-    return packed_bits(len(scan.offsets) * (scan.rows + degree + 1), norm << 2 * factors)
 
 
 def _strict_findings(cfg: ResolutionConfig, lenient: ValidationReport) -> tuple[Finding, ...]:

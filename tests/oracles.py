@@ -346,6 +346,25 @@ DEEP_PROBES = {"11x9-offsets": (11, 4, 2 ** 14 - 1), "16x5-offsets": (16, 2, 2 *
                "24x3-offsets": (24, 1, 10879)}
 
 
+# the shared-discrepancy probes: (components, ambient reach, a)
+SHARED_PROBES = {"24x9-offsets": (24, 4, 8000), "24x3-offsets": (24, 1, 11000)}
+
+
+def shared_discrepancy_config(components, reach, a):
+    """A closed-convention curve config whose components all have the
+    discrepancy a, each alone in a stratum of two points, over an ambient
+    1 + sum_{k <= reach} (u^k + v^k).  No stored key brings two factors
+    (uv)^(a+1) - 1 together, so either formula's common denominator has
+    the one factor, however many components share it."""
+    fan = [[0, 0, 1]] + [[k, 0, 1] for k in range(1, reach + 1)] + [[0, k, 1] for k in range(1, reach + 1)]
+    return {
+        "dimension": 1, "ambient": fan,
+        "components": [{"label": f"E{k}", "discrepancy": a} for k in range(components)],
+        "strata_convention": "closed",
+        "strata": {f"E{k}": [[0, 0, 2]] for k in range(components)},
+    }
+
+
 def deep_cancellation_config(components, reach, below):
     """A closed-convention curve config whose components have the largest
     distinct prime a + 1 <= below, each with the table (uv)^(a+1) - 1, over
@@ -368,14 +387,20 @@ def lenient_findings_multipass(cfg):
     table is walked separately for its u<->v symmetry, its degree in u, its
     degree in v, its support, its offsets and its norm.  The budgets are
     read from ``stringy.resolution`` at call time, so a test may lower them.
+    The discrepancy and packed-size budgets follow the rule of one multiset
+    K (:func:`factor_multiset_multipass`): the walk below names the
+    component at which the degree of K, counted at the first component of
+    each m in K, passes its budget.
     """
     from stringy import resolution
-    from stringy.exact_poly import BivariatePolynomial, packed_bits
+    from stringy.exact_poly import BivariatePolynomial
     from stringy.validation import Finding
 
     findings = []
     seen_labels = set()
-    degree = factors = 0
+    most = factor_multiset_multipass(cfg)
+    met = set()
+    degree = 0
     for comp in cfg.components:
         label = comp.label
         if not isinstance(label, str) or not label or "," in label:
@@ -392,13 +417,14 @@ def lenient_findings_multipass(cfg):
             findings.append(Finding("error", "bad-discrepancy",
                                     f"discrepancy of {label!r} must be an integer >= 0, got {a!r}",
                                     label))
-        elif a and degree <= resolution.DISCREPANCY_BUDGET:
-            degree += a + 1
-            factors += 1
+        elif a + 1 in most and a + 1 not in met and degree <= resolution.DISCREPANCY_BUDGET:
+            met.add(a + 1)
+            degree += (a + 1) * most[a + 1]
             if degree > resolution.DISCREPANCY_BUDGET:
                 findings.append(Finding("error", "discrepancy-cost",
-                                        f"the sum of a + 1 over the components with a != 0 passes "
-                                        f"the budget of {resolution.DISCREPANCY_BUDGET} at {label!r}", label))
+                                        f"the factors (uv)^(a+1) - 1 that the labels of one stored key "
+                                        f"bring together pass the degree budget of "
+                                        f"{resolution.DISCREPANCY_BUDGET} at {label!r}", label))
 
     if len(cfg.components) > resolution.DEFAULT_COMPONENT_CAP:
         findings.append(Finding("error", "too-many-components",
@@ -438,7 +464,7 @@ def lenient_findings_multipass(cfg):
                                     f"{resolution.EXPONENT_BUDGET}", name))
 
     if not any(f.code in ("exponent-cost", "discrepancy-cost") for f in findings):
-        bits = packed_sum_bits_multipass(cfg, degree, factors)
+        bits = packed_sum_bits_multipass(cfg)
         if bits > resolution.PACKED_BIT_BUDGET:
             findings.append(Finding("error", "packed-size-cost",
                                     f"the formulas' packed numerators take up to {bits} bits, over the "
@@ -518,17 +544,40 @@ def strict_findings_both_walks(cfg, lenient):
     return tuple(findings)
 
 
-def packed_sum_bits_multipass(cfg, degree, factors):
-    """``stringy.resolution._packed_sum_bits`` as it was computed before the
-    one-scan validation, from the tables' supports."""
+def factor_multiset_multipass(cfg):
+    """K of a ``stringy.resolution.ResolutionConfig`` from a plain walk of
+    its stored keys: per m = a + 1, the most factors (uv)^m - 1 that the
+    labels of one key give.  A label counts at its first declaration that
+    is well formed with an integer a > 0, as lenient validation reads it."""
+    factor = {}
+    for comp in cfg.components:
+        label, a = comp.label, comp.discrepancy
+        if (isinstance(label, str) and label and "," not in label and label not in factor
+                and type(a) is not bool and isinstance(a, int) and a > 0):
+            factor[label] = a + 1
+    most = {}
+    for key in cfg.strata:
+        for m in {factor[label] for label in key if label in factor}:
+            most[m] = max(most.get(m, 0), sum(1 for label in key if factor.get(label) == m))
+    return most
+
+
+def packed_sum_bits_multipass(cfg):
+    """The size in bits of the formulas' packed layout, which lenient
+    validation bounds, from the tables' supports and a walk of the stored
+    keys for K: one slot per offset i - j present and per power of uv up to
+    the largest min(i, j) plus the degree of K, each as wide as digits up
+    to N 2^|K| need, where N = |ambient|_1 + sum over keys J of
+    2^|J| |H_J|_1."""
     from stringy.exact_poly import packed_bits
 
+    most = factor_multiset_multipass(cfg)
     tables = [(0, cfg.ambient.poly)] + [(len(key), h.poly) for key, h in cfg.strata.items()]
-    norm = sum(sum(abs(c) for _, c in p.items()) << (size + 1 if size else 0) for size, p in tables)
+    norm = sum(sum(abs(c) for _, c in p.items()) << size for size, p in tables)
     pairs = [pair for _, p in tables for pair in p.support()]
     offsets = len({i - j for i, j in pairs})
-    powers = max((min(pair) for pair in pairs), default=0) + degree + 1
-    return packed_bits(offsets * powers, norm << 2 * factors)
+    powers = max((min(pair) for pair in pairs), default=0) + sum(m * n for m, n in most.items()) + 1
+    return packed_bits(offsets * powers, norm << sum(most.values()))
 
 
 def merge_by_levels_tuples(terms, width, offsets):

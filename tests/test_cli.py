@@ -21,7 +21,7 @@ from stringy.exact_poly import BivariatePolynomial, StringyRational
 from stringy.hodge import HodgeDelignePolynomial
 
 from conftest import FIXTURES
-from oracles import DEEP_PROBES, deep_cancellation_config
+from oracles import DEEP_PROBES, SHARED_PROBES, deep_cancellation_config, shared_discrepancy_config
 
 E6 = str(FIXTURES / "e6_fixture.json")
 NODE = str(FIXTURES / "node_a1.json")
@@ -736,6 +736,49 @@ class TestErrors:
         assert bad["exit_code"] == 2 and "error: discrepancy-cost [" in bad["error"]
         assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
 
+    @pytest.mark.parametrize("probe", sorted(SHARED_PROBES))
+    def test_shared_discrepancies_count_once(self, run, tmp_path, probe):
+        # 24 components share one a, each alone in a stored key: the sums
+        # carry the one factor (uv)^(a+1) - 1, not 24, so neither budget
+        # refuses them, though 24 (a + 1) or its layout would pass one
+        config = shared_discrepancy_config(*SHARED_PROBES[probe])
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(config))
+        started = time.perf_counter()
+        code, out, _ = run("compute", str(path), "--format", "json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agree"] is True
+        p = _MERSENNE_127
+        for u, v in [(2, 3), (5, 7)]:
+            den = 1
+            for m in doc["e_st"]["den"]:
+                den = den * (pow(u * v, m, p) - 1) % p
+            assert _at(doc["e_st"]["num"], u, v) * pow(den, -1, p) % p == _closed_formula_at(config, u, v)
+
+    def test_shared_discrepancy_in_one_key_is_refused_up_front(self, run, tmp_path, monkeypatch):
+        # two components with a = 2^17 in one stored key bring their factor
+        # together twice: a common denominator of degree 2^18 + 2, refused
+        # at the first component of that a, before any formula work
+        (tmp_path / "pair.json").write_text(json.dumps({
+            "dimension": 1, "ambient": [[0, 0, 1], [1, 1, 1]],
+            "components": [{"label": "A", "discrepancy": 2 ** 17}, {"label": "B", "discrepancy": 2 ** 17}],
+            "strata_convention": "closed", "strata": {"A": [[0, 0, 1]], "B": [[0, 0, 1]], "A,B": [[0, 0, 1]]},
+        }))
+        shutil.copy(NODE, tmp_path)
+        packed = []
+        real_packed = engine._packed_strata
+        monkeypatch.setattr(engine, "_packed_strata", lambda cfg: packed.append(cfg) or real_packed(cfg))
+        started = time.perf_counter()
+        code, out, _ = run("compute", str(tmp_path), "--format", "json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        good, bad = parse_json_documents(out)
+        assert bad["exit_code"] == 2 and "error: discrepancy-cost [A]: " in bad["error"]
+        assert good["path"] == str(tmp_path / "node_a1.json") and good["exit_code"] == 0
+        assert packed and all(("A", "B") not in cfg.strata for cfg in packed)
+
     def test_wide_coefficients_are_refused_up_front(self, run, tmp_path):
         # a 10^4-digit coefficient makes every slot about 33 kbit wide, over
         # 2^18 powers of uv: gigabytes per packed sum
@@ -788,8 +831,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("probe", sorted(DEEP_PROBES))
     def test_lenient_accepted_deep_cancellation_computes(self, run, tmp_path, probe):
-        # distinct prime a + 1 near the largest that validation accepts and
-        # tables (uv)^(a+1) - 1: E_st is a polynomial with small
+        # distinct prime a + 1 whose sum, the degree of K, comes near the
+        # discrepancy budget (their layouts take 38-63 % of the packed one),
+        # and tables (uv)^(a+1) - 1: E_st is a polynomial with small
         # coefficients, so the cancellation has no reason to refuse them
         # after the sums; each stratum lacks the others' factors, so the
         # sums merge many full-size terms of distinct denominators
@@ -910,9 +954,9 @@ def test_deep_series_stays_linear(run, tmp_path, argv):
     # that grew quadratically would take seconds
     path = tmp_path / "series.json"
     path.write_text(json.dumps(_series_shaped_config(3200)))
-    x = engine.compute(resolution.load_config(path), 10).e_open
-    assert len(x.denominator) >= 3
-    assert 10000 < exact_poly.series_size(x, 3200) <= resolution.SERIES_BUDGET
+    result = engine.compute(resolution.load_config(path), 3200)
+    assert len(result.e_open.denominator) >= 3
+    assert 10000 < result.series_size <= resolution.SERIES_BUDGET
     started = time.perf_counter()
     code, out, _ = run(argv[0], str(path), *argv[1:], "--horizon", "3200")
     elapsed = time.perf_counter() - started
@@ -932,7 +976,7 @@ def test_series_cost_boundary_is_the_expansion_size(run, tmp_path, monkeypatch):
     # filled in
     path = tmp_path / "series.json"
     path.write_text(json.dumps(_series_shaped_config(200)))
-    size = exact_poly.series_size(engine.compute(resolution.load_config(path), 10).e_open, 200)
+    size = engine.compute(resolution.load_config(path), 200).series_size
     expansions = []
     real_fill = engine._filled
     monkeypatch.setattr(engine, "_filled",

@@ -526,25 +526,40 @@ class TestFormulaEquivalence:
         {("A", "B"): hd({(0, 0): 1, (1, 1): 1}), ("B",): hd({(0, 0): -1, (1, 1): -1}),
          ("C",): hd({(0, 0): 2, (1, 0): 1, (0, 1): 1})}))
     def test_packed_sums_match_converted_tables(self, cfg):
-        # the formula sums on the config's one packed layout, with the other
-        # convention made by packed inclusion-exclusion, against the sums
-        # over the converted tables
-        assert validate(cfg).accepted
+        # the size lenient validation holds against the packed budget is the
+        # size of the layout the formulas pack, in either convention: with no
+        # budget left, its finding names the bits the layout is checked at
+        # when it is made
+        other = "open" if cfg.convention == "closed" else "closed"
+        sizes = []
+        for config in (cfg, convert_strata(cfg, other)):
+            assert validate(config).accepted
+            checked = []
+            with pytest.MonkeyPatch.context() as patch:
+                check = exact_poly._check_size
+                patch.setattr(exact_poly, "_check_size",
+                              lambda slots, width: checked.append(slots * width) or check(slots, width))
+                engine._packed_strata(config)
+                patch.setattr(resolution, "PACKED_BIT_BUDGET", 0)
+                finding, = [f for f in resolution._lenient_findings(config) if f.code == "packed-size-cost"]
+            assert len(checked) == 1 and f" up to {checked[0]} bits," in finding.message
+            sizes.append(checked[0])
+        # the formula sums on that layout, with the other convention made by
+        # packed inclusion-exclusion, against the sums over the converted
+        # tables
         mine = engine._open_sum(cfg), engine._closed_sum(cfg)
         for (num, den), (their_num, their_den) in zip(mine, _sums_over_converted_tables(cfg)):
             assert den.factors == their_den.factors
             assert StringyRational(num, den) == StringyRational(their_num, their_den)
         # one layout serves the agreement check: its width holds the norm
-        # of both products, and its size is within the bound validation sets
+        # of both products, and its size holds theirs
         strata = engine._packed_strata(cfg)
         (x, dx), (y, dy) = mine
         assert (x.width, x.offsets) == (y.width, y.offsets) == (strata.width, strata.offsets)
         both = dx.union(dy)
         assert all(exact_poly._width(p.norm << len(both.minus(den))) <= p.width for p, den in mine)
         rows = max(p.degree + both.minus(den).degree_uv() for p, den in mine) + 1
-        nonzero = [comp.discrepancy for comp in cfg.components if comp.discrepancy]
-        bound = resolution._packed_sum_bits(cfg, sum(a + 1 for a in nonzero), len(nonzero))
-        assert rows * len(strata.offsets) * strata.width <= bound
+        assert rows * len(strata.offsets) * strata.width <= sizes[0]
 
     @settings(max_examples=60, deadline=None)
     @given(lattice_configs())

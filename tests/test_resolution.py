@@ -29,6 +29,7 @@ from conftest import LABELS, node_config, random_lenient_config, random_strict_c
 from oracles import (
     dict_add,
     dict_scale,
+    factor_multiset_multipass,
     full_lattice_closed_from_open,
     full_lattice_open_from_closed,
     lenient_findings_multipass,
@@ -336,19 +337,15 @@ class TestValidateLenient:
     @settings(max_examples=200, deadline=None)
     @given(scan_configs(), st.sampled_from([-8, -1, 0, 1, 8]))
     def test_one_scan_matches_multipass(self, cfg, margin):
-        # the findings and the packed-size bound read from one scan per
-        # table equal those of a walk per figure, on both sides of the
-        # exponent and packed-size budgets
-        nonzero = [comp.discrepancy for comp in cfg.components if comp.discrepancy]
-        degree, factors = sum(a + 1 for a in nonzero), len(nonzero)
-        bits = packed_sum_bits_multipass(cfg, degree, factors)
+        # the findings read from one scan per table equal those of a walk
+        # per figure, on both sides of the exponent and packed-size budgets
+        bits = packed_sum_bits_multipass(cfg)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(resolution, "EXPONENT_BUDGET", 8)
             patch.setattr(resolution, "PACKED_BIT_BUDGET", bits + margin)
             want = lenient_findings_multipass(cfg)
             patch.setattr(BivariatePolynomial, "support", None)  # a call would raise
             assert resolution._lenient_findings(cfg) == want
-            assert resolution._packed_sum_bits(cfg, degree, factors) == bits
         # and each table's figures, which the packed layout reads too, equal
         # those of a walk per figure
         scan = resolution._table_scan(cfg)
@@ -364,9 +361,14 @@ class TestValidateLenient:
                 assert offsets == want[5]
         tables = [(0, cfg.ambient.poly), *zip(map(len, cfg.strata), stored)]
         assert scan.offsets == set().union(*(_figures_multipass(p)[5] for _, p in tables if p))
-        assert scan.rows == max((_figures_multipass(p)[1] for _, p in tables if p), default=0)
         assert scan.norm == sum(_figures_multipass(p)[2] << size for size, p in tables if p)
         assert scan.walk == sum(2 ** len(key) for key in cfg.strata)
+        # and K, from a walk of the stored keys, with its degree past the
+        # largest row and its size
+        most = factor_multiset_multipass(cfg)
+        rows = max((_figures_multipass(p)[1] for _, p in tables if p), default=0)
+        assert scan.most == most and scan.factors == sum(most.values())
+        assert scan.degree == rows + sum(m * n for m, n in most.items())
 
     def test_accepted_clean_config(self):
         report = validate(node_config())

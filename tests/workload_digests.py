@@ -15,10 +15,12 @@ seed's workload lines: ``compute --format latex --horizon 200`` and
 pins the strict findings: most of those files fail the Serre reflection
 somewhere, and a few pass it.  Last come the deep-cancellation
 probes of ``tests/oracles.py`` (``DEEP_PROBES``), one ``compute --format
-json`` line each, whatever the seeds: their formula sums are the largest
-merges that validation accepts.  Run it at two commits and compare
-the printed lines: equal lines mean byte-identical output.  It only reads
-``perfbench/``; pytest does not collect it.
+json`` line each, whatever the seeds: their formula sums merge many
+full-size terms of distinct denominators.  After them, one such line per
+shared-discrepancy probe (``SHARED_PROBES``): 24 components share one
+discrepancy, so their sums carry the one factor.  Run it at two commits
+and compare the printed lines: equal lines mean byte-identical output.  It
+only reads ``perfbench/``; pytest does not collect it.
 
 ``tests/workload_digests.txt`` holds the lines for seeds 7 and 11, and CI
 fails when the output differs from it:
@@ -44,7 +46,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
-from oracles import DEEP_PROBES, deep_cancellation_config  # noqa: E402
+from oracles import (  # noqa: E402
+    DEEP_PROBES,
+    SHARED_PROBES,
+    deep_cancellation_config,
+    shared_discrepancy_config,
+)
 from stringy.cli import main  # noqa: E402
 
 _TIMING = re.compile(r'"timing_us": \d+')
@@ -89,15 +96,16 @@ def strict_digests(seed: int) -> list[str]:
                                                              ("--strict", "--format", "json"))])
 
 
-def deep_digests() -> list[str]:
+def probe_digests(kind: str, probes: dict, config) -> list[str]:
+    """One ``compute --format json`` line per probe, on ``config(*probe)``."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, probe in sorted(DEEP_PROBES.items()):
+        for name, probe in sorted(probes.items()):
             path = root / f"{name}.json"
-            path.write_text(json.dumps(deep_cancellation_config(*probe)))
+            path.write_text(json.dumps(config(*probe)))
             code, digest = _digest(["compute", str(path), "--format", "json"], root)
-            lines.append(f"deep - compute {name} --format json exit={code} sha256={digest}")
+            lines.append(f"{kind} - compute {name} --format json exit={code} sha256={digest}")
     return lines
 
 
@@ -107,5 +115,6 @@ if __name__ == "__main__":
         for seed in seeds:
             for line in produce(seed):
                 print(line, flush=True)
-    for line in deep_digests():
+    for line in (probe_digests("deep", DEEP_PROBES, deep_cancellation_config)
+                 + probe_digests("shared", SHARED_PROBES, shared_discrepancy_config)):
         print(line, flush=True)
