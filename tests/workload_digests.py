@@ -13,7 +13,9 @@ seed's workload lines: ``compute --format latex --horizon 200`` and
 ``check --format json --horizon 800``.  Then one ``validate --strict
 --format json`` pass over the ``corpus`` lenient inputs per seed, which
 pins the strict findings: most of those files fail the Serre reflection
-somewhere, and a few pass it.  Last come the deep-cancellation
+somewhere, and a few pass it.  Then one text ``decompose`` pass over the
+``corpus`` strict inputs per seed, with the workload's pairs, which pins
+the text rows that the workload writes only as JSON.  Last come the deep-cancellation
 probes of ``tests/oracles.py`` (``DEEP_PROBES``), one ``compute --format
 json`` line each, whatever the seeds: their formula sums merge many
 full-size terms of distinct denominators.  After them, one such line per
@@ -96,6 +98,11 @@ def strict_digests(seed: int) -> list[str]:
                                                              ("--strict", "--format", "json"))])
 
 
+def decompose_text_digests(seed: int) -> list[str]:
+    return _digests("corpus", seed, lambda passes: [gen.Pass(passes[1].name, "decompose",
+                                                             ("--pairs", gen.DECOMPOSE_PAIRS))])
+
+
 def probe_digests(kind: str, probes: dict, config) -> list[str]:
     """One ``compute --format json`` line per probe, on ``config(*probe)``."""
     lines = []
@@ -111,7 +118,7 @@ def probe_digests(kind: str, probes: dict, config) -> list[str]:
 
 if __name__ == "__main__":
     seeds = [int(s) for s in sys.argv[1:]] or [7, 11]
-    for produce in (digests, format_digests, strict_digests):
+    for produce in (digests, format_digests, strict_digests, decompose_text_digests):
         for seed in seeds:
             for line in produce(seed):
                 print(line, flush=True)
