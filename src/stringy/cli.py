@@ -14,7 +14,10 @@ written by one writer (:func:`_json_text`), which reads polynomial terms
 only when a report is written.  A flat numerator or series (one on its
 skewed layout, see ``exact_poly``) is written from its nonzero values and
 the text of a triple up to its coefficient kept per layout position, with
-no term map; any other polynomial from ``sorted_items()``.
+no term map; any other polynomial from ``sorted_items()``.  A dict is
+written from the sorted keys and their ``"key": `` heads kept per shape
+(its keys in insertion order and its indentation), a bounded number of
+shapes.  Each file is read by one unbuffered ``readall()``.
 """
 
 from __future__ import annotations
@@ -103,22 +106,64 @@ def _quoted(c: int) -> str:
 _LAYOUT_TRIPLES = _LayoutStrings()
 
 
+# per dict shape, the keys in insertion order and the indentation: the sorted
+# keys with the text written before each value, and the closing text; past
+# this many shapes it starts over, so keys taken from an input cannot grow it
+_DICT_SHAPES_CAP = 1 << 10
+_DICT_SHAPES: dict = {}
+# the types the writer takes, looked up exactly; then the bases of a subclass
+_JSON_TYPES = frozenset((str, int, bool, type(None), dict, list, _Triples))
+_JSON_BASES = (str, int, dict, list, _Triples)
+
+
+def _dict_shape(value: dict, pad: str) -> tuple:
+    """The sorted keys of a nonempty dict with their written heads, and its
+    closing text, kept per shape in ``_DICT_SHAPES``."""
+    shape = (pad, *value)
+    kept = _DICT_SHAPES.get(shape)
+    if kept is None:
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = pad + "  "
+        keys = sorted(value)
+        heads = [("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(key) + ": "
+                 for n, key in enumerate(keys)]
+        kept = (tuple(zip(keys, heads)), inner, "\n" + pad + "}")
+        if len(_DICT_SHAPES) >= _DICT_SHAPES_CAP:
+            _DICT_SHAPES.clear()
+        _DICT_SHAPES[shape] = kept
+    return kept
+
+
 def _write_json(value, pad: str, out: list) -> None:
     """Append to ``out`` the text that the ``json`` module's
     ``dumps(value, sort_keys=True, indent=2)`` gives for ``value``, nested at
     indentation ``pad``.  Takes dict (str keys), list, str, int, bool, None
-    and :class:`_Triples`; any other type raises ``TypeError``."""
-    if isinstance(value, str):
+    and :class:`_Triples`, and subclasses of them; any other type raises
+    ``TypeError``.  The type is looked up exactly first: the ``isinstance``
+    tests run only for a subclass."""
+    kind = type(value)
+    if kind not in _JSON_TYPES:
+        kind = next((base for base in _JSON_BASES if isinstance(value, base)), kind)
+    if kind is str:
         out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        keyed, inner, close = _dict_shape(value, pad)
+        for key, head in keyed:
+            out.append(head)
+            _write_json(value[key], inner, out)
+        out.append(close)
+    elif kind is bool:
+        out.append("true" if value else "false")
     elif value is None:
         out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, _Triples):
+    elif kind is _Triples:
         row = "\n" + pad + "  "  # pad is spaces only, so no % in the templates
         cell = row + "  "
         lo, hi = _I64_MIN, _I64_MAX  # encode_json_int's rule, inlined
@@ -134,20 +179,7 @@ def _write_json(value, pad: str, out: list) -> None:
             return
         end = row + "]"
         out.append("[" + (end + ",").join(texts) + end + "\n" + pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(value, list):
+    elif kind is list:
         if not value:
             out.append("[]")
             return
@@ -205,8 +237,10 @@ def _series(result):
 
 
 def _read(path: Path) -> bytes:
+    """The file's bytes, by one unbuffered read."""
     try:
-        return path.read_bytes()
+        with path.open("rb", buffering=0) as raw:
+            return raw.readall()
     except OSError as exc:
         raise _InputError(str(exc)) from None
 
@@ -372,6 +406,7 @@ def _cmd_decompose(data: bytes, args, out: list[str]) -> tuple[int, dict]:
 
     code = EXIT_OK
     rows_json = []
+    lines = args.format != "json"
     for row in result.rows:
         rows_json.append({
             "i": row.i, "j": row.j,
@@ -383,12 +418,11 @@ def _cmd_decompose(data: bytes, args, out: list[str]) -> tuple[int, dict]:
             "implied_hodge_dim": encode_json_int(row.implied_hodge_dim),
             "flagged": row.flagged,
         })
-        line = (f"b_{{{row.i},{row.j}}} = {decimal_str(row.direct)} | c = {decimal_str(row.c_term)}, "
-                f"alt = {decimal_str(row.alternating_sum)}, R = {decimal_str(row.r_term)}, "
-                f"S = {decimal_str(row.s_term)}, implied dim = {decimal_str(row.implied_hodge_dim)}")
-        if row.flagged:
-            line += " [FLAGGED: negative implied dimension]"
-        out.append(line)
+        if lines:
+            out.append(f"b_{{{row.i},{row.j}}} = {decimal_str(row.direct)} | c = {decimal_str(row.c_term)}, "
+                       f"alt = {decimal_str(row.alternating_sum)}, R = {decimal_str(row.r_term)}, "
+                       f"S = {decimal_str(row.s_term)}, implied dim = {decimal_str(row.implied_hodge_dim)}"
+                       + (" [FLAGGED: negative implied dimension]" if row.flagged else ""))
         if row.direct != row.decomposed:
             out.append(f"internal error: decomposition of b_{{{row.i},{row.j}}} does not "
                        f"match the direct coefficient")

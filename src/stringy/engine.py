@@ -36,6 +36,7 @@ from .exact_poly import (
     _filled,
     _merge,
     _pack_tables,
+    _unpack,
     decimal_str,
     expand_rational,
     same_value,
@@ -253,7 +254,8 @@ class StringyResult:
     def _laid_out(self) -> tuple:
         """E_st's expansion to the horizon laid out, once for both readers below (:func:`exact_poly._expansion`)."""
         if self._expansion is None:
-            self._expansion = _expansion(self.e_open, checked_int(self.horizon, "horizon"))
+            x = self.e_open
+            self._expansion = _expansion(x.numerator, x.denominator, checked_int(self.horizon, "horizon"))
         return self._expansion
 
     @property
@@ -269,7 +271,7 @@ class StringyResult:
         """E_st expanded to the horizon, on first access only: a caller that
         reads nothing but the formulas pays for no expansion."""
         if self._series is None:
-            self._series = _filled(self.e_open, self.horizon, *self._laid_out())
+            self._series = _filled(self.e_open.denominator, self.horizon, *self._laid_out())
         return self._series
 
 
@@ -514,11 +516,24 @@ def decompose_coefficients(cfg: ResolutionConfig, pairs) -> DecompositionResult:
     dimension of a Hodge component of middle-degree cohomology only under
     the geometric hypotheses the config format cannot express, so a negative
     value flags the row rather than raising.
+
+    b_{i,j} is read off the closed formula's sum N / D as
+    :func:`_closed_sum` leaves it, not cancelled: D is a product of
+    (uv)^m - 1, so N / D and the cancelled E_st are one power series.  As
+    D is a polynomial in t = uv, b_{i,j} depends only on the terms of N of
+    offset i - j and min <= min(i, j) <= d // 2, so only the packed rows
+    0 to d // 2 are read, as the balanced residue of N modulo
+    T^(d // 2 + 1), by one :func:`exact_poly._unpack`.
     """
     _require(cfg, "strict")
     d = cfg.dimension
     closed_cfg = convert_strata(cfg, "closed")
-    series = expand_rational(stringy_e_closed(cfg), d)
+    num, den = _closed_sum(cfg)
+    rows = d // 2 + 1
+    mask = (1 << num.width * len(num.offsets) * rows) - 1
+    low = num.value & mask  # every digit fits the width, so the low rows are the residue read balanced
+    low = PackedNumerator(low - (mask + 1 if low > mask >> 1 else 0), num.width, num.offsets, rows - 1, 0)
+    series = _filled(den, d, *_expansion(_unpack(low), den, d))
     ambient = closed_cfg.ambient.poly
 
     discrepancies = {comp.label: comp.discrepancy for comp in closed_cfg.components}

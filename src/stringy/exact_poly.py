@@ -1435,15 +1435,16 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     column in as one strided slice.  A polynomial is only truncated and
     sorted once, and stays sparse.
     """
-    return _filled(x, horizon, *_expansion(x, checked_int(horizon, "horizon")))
+    den = x.denominator
+    return _filled(den, horizon, *_expansion(x.numerator, den, checked_int(horizon, "horizon")))
 
 
-def _filled(x: StringyRational, horizon: int, layout: Union[_Layout, None], columns: Union[list, dict]
+def _filled(den: CycloProduct, horizon: int, layout: Union[_Layout, None], columns: Union[list, dict]
             ) -> TruncatedBiseries:
-    """:func:`expand_rational`'s series, from what :func:`_expansion` laid out."""
+    """The series of num / den, from what :func:`_expansion` laid out for them."""
     if layout is None:
         return TruncatedBiseries(horizon, columns)
-    factors = x.denominator.factors
+    factors = den.factors
     R = len(layout.offsets)
     values = [0] * layout.size
     for r, s in enumerate(layout.offsets):
@@ -1454,25 +1455,27 @@ def _filled(x: StringyRational, horizon: int, layout: Union[_Layout, None], colu
     return TruncatedBiseries._on_layout(values, layout)
 
 
-def _expansion(x: StringyRational, horizon: int) -> tuple[Union[_Layout, None], Union[list, dict]]:
-    """What :func:`expand_rational` lays out for x to the horizon: for a
-    polynomial, (None, its terms with i + j <= horizon); otherwise the
-    skewed layout of the offsets of those terms and, per offset, its
-    column's coefficients from k = 0.  A flat numerator's columns are
-    sliced from the head of its list (:func:`_inside_columns`); a term
-    map's are filled term by term and end at the offset's last term.  So
+def _expansion(num: BivariatePolynomial, den: CycloProduct, horizon: int
+               ) -> tuple[Union[_Layout, None], Union[list, dict]]:
+    """What :func:`expand_rational` lays out for num / den to the horizon,
+    cancelled or not: for an empty den, (None, num's terms with
+    i + j <= horizon); otherwise the skewed layout of the offsets of those
+    terms and, per offset, its column's coefficients from k = 0.  A flat
+    numerator's columns are sliced from the head of its list
+    (:func:`_inside_columns`); a term map's are filled term by term and
+    end at the offset's last term.  So
     no column outgrows the numerator's degree, whatever the horizon, and
     the cost check (``StringyResult.series_size``) stays cheap on a refused
     one.  The coefficients it computes are the positions of the layout,
     about horizon // 2 + 1 - min |s| // 2 for every offset s, or one per
     term of a polynomial."""
-    if not x.denominator:
-        return None, _inside(x.numerator, horizon)
-    if x.numerator._flat is not None:
-        columns = _inside_columns(*x.numerator._flat, horizon)
+    if not den:
+        return None, _inside(num, horizon)
+    if num._flat is not None:
+        columns = _inside_columns(*num._flat, horizon)
         return _ranked_layout(tuple(columns), horizon), columns
     columns: dict[int, list[int]] = {}
-    for (i, j), c in _inside(x.numerator, horizon):
+    for (i, j), c in _inside(num, horizon):
         column, k = columns.setdefault(i - j, []), min(i, j)
         column += [0] * (k + 1 - len(column))
         column[k] = c

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -293,6 +294,31 @@ class TestPreparedConfig:
         assert code == 0
         assert len(cancelled) == 1
 
+    @pytest.mark.parametrize("path", [NODE, SMOOTH, D4], ids=["node", "smooth", "d4"])
+    def test_decompose_cancels_nothing(self, run, monkeypatch, path):
+        # b_{i,j} is read off the closed sum as it stands: its rows 0 to
+        # d // 2, read back once, expanded over the uncancelled denominator
+        cancelled, read = [], []
+        real_reduce, real_unpack = exact_poly._reduce, exact_poly._unpack
+
+        def counting_reduce(num, den):
+            if den:
+                cancelled.append(den.factors)
+            return real_reduce(num, den)
+
+        def counting_unpack(packed):
+            read.append(packed.degree + 1)
+            return real_unpack(packed)
+
+        monkeypatch.setattr(exact_poly, "_reduce", counting_reduce)
+        for module in (engine, exact_poly):
+            monkeypatch.setattr(module, "_unpack", counting_unpack)
+        code, out, _ = run("decompose", path, "--pairs", "0,0;1,0;1,1", "--format", "json")
+        assert code == 0
+        d = json.loads(out)["dimension"]
+        assert cancelled == []
+        assert len(read) == 1 and read[0] <= d // 2 + 1
+
     def test_compute_unpacks_once(self, run, monkeypatch):
         # the numerator stays packed from the formula sums through the
         # agreement check and the cancellation; only E_st is unpacked
@@ -347,7 +373,7 @@ class TestPreparedConfig:
         calls = []
         real_expansion = exact_poly._expansion
         for module in (engine, exact_poly):
-            monkeypatch.setattr(module, "_expansion", lambda x, h: calls.append(h) or real_expansion(x, h))
+            monkeypatch.setattr(module, "_expansion", lambda *args: calls.append(args[-1]) or real_expansion(*args))
         assert not engine.compute(resolution.load_config(E6)).e_open.is_polynomial
         for fmt in ("text", "json"):
             calls.clear()
@@ -457,9 +483,9 @@ class TestCheck:
         calls = []
         real_expansion = exact_poly._expansion
 
-        def counting_expansion(x, horizon):
+        def counting_expansion(num, den, horizon):
             calls.append(horizon)
-            return real_expansion(x, horizon)
+            return real_expansion(num, den, horizon)
 
         for module in (engine, exact_poly):
             monkeypatch.setattr(module, "_expansion", counting_expansion)
@@ -1160,6 +1186,58 @@ def test_json_writer_quotes_coefficients_beyond_64_bits():
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+def test_json_writer_keeps_heads_per_shape(monkeypatch):
+    # one key set in two insertion orders, each at two indentations, is
+    # four shapes; each is written the same from its kept heads
+    monkeypatch.setattr(cli, "_DICT_SHAPES", {})
+    forward = {"b": 1, "a": [2, "x"], "c": None}
+    backward = dict(reversed(forward.items()))
+    for value in (forward, backward, [forward], [backward]):
+        for _ in range(2):
+            assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert set(cli._DICT_SHAPES) == {("", "b", "a", "c"), ("", "c", "a", "b"),
+                                     ("  ", "b", "a", "c"), ("  ", "c", "a", "b")}
+
+
+def test_json_writer_refuses_a_non_str_key_after_a_cached_shape(monkeypatch):
+    monkeypatch.setattr(cli, "_DICT_SHAPES", {})
+    good = {"a": 1, "b": [True]}
+    want = json.dumps(good, sort_keys=True, indent=2)
+    assert cli._json_text(good) == want
+    for bad in ({"a": 1, 2: [True]}, {1: 1, "b": [True]}, {"a": 1, "b": [True], None: 0}):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+    assert list(cli._DICT_SHAPES) == [("", "a", "b")]
+    assert cli._json_text(good) == want
+
+
+def test_json_writer_starts_over_past_the_shape_bound(monkeypatch):
+    # keys taken from an input: the kept shapes never pass the bound
+    monkeypatch.setattr(cli, "_DICT_SHAPES", {})
+    monkeypatch.setattr(cli, "_DICT_SHAPES_CAP", 3)
+    values = [{f"key {n}": n, "same": [n]} for n in range(7)]
+    for value in values + values:
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert len(cli._DICT_SHAPES) <= 3
+
+
+class _IntLeaf(int):
+    pass
+
+
+class _StrLeaf(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, False, [True, False, None], {"t": True, "f": False},
+                                   _IntLeaf(-7), [_IntLeaf(2 ** 70), _IntLeaf(0)], _StrLeaf('q"\\é\n'),
+                                   {_StrLeaf("k"): _StrLeaf("v"), "a": [_IntLeaf(3), True]},
+                                   collections.OrderedDict([("z", 1), ("y", [_StrLeaf("x")])])])
+def test_json_writer_bool_and_subclass_leaves(value):
+    for _ in range(2):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_json_writer_writes_an_empty_flat_series_as_empty_list():

@@ -159,7 +159,8 @@ class TestE6:
         # an expansion is laid out, then filled in
         calls = []
         real_expansion, real_fill = engine._expansion, engine._filled
-        monkeypatch.setattr(engine, "_expansion", lambda x, h: calls.append(("layout", h)) or real_expansion(x, h))
+        monkeypatch.setattr(engine, "_expansion",
+                            lambda *args: calls.append(("layout", args[-1])) or real_expansion(*args))
         monkeypatch.setattr(engine, "_filled",
                             lambda x, h, *laid_out: calls.append(("fill", h)) or real_fill(x, h, *laid_out))
         result = compute(e6_config(), 12)
@@ -931,6 +932,42 @@ class TestDecomposition:
         r22 = by_pair[(2, 2)]
         assert (r22.direct, r22.c_term, r22.alternating_sum, r22.r_term, r22.s_term) == (
             1, 1, -1, 1, 1)
+
+    # strict configs at the edges of reading b_{i,j} off the closed sum's
+    # rows 0 to d // 2, over its uncancelled denominator
+    _LOW_ROW_CASES = {
+        "rational, rows past d // 2": lambda: ResolutionConfig(
+            5, projective_space(5), [Component("E1", 1)], "closed",
+            {("E1",): HodgeDelignePolynomial(projective_space(4).poly + P({(1, 0): -2, (0, 1): -2,
+                                                                             (3, 4): -2, (4, 3): -2}))}),
+        "polynomial over a factor": node_config,
+        "polynomial, no factor": lambda: ResolutionConfig(3, projective_space(3), [], "closed", {}),
+        "zero sum": lambda: ResolutionConfig(3, hd({}, 3), [Component("E", 0)], "closed",
+                                             {("E",): projective_space(2)}),
+        "no offsets": lambda: ResolutionConfig(3, hd({}, 3), [], "closed", {}),
+    }
+
+    @pytest.mark.parametrize("case", list(_LOW_ROW_CASES))
+    def test_low_rows_of_the_closed_sum(self, case, monkeypatch):
+        cfg = self._LOW_ROW_CASES[case]()
+        assert validate(cfg, "strict").accepted
+        d = cfg.dimension
+        num, den = engine._closed_sum(cfg)
+        e_st = compute(cfg, d)
+        shape = {"rational, rows past d // 2": num.degree > d // 2 and not e_st.e_open.is_polynomial,
+                 "polynomial over a factor": bool(den) and e_st.e_open.is_polynomial,
+                 "polynomial, no factor": not den and e_st.e_open.is_polynomial,
+                 "zero sum": not num.value and bool(num.offsets),
+                 "no offsets": not num.offsets}
+        assert shape[case]
+        read = []
+        real_unpack = engine._unpack
+        monkeypatch.setattr(engine, "_unpack", lambda packed: read.append(packed.degree + 1) or real_unpack(packed))
+        pairs = [(i, j) for i in range(d + 1) for j in range(i + 1) if i + j <= d]
+        rows = decompose_coefficients(cfg, pairs).rows
+        assert len(read) == 1 and read[0] <= d // 2 + 1
+        assert [row.direct for row in rows] == [e_st.series.coefficient(i, j) for i, j in pairs]
+        assert all(row.decomposed == row.direct for row in rows)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))
