@@ -15,9 +15,8 @@ only when a report is written.  A flat numerator or series (one on its
 skewed layout, see ``exact_poly``) is written from its nonzero values and
 the text of a triple up to its coefficient kept per layout position, with
 no term map; any other polynomial from ``sorted_items()``.  A dict is
-written from the sorted keys and their ``"key": `` heads kept per shape
-(its keys in insertion order and its indentation), a bounded number of
-shapes.  Each file is read by one unbuffered ``readall()``.
+written from its sorted keys' ``"key": `` heads, kept per shape (keys in
+insertion order and indentation).  A file is read by one unbuffered read.
 """
 
 from __future__ import annotations
@@ -106,34 +105,12 @@ def _quoted(c: int) -> str:
 _LAYOUT_TRIPLES = _LayoutStrings()
 
 
-# per dict shape, the keys in insertion order and the indentation: the sorted
-# keys with the text written before each value, and the closing text; past
-# this many shapes it starts over, so keys taken from an input cannot grow it
+# per dict shape (indentation, keys in insertion order): the sorted keys with
+# their heads, the inner indentation and the close; bounded against input keys
 _DICT_SHAPES_CAP = 1 << 10
 _DICT_SHAPES: dict = {}
-# the types the writer takes, looked up exactly; then the bases of a subclass
-_JSON_TYPES = frozenset((str, int, bool, type(None), dict, list, _Triples))
-_JSON_BASES = (str, int, dict, list, _Triples)
-
-
-def _dict_shape(value: dict, pad: str) -> tuple:
-    """The sorted keys of a nonempty dict with their written heads, and its
-    closing text, kept per shape in ``_DICT_SHAPES``."""
-    shape = (pad, *value)
-    kept = _DICT_SHAPES.get(shape)
-    if kept is None:
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        inner = pad + "  "
-        keys = sorted(value)
-        heads = [("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(key) + ": "
-                 for n, key in enumerate(keys)]
-        kept = (tuple(zip(keys, heads)), inner, "\n" + pad + "}")
-        if len(_DICT_SHAPES) >= _DICT_SHAPES_CAP:
-            _DICT_SHAPES.clear()
-        _DICT_SHAPES[shape] = kept
-    return kept
+# the writer's types, looked up exactly; a subclass is written as its base
+_JSON_TYPES = (str, int, bool, type(None), dict, list, _Triples)
 
 
 def _write_json(value, pad: str, out: list) -> None:
@@ -141,21 +118,28 @@ def _write_json(value, pad: str, out: list) -> None:
     ``dumps(value, sort_keys=True, indent=2)`` gives for ``value``, nested at
     indentation ``pad``.  Takes dict (str keys), list, str, int, bool, None
     and :class:`_Triples`, and subclasses of them; any other type raises
-    ``TypeError``.  The type is looked up exactly first: the ``isinstance``
-    tests run only for a subclass."""
+    ``TypeError``."""
     kind = type(value)
     if kind not in _JSON_TYPES:
-        kind = next((base for base in _JSON_BASES if isinstance(value, base)), kind)
+        kind = next((base for base in _JSON_TYPES if isinstance(value, base)), kind)
     if kind is str:
         out.append(encode_basestring_ascii(value))
     elif kind is int:
         out.append(int.__repr__(value))
     elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        keyed, inner, close = _dict_shape(value, pad)
-        for key, head in keyed:
+        kept = _DICT_SHAPES.get(shape := (pad, *value))
+        if kept is None:
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            inner = pad + "  "
+            kept = ([(key, ("," if n else "{") + "\n" + inner + encode_basestring_ascii(key) + ": ")
+                     for n, key in enumerate(sorted(value))], inner, "\n" + pad + "}" if value else "{}")
+            if len(_DICT_SHAPES) >= _DICT_SHAPES_CAP:
+                _DICT_SHAPES.clear()
+            _DICT_SHAPES[shape] = kept
+        heads, inner, close = kept
+        for key, head in heads:
             out.append(head)
             _write_json(value[key], inner, out)
         out.append(close)
@@ -237,7 +221,6 @@ def _series(result):
 
 
 def _read(path: Path) -> bytes:
-    """The file's bytes, by one unbuffered read."""
     try:
         with path.open("rb", buffering=0) as raw:
             return raw.readall()
@@ -406,7 +389,6 @@ def _cmd_decompose(data: bytes, args, out: list[str]) -> tuple[int, dict]:
 
     code = EXIT_OK
     rows_json = []
-    lines = args.format != "json"
     for row in result.rows:
         rows_json.append({
             "i": row.i, "j": row.j,
@@ -418,7 +400,7 @@ def _cmd_decompose(data: bytes, args, out: list[str]) -> tuple[int, dict]:
             "implied_hodge_dim": encode_json_int(row.implied_hodge_dim),
             "flagged": row.flagged,
         })
-        if lines:
+        if args.format != "json":
             out.append(f"b_{{{row.i},{row.j}}} = {decimal_str(row.direct)} | c = {decimal_str(row.c_term)}, "
                        f"alt = {decimal_str(row.alternating_sum)}, R = {decimal_str(row.r_term)}, "
                        f"S = {decimal_str(row.s_term)}, implied dim = {decimal_str(row.implied_hodge_dim)}"

@@ -517,22 +517,17 @@ def decompose_coefficients(cfg: ResolutionConfig, pairs) -> DecompositionResult:
     the geometric hypotheses the config format cannot express, so a negative
     value flags the row rather than raising.
 
-    b_{i,j} is read off the closed formula's sum N / D as
-    :func:`_closed_sum` leaves it, not cancelled: D is a product of
-    (uv)^m - 1, so N / D and the cancelled E_st are one power series.  As
-    D is a polynomial in t = uv, b_{i,j} depends only on the terms of N of
-    offset i - j and min <= min(i, j) <= d // 2, so only the packed rows
-    0 to d // 2 are read, as the balanced residue of N modulo
-    T^(d // 2 + 1), by one :func:`exact_poly._unpack`.
+    b_{i,j} is read off the closed sum N / D (:func:`_closed_sum`), which
+    has E_st's series without cancelling.  D is a polynomial in t = uv, so
+    b_{i,j} needs only N's rows up to min(i, j) <= d // 2: the packed value
+    modulo T^(d // 2 + 1), read balanced, as its digits fit the width.
     """
     _require(cfg, "strict")
     d = cfg.dimension
     closed_cfg = convert_strata(cfg, "closed")
     num, den = _closed_sum(cfg)
-    rows = d // 2 + 1
-    mask = (1 << num.width * len(num.offsets) * rows) - 1
-    low = num.value & mask  # every digit fits the width, so the low rows are the residue read balanced
-    low = PackedNumerator(low - (mask + 1 if low > mask >> 1 else 0), num.width, num.offsets, rows - 1, 0)
+    half = (1 << num.width * len(num.offsets) * (d // 2 + 1)) >> 1  # 0 when there are no offsets
+    low = PackedNumerator(((num.value + half) & (2 * half - 1)) - half, num.width, num.offsets, d // 2, 0)
     series = _filled(den, d, *_expansion(_unpack(low), den, d))
     ambient = closed_cfg.ambient.poly
 

@@ -1435,8 +1435,7 @@ def expand_rational(x: StringyRational, horizon: int) -> TruncatedBiseries:
     column in as one strided slice.  A polynomial is only truncated and
     sorted once, and stays sparse.
     """
-    den = x.denominator
-    return _filled(den, horizon, *_expansion(x.numerator, den, checked_int(horizon, "horizon")))
+    return _filled(x.denominator, horizon, *_expansion(x.numerator, x.denominator, checked_int(horizon, "horizon")))
 
 
 def _filled(den: CycloProduct, horizon: int, layout: Union[_Layout, None], columns: Union[list, dict]
@@ -1463,12 +1462,12 @@ def _expansion(num: BivariatePolynomial, den: CycloProduct, horizon: int
     terms and, per offset, its column's coefficients from k = 0.  A flat
     numerator's columns are sliced from the head of its list
     (:func:`_inside_columns`); a term map's are filled term by term and
-    end at the offset's last term.  So
-    no column outgrows the numerator's degree, whatever the horizon, and
-    the cost check (``StringyResult.series_size``) stays cheap on a refused
-    one.  The coefficients it computes are the positions of the layout,
-    about horizon // 2 + 1 - min |s| // 2 for every offset s, or one per
-    term of a polynomial."""
+    end at the offset's last term.  So no column outgrows the numerator's
+    degree, whatever the horizon, and the cost check
+    (``StringyResult.series_size``) stays cheap on a refused one.  The
+    coefficients it computes are the positions of the layout, about
+    horizon // 2 + 1 - min |s| // 2 for every offset s, or one per term of
+    a polynomial."""
     if not den:
         return None, _inside(num, horizon)
     if num._flat is not None:
