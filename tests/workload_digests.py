@@ -10,7 +10,9 @@ path, and prints one line per pass: workload, seed, command, pass name,
 options, exit code and the sha256 of stdout.  The workloads render text
 only, so two more passes over the ``series`` inputs follow, after every
 seed's workload lines: ``compute --format latex --horizon 200`` and
-``check --format json --horizon 800``.  Then one ``validate --strict
+``check --format json --horizon 800``; then a text ``check --horizon 201``,
+since the workload's horizons are all even: at an odd horizon the odd
+offsets keep their last row.  Then one ``validate --strict
 --format json`` pass over the ``corpus`` lenient inputs per seed, which
 pins the strict findings: most of those files fail the Serre reflection
 somewhere, and a few pass it.  Then one text ``decompose`` pass over the
@@ -58,9 +60,11 @@ from stringy.cli import main  # noqa: E402
 
 _TIMING = re.compile(r'"timing_us": \d+')
 
-# the series inputs again, through the LaTeX and JSON renderers
+# the series inputs again, through the LaTeX and JSON renderers, and to an
+# odd horizon
 _SERIES_FORMATS = (("compute", ("--format", "latex", "--horizon", "200")),
-                   ("check", ("--format", "json", "--horizon", "800")))
+                   ("check", ("--format", "json", "--horizon", "800")),
+                   ("check", ("--horizon", "201")))
 
 
 def _digest(argv: list[str], root: Path) -> tuple[int, str]:
