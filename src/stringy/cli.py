@@ -17,6 +17,9 @@ the text of a triple up to its coefficient kept per layout position, with
 no term map; any other polynomial from ``sorted_items()``.  A dict is
 written from its sorted keys' ``"key": `` heads, kept per shape (keys in
 insertion order and indentation).  A file is read by one unbuffered read.
+``check`` expands E_st once: its sign anomalies are found by position and
+written from heads kept per layout position, and the polynomial witness is
+read from that expansion when it reaches far enough.
 """
 
 from __future__ import annotations
@@ -25,18 +28,20 @@ import argparse
 import hashlib
 import sys
 import time
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .engine import (
     CheckOutcome,
     NotPolynomial,
+    _polynomial_verdict,
+    _sign_anomalies,
     check_duality,
     check_nonnegativity,
     check_symmetry,
     compute,
     decompose_coefficients,
-    is_polynomial,
     local_contribution,
 )
 from .exact_poly import (
@@ -79,12 +84,13 @@ class _Triples:
     calls it only when the writer writes them, so a text run, which writes
     no report, neither orders nor copies any terms.  The terms of a flat
     polynomial or series are written from its values and layout (``flat``)
-    instead, with no term map and no pair."""
+    instead, with no term map and no pair: its nonzero values, or the
+    values at the positions ``at``."""
 
-    __slots__ = ("terms", "flat")
+    __slots__ = ("terms", "flat", "at")
 
-    def __init__(self, terms, flat=None):
-        self.terms, self.flat = terms, flat
+    def __init__(self, terms, flat=None, at=None):
+        self.terms, self.flat, self.at = terms, flat, at
 
 
 def _triples(poly) -> _Triples:
@@ -157,7 +163,7 @@ def _write_json(value, pad: str, out: list) -> None:
         else:
             template = row + "[" + cell + "%d," + cell + "%d," + cell
             texts = [f"{piece}{c if lo <= c <= hi else _quoted(c)}"
-                     for piece, c in _LAYOUT_TRIPLES.terms(*value.flat, _triple_head, template)]
+                     for piece, c in _LAYOUT_TRIPLES.terms(*value.flat, _triple_head, template, at=value.at)]
         if not texts:
             out.append("[]")
             return
@@ -285,6 +291,40 @@ def _cmd_compute(data: bytes, args, out: list[str]) -> tuple[int, dict]:
     return code, payload
 
 
+@lru_cache(maxsize=1 << 6)
+def _head_column(s: int) -> list[str]:
+    """The heads ``b_{i,j} = `` of offset s = i - j by k = min(i, j), grown
+    as asked, so that every layout's table shares one string per pair."""
+    return []
+
+
+def _nonneg_head(i: int, j: int) -> str:
+    column, k = _head_column(i - j), min(i, j)
+    if len(column) <= k < 1 << 10:  # rows further out are made each time
+        column += [f"b_{{{n + i - k},{n + j - k}}} = " for n in range(len(column), k + 1)]
+    return column[k] if k < len(column) else f"b_{{{i},{j}}} = "
+
+
+# per layout: the head of a sign anomaly's line at every position
+_NONNEG_HEADS = _LayoutStrings()
+
+
+def _nonneg(series, d: int) -> tuple[int, list, _Triples, _Triples]:
+    """How many sign anomalies lie in i + j <= d, (head, coefficient) of each
+    in output order, and the violations and notes for JSON: a flat series'
+    by position, with texts kept per layout position; a sparse one's from
+    ``check_nonnegativity``."""
+    if series._flat is None:
+        report = check_nonnegativity(series, d)
+        return (len(report.violations),
+                [(_nonneg_head(i, j), b) for i, j, b in report.violations + report.beyond_notes],
+                *(_Triples(lambda part=part: [((i, j), b) for i, j, b in part])
+                  for part in (report.violations, report.beyond_notes)))
+    positions, inside = _sign_anomalies(series, d)
+    return (inside, _NONNEG_HEADS.terms(*series._flat, _nonneg_head, at=positions),
+            *(_Triples(None, series._flat, at) for at in (positions[:inside], positions[inside:])))
+
+
 def _record_outcome(name: str, outcome: CheckOutcome, checks: dict, out: list[str], lines: bool) -> bool:
     checks[name] = {
         "passed": outcome.passed,
@@ -325,7 +365,8 @@ def _cmd_check(data: bytes, args, out: list[str]) -> tuple[int, dict]:
         all_passed &= _record_outcome("symmetry", check_symmetry(result.e_open), checks, out, lines)
 
     if "polynomial" in wanted:
-        verdict = is_polynomial(result.e_open, d)
+        # the expansion --nonneg reads holds the witness's when it reaches far enough
+        verdict = _polynomial_verdict(result.e_open, d, _series(result) if "nonneg" in wanted else None)
         if isinstance(verdict, NotPolynomial):
             all_passed = False
             checks["polynomial"] = {
@@ -342,23 +383,18 @@ def _cmd_check(data: bytes, args, out: list[str]) -> tuple[int, dict]:
                 out.append(f"polynomial: POLYNOMIAL = {_render_polynomial(verdict.value, args.format)}")
 
     if "nonneg" in wanted:
-        report = check_nonnegativity(_series(result), d)
-        checks["nonneg"] = {
-            "passed": report.passed,
-            "violations": _Triples(lambda: [((i, j), b) for i, j, b in report.violations]),
-            "notes": _Triples(lambda: [((i, j), b) for i, j, b in report.beyond_notes]),
-        }
-        all_passed &= report.passed
+        inside, wrong, violations, notes = _nonneg(_series(result), d)
+        checks["nonneg"] = {"passed": not inside, "violations": violations, "notes": notes}
+        all_passed &= not inside
         if lines:
             small = _DECIMAL_PIECE_BOUND  # decimal_str's own test, inlined: an int formats as str below it
-            if report.passed:
-                out.append(f"nonneg: PASS (i+j <= {d})")
-            else:
-                out.append(f"nonneg: FAIL ({len(report.violations)} violation(s))")
-                out.extend(f"violation: b_{{{i},{j}}} = {b if -small < b < small else decimal_str(b)}"
-                           for i, j, b in report.violations)
-            out.extend(f"note: b_{{{i},{j}}} = {b if -small < b < small else decimal_str(b)} beyond range"
-                       for i, j, b in report.beyond_notes)
+            out.append(f"nonneg: FAIL ({inside} violation(s))" if inside else f"nonneg: PASS (i+j <= {d})")
+            text = [f"violation: {head}{b if -small < b < small else decimal_str(b)}"
+                    for head, b in wrong[:inside]]
+            text += [f"note: {head}{b if -small < b < small else decimal_str(b)} beyond range"
+                     for head, b in wrong[inside:]]
+            if text:
+                out.append("\n".join(text))
 
     payload = {"dimension": d, "agree": True, "checks": checks, "passed": all_passed}
     return (EXIT_OK if all_passed else EXIT_FAILED), payload
@@ -474,7 +510,7 @@ def _run_one(path: Path, args) -> tuple[int, str]:
         report.update(payload)
         text = _json_text(report) + "\n"
     else:
-        text = "".join(line + "\n" for line in out)
+        text = "\n".join(out) + "\n" if out else ""
     return code, text
 
 

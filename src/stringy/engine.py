@@ -22,9 +22,10 @@ layout; E_st is cancelled once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import wraps
 from itertools import compress
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .exact_poly import (
     BivariatePolynomial,
@@ -34,8 +35,10 @@ from .exact_poly import (
     TruncatedBiseries,
     _expansion,
     _filled,
+    _Layout,
     _merge,
     _pack_tables,
+    _ranked_layout,
     _unpack,
     decimal_str,
     expand_rational,
@@ -360,13 +363,25 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
     coefficient outside that box is the witness; if the box holds, the
     candidate read off the truncation cannot multiply back onto the
     numerator (x is not a polynomial), and the lowest term of the residual
-    is the witness.
+    is the witness.  ``check`` reads it from its one expansion instead.
     """
+    return _polynomial_verdict(x, d, None)
+
+
+def _polynomial_verdict(x: StringyRational, d: int, series: Union[TruncatedBiseries, None]
+                        ) -> Union[Polynomial, NotPolynomial]:
+    """:func:`is_polynomial`, the witness read from x's flat expansion
+    ``series`` when it reaches 2d + sum(m_k): on its offsets, the positions
+    to that horizon are a prefix (:func:`exact_poly._inside_columns`)."""
     checked_int(d, "dimension")
     if x.is_polynomial:
         return Polynomial(x.numerator)
     horizon = 2 * d + x.denominator.degree_uv()
-    values, layout = expand_rational(x, horizon)._flat  # x has a denominator: a flat series
+    if series is not None and series.horizon >= horizon and series._flat is not None:
+        values, layout = series._flat
+        layout = _ranked_layout(layout.offsets, horizon)
+    else:
+        values, layout = expand_rational(x, horizon)._flat  # x has a denominator: a flat series
     # max(i, j) = k + |s| <= d inside the box, so each column is a head in
     # it and a tail out of it; the first nonzero of the tails, in position
     # order, is the first in output order
@@ -377,7 +392,7 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
         start = layout.start(r)
         tail = start + max(d - abs(s) + 1, 0) * R
         heads.append((start, tail))
-        witness = min(witness, next(compress(range(tail, size, R), values[tail::R]), size))
+        witness = min(witness, next(compress(range(tail, size, R), values[tail:size:R]), size))
     if witness < size:
         (i, j), c = layout.pair(witness), values[witness]
         return NotPolynomial((i, j), f"series coefficient {decimal_str(c)} at ({i},{j}) "
@@ -435,31 +450,54 @@ class NonnegativityReport(NamedTuple):
 def check_nonnegativity(series: TruncatedBiseries, d: int) -> NonnegativityReport:
     """(-1)^{i+j} b_{i,j} >= 0 for i+j <= d, the proved range.  Sign
     anomalies beyond the range are reported separately and carry no verdict:
-    the bound genuinely fails there in general."""
+    the bound genuinely fails there in general.  A flat series is read by
+    the column scan that also gives the CLI the anomalies' positions."""
     checked_int(d, "dimension")
     if series.horizon < d:
         raise ValueError(f"series horizon {series.horizon} is below the dimension {d}")
     if series._flat is None:
         wrong = [(i, j, b) for (i, j), b in series.items() if (-1 if (i + j) % 2 else 1) * b < 0]
     else:
-        # a column's degrees i + j = 2 (row + first) + |s| mod 2 share one
-        # parity, so one min or max tells whether it holds a wrong sign; its
-        # wrong entries go back to their positions, whose order is output order
+        # the wrong entries go back to their positions, whose order is output order
         values, layout = series._flat
         R = len(layout.offsets)
         wrong = [None] * layout.size
-        for r, s in enumerate(layout.offsets):
-            column = values[r::R]
+        for r, column, odd in _wrong_columns(values, layout):
             i, j = layout.pair(r)  # row 0's pair, which the column may not reach
-            if s & 1:
-                if max(column, default=0) > 0:
-                    wrong[r::R] = [(q + i, q + j, b) if b > 0 else None for q, b in enumerate(column)]
-            elif min(column, default=0) < 0:
+            if odd:
+                wrong[r::R] = [(q + i, q + j, b) if b > 0 else None for q, b in enumerate(column)]
+            else:
                 wrong[r::R] = [(q + i, q + j, b) if b < 0 else None for q, b in enumerate(column)]
         wrong = list(filter(None, wrong))
     # in output order, so the violations are a prefix
     cut = next((n for n, (i, j, _) in enumerate(wrong) if i + j > d), len(wrong))
     return NonnegativityReport(d, series.horizon, tuple(wrong[:cut]), tuple(wrong[cut:]))
+
+
+def _wrong_columns(values: list[int], layout: _Layout) -> Iterator[tuple[int, list[int], int]]:
+    """(rank, values from row 0, odd offset) of each column of a flat series
+    with a wrong sign: a column's degrees i + j = 2 (row + first) + |s| mod 2
+    share one parity, so one min or max tells."""
+    R = len(layout.offsets)
+    for r, s in enumerate(layout.offsets):
+        column = values[r::R]
+        if max(column, default=0) > 0 if s & 1 else min(column, default=0) < 0:
+            yield r, column, s & 1
+
+
+def _sign_anomalies(series: TruncatedBiseries, d: int) -> tuple[list[int], int]:
+    """A flat series' wrong-sign positions, in output order, and how many lie
+    in i + j <= d: before degree d + 1, row (d + 1) // 2 - first, after the
+    even offsets (they rank first in a row) when d + 1 is odd."""
+    values, layout = series._flat
+    R, size = len(layout.offsets), layout.size
+    wrong: list[int] = []
+    for r, column, odd in _wrong_columns(values, layout):
+        at = range(r, size, R)
+        wrong += [p for p, b in zip(at, column) if b > 0] if odd else [p for p, b in zip(at, column) if b < 0]
+    wrong.sort()
+    end = ((d + 1) // 2 - layout.first) * R + (0 if d % 2 else R - sum(s & 1 for s in layout.offsets))
+    return wrong, bisect_left(wrong, end)
 
 
 def correction_factor_series(a: int, horizon: int) -> dict[int, int]:

@@ -91,8 +91,8 @@ class _LayoutStrings(dict):
     asked, serves the lower ones as a prefix.  Past
     ``_LAYOUT_MONOMIALS_CAP`` positions over all tuples it starts over, and
     a layout wider than that on its own is not kept: its strings are made
-    for its nonzero values alone, so a wide, sparse layout costs what its
-    terms do."""
+    for its nonzero values, or the positions asked, alone, so a wide,
+    sparse layout costs what its terms do."""
 
     __slots__ = ("positions",)
 
@@ -100,18 +100,13 @@ class _LayoutStrings(dict):
         super().__init__()
         self.positions = 0
 
-    def terms(self, values: list[int], layout, text, *kind):
+    def terms(self, values: list[int], layout, text, *kind, at=None):
         """(``text(i, j, *kind)``, c) for every nonzero value c of a flat
-        list on the layout, in position order."""
+        list on the layout, in position order; given positions ``at`` that
+        hold pairs, for the value at each of them instead, in their order."""
         if layout.size > _LAYOUT_MONOMIALS_CAP:
-            strings: list = [None] * len(values)
-            R = len(layout.offsets)
-            for r, s in enumerate(layout.offsets):
-                at = layout.start(r)
-                column = values[at::R]
-                for k in compress(range(len(column)), column):
-                    strings[at + k * R] = text(k + s, k, *kind) if s >= 0 else text(k, k - s, *kind)
-            return compress(zip(strings, values), values)
+            at = compress(range(len(values)), values) if at is None else at
+            return [(text(*layout.pair(p), *kind), values[p]) for p in at]
         key = (layout.offsets, layout.first, *kind)
         strings = self.get(key, ())
         if len(strings) < layout.size:
@@ -121,6 +116,8 @@ class _LayoutStrings(dict):
                 self.positions = 0
             self.positions += layout.size
             strings = self[key] = tuple(None if pair is None else text(*pair, *kind) for pair in layout.pairs())
+        if at is not None:
+            return list(zip(map(strings.__getitem__, at), map(values.__getitem__, at)))
         return compress(zip(strings, values), values)
 
 

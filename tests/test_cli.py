@@ -29,7 +29,7 @@ NODE = str(FIXTURES / "node_a1.json")
 SMOOTH = str(FIXTURES / "smooth_p3.json")
 AFFINE = str(FIXTURES / "affine_line.json")
 D4 = str(FIXTURES / "d4_terminal.json")
-_NINES = int("9" * 4300)
+_NINES = 10 ** 4300 - 1  # made without str -> int, so any digit limit collects it
 
 
 @pytest.fixture
@@ -496,6 +496,45 @@ class TestCheck:
         run("check", SMOOTH, "--nonneg", "--horizon", "9")
         assert calls == [9]
 
+    def test_polynomial_alone_is_never_refused_for_the_horizon(self, run):
+        # only --nonneg reads the run's expansion; the witness has its own
+        code, out, _ = run("check", E6, "--polynomial", "--horizon", str(10 ** 9))
+        assert code == 1
+        assert out == ("polynomial: NOT POLYNOMIAL at (4,4) "
+                       "(series coefficient 1 at (4,4) exceeds degree (3,3))\n")
+
+    def test_default_check_at_a_refused_horizon(self, run):
+        code, out, _ = run("check", E6, "--horizon", str(10 ** 9))
+        assert code == 2
+        assert out == ("error: series-cost: expanding to horizon 1000000000 computes 500000001 "
+                       "coefficients, over the budget of 262144\n")
+
+    def test_sign_anomalies_past_the_digit_limit(self, run, tmp_path):
+        # from 4300-digit tables, b_{1,1} < 0 is a violation and b_{2,2} < 0
+        # a note, both past Python's int/str digit limit; the tables hold
+        # decimal strings, which load under any setting of that limit
+        c = '"' + "9" * 4300 + '"'
+        labels = [f"E{k}" for k in range(1, 5)]
+        components = json.dumps([{"label": lbl, "discrepancy": k} for k, lbl in enumerate(labels, 1)])
+        strata = ", ".join(f'"{lbl}": [[0, 0, {c}], [1, 1, {c}]]' for lbl in labels)
+        path = tmp_path / "big.json"
+        path.write_text(
+            f'{{"dimension": 2, "ambient": [[0, 0, {c}], [1, 1, {c}]], "components": {components}, '
+            f'"strata_convention": "closed", "strata": {{{strata}}}}}')
+        series = engine.compute(resolution.load_config(path), 4).series
+        assert series._flat is not None
+        report = engine.check_nonnegativity(series, 2)
+        (violation,), (note,) = report.violations, report.beyond_notes
+        assert violation[:2] == (1, 1) and note[:2] == (2, 2)
+        assert min(len(exact_poly.decimal_str(-b)) for b in (violation[2], note[2])) > 4300
+        code, out, _ = run("check", str(path), "--nonneg", "--horizon", "4")
+        assert code == 1
+        assert out == "".join(line + "\n" for line in _nonneg_lines(report))
+        code, out, _ = run("check", str(path), "--nonneg", "--horizon", "4", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"]["nonneg"] == _nonneg_json(report)
+        assert_canonical_json(out)
+
     def test_bare_check_runs_the_three_default_checks(self, run):
         _, out, _ = run("check", E6, "--format", "json")
         assert sorted(json.loads(out)["checks"]) == ["duality", "nonneg", "polynomial"]
@@ -934,6 +973,65 @@ class TestErrors:
         doc = json.loads(out)
         assert doc["exit_code"] == 2
         assert doc["error"] == "--local needs the config's singular_locus"
+
+
+def _nonneg_lines(report):
+    """``check --nonneg``'s text lines for a report, as the lines were first written."""
+    d = report.dimension
+    if report.passed:
+        lines = [f"nonneg: PASS (i+j <= {d})"]
+    else:
+        lines = [f"nonneg: FAIL ({len(report.violations)} violation(s))"]
+        lines += [f"violation: b_{{{i},{j}}} = {exact_poly.decimal_str(b)}" for i, j, b in report.violations]
+    return lines + [f"note: b_{{{i},{j}}} = {exact_poly.decimal_str(b)} beyond range"
+                    for i, j, b in report.beyond_notes]
+
+
+def _nonneg_json(report):
+    """``check --nonneg``'s JSON verdict for a report."""
+    return {"passed": report.passed,
+            **{key: [[i, j, exact_poly.encode_json_int(b)] for i, j, b in part]
+               for key, part in (("violations", report.violations), ("notes", report.beyond_notes))}}
+
+
+@st.composite
+def _nonneg_cases(draw):
+    """(flat series, dimension): offsets of one parity or both, an even or
+    odd horizon, a dimension anywhere up to it (below the layout's first
+    row too), and values of either sign, or of the right sign only."""
+    parity = draw(st.sampled_from(["even", "odd", "both"]))
+    pool = [s for s in range(-9, 10) if parity == "both" or (s % 2 == 0) == (parity == "even")]
+    offsets = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=5))
+    horizon = draw(st.integers(min_value=1, max_value=15))
+    layout = exact_poly._skewed_layout(offsets, horizon)
+    big = st.sampled_from([2 ** 63, -(2 ** 63) - 1, 10 ** 30, -(10 ** 30)])
+    values = [0 if pair is None else draw(st.one_of(st.integers(-3, 3), big)) for pair in layout.pairs()]
+    if draw(st.booleans()):  # no anomaly at all
+        values = [0 if pair is None else abs(b) * (-1) ** sum(pair) for b, pair in zip(values, layout.pairs())]
+    d = draw(st.integers(min_value=1, max_value=horizon))
+    return exact_poly.TruncatedBiseries._on_layout(values, layout), d
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_nonneg_cases())
+def test_check_nonneg_writer_matches_the_report(run, tmp_path, monkeypatch, case):
+    # the lines and JSON arrays written from the anomalies' positions, or
+    # for a sparse series of the same terms from the report, are those of
+    # check_nonnegativity's report in today's templates
+    flat, d = case
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"dimension": d, "ambient": [[0, 0, 1]], "components": [],
+                                "strata_convention": "closed", "strata": {}}))
+    report = engine.check_nonnegativity(flat, d)
+    want_text = "".join(line + "\n" for line in _nonneg_lines(report))
+    for series in (flat, exact_poly.TruncatedBiseries(flat.horizon, dict(flat.items()))):
+        result = type("Result", (), {"agree": True, "series_size": 0, "series": series})()
+        monkeypatch.setattr(cli, "compute", lambda cfg, horizon: result)
+        code, out, _ = run("check", str(path), "--nonneg", "--horizon", str(flat.horizon))
+        assert (code, out) == (0 if report.passed else 1, want_text)
+        _, out, _ = run("check", str(path), "--nonneg", "--horizon", str(flat.horizon), "--format", "json")
+        assert json.loads(out)["checks"]["nonneg"] == _nonneg_json(report)
+        assert_canonical_json(out)
 
 
 def _far_apart_config():

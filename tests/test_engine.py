@@ -804,6 +804,24 @@ class TestPolynomiality:
             want = NotPolynomial((i, j), f"division residual {c} at ({i},{j})")
         assert verdict == want
 
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_configs())
+    def test_witness_read_from_the_run_expansion(self, cfg):
+        # from an expansion that reaches 2d + deg D, the witness is read off
+        # its prefix with no expansion of its own; from a shorter one it is
+        # expanded.  Either way it is is_polynomial's, witness and reason
+        other = "open" if cfg.convention == "closed" else "closed"
+        for each in (cfg, convert_strata(cfg, other)):
+            x, d = stringy_e_open(each), each.dimension
+            want = is_polynomial(x, d)
+            reach = 2 * d + x.denominator.degree_uv()
+            for horizon in (reach - 1, reach, reach + 1):
+                series = compute(each, horizon).series
+                with pytest.MonkeyPatch.context() as patch:
+                    if horizon >= reach:
+                        patch.setattr(engine, "expand_rational", None)  # a call would raise
+                    assert engine._polynomial_verdict(x, d, series) == want
+
     def test_all_crepant_config_gives_ambient(self):
         cfg = ResolutionConfig(
             3, projective_space(3),
