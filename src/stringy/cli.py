@@ -28,7 +28,6 @@ import argparse
 import hashlib
 import sys
 import time
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -84,13 +83,12 @@ class _Triples:
     calls it only when the writer writes them, so a text run, which writes
     no report, neither orders nor copies any terms.  The terms of a flat
     polynomial or series are written from its values and layout (``flat``)
-    instead, with no term map and no pair: its nonzero values, or the
-    values at the positions ``at``."""
+    instead, with no term map and no pair."""
 
-    __slots__ = ("terms", "flat", "at")
+    __slots__ = ("terms", "flat")
 
-    def __init__(self, terms, flat=None, at=None):
-        self.terms, self.flat, self.at = terms, flat, at
+    def __init__(self, terms, flat=None):
+        self.terms, self.flat = terms, flat
 
 
 def _triples(poly) -> _Triples:
@@ -163,7 +161,7 @@ def _write_json(value, pad: str, out: list) -> None:
         else:
             template = row + "[" + cell + "%d," + cell + "%d," + cell
             texts = [f"{piece}{c if lo <= c <= hi else _quoted(c)}"
-                     for piece, c in _LAYOUT_TRIPLES.terms(*value.flat, _triple_head, template, at=value.at)]
+                     for piece, c in _LAYOUT_TRIPLES.terms(*value.flat, _triple_head, template)]
         if not texts:
             out.append("[]")
             return
@@ -291,29 +289,16 @@ def _cmd_compute(data: bytes, args, out: list[str]) -> tuple[int, dict]:
     return code, payload
 
 
-@lru_cache(maxsize=1 << 6)
-def _head_column(s: int) -> list[str]:
-    """The heads ``b_{i,j} = `` of offset s = i - j by k = min(i, j), grown
-    as asked, so that every layout's table shares one string per pair."""
-    return []
-
-
-def _nonneg_head(i: int, j: int) -> str:
-    column, k = _head_column(i - j), min(i, j)
-    if len(column) <= k < 1 << 10:  # rows further out are made each time
-        column += [f"b_{{{n + i - k},{n + j - k}}} = " for n in range(len(column), k + 1)]
-    return column[k] if k < len(column) else f"b_{{{i},{j}}} = "
-
-
-# per layout: the head of a sign anomaly's line at every position
+# the head of a sign anomaly's line, and per layout that head at every position
+_nonneg_head = "b_{{{},{}}} = ".format
 _NONNEG_HEADS = _LayoutStrings()
 
 
 def _nonneg(series, d: int) -> tuple[int, list, _Triples, _Triples]:
     """How many sign anomalies lie in i + j <= d, (head, coefficient) of each
     in output order, and the violations and notes for JSON: a flat series'
-    by position, with texts kept per layout position; a sparse one's from
-    ``check_nonnegativity``."""
+    from their positions, with heads kept per layout position; a sparse
+    one's from ``check_nonnegativity``."""
     if series._flat is None:
         report = check_nonnegativity(series, d)
         return (len(report.violations),
@@ -321,8 +306,10 @@ def _nonneg(series, d: int) -> tuple[int, list, _Triples, _Triples]:
                 *(_Triples(lambda part=part: [((i, j), b) for i, j, b in part])
                   for part in (report.violations, report.beyond_notes)))
     positions, inside = _sign_anomalies(series, d)
-    return (inside, _NONNEG_HEADS.terms(*series._flat, _nonneg_head, at=positions),
-            *(_Triples(None, series._flat, at) for at in (positions[:inside], positions[inside:])))
+    values, layout = series._flat
+    return (inside, _NONNEG_HEADS.terms(values, layout, _nonneg_head, at=positions),
+            *(_Triples(lambda at=at: [(layout.pair(p), values[p]) for p in at])
+              for at in (positions[:inside], positions[inside:])))
 
 
 def _record_outcome(name: str, outcome: CheckOutcome, checks: dict, out: list[str], lines: bool) -> bool:

@@ -363,7 +363,8 @@ def is_polynomial(x: StringyRational, d: int) -> Union[Polynomial, NotPolynomial
     coefficient outside that box is the witness; if the box holds, the
     candidate read off the truncation cannot multiply back onto the
     numerator (x is not a polynomial), and the lowest term of the residual
-    is the witness.  ``check`` reads it from its one expansion instead.
+    is the witness.  ``check`` expands E_st once: with ``--nonneg``, whose
+    expansion reaches far enough, the witness is read from that.
     """
     return _polynomial_verdict(x, d, None)
 
@@ -377,11 +378,10 @@ def _polynomial_verdict(x: StringyRational, d: int, series: Union[TruncatedBiser
     if x.is_polynomial:
         return Polynomial(x.numerator)
     horizon = 2 * d + x.denominator.degree_uv()
-    if series is not None and series.horizon >= horizon and series._flat is not None:
-        values, layout = series._flat
-        layout = _ranked_layout(layout.offsets, horizon)
-    else:
-        values, layout = expand_rational(x, horizon)._flat  # x has a denominator: a flat series
+    if series is None or series.horizon < horizon or series._flat is None:
+        series = expand_rational(x, horizon)  # x has a denominator: a flat series
+    values, layout = series._flat
+    layout = _ranked_layout(layout.offsets, horizon)
     # max(i, j) = k + |s| <= d inside the box, so each column is a head in
     # it and a tail out of it; the first nonzero of the tails, in position
     # order, is the first in output order
@@ -451,7 +451,9 @@ def check_nonnegativity(series: TruncatedBiseries, d: int) -> NonnegativityRepor
     """(-1)^{i+j} b_{i,j} >= 0 for i+j <= d, the proved range.  Sign
     anomalies beyond the range are reported separately and carry no verdict:
     the bound genuinely fails there in general.  A flat series is read by
-    the column scan that also gives the CLI the anomalies' positions."""
+    the column scan (:func:`_wrong_columns`) that ``check`` shares, which
+    reads E_st's one expansion and writes each anomaly from its position
+    (:func:`_sign_anomalies`)."""
     checked_int(d, "dimension")
     if series.horizon < d:
         raise ValueError(f"series horizon {series.horizon} is below the dimension {d}")

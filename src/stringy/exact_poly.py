@@ -1376,15 +1376,17 @@ class _Layout(NamedTuple):
         k = row + self.first - abs(s) // 2
         return (k + s, k) if s >= 0 else (k, k - s)
 
-    def pairs(self) -> list:
+    def pairs(self, column=None) -> list:
         """The exponent pair at every position, None where there is none:
-        one strided slice assignment per offset."""
+        one strided slice assignment per offset.  Given ``column(s, n)``,
+        the n values it gives for offset s, from k = 0, instead."""
         out: list = [None] * self.size
         R = len(self.offsets)
         for r, s in enumerate(self.offsets):
-            n = (self.horizon - abs(s)) // 2 + 1
+            n = max((self.horizon - abs(s)) // 2 + 1, 0)
             at = self.start(r)
-            out[at:at + n * R:R] = zip(range(s, s + n), range(n)) if s >= 0 else zip(range(n), range(-s, n - s))
+            out[at:at + n * R:R] = (column(s, n) if column else zip(range(s, s + n), range(n)) if s >= 0
+                                    else zip(range(n), range(-s, n - s)))
         return out
 
 

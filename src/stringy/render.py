@@ -19,13 +19,14 @@ brackets; a fraction is its numerator and denominator between the three
 fraction strings.
 
 Terms are read in the order their holder gives them: a series holds its
-coefficients in output order, so it renders without a sort.  The monomial
-strings are memoized per exponent pair and style in a bounded LRU cache,
-since every series of a batch repeats the same pairs near the diagonal.  An
-expanded series, or a canonical numerator read back flat, on its skewed
-flat layout renders by zipping its nonzero coefficients with a tuple of
-those strings kept per layout and style (:class:`_LayoutStrings`, bounded
-in positions), with no term map, no pair and no cache lookup per term.
+coefficients in output order, so it renders without a sort.  Every series
+of a batch repeats the same pairs near the diagonal, so the monomial strings
+are kept.  An expanded series, or a canonical numerator read back flat, on
+its skewed flat layout renders by zipping its nonzero coefficients with a
+list of those strings kept per layout and style, sliced from one column of
+strings per offset and style (:class:`_LayoutStrings`, bounded in
+positions), with no term map, no pair and no cache lookup per term.  Other
+terms read them from a bounded LRU cache per exponent pair and style.
 """
 
 from __future__ import annotations
@@ -84,21 +85,23 @@ def _monomial(i: int, j: int, uv: str, sup: str, end: str) -> str:
 
 class _LayoutStrings(dict):
     """A string at every position of a skewed flat layout
-    (:class:`exact_poly._Layout`), None where it holds no pair, as a tuple
+    (:class:`exact_poly._Layout`), None where it holds no pair, as a list
     per offsets, first row and kind: a flat value is written by zipping
     its values with it.  Positions below a layout's size hold the same
-    pairs at every horizon, so one tuple, made for the highest horizon
-    asked, serves the lower ones as a prefix.  Past
-    ``_LAYOUT_MONOMIALS_CAP`` positions over all tuples it starts over, and
-    a layout wider than that on its own is not kept: its strings are made
-    for its nonzero values, or the positions asked, alone, so a wide,
-    sparse layout costs what its terms do."""
+    pairs at every horizon, so one list, made for the highest horizon
+    asked, serves the lower ones as a prefix.  The lists are sliced from
+    one column of strings per offset and kind, by k = min(i, j), so
+    layouts share one string per pair.  Past ``_LAYOUT_MONOMIALS_CAP``
+    positions over all lists it starts over, and a layout wider than that
+    on its own is not kept: its strings are made for its nonzero values,
+    or the positions asked, alone, so a wide, sparse layout costs what its
+    terms do."""
 
-    __slots__ = ("positions",)
+    __slots__ = ("positions", "columns")
 
     def __init__(self):
         super().__init__()
-        self.positions = 0
+        self.positions, self.columns = 0, {}
 
     def terms(self, values: list[int], layout, text, *kind, at=None):
         """(``text(i, j, *kind)``, c) for every nonzero value c of a flat
@@ -113,16 +116,22 @@ class _LayoutStrings(dict):
             self.positions -= len(strings)
             if self.positions + layout.size > _LAYOUT_MONOMIALS_CAP:
                 self.clear()
-                self.positions = 0
+                self.positions, self.columns = 0, {}
             self.positions += layout.size
-            strings = self[key] = tuple(None if pair is None else text(*pair, *kind) for pair in layout.pairs())
+            self[key] = strings = layout.pairs(lambda s, n: self._column(s, n, text, kind))
         if at is not None:
             return list(zip(map(strings.__getitem__, at), map(values.__getitem__, at)))
         return compress(zip(strings, values), values)
 
+    def _column(self, s: int, n: int, text, kind: tuple) -> list:
+        """The strings of offset s from k = 0 to n - 1, kept per kind."""
+        column = self.columns.setdefault((s, *kind), [])
+        column += [text(k + s, k, *kind) if s >= 0 else text(k, k - s, *kind) for k in range(len(column), n)]
+        return column[:n]
+
 
 _LAYOUT_MONOMIALS_CAP = 1 << 16
-# the monomials, made from ``_monomial``, so layouts share their strings
+# the monomials, made from ``_monomial`` past its cache: the columns keep them
 _LAYOUT_MONOMIALS = _LayoutStrings()
 
 
@@ -140,7 +149,7 @@ def _terms(p: BivariatePolynomial | TruncatedBiseries, style: _Style) -> str:
         values = [c for _, c in terms]
     else:
         values, layout = flat
-        terms = _LAYOUT_MONOMIALS.terms(values, layout, _monomial, uv, sup, end)
+        terms = _LAYOUT_MONOMIALS.terms(values, layout, _monomial.__wrapped__, uv, sup, end)
     if values and -_DECIMAL_PIECE_BOUND < min(values) and max(values) < _DECIMAL_PIECE_BOUND:
         # every coefficient formats as str (decimal_str's own test): _piece, inlined
         pieces = [(f"+ {c}{mono}" if c != 1 or not mono else "+ " + mono) if c > 0 else

@@ -232,9 +232,10 @@ class TestMonomialMemo:
         assert render._monomial.cache_info().hits > 0
 
     def test_layout_monomials_start_over_past_their_cap(self, monkeypatch):
-        # per-layout tuples are kept up to a number of positions over all of
-        # them; past it the cache starts over.  A lower horizon reads a
-        # prefix of a higher one's tuple.  Rendering is unchanged
+        # per-layout lists are kept up to a number of positions over all of
+        # them; past it the cache starts over, and so do the columns they
+        # are sliced from.  A lower horizon reads a prefix of a higher one's
+        # list.  Rendering is unchanged
         monkeypatch.setattr(render, "_LAYOUT_MONOMIALS", render._LayoutStrings())
         monkeypatch.setattr(render, "_LAYOUT_MONOMIALS_CAP", 40)
         x = StringyRational(P({(0, 0): 1, (2, 0): -3, (0, 1): 2}), (1, 2))
@@ -245,5 +246,20 @@ class TestMonomialMemo:
             assert texts[-1] == polynomial_text(BivariatePolynomial(dict(series.items()))) + " + ..."
             kept = render._LAYOUT_MONOMIALS
             assert kept.positions == sum(map(len, kept.values())) <= max(40, series._flat[1].size)
+            assert sum(map(len, kept.columns.values())) <= kept.positions
         assert texts[:2] == texts[5:]
         assert len(kept) == 1 and kept.positions == expand_rational(x, 10)._flat[1].size
+
+    def test_layouts_share_one_string_per_pair(self, monkeypatch):
+        # two layouts with the offset 0 in common, at different horizons and
+        # ranks: its monomials are the same string objects in both lists
+        monkeypatch.setattr(render, "_LAYOUT_MONOMIALS", render._LayoutStrings())
+        one = expand_rational(StringyRational(P({(0, 0): 1}), (1,)), 8)
+        two = expand_rational(StringyRational(P({(0, 0): 1, (3, 0): 2, (0, 1): 5}), (1, 2)), 12)
+        texts = [series_text(s, True) for s in (one, two)]
+        assert texts == [polynomial_text(BivariatePolynomial(dict(s.items()))) + " + ..." for s in (one, two)]
+        kept = render._LAYOUT_MONOMIALS
+        (a,), (b,) = ([strings for key, strings in kept.items() if key[0] == s._flat[1].offsets] for s in (one, two))
+        on_zero = [[strings[p] for p, pair in enumerate(s._flat[1].pairs()) if pair and pair[0] == pair[1]]
+                   for strings, s in ((a, one), (b, two))]
+        assert len(on_zero[0]) == 5 and all(x is y for x, y in zip(*on_zero))
