@@ -49,9 +49,8 @@ from .hodge import (
     DiamondViolation,
     HodgeDiamond,
     diamond_from_polynomial,
-    mirror_mismatches,
+    reflection_mismatches,
     swap,
-    with_mirrors,
 )
 from .resolution import (
     ResolutionConfig,
@@ -315,15 +314,13 @@ def check_duality(x: StringyRational, d: int) -> CheckOutcome:
     sign and shifts D by m consistently on both sides.
     """
     checked_int(d, "dimension")
-    num = x.numerator
     shift = d + x.denominator.degree_uv()
     sign = -1 if len(x.denominator) % 2 else 1
 
     def mirror(ij):
         return shift - ij[0], shift - ij[1]
 
-    for (i, j), (mi, mj), here, there in mirror_mismatches(
-            lambda ij: num.coefficient(*ij), with_mirrors(num.support(), mirror), mirror, sign):
+    for (i, j), (mi, mj), here, there in reflection_mismatches(x.numerator._terms, mirror, sign):
         return CheckOutcome(False, (i, j),
                             f"coefficient {decimal_str(here)} at ({i},{j}) vs "
                             f"{sign}*{decimal_str(there)} from ({mi},{mj})")
@@ -333,13 +330,9 @@ def check_duality(x: StringyRational, d: int) -> CheckOutcome:
 def check_symmetry(x: StringyRational) -> CheckOutcome:
     """u<->v symmetry of the numerator; the denominator is symmetric by
     construction.  The witness is the u-heavy member of the first bad pair."""
-    num = x.numerator
-    walk = sorted(num.support(), key=lambda ij: (ij[0] + ij[1], min(ij), max(ij)))
-    for (i, j), _, _, _ in mirror_mismatches(lambda ij: num.coefficient(*ij), walk, swap):
-        a, b = max(i, j), min(i, j)
-        return CheckOutcome(False, (a, b),
-                            f"coefficient {decimal_str(num.coefficient(a, b))} at ({a},{b}) vs "
-                            f"{decimal_str(num.coefficient(b, a))} at ({b},{a})")
+    for (b, a), _, here, there in reflection_mismatches(x.numerator._terms, swap):
+        return CheckOutcome(False, (a, b), f"coefficient {decimal_str(there)} at ({a},{b}) vs "
+                                           f"{decimal_str(here)} at ({b},{a})")
     return CheckOutcome(True)
 
 

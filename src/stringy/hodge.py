@@ -9,6 +9,10 @@ Validation is advisory.  Open strata legitimately fail the Serre reflection,
 so nothing here is constructor-enforced; callers that need the smooth
 projective identities run :func:`validate_smooth_projective` and read the
 report.
+
+Every reflection identity of the package (u<->v symmetry, the Serre
+reflection, and the functional equation of E_st in ``engine``) is checked by
+one walk, :func:`reflection_mismatches`, whose witnesses are exponent pairs.
 """
 
 from __future__ import annotations
@@ -122,35 +126,38 @@ def blowup(ambient_dim: int, center: HodgeDelignePolynomial, codim: int,
     return HodgeDelignePolynomial(ambient.poly + center.poly * fiber_part, ambient_dim)
 
 
-def mirror_mismatches(coefficient, points, reflect, sign: int = 1):
-    """Yield (p, q, c(p), c(q)) once for each unordered pair {p, q} with
-    q = reflect(p) and c(p) != sign * c(q), in the order of the pair's first
-    member among ``points``.
-
-    Every reflection identity checked here has this shape: the functional
-    equation of E_st (sign -1 for an odd number of denominator factors),
-    u<->v symmetry and the Serre reflection.  The caller chooses the points
-    and their order, since the first mismatch is the witness it reports.
-    """
-    seen = set()
-    for p in points:
-        if p in seen:
-            continue
-        q = reflect(p)
-        seen.add(q)
-        here, there = coefficient(p), coefficient(q)
-        if here != sign * there:
-            yield p, q, here, there
-
-
 def degree_order(ij: tuple[int, int]) -> tuple[int, int, int]:
     """Sort key (i+j, i, j): by total degree, v-heavy first."""
     return ij[0] + ij[1], ij[0], ij[1]
 
 
-def with_mirrors(support, reflect) -> list[tuple[int, int]]:
-    """The support and its mirror points, in :func:`degree_order`."""
-    return sorted(set(support) | {reflect(p) for p in support}, key=degree_order)
+def reflection_mismatches(terms, reflect, sign: int = 1):
+    """Yield (p, q, c(p), c(q)) once for each pair {p, q = reflect(p)} with
+    c(p) != sign * c(q), where c reads the term map ``terms`` (0 off it).
+
+    Every reflection identity checked here has this shape: the functional
+    equation of E_st (sign -1 for an odd number of denominator factors),
+    u<->v symmetry and the Serre reflection.  The walk covers the support
+    and those of its mirrors that are exponent pairs, in
+    :func:`degree_order`, and meets each pair at its first member, so no p
+    has a negative entry.  One comparison of ``terms`` with its reflected
+    map settles the case where every pair is equal; the walk reads
+    sign * c(q) from that map.  ``reflect`` is an involution.
+    """
+    mirrored = {reflect(pair): sign * c for pair, c in terms.items()}
+    if mirrored == terms:
+        return
+    walk = set(terms)
+    walk.update(pair for pair in mirrored if pair[0] >= 0 and pair[1] >= 0)
+    seen = set()
+    for p in sorted(walk, key=degree_order):
+        if p in seen:
+            continue
+        q = reflect(p)
+        seen.add(q)
+        here, there = terms.get(p, 0), mirrored.get(p, 0)
+        if here != there:
+            yield p, q, here, sign * there
 
 
 def swap(ij: tuple[int, int]) -> tuple[int, int]:
@@ -168,13 +175,11 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
     checked_int(d, "dimension")
     p = h.poly
     findings: list[Finding] = []
-    # the support only: adding the swapped points would reorder the findings
-    for (i, j), _, _, _ in mirror_mismatches(lambda ij: p.coefficient(*ij), sorted(p._terms, key=degree_order), swap):
-        a, b = max(i, j), min(i, j)
+    for (b, a), _, here, there in reflection_mismatches(p._terms, swap):
+        # the first member is v-heavy; the finding names the u-heavy one first
         findings.append(Finding(
             "error", "uv-asymmetry",
-            f"coefficient {decimal_str(p.coefficient(a, b))} at ({a},{b}) vs "
-            f"{decimal_str(p.coefficient(b, a))} at ({b},{a})",
+            f"coefficient {decimal_str(there)} at ({a},{b}) vs {decimal_str(here)} at ({b},{a})",
             f"({a},{b}) vs ({b},{a})",
         ))
     findings += serre_findings(p, d)
@@ -183,21 +188,15 @@ def validate_smooth_projective(h: HodgeDelignePolynomial, d: int) -> ValidationR
 
 def serre_findings(p: BivariatePolynomial, d: int) -> list[Finding]:
     """The ``serre-reflection`` findings of :func:`validate_smooth_projective`,
-    one per pair {(i,j), (d-i,d-j)} of unequal coefficients, in
-    :func:`degree_order` of its first member: walked for only when the terms
-    differ from their reflection, which one comparison of maps decides."""
-    terms = p._terms
-    if {(d - i, d - j): c for (i, j), c in terms.items()} == terms:
-        return []
+    one per pair {(i,j), (d-i,d-j)} of unequal coefficients, in the order of
+    :func:`reflection_mismatches`."""
 
     def serre(ij):
         return d - ij[0], d - ij[1]
 
-    # a coefficient is 0 off the support and at negative points
     return [Finding("error", "serre-reflection", f"coefficient {decimal_str(here)} at ({i},{j}) vs "
                     f"{decimal_str(there)} at ({mi},{mj}) for dimension {d}", f"({i},{j}) vs ({mi},{mj})")
-            for (i, j), (mi, mj), here, there in mirror_mismatches(lambda ij: p.coefficient(*ij),
-                                                                   with_mirrors(terms, serre), serre)]
+            for (i, j), (mi, mj), here, there in reflection_mismatches(p._terms, serre)]
 
 
 class DiamondViolation(NamedTuple):

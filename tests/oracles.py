@@ -481,34 +481,51 @@ def lenient_findings_multipass(cfg):
     return tuple(findings)
 
 
+def reflection_pairs_scan(terms, reflect, sign, size):
+    """The pairs {p, q = reflect(p)} with c(p) != sign * c(q), as
+    (p, q, c(p), c(q)), found by scanning every exponent pair of the box
+    [0, size]^2 in order of total degree, then i, then j; each pair is named
+    by its member met first.  c reads the dict ``terms`` and is 0 off it.
+    The box must hold the support and every mirror of it with no negative
+    entry."""
+    box = sorted(((i, j) for i in range(size + 1) for j in range(size + 1)),
+                 key=lambda ij: (ij[0] + ij[1], ij[0], ij[1]))
+    met, out = set(), []
+    for p in box:
+        if p in met:
+            continue
+        q = reflect(p)
+        met.update((p, q))
+        here, there = terms.get(p, 0), terms.get(q, 0)
+        if here != sign * there:
+            out.append((p, q, here, there))
+    return out
+
+
 def strict_findings_both_walks(cfg, lenient):
     """``stringy.resolution._strict_findings`` as the package computed it
     before strict validation checked the Serre reflection alone: the whole
-    of ``validate_smooth_projective`` as it was then, its u<->v walk and its
-    Serre walk with no comparison ahead, on the ambient and every closed
+    of ``validate_smooth_projective``, its u<->v walk and its Serre walk
+    with no comparison ahead, each a scan of the box
+    (:func:`reflection_pairs_scan`), on the ambient and every closed
     stratum, keeping the Serre findings."""
     from stringy.exact_poly import decimal_str
-    from stringy.hodge import degree_order, mirror_mismatches, swap, with_mirrors
     from stringy.resolution import convert_strata
     from stringy.validation import Finding
 
     def validate_smooth_projective(h, d):
-        p = h.poly
-
-        def coefficient(ij):
-            return p.coefficient(*ij)
+        terms = dict(h.poly.items())
+        size = max([d, *(max(pair) for pair in terms)])
 
         def serre(ij):
             return d - ij[0], d - ij[1]
 
         out = []
-        for (i, j), _, _, _ in mirror_mismatches(coefficient, sorted(p.support(), key=degree_order), swap):
-            a, b = max(i, j), min(i, j)
+        for (b, a), _, here, there in reflection_pairs_scan(terms, lambda ij: (ij[1], ij[0]), 1, size):
             out.append(Finding("error", "uv-asymmetry",
-                               f"coefficient {decimal_str(p.coefficient(a, b))} at ({a},{b}) vs "
-                               f"{decimal_str(p.coefficient(b, a))} at ({b},{a})", f"({a},{b}) vs ({b},{a})"))
-        for (i, j), (mi, mj), here, there in mirror_mismatches(coefficient, with_mirrors(p.support(), serre),
-                                                               serre):
+                               f"coefficient {decimal_str(there)} at ({a},{b}) vs "
+                               f"{decimal_str(here)} at ({b},{a})", f"({a},{b}) vs ({b},{a})"))
+        for (i, j), (mi, mj), here, there in reflection_pairs_scan(terms, serre, 1, size):
             out.append(Finding("error", "serre-reflection",
                                f"coefficient {decimal_str(here)} at ({i},{j}) vs {decimal_str(there)} at "
                                f"({mi},{mj}) for dimension {d}", f"({i},{j}) vs ({mi},{mj})"))

@@ -29,7 +29,11 @@ NODE = str(FIXTURES / "node_a1.json")
 SMOOTH = str(FIXTURES / "smooth_p3.json")
 AFFINE = str(FIXTURES / "affine_line.json")
 D4 = str(FIXTURES / "d4_terminal.json")
-_NINES = 10 ** 4300 - 1  # made without str -> int, so any digit limit collects it
+# Python's int/str digit limit (4300 by default, 0 when lifted): a JSON
+# literal of that many digits still loads, and values computed from it run
+# past the limit
+_DIGIT_LIMIT = sys.get_int_max_str_digits() or 4300
+_NINES = "9" * _DIGIT_LIMIT
 
 
 @pytest.fixture
@@ -213,9 +217,9 @@ class TestComputeJson:
         assert str(big) in out
 
     def test_coefficients_past_the_digit_limit(self, run, tmp_path):
-        # 4300-digit literals load (the JSON parser's limit is just above),
-        # and the products computed from them run past Python's int/str limit
-        c = "9" * 4300
+        # literals at the digit limit load, and the products computed from
+        # them run past Python's int/str limit
+        c = _NINES
         labels = [f"E{k}" for k in range(1, 5)]
         components = json.dumps([{"label": lbl, "discrepancy": k} for k, lbl in enumerate(labels, 1)])
         strata = ", ".join(f'"{lbl}": [[0, 0, {c}]]' for lbl in labels)
@@ -227,12 +231,12 @@ class TestComputeJson:
         assert code == 0
         big, node = parse_json_documents(out)
         assert big["exit_code"] == node["exit_code"] == 0
-        assert max(len(str(term[2])) for term in big["series"]["coefficients"]) > 4300
+        assert max(len(str(term[2])) for term in big["series"]["coefficients"]) > _DIGIT_LIMIT
         assert node["e_st"] == {"num": [[0, 0, 1], [1, 1, 2], [2, 2, 2], [3, 3, 1]], "den": []}
         for fmt in ("text", "latex"):
             code, out, _ = run("compute", str(tmp_path), "--format", fmt, "--horizon", "20")
             assert code == 0
-            assert max(len(digits) for digits in re.findall(r"\d+", out)) > 4300
+            assert max(len(digits) for digits in re.findall(r"\d+", out)) > _DIGIT_LIMIT
             assert f"== {tmp_path / 'node_a1.json'} ==\n" in out
 
 
@@ -446,6 +450,21 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["exit_code"] == 1
         assert doc["checks"]["duality"] == {"passed": False, "witness": [0, 0]}
+
+    def test_duality_witness_is_never_a_negative_point(self, run, tmp_path):
+        # d + deg D = 1, so the mirrors of u^3 and v^3 have a negative entry;
+        # the first bad pair is met at (0,0), a member of the support
+        path = tmp_path / "cubic_terms.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "ambient": [[0, 0, 1], [3, 0, 1], [0, 3, 1]],
+            "components": [], "strata_convention": "closed", "strata": {},
+        }))
+        code, out, _ = run("check", str(path), "--duality")
+        assert code == 1
+        assert "duality: FAIL at (0,0) (coefficient 1 at (0,0) vs 1*0 from (1,1))\n" in out
+        code, out, _ = run("check", str(path), "--duality", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"]["duality"] == {"passed": False, "witness": [0, 0]}
 
     def test_symmetry_pass(self, run):
         code, out, _ = run("check", E6, "--symmetry")
@@ -761,7 +780,7 @@ class TestErrors:
         assert good.startswith("accepted (strict)" if argv[0] == "validate" else "b_{1,1} = 2 |")
 
     @pytest.mark.parametrize("name, ambient, stratum, a, finding", [
-        # a 4300-digit exponent does not fit a JSON int; beside a constant term it also makes
+        # an exponent at the digit limit does not fit a JSON int; beside a constant term it also makes
         # a dense canonical numerator of about that many terms
         ("exponent.json", [[_NINES, _NINES, 1]], [[_NINES, _NINES, 1]], 1, "exponent-cost"),
         ("dense.json", [[0, 0, 1], [_NINES, _NINES, 1]], [[0, 0, 1], [_NINES, _NINES, 1]], 1,
@@ -774,7 +793,7 @@ class TestErrors:
             "dimension": 1, "ambient": ambient,
             "components": [{"label": "E", "discrepancy": a}],
             "strata_convention": "closed", "strata": {"E": stratum},
-        }))
+        }).replace(f'"{_NINES}"', _NINES))
         shutil.copy(NODE, tmp_path)
         started = time.perf_counter()
         code, out, _ = run("compute", str(tmp_path), "--format", "json")

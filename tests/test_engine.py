@@ -369,10 +369,11 @@ class TestSymmetry:
         assert check_symmetry(stringy_e_open(cfg)).passed
 
 
-# Two uv-asymmetries whose partners are absent and four Serre mismatches in
-# dimension 3, one of them against the negative mirror point (3,-1).  The
-# checks walk their candidates in different orders, and the first witness
-# or the order of the findings shows which.
+# Three uv-asymmetries whose partners are absent and four Serre mismatches
+# in dimension 3, one of them against the negative mirror point (3,-1).  All
+# checks meet each pair at its first member in degree order, never at a
+# point with a negative entry; the first witness or the order of the
+# findings shows it.
 _ASYMMETRIC = {(0, 0): 1, (3, 0): 2, (1, 2): 5, (0, 4): 7}
 
 
@@ -385,18 +386,18 @@ def _duality_outcome(num, d):
 
 @pytest.mark.parametrize("check, expected", [
     ("smooth-projective", [
-        "error: uv-asymmetry [(2,1) vs (1,2)]: coefficient 0 at (2,1) vs 5 at (1,2)",
         "error: uv-asymmetry [(3,0) vs (0,3)]: coefficient 2 at (3,0) vs 0 at (0,3)",
+        "error: uv-asymmetry [(2,1) vs (1,2)]: coefficient 0 at (2,1) vs 5 at (1,2)",
         "error: uv-asymmetry [(4,0) vs (0,4)]: coefficient 0 at (4,0) vs 7 at (0,4)",
         "error: serre-reflection [(0,0) vs (3,3)]: coefficient 1 at (0,0) vs 0 at (3,3) for dimension 3",
-        "error: serre-reflection [(3,-1) vs (0,4)]: coefficient 0 at (3,-1) vs 7 at (0,4) for dimension 3",
         "error: serre-reflection [(0,3) vs (3,0)]: coefficient 0 at (0,3) vs 2 at (3,0) for dimension 3",
         "error: serre-reflection [(1,2) vs (2,1)]: coefficient 5 at (1,2) vs 0 at (2,1) for dimension 3",
+        "error: serre-reflection [(0,4) vs (3,-1)]: coefficient 7 at (0,4) vs 0 at (3,-1) for dimension 3",
     ]),
     ("symmetry", (False, (3, 0), "coefficient 2 at (3,0) vs 0 at (0,3)")),
     # D = 3 + 1: (1,0) and (3,4) match under sign -1, the centre (2,2) cannot
     ("duality-centre", (False, (2, 2), "coefficient 3 at (2,2) vs -1*3 from (2,2)")),
-    ("duality-negative-mirror", (False, (-1, 4), "coefficient 0 at (-1,4) vs -1*9 from (5,0)")),
+    ("duality-negative-mirror", (False, (2, 2), "coefficient 3 at (2,2) vs -1*3 from (2,2)")),
 ])
 def test_reflection_walk_order(check, expected):
     if check == "smooth-projective":

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stringy.exact_poly import BivariatePolynomial
@@ -8,13 +8,16 @@ from stringy.hodge import (
     HodgeDelignePolynomial,
     HodgeDiamond,
     blowup,
+    degree_order,
     diamond_from_polynomial,
     projective_space,
+    reflection_mismatches,
     scissor,
+    swap,
     validate_smooth_projective,
 )
 
-from oracles import hodge_numbers_from_polynomial
+from oracles import hodge_numbers_from_polynomial, reflection_pairs_scan
 
 
 def P(terms):
@@ -145,6 +148,28 @@ class TestValidateSmoothProjective:
     def test_k3_passes(self):
         k3 = hd({(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1}, 2)
         assert validate_smooth_projective(k3, 2).accepted
+
+
+class TestReflectionMismatches:
+    # the one walk behind duality, u<->v symmetry and Serre, against a scan
+    # of every exponent pair in a box that holds the support and its mirrors
+    @pytest.mark.parametrize("kind, sign", [("swap", 1), ("serre", 1), ("duality", 1), ("duality", -1)])
+    @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-2, 2)),
+           st.integers(0, 12))
+    @example({(0, 0): 1, (3, 0): 1, (0, 3): 1}, 1)
+    def test_pairs_match_a_scan_of_the_box(self, kind, sign, raw, shift):
+        terms = {pair: c for pair, c in raw.items() if c}
+        if kind == "serre":
+            shift %= 7
+
+        def reflect(ij):
+            return swap(ij) if kind == "swap" else (shift - ij[0], shift - ij[1])
+
+        got = list(reflection_mismatches(terms, reflect, sign))
+        assert got == reflection_pairs_scan(terms, reflect, sign, 12)
+        firsts = [p for p, _, _, _ in got]
+        assert firsts == sorted(firsts, key=degree_order)
+        assert all(i >= 0 and j >= 0 for i, j in firsts)
 
 
 class TestHodgeDiamond:
