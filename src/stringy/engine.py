@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import wraps
 from itertools import compress
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .exact_poly import (
     BivariatePolynomial,
@@ -35,7 +35,6 @@ from .exact_poly import (
     TruncatedBiseries,
     _expansion,
     _filled,
-    _Layout,
     _merge,
     _pack_tables,
     _ranked_layout,
@@ -444,55 +443,37 @@ def check_nonnegativity(series: TruncatedBiseries, d: int) -> NonnegativityRepor
     """(-1)^{i+j} b_{i,j} >= 0 for i+j <= d, the proved range.  Sign
     anomalies beyond the range are reported separately and carry no verdict:
     the bound genuinely fails there in general.  A flat series is read by
-    the column scan (:func:`_wrong_columns`) that ``check`` shares, which
-    reads E_st's one expansion and writes each anomaly from its position
-    (:func:`_sign_anomalies`)."""
+    the position scan (:func:`_sign_anomalies`) that ``check`` writes its
+    lines from; a sparse one term by term."""
     checked_int(d, "dimension")
     if series.horizon < d:
         raise ValueError(f"series horizon {series.horizon} is below the dimension {d}")
     if series._flat is None:
         wrong = [(i, j, b) for (i, j), b in series.items() if (-1 if (i + j) % 2 else 1) * b < 0]
+        # in output order, so the violations are a prefix
+        cut = next((n for n, (i, j, _) in enumerate(wrong) if i + j > d), len(wrong))
     else:
-        # the wrong entries go back to their positions, whose order is output order
+        positions, cut = _sign_anomalies(series, d)
         values, layout = series._flat
-        R = len(layout.offsets)
-        wrong = [None] * layout.size
-        for r, column, odd in _wrong_columns(values, layout):
-            i, j = layout.pair(r)  # row 0's pair, which the column may not reach
-            if odd:
-                wrong[r::R] = [(q + i, q + j, b) if b > 0 else None for q, b in enumerate(column)]
-            else:
-                wrong[r::R] = [(q + i, q + j, b) if b < 0 else None for q, b in enumerate(column)]
-        wrong = list(filter(None, wrong))
-    # in output order, so the violations are a prefix
-    cut = next((n for n, (i, j, _) in enumerate(wrong) if i + j > d), len(wrong))
+        wrong = [(*layout.pair(p), values[p]) for p in positions]
     return NonnegativityReport(d, series.horizon, tuple(wrong[:cut]), tuple(wrong[cut:]))
-
-
-def _wrong_columns(values: list[int], layout: _Layout) -> Iterator[tuple[int, list[int], int]]:
-    """(rank, values from row 0, odd offset) of each column of a flat series
-    with a wrong sign: a column's degrees i + j = 2 (row + first) + |s| mod 2
-    share one parity, so one min or max tells."""
-    R = len(layout.offsets)
-    for r, s in enumerate(layout.offsets):
-        column = values[r::R]
-        if max(column, default=0) > 0 if s & 1 else min(column, default=0) < 0:
-            yield r, column, s & 1
 
 
 def _sign_anomalies(series: TruncatedBiseries, d: int) -> tuple[list[int], int]:
     """A flat series' wrong-sign positions, in output order, and how many lie
-    in i + j <= d: before degree d + 1, row (d + 1) // 2 - first, after the
-    even offsets (they rank first in a row) when d + 1 is odd."""
+    in i + j <= d: those before the layout's size at horizon d.  A column's
+    degrees i + j = 2 (row + first) + |s| mod 2 share one parity, so one
+    min or max tells whether it holds a wrong sign."""
     values, layout = series._flat
     R, size = len(layout.offsets), layout.size
     wrong: list[int] = []
-    for r, column, odd in _wrong_columns(values, layout):
-        at = range(r, size, R)
-        wrong += [p for p, b in zip(at, column) if b > 0] if odd else [p for p, b in zip(at, column) if b < 0]
+    for r, s in enumerate(layout.offsets):
+        column = values[r::R]
+        if max(column, default=0) > 0 if s & 1 else min(column, default=0) < 0:
+            at = range(r, size, R)
+            wrong += [p for p, b in zip(at, column) if b > 0] if s & 1 else [p for p, b in zip(at, column) if b < 0]
     wrong.sort()
-    end = ((d + 1) // 2 - layout.first) * R + (0 if d % 2 else R - sum(s & 1 for s in layout.offsets))
-    return wrong, bisect_left(wrong, end)
+    return wrong, bisect_left(wrong, _ranked_layout(layout.offsets, d).size)
 
 
 def correction_factor_series(a: int, horizon: int) -> dict[int, int]:

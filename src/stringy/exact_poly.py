@@ -14,7 +14,8 @@ The central representation choices:
   canonical numerator dense enough is read back flat instead: the list of
   every coefficient of its skewed layout (:class:`_Layout`), zeros
   included, whose position order is output order.  It builds its map only
-  when something asks for pairs.
+  when something asks for pairs.  Of the arithmetic, only N/D + P
+  (``StringyRational.__add__``) stays flat.
 * ``CycloProduct`` is a multiset of positive integers m, each denoting one
   factor (uv)^m - 1.
 * ``StringyRational`` is a numerator over a CycloProduct in canonical form:
@@ -112,8 +113,9 @@ class BivariatePolynomial:
     ``__getattr__``) by whatever asks for pairs.  ``len``, ``bool``,
     ``is_zero``, :meth:`total_degree`, the renderer, the CLI's JSON writer
     and the expansion (:func:`expand_rational`) read the list and build
-    none, and adding a polynomial whose terms all have positions on the
-    layout gives a flat sum (:func:`_flat_sum`).
+    none.  Arithmetic here works on term maps; only N/D + P
+    (:meth:`StringyRational.__add__`) keeps a flat N flat
+    (:func:`_flat_sum`).
     """
 
     __slots__ = ("_terms", "_flat")
@@ -218,10 +220,6 @@ class BivariatePolynomial:
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        if self._flat is not None:
-            out = _flat_sum(*self._flat, other._terms)
-            if out is not None:
-                return out
         data = dict(self._terms)
         for pair, c in other._terms.items():
             acc = data.get(pair, 0) + c
@@ -310,7 +308,7 @@ def _flat_terms(values: list[int], layout: "_Layout") -> dict[ExponentPair, int]
 
 
 def _flat_sum(values: list[int], layout: "_Layout", terms: dict[ExponentPair, int],
-              den: Iterable[int] = ()) -> Union[BivariatePolynomial, None]:
+              den: Iterable[int]) -> Union[BivariatePolynomial, None]:
     """The flat polynomial of values on the layout plus a term map times the
     factors (uv)^m - 1 of den, on that layout, or None when a term of the
     product has no position in it.  The term at (i, j) sits at

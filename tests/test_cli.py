@@ -357,6 +357,13 @@ class TestPreparedConfig:
         assert not result.agree
         assert result.e_closed == truth
         assert result.e_closed == StringyRational(result.e_closed.numerator, result.e_closed.denominator)
+        code, out, _ = run("check", E6)
+        assert code == 1
+        assert out.splitlines()[-1] == "internal error: the open- and closed-strata formulas disagree"
+        code, out, _ = run("check", E6, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["agree"] is False and "checks" not in doc
 
     def test_decompose_walks_serre_once(self, run, monkeypatch):
         # one Serre decision per table and run, through strict validation
@@ -627,6 +634,23 @@ class TestDecompose:
         assert doc["rejected"] == [
             {"pair": [3, 2], "reason": "i + j = 5 exceeds the dimension 3"},
         ]
+
+    @pytest.mark.parametrize("pairs, message", [
+        ("1", "error: --pairs entries must look like 'i,j', got '1'"),
+        ("a,b", "error: --pairs entries must be integers, got 'a,b'"),
+        (";", "error: --pairs is empty"),
+        (" ; ", "error: --pairs is empty"),
+    ])
+    def test_malformed_pairs(self, run, pairs, message):
+        code, out, _ = run("decompose", NODE, "--pairs", pairs)
+        assert code == 2
+        assert out.splitlines() == [message]
+
+    def test_empty_pairs_entry_is_skipped(self, run):
+        code, out, _ = run("decompose", NODE, "--pairs", "1,1;;0,0")
+        assert code == 0
+        assert [line.split(" |")[0] for line in out.splitlines() if line.startswith("b_")] == [
+            "b_{1,1} = 2", "b_{0,0} = 1"]
 
     def test_strict_gate(self, run):
         # Decomposition needs the strict hypotheses, so a lenient-only config

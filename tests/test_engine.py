@@ -244,6 +244,10 @@ class TestNode:
         with pytest.raises(ValueError, match="singular_locus"):
             local_contribution(cfg)
 
+    def test_local_contribution_names_the_formula(self):
+        with pytest.raises(ValueError, match="formula must be 'open' or 'closed', got 'x'"):
+            local_contribution(node_config(), formula="x")
+
     def test_decomposition_row(self):
         res = decompose_coefficients(node_config(), [(1, 1)])
         assert res.rejected == ()

@@ -44,6 +44,11 @@ class TestHodgeDelignePolynomial:
         c = hd({(0, 0): 1}, 3)
         assert (a + c).claimed_dimension is None
 
+    def test_sub_keeps_matching_dimension(self):
+        a = hd({(1, 1): 1, (0, 0): 1}, 2)
+        assert a - hd({(0, 0): 1}, 2) == hd({(1, 1): 1}, 2)
+        assert (a - hd({(0, 0): 1}, 3)).claimed_dimension is None
+
     def test_mul_adds_dimensions(self):
         a = projective_space(2)
         b = projective_space(3)
@@ -59,8 +64,8 @@ class TestHodgeDelignePolynomial:
         assert len({a, hd({(0, 0): 1, (1, 1): 1}, 1), hd({(1, 1): 1, (0, 0): 1}, 2)}) == 2
         assert repr(a) == f"HodgeDelignePolynomial(poly={a.poly!r}, claimed_dimension=1)"
 
-    @pytest.mark.parametrize("combine", [lambda h: h * 3, lambda h: 3 * h, lambda h: h + ()],
-                             ids=["hdp*3", "3*hdp", "hdp+()"])
+    @pytest.mark.parametrize("combine", [lambda h: h * 3, lambda h: 3 * h, lambda h: h + (), lambda h: h - ()],
+                             ids=["hdp*3", "3*hdp", "hdp+()", "hdp-()"])
     def test_arithmetic_with_other_types_raises(self, combine):
         with pytest.raises(TypeError):
             combine(projective_space(1))
